@@ -11,7 +11,6 @@ from collections import Counter
 
 from oculogate.data import default_cohort_spec, generate_cohort
 from oculogate.metrics import grade_md
-from oculogate.model import predict
 from oculogate.pipeline import (deterministic_scores, run_training_pipeline,
                                 screening_report)
 from oculogate.train import TrainConfig
@@ -34,9 +33,11 @@ print("\npredicted severity grades on the test split:")
 for grade in ("normal", "early", "moderate", "advanced"):
     print(f"  {grade:9s} {grades.get(grade, 0):4d}")
 
-sample = tp.split.test.sample(0)
-pred = predict(sample, tp.stats, tp.model, tp.fusion)
-print(f"\none sample ({sample.sample_id}, measured md {sample.md:.2f} dB):")
-print(f"  p_final {pred.p_final:.3f} = 0.6*{pred.p_vis:.3f} + 0.4*{pred.p_clin:.3f}")
-print(f"  md_hat {pred.md_hat:.2f} dB, slope_hat {pred.slope_hat:.2f} dB/yr, "
-      f"severity '{pred.severity}'")
+# a single visit is a batch of one
+one = tp.split.test.subset([0])
+pred = {k: float(v[0]) for k, v in deterministic_scores(tp, one).items()}
+print(f"\none sample ({one.sample_ids()[0]}, measured md {one.md[0]:.2f} dB):")
+print(f"  p_final {pred['p_final']:.3f} = 0.6*{pred['p_vis']:.3f} "
+      f"+ 0.4*{pred['p_clin']:.3f}")
+print(f"  md_hat {pred['md_hat']:.2f} dB, slope_hat {pred['slope_hat']:.2f} dB/yr, "
+      f"severity '{grade_md(pred['md_hat'])}'")

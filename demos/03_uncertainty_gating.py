@@ -33,7 +33,7 @@ for i in range(0, 12):
 run = run_gate(tp.model, test, tp.stats, gate_cfg, seed=11, fusion=tp.fusion)
 print("\ndecisions:", dict(Counter(d.kind for d in run.decisions)))
 
-rejects = [(test.sample(i, with_image=False), d)
+rejects = [(test.sample(i), d)
            for i, d in enumerate(run.decisions) if d.kind != "accept"]
 queue = triage_queue(rejects, priority_groups=["Black", "Asian", "White"])
 print("\ntop of the review queue (priority group, then uncertainty):")

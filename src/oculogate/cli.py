@@ -19,17 +19,17 @@ import tempfile
 
 import numpy as np
 
-from .data import (CohortSpec, PreprocessStats, apply_preprocess_table,
-                   generate_cohort, load_cohort_csv, write_cohort)
+from .data import (CohortSpec, PreprocessStats, generate_cohort,
+                   load_cohort_csv, write_cohort)
 from .errors import ConfigError, DataError, NumericError
 from .fairness import calibrate_groups, fairness_report
 from .gate import GateConfig, run_gate
-from .metrics import grade_md
+from .metrics import grade_md, moderate_severe_fraction
 from .model import (FusionConfig, VisualFeatConfig, load_checkpoint,
-                    predict_arrays, save_checkpoint, visual_features_batch)
+                    predict_arrays, save_checkpoint)
 from .pipeline import (AblationFlags, TrainedPipeline, ablation_report,
-                       calibrate_gate, coverage_report, feature_matrices,
-                       run_training_pipeline, warning_report)
+                       calibrate_gate, coverage_report, deterministic_scores,
+                       feature_matrices, run_training_pipeline, warning_report)
 from .train import SplitResult, TrainConfig
 
 COMMANDS = ("gen-data", "train", "predict", "gate", "calibrate", "evaluate",
@@ -263,10 +263,9 @@ def cmd_predict(args) -> int:
     table = load_cohort_csv(os.path.join(args.cohort, "cohort.csv"))
     model, fusion, stats, assignment, _ = _load_model_dir(args.model)
     subset = _subset_by_split(table, assignment, cfg["split"])
-    x = apply_preprocess_table(stats, subset)
-    rasters = np.stack([subset.raster(i) for i in range(len(subset))])
-    v = visual_features_batch(model.visual, rasters, model.proj)
+    x, v = feature_matrices(subset, stats, model)
     arrs = predict_arrays(model, fusion, x, v)
+    mts = moderate_severe_fraction(arrs["md_hat"][:, None])
 
     lines = ["sample_id,group,label,p_final,p_vis,p_clin,md_hat,slope_hat,"
              "severity,vfd_prob,mts_prob"]
@@ -277,7 +276,7 @@ def cmd_predict(args) -> int:
             f"{arrs['p_final'][i]:.9g}", f"{arrs['p_vis'][i]:.9g}",
             f"{arrs['p_clin'][i]:.9g}", f"{md_hat:.9g}",
             f"{arrs['slope_hat'][i]:.9g}", grade_md(md_hat),
-            f"{arrs['p_final'][i]:.9g}", f"{float(md_hat < -6.0):.9g}",
+            f"{arrs['p_final'][i]:.9g}", f"{mts[i]:.9g}",
         ]))
     os.makedirs(args.out, exist_ok=True)
     _echo_config(cfg, args.out, "predict")
@@ -333,8 +332,7 @@ def cmd_calibrate(args) -> int:
     table = getattr(tp.split, cfg["split"], None)
     if table is None:
         raise ConfigError("calibrate split must be train, val, or test")
-    x, v = feature_matrices(table, tp.stats, tp.model)
-    arrs = predict_arrays(tp.model, tp.fusion, x, v)
+    arrs = deterministic_scores(tp, table)
     result = calibrate_groups(arrs["p_final"], table.label,
                               np.asarray(table.race),
                               acc_tolerance=cfg["acc_tolerance"],

@@ -101,7 +101,6 @@ class Sample:
     patient_id: str
     visit_index: int
     visit_time: float
-    image: np.ndarray | None
     rnflt: float
     iop: float
     cdr: float
@@ -171,13 +170,12 @@ class CohortTable:
             raise DataError(f"sample {i} has no image source")
         return generate_image(self.img_severity[i], int(self.image_seed[i]))
 
-    def sample(self, i: int, with_image: bool = True) -> Sample:
+    def sample(self, i: int) -> Sample:
         st = self.slope_target[i]
         return Sample(
             patient_id=self.patient_id[i],
             visit_index=int(self.visit_index[i]),
             visit_time=float(self.visit_time[i]),
-            image=self.raster(i) if with_image else None,
             rnflt=float(self.rnflt[i]),
             iop=float(self.iop[i]),
             cdr=float(self.cdr[i]),
@@ -431,7 +429,6 @@ class PreprocessStats:
     continuous: dict[str, dict]          # name -> {mean, std, group_means}
     dropped: list[str]
     categorical: dict[str, list[str]]    # name -> vocab (index 0 = unknown)
-    image_norm: dict[str, float]
 
     @property
     def feature_names(self) -> list[str]:
@@ -452,12 +449,12 @@ class PreprocessStats:
             "dropped": self.dropped,
             "categorical": {name: list(vocab)
                             for name, vocab in self.categorical.items()},
-            "image_norm": {"mean": self.image_norm["mean"],
-                           "std": self.image_norm["std"]},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PreprocessStats":
+        """Inverse of to_dict; keys it does not know (such as the
+        image-normalisation block older files carry) are ignored."""
         return cls(
             continuous={
                 name: {"mean": st["global_mean"], "std": st["global_std"],
@@ -466,11 +463,10 @@ class PreprocessStats:
             },
             dropped=list(d["dropped"]),
             categorical={k: list(v) for k, v in d["categorical"].items()},
-            image_norm=dict(d["image_norm"]),
         )
 
 
-def fit_preprocess(train: CohortTable, with_images: bool = True) -> PreprocessStats:
+def fit_preprocess(train: CohortTable) -> PreprocessStats:
     """Normalization statistics from the training split only."""
     if len(train) == 0:
         raise ConfigError("fit_preprocess: empty training table")
@@ -500,64 +496,25 @@ def fit_preprocess(train: CohortTable, with_images: bool = True) -> PreprocessSt
         for name in CATEGORICAL_FEATURES
     }
 
-    image_norm = {"mean": 0.0, "std": 1.0}
-    if with_images:
-        total, total_sq, count = 0.0, 0.0, 0
-        for i in range(len(train)):
-            try:
-                r = train.raster(i)
-            except DataError:
-                continue
-            total += float(r.sum())
-            total_sq += float((r * r).sum())
-            count += r.size
-        if count:
-            mean = total / count
-            var = max(total_sq / count - mean * mean, 0.0)
-            image_norm = {"mean": mean, "std": math.sqrt(var) if var > 0 else 1.0}
     return PreprocessStats(continuous=continuous, dropped=dropped,
-                           categorical=categorical, image_norm=image_norm)
-
-
-def _impute(stats: PreprocessStats, name: str, value: float, group: str) -> float:
-    st = stats.continuous[name]
-    if not math.isnan(value):
-        return value
-    return st["group_means"].get(group, st["mean"])
-
-
-def apply_preprocess(stats: PreprocessStats, sample: Sample) -> np.ndarray:
-    """Feature vector: imputed + z-scored continuous, then categorical codes.
-
-    Missing continuous values fill with the sample's group mean (global mean
-    for unseen groups); unseen categorical values truncate to index 0.
-    """
-    feats = []
-    for name in CONTINUOUS_FEATURES:
-        if name in stats.dropped:
-            continue
-        if name not in stats.continuous:
-            raise SchemaError(f"stats lack feature '{name}'")
-        raw = getattr(sample, _COLUMN_OF[name])
-        raw = float("nan") if raw is None else float(raw)
-        v = _impute(stats, name, raw, sample.group)
-        st = stats.continuous[name]
-        feats.append((v - st["mean"]) / st["std"])
-    for name in CATEGORICAL_FEATURES:
-        vocab = stats.categorical[name]
-        value = getattr(sample, name)
-        feats.append(float(vocab.index(value) + 1) if value in vocab else 0.0)
-    return np.array(feats, dtype=np.float64)
+                           categorical=categorical)
 
 
 def apply_preprocess_table(stats: PreprocessStats, table: CohortTable) -> np.ndarray:
-    """Vectorized apply_preprocess over a whole table -> (n, d) matrix."""
+    """(n, d) feature matrix: imputed + z-scored continuous columns, then
+    categorical codes.
+
+    Missing continuous values fill with the row's group mean (global mean
+    for unseen groups); unseen categorical values truncate to index 0.
+    """
     n = len(table)
     race = np.asarray(table.race)
     cols = []
     for name in CONTINUOUS_FEATURES:
         if name in stats.dropped:
             continue
+        if name not in stats.continuous:
+            raise SchemaError(f"stats lack feature '{name}'")
         st = stats.continuous[name]
         values = getattr(table, _COLUMN_OF[name]).copy()
         missing = np.isnan(values)
@@ -568,17 +525,12 @@ def apply_preprocess_table(stats: PreprocessStats, table: CohortTable) -> np.nda
             values[missing] = fill[missing]
         cols.append((values - st["mean"]) / st["std"])
     for name in CATEGORICAL_FEATURES:
+        if name not in stats.categorical:
+            raise SchemaError(f"stats lack feature '{name}'")
         index = {v: k + 1 for k, v in enumerate(stats.categorical[name])}
         cols.append(np.array([index.get(v, 0) for v in getattr(table, name)],
                              dtype=np.float64))
     return np.stack(cols, axis=1)
-
-
-def apply_preprocess_image(stats: PreprocessStats, raster: np.ndarray) -> np.ndarray:
-    """Pseudo-RGB mapping: replicate the single channel three times, then
-    normalize each channel with the training image statistics."""
-    rgb = np.repeat(raster[None, :, :], 3, axis=0)
-    return (rgb - stats.image_norm["mean"]) / stats.image_norm["std"]
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import DualStreamModel, FusionConfig, visual_features_batch
-from .numerics import sigmoid
+from .metrics import moderate_severe_fraction
+from .model import DualStreamModel, FusionConfig, fuse, visual_features_batch
 from .rng import Rng
 
 TTA_DEFAULT = (
@@ -50,8 +50,6 @@ class GateConfig:
 class UncertaintyEstimate:
     mu: float
     u: float
-    passes: np.ndarray
-    md_passes: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 @dataclass
@@ -80,15 +78,6 @@ def laplacian_variance(raster: np.ndarray) -> float:
     resp = (-4.0 * a[1:-1, 1:-1] + a[:-2, 1:-1] + a[2:, 1:-1]
             + a[1:-1, :-2] + a[1:-1, 2:])
     return float(resp.var())
-
-
-def quality_gate(raster: np.ndarray, cfg: GateConfig) -> GateDecision | None:
-    """None when the raster is sharp enough; a reject_blur decision otherwise.
-    Runs before any model inference."""
-    lv = laplacian_variance(raster)
-    if lv < cfg.tau_blur:
-        return GateDecision(kind="reject_blur", lap_var=lv)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +136,7 @@ def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
         v = visual_features_batch(model.visual, apply_tta(aug, rasters), model.proj)
         masks = _pass_masks(model, sample_ids, i, seed, cfg.dropout_p)
         out, _ = model.forward(x_clin, v, masks)
-        p_passes[:, i] = (fusion.alpha_vis * sigmoid(out["logit_vis"])
-                          + fusion.alpha_clin * sigmoid(out["logit_clin"]))
+        p_passes[:, i] = fuse(fusion, out["logit_vis"], out["logit_clin"])
         md_passes[:, i] = out["md_hat"]
     return p_passes, md_passes
 
@@ -163,21 +151,6 @@ def summarize_passes(p_passes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mean += delta / (i + 1)
         m2 += delta * (p_passes[:, i] - mean)
     return mean, m2 / n_passes
-
-
-def stochastic_ensemble(sample, model: DualStreamModel, cfg: GateConfig,
-                        seed: int, fusion: FusionConfig | None = None,
-                        stats=None) -> UncertaintyEstimate:
-    """Uncertainty estimate for one sample that already passed the firewall."""
-    from .data import apply_preprocess
-
-    fusion = fusion or FusionConfig()
-    x = apply_preprocess(stats, sample)[None, :]
-    p_passes, md_passes = ensemble_passes(
-        model, fusion, x, sample.image[None, :, :], [sample.sample_id], cfg, seed)
-    mu, u = summarize_passes(p_passes)
-    return UncertaintyEstimate(mu=float(mu[0]), u=float(u[0]),
-                               passes=p_passes[0], md_passes=md_passes[0])
 
 
 def gate_decide(est: UncertaintyEstimate, cfg: GateConfig) -> GateDecision:
@@ -201,7 +174,7 @@ class GateRun:
     mu: np.ndarray            # NaN for blur rejects
     u: np.ndarray             # NaN for blur rejects
     mts_prob: np.ndarray      # NaN for blur rejects
-    decisions: list[GateDecision]
+    decisions: list[GateDecision] = field(default_factory=list)  # by run_gate
 
     def audit_records(self) -> list[dict]:
         recs = []
@@ -221,8 +194,9 @@ def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
                         seed: int, fusion: FusionConfig | None = None,
                         batch_size: int = 256) -> GateRun:
     """Firewall plus ensemble statistics for every sample of a table,
-    without the accept/reject call (tau_unc may still be unset). Blur
-    rejects never reach the model; their mu/u/mts stay NaN."""
+    without the accept/reject call (tau_unc may still be unset, and
+    decisions stay empty). Blur rejects never reach the model; their
+    mu/u/mts stay NaN."""
     from .data import apply_preprocess_table
 
     fusion = fusion or FusionConfig()
@@ -248,15 +222,9 @@ def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
         b_mu, b_u = summarize_passes(p_passes)
         mu[idx] = b_mu
         u[idx] = b_u
-        mts[idx] = (md_passes <= -6.0).mean(axis=1)
-
-    blur_only = [
-        GateDecision(kind="reject_blur", lap_var=float(lap[i]))
-        if lap[i] < cfg.tau_blur else GateDecision(kind="accept")
-        for i in range(n)
-    ]
+        mts[idx] = moderate_severe_fraction(md_passes)
     return GateRun(sample_ids=sample_ids, groups=list(table.race), lap_var=lap,
-                   mu=mu, u=u, mts_prob=mts, decisions=blur_only)
+                   mu=mu, u=u, mts_prob=mts)
 
 
 def run_gate(model: DualStreamModel, table, stats, cfg: GateConfig, seed: int,
@@ -265,16 +233,10 @@ def run_gate(model: DualStreamModel, table, stats, cfg: GateConfig, seed: int,
     """Gate every sample of a table: firewall first (no model pass for blur
     rejects), then the ensemble and the uncertainty decision."""
     run = ensemble_over_table(model, table, stats, cfg, seed, fusion, batch_size)
-    decisions: list[GateDecision] = []
-    for i in range(len(run.sample_ids)):
-        if run.lap_var[i] < cfg.tau_blur:
-            decisions.append(GateDecision(kind="reject_blur",
-                                          lap_var=float(run.lap_var[i])))
-        else:
-            est = UncertaintyEstimate(mu=float(run.mu[i]), u=float(run.u[i]),
-                                      passes=np.empty(0))
-            decisions.append(gate_decide(est, cfg))
-    run.decisions = decisions
+    run.decisions = [
+        GateDecision(kind="reject_blur", lap_var=float(lv)) if lv < cfg.tau_blur
+        else gate_decide(UncertaintyEstimate(mu=float(m), u=float(u)), cfg)
+        for lv, m, u in zip(run.lap_var, run.mu, run.u)]
     return run
 
 

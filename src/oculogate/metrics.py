@@ -3,7 +3,7 @@ grades, age-band risk summaries, and the longitudinal warning rule."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,17 +124,11 @@ def grade_md(md: float, bands=DEFAULT_SEVERITY_BANDS) -> str:
     return bands[-1][0]
 
 
-def severity_outputs(md_hat: float, p_final: float, md_passes=None) -> dict:
-    """Grade plus defect and moderate-to-severe probabilities.
-
-    mts_prob is the fraction of ensemble md passes at or below -6 dB; with no
-    ensemble it degrades to the indicator md_hat < -6.
-    """
-    if md_passes is not None and len(md_passes):
-        mts = float(np.mean(np.asarray(md_passes, dtype=np.float64) <= -6.0))
-    else:
-        mts = float(md_hat < -6.0)
-    return {"grade": grade_md(md_hat), "vfd_prob": float(p_final), "mts_prob": mts}
+def moderate_severe_fraction(md_passes) -> np.ndarray:
+    """Fraction of MD estimates along the last axis at or below -6 dB, the
+    bound grade_md already counts as "moderate"; one estimate per row gives
+    the 0/1 indicator."""
+    return (np.asarray(md_passes, dtype=np.float64) <= -6.0).mean(axis=-1)
 
 
 def risk_by_age_band(risks, ages, bands=DEFAULT_AGE_BANDS) -> dict[str, float]:
@@ -195,41 +189,6 @@ def dynamic_warning(
         delta_risk=float(p[-1] - p[0]),
         peak_risk=float(p.max()),
     )
-
-
-@dataclass
-class MetricsReport:
-    """Aggregate report shape shared by the CLI and the acceptance suite."""
-
-    auc: float | None = None
-    accuracy: float | None = None
-    sensitivity: float | None = None
-    specificity: float | None = None
-    f1: float | None = None
-    md_mae: float | None = None
-    coverage_points: list = field(default_factory=list)
-    per_group: dict = field(default_factory=dict)
-    warnings: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "auc": self.auc,
-            "accuracy": self.accuracy,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "f1": self.f1,
-            "md_mae": self.md_mae,
-            "coverage_points": [[c, a] for c, a in self.coverage_points],
-            "per_group": self.per_group,
-            "warnings": self.warnings,
-        }
-
-
-def screening_metrics(scores, labels, threshold: float = 0.5) -> dict[str, float]:
-    """AUC plus thresholded rates in one dict."""
-    out = metrics_at_threshold(scores, labels, threshold)
-    out["auc"] = roc_auc(scores, labels)
-    return out
 
 
 def mean_absolute_error(pred, target) -> float:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .metrics import grade_md
 from .numerics import ParamStore, affine_backward, relu, sigmoid
 from .rng import Rng
 
@@ -56,18 +55,6 @@ class FusionConfig:
             raise ConfigError("fusion weights must sum to 1")
 
 
-@dataclass
-class Prediction:
-    p_final: float
-    p_vis: float
-    p_clin: float
-    md_hat: float
-    slope_hat: float
-    severity: str
-    vfd_prob: float
-    mts_prob: float
-
-
 def fuse(cfg: FusionConfig, logit_vis, logit_clin):
     """Probability-level weighted fusion of the two stream logits."""
     cfg.validate()
@@ -98,14 +85,9 @@ def patch_stats(rasters: np.ndarray, grid: int) -> np.ndarray:
     return np.concatenate([means.reshape(n, -1), stds.reshape(n, -1)], axis=1)
 
 
-def visual_features(cfg: VisualFeatConfig, raster: np.ndarray,
-                    proj: np.ndarray | None = None) -> np.ndarray:
-    """2048-d feature vector for one raster in [0, 1]."""
-    return visual_features_batch(cfg, raster[None, :, :], proj)[0]
-
-
 def visual_features_batch(cfg: VisualFeatConfig, rasters: np.ndarray,
                           proj: np.ndarray | None = None) -> np.ndarray:
+    """(n, proj_dim) features for a stack of rasters in [0, 1], (n, H, W)."""
     if proj is None:
         proj = projection_matrix(cfg)
     return np.tanh(patch_stats(np.asarray(rasters, dtype=np.float64),
@@ -180,13 +162,6 @@ class DualStreamModel:
             masks[name] = (u[:, offset : offset + width] >= p) / (1.0 - p)
             offset += width
         return masks
-
-    def draw_masks(self, rng: Rng, n: int, p: float | None = None) -> dict | None:
-        p = self.dcce.dropout_p if p is None else p
-        if p <= 0.0:
-            return None
-        total = sum(w for _, w in self.mask_segments())
-        return self.masks_from_uniform(rng.uniform((n, total)), p)
 
     def forward(self, x_clin: np.ndarray, v_feats: np.ndarray,
                 masks: dict | None = None) -> tuple[dict, dict]:
@@ -347,38 +322,13 @@ def predict_arrays(model: DualStreamModel, fusion: FusionConfig,
                    x_clin: np.ndarray, v_feats: np.ndarray) -> dict[str, np.ndarray]:
     """Deterministic pass (dropout off, identity augmentation) over a batch."""
     out, _ = model.forward(x_clin, v_feats, masks=None)
-    p_vis = sigmoid(out["logit_vis"])
-    p_clin = sigmoid(out["logit_clin"])
-    fusion.validate()
     return {
-        "p_vis": p_vis,
-        "p_clin": p_clin,
-        "p_final": fusion.alpha_vis * p_vis + fusion.alpha_clin * p_clin,
+        "p_vis": sigmoid(out["logit_vis"]),
+        "p_clin": sigmoid(out["logit_clin"]),
+        "p_final": fuse(fusion, out["logit_vis"], out["logit_clin"]),
         "md_hat": out["md_hat"],
         "slope_hat": out["slope_hat"],
     }
-
-
-def predict(sample, stats, model: DualStreamModel, fusion: FusionConfig,
-            mts_prob: float | None = None) -> Prediction:
-    """Single-sample Prediction; mts_prob may be supplied by a gate ensemble,
-    otherwise it degrades to the indicator md_hat < -6."""
-    from .data import apply_preprocess
-
-    x = apply_preprocess(stats, sample)[None, :]
-    v = visual_features_batch(model.visual, sample.image[None, :, :], model.proj)
-    arrs = predict_arrays(model, fusion, x, v)
-    md_hat = float(arrs["md_hat"][0])
-    return Prediction(
-        p_final=float(arrs["p_final"][0]),
-        p_vis=float(arrs["p_vis"][0]),
-        p_clin=float(arrs["p_clin"][0]),
-        md_hat=md_hat,
-        slope_hat=float(arrs["slope_hat"][0]),
-        severity=grade_md(md_hat),
-        vfd_prob=float(arrs["p_final"][0]),
-        mts_prob=float(md_hat < -6.0) if mts_prob is None else mts_prob,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +372,21 @@ def load_checkpoint(in_dir) -> tuple[DualStreamModel, FusionConfig, dict]:
     visual = VisualFeatConfig(**manifest["visual"])
     fusion = FusionConfig(**manifest["fusion"])
     model = DualStreamModel(dcce, visual)
-    raw = open(os.path.join(in_dir, "params.bin"), "rb").read()
-    offset = 0
+    if [e["name"] for e in manifest["params"]] != model.params.names():
+        raise SchemaError("manifest parameters do not match the model's")
     for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        model.params[entry["name"]].value[...] = arr.reshape(shape)
-    if offset != len(raw):
+        value = model.params[entry["name"]].value
+        if tuple(entry["shape"]) != value.shape:
+            raise SchemaError(f"manifest shape {entry['shape']} of "
+                              f"'{entry['name']}' does not match the model's "
+                              f"{list(value.shape)}")
+    with open(os.path.join(in_dir, "params.bin"), "rb") as f:
+        raw = f.read()
+    if len(raw) != 8 * sum(p.value.size for p in model.params.entries.values()):
         raise SchemaError("params.bin length does not match the manifest")
+    offset = 0
+    for p in model.params.entries.values():
+        p.value[...] = np.frombuffer(raw, dtype="<f8", count=p.value.size,
+                                     offset=offset).reshape(p.value.shape)
+        offset += 8 * p.value.size
     return model, fusion, manifest.get("extra", {})

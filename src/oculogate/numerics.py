@@ -7,38 +7,16 @@ mutable object is the ParamStore that the optimizer updates in place
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, SchemaError
-
-try:  # optional fused optimizer kernel; plain numpy otherwise
-    from numba import njit as _njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAS_NUMBA = False
+from .errors import NumericError
 
 
 # ---------------------------------------------------------------------------
 # forward / backward primitives
 # ---------------------------------------------------------------------------
-
-def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y = x @ w + b with b broadcast per row. x (n, d), w (d, h), b (h,)."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
-        raise SchemaError(
-            f"affine shapes do not conform: x{x.shape} w{w.shape} b{b.shape}"
-        )
-    if not (np.isfinite(x).all() and np.isfinite(w).all() and np.isfinite(b).all()):
-        raise NumericError("affine_forward: non-finite input")
-    return x @ w + b
-
 
 def affine_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray):
     """Gradients of y = x @ w + b. Returns (dx, dw, db) for upstream g (n, h)."""
@@ -47,10 +25,6 @@ def affine_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray):
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
-
-
-def relu_backward(g: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    return g * (pre > 0.0)
 
 
 def sigmoid(z):
@@ -62,14 +36,6 @@ def sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out if out.ndim else float(out)
-
-
-def dropout_mask(rng, shape, p: float) -> np.ndarray:
-    """Inverted-dropout mask: zeros with probability p, survivors scaled 1/(1-p)."""
-    if p <= 0.0:
-        return np.ones(shape)
-    keep = ~rng.bernoulli(p, shape)
-    return keep.astype(np.float64) / (1.0 - p)
 
 
 # ---------------------------------------------------------------------------
@@ -162,31 +128,6 @@ class ParamStore:
             self.entries[k].value[...] = v
 
 
-if _HAS_NUMBA:
-
-    @_njit(cache=True)
-    def _adamw_kernel(value, grad, m1, m2, lr, wd, beta1, beta2, eps, bc1, bc2):
-        decay = 1.0 - lr * wd
-        for i in range(value.size):
-            g = grad[i]
-            m1[i] = beta1 * m1[i] + (1.0 - beta1) * g
-            m2[i] = beta2 * m2[i] + (1.0 - beta2) * g * g
-            value[i] = value[i] * decay \
-                - lr * (m1[i] / bc1) / (math.sqrt(m2[i] / bc2) + eps)
-
-else:
-
-    def _adamw_kernel(value, grad, m1, m2, lr, wd, beta1, beta2, eps, bc1, bc2):
-        value *= 1.0 - lr * wd
-        m1 *= beta1
-        m1 += (1.0 - beta1) * grad
-        m2 *= beta2
-        m2 += (1.0 - beta2) * (grad * grad)
-        denom = np.sqrt(m2 / bc2)
-        denom += eps
-        value -= lr * (m1 / bc1) / denom
-
-
 def adamw_step(
     store: ParamStore,
     lr: float = 1e-4,
@@ -204,10 +145,14 @@ def adamw_step(
     for p in store.entries.values():
         p.step_count += 1
         t = p.step_count
-        _adamw_kernel(p.value.reshape(-1), p.grad.reshape(-1),
-                      p.m1.reshape(-1), p.m2.reshape(-1),
-                      lr, wd, beta1, beta2, eps,
-                      1.0 - beta1 ** t, 1.0 - beta2 ** t)
+        p.value *= 1.0 - lr * wd
+        p.m1 *= beta1
+        p.m1 += (1.0 - beta1) * p.grad
+        p.m2 *= beta2
+        p.m2 += (1.0 - beta2) * (p.grad * p.grad)
+        denom = np.sqrt(p.m2 / (1.0 - beta2 ** t))
+        denom += eps
+        p.value -= lr * (p.m1 / (1.0 - beta1 ** t)) / denom
     return store
 
 

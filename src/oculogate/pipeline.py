@@ -4,14 +4,14 @@ feature assembly, training, gate calibration, and the report builders."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import (CohortTable, PreprocessStats, apply_preprocess_table,
                    fit_preprocess, generate_trajectory)
 from .errors import DataError
-from .fairness import calibrate_groups, fairness_report, group_metrics
+from .fairness import fnr_gap, group_fnr, group_metrics
 from .gate import GateConfig, GateRun, ensemble_over_table, run_gate
 from .metrics import (coverage_accuracy_curve, dynamic_warning,
                       mean_absolute_error, metrics_at_threshold, roc_auc)
@@ -33,10 +33,10 @@ class AblationFlags:
               ) -> tuple[FusionConfig, GateConfig]:
         if self.no_clinical:
             fusion = FusionConfig(alpha_vis=1.0, alpha_clin=0.0)
-        tta = ("identity",) if self.no_tta else gate_cfg.tta_set
-        p = 0.0 if self.no_mc_dropout else gate_cfg.dropout_p
-        gate_cfg = GateConfig(tau_blur=gate_cfg.tau_blur, tau_unc=gate_cfg.tau_unc,
-                              n_passes=gate_cfg.n_passes, dropout_p=p, tta_set=tta)
+        if self.no_tta:
+            gate_cfg = replace(gate_cfg, tta_set=("identity",))
+        if self.no_mc_dropout:
+            gate_cfg = replace(gate_cfg, dropout_p=0.0)
         return fusion, gate_cfg
 
 
@@ -79,8 +79,6 @@ def run_training_pipeline(
     search the fusion weights on validation. A provided dcce_cfg acts as a
     template: its input_dim is always replaced by the fitted feature count.
     """
-    from dataclasses import replace
-
     train_cfg = train_cfg or TrainConfig()
     split = split_dataset(cohort, train_cfg)
     stats = fit_preprocess(split.train)
@@ -125,10 +123,7 @@ def calibrate_gate(tp: TrainedPipeline, gate_cfg: GateConfig, gamma: float,
     result = grid_search_tau_unc(val_run.u[sharp],
                                  val_run.mu[sharp],
                                  tp.split.val.label[sharp], gamma)
-    calibrated = GateConfig(tau_blur=gate_cfg.tau_blur, tau_unc=result.tau_unc,
-                            n_passes=gate_cfg.n_passes,
-                            dropout_p=gate_cfg.dropout_p, tta_set=gate_cfg.tta_set)
-    return calibrated, result, val_run
+    return replace(gate_cfg, tau_unc=result.tau_unc), result, val_run
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +169,6 @@ def coverage_report(gate_run: GateRun, labels, threshold: float = 0.5,
             "n_gated": int(sharp.sum()), "threshold": threshold}
 
 
-def fairness_calibration_report(tp: TrainedPipeline, table: CohortTable,
-                                acc_tolerance: float) -> dict:
-    arrs = deterministic_scores(tp, table)
-    result = calibrate_groups(arrs["p_final"], table.label,
-                              np.asarray(table.race), acc_tolerance)
-    return fairness_report(arrs["p_final"], table.label,
-                           np.asarray(table.race), result)
-
-
 def ablation_report(tp: TrainedPipeline, gate_cfg: GateConfig, gamma: float,
                     seed: int, flags: AblationFlags,
                     top_fraction: float = 0.3) -> dict:
@@ -213,8 +199,6 @@ def ablation_report(tp: TrainedPipeline, gate_cfg: GateConfig, gamma: float,
     except DataError:
         rates = {"sensitivity": None, "specificity": None,
                  "accuracy": None, "f1": None}
-    from .fairness import fnr_gap, group_fnr
-
     fnrs = group_fnr(mu[keep], y[keep], g[keep], 0.5)
     defined = [v for v in fnrs.values() if v is not None]
     gap = fnr_gap(fnrs) if len(defined) >= 2 else None

@@ -17,7 +17,7 @@ import numpy as np
 from .data import CohortTable
 from .errors import ConfigError, NumericError
 from .metrics import mean_absolute_error, roc_auc
-from .model import DualStreamModel, FusionConfig
+from .model import DualStreamModel, FusionConfig, fuse
 from .numerics import adamw_step, binary_cross_entropy, sigmoid, smooth_l1, smooth_l1_grad
 from .rng import Rng
 
@@ -226,8 +226,7 @@ def train_multitask(
             adamw_step(model.params, lr=cfg.lr, wd=cfg.wd)
 
         val_out, _ = model.forward(x_val, v_val, masks=None)
-        p_val = (fusion.alpha_vis * sigmoid(val_out["logit_vis"])
-                 + fusion.alpha_clin * sigmoid(val_out["logit_clin"]))
+        p_val = fuse(fusion, val_out["logit_vis"], val_out["logit_clin"])
         val_auc = roc_auc(p_val, y_val)
         val_mae = mean_absolute_error(val_out["md_hat"], md_val)
         grad_ratio = (float(np.sqrt(norm_scr) / np.sqrt(norm_prog))

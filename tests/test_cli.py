@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -184,3 +185,54 @@ def test_no_mc_dropout_identity_tta_accepts_all(run_dir):
         rec = json.loads(line)
         if rec["decision"] != "reject_blur":
             assert rec["u"] == 0.0 and rec["decision"] == "accept"
+
+
+def _predict_with_broken_model(run_dir, tmp_path, capsys, corrupt):
+    """Run predict against a copy of the trained model dir that `corrupt`
+    has damaged; returns (exit code, stderr lines)."""
+    model = tmp_path / "model"
+    shutil.copytree(run_dir / "model", model)
+    corrupt(model)
+    code = main(["predict", "--cohort", str(run_dir / "cohort"),
+                 "--model", str(model), "--out", str(tmp_path / "pred")])
+    return code, capsys.readouterr().err.strip().splitlines()
+
+
+def test_truncated_params_bin_exits_one(run_dir, tmp_path, capsys):
+    def truncate(model):
+        path = model / "checkpoint" / "params.bin"
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+
+    code, err = _predict_with_broken_model(run_dir, tmp_path, capsys, truncate)
+    assert code == 1
+    assert len(err) == 1 and "params.bin" in err[0]
+
+
+def test_manifest_shape_mismatch_exits_one(run_dir, tmp_path, capsys):
+    def reshape_bias(model):
+        path = model / "checkpoint" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for entry in manifest["params"]:
+            if entry["name"] == "vis_head.b":
+                entry["shape"] = [1, 1]  # same size, so the bytes still fit
+        path.write_text(json.dumps(manifest))
+
+    code, err = _predict_with_broken_model(run_dir, tmp_path, capsys, reshape_bias)
+    assert code == 1
+    assert len(err) == 1 and "vis_head.b" in err[0]
+
+
+@pytest.mark.parametrize("kind,name", [("continuous", "cdr"),
+                                       ("categorical", "sex")])
+def test_preprocess_lacking_a_feature_exits_one(run_dir, tmp_path, capsys,
+                                                kind, name):
+    def drop_feature(model):
+        path = model / "preprocess.json"
+        stats = json.loads(path.read_text())
+        del stats[kind][name]
+        path.write_text(json.dumps(stats))
+
+    code, err = _predict_with_broken_model(run_dir, tmp_path, capsys, drop_feature)
+    assert code == 1
+    assert len(err) == 1 and name in err[0]

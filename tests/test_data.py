@@ -4,8 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from oculogate.data import (CohortSpec, CohortTable, Sample, apply_preprocess,
-                            apply_preprocess_image, apply_preprocess_table,
+from oculogate.data import (CohortSpec, CohortTable, apply_preprocess_table,
                             default_cohort_spec, fit_preprocess, generate_cohort,
                             generate_image, generate_trajectory, inject_blur,
                             load_cohort_csv, load_image_pgm, write_cohort,
@@ -163,7 +162,7 @@ class TestInjectBlur:
 class TestPreprocess:
     def test_mean_and_population_std(self):
         t = tiny_table(rnflt=[1.0, 2.0, 3.0, np.nan, np.nan])
-        stats = fit_preprocess(t, with_images=False)
+        stats = fit_preprocess(t)
         st = stats.continuous["rnflt_um"]
         assert st["mean"] == 2.0
         assert st["std"] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
@@ -171,25 +170,25 @@ class TestPreprocess:
     def test_constant_feature_dropped_with_warning(self):
         t = tiny_table(iop=[15.0] * 5)
         with pytest.warns(UserWarning, match="iop"):
-            stats = fit_preprocess(t, with_images=False)
+            stats = fit_preprocess(t)
         assert "iop_mmhg" in stats.dropped
         assert "iop_mmhg" not in stats.continuous
 
     def test_all_missing_feature_named_in_error(self):
         t = tiny_table(cdr=[np.nan] * 5)
         with pytest.raises(ConfigError, match="cdr"):
-            fit_preprocess(t, with_images=False)
+            fit_preprocess(t)
 
     def test_stats_independent_of_row_order(self):
         t = tiny_table()
         perm = [4, 2, 0, 3, 1]
-        a = fit_preprocess(t, with_images=False).to_dict()
-        b = fit_preprocess(t.subset(perm), with_images=False).to_dict()
+        a = fit_preprocess(t).to_dict()
+        b = fit_preprocess(t.subset(perm)).to_dict()
         assert a == b
 
     def test_train_split_z_scores_standardized(self):
         table = generate_cohort(default_cohort_spec(n_patients=150, seed=8))
-        stats = fit_preprocess(table, with_images=False)
+        stats = fit_preprocess(table)
         x = apply_preprocess_table(stats, table)
         n_cont = len([f for f in stats.continuous])
         for j in range(n_cont):
@@ -198,71 +197,74 @@ class TestPreprocess:
 
     def test_value_at_mean_maps_to_zero(self):
         t = tiny_table()
-        stats = fit_preprocess(t, with_images=False)
-        s = t.sample(2, with_image=False)
-        s.iop = stats.continuous["iop_mmhg"]["mean"]
-        x = apply_preprocess(stats, s)
-        assert x[1] == 0.0
+        stats = fit_preprocess(t)
+        one = t.subset([2])
+        one.iop[0] = stats.continuous["iop_mmhg"]["mean"]
+        x = apply_preprocess_table(stats, one)
+        assert x.shape == (1, len(stats.feature_names))
+        assert x[0, 1] == 0.0
 
     def test_missing_fills_group_mean_then_zscores(self):
         t = tiny_table()
-        stats = fit_preprocess(t, with_images=False)
-        s = Sample(patient_id="X", visit_index=0, visit_time=0.0, image=None,
-                   rnflt=float("nan"), iop=15.0, cdr=0.4, age=50.0,
-                   sex="F", race="Black", label=0, md=-1.0, slope_target=None)
-        x = apply_preprocess(stats, s)
+        stats = fit_preprocess(t)
+        one = t.subset([0])  # a Black patient
+        one.rnflt[0] = np.nan
+        x = apply_preprocess_table(stats, one)
         st = stats.continuous["rnflt_um"]
         want = (st["group_means"]["Black"] - st["mean"]) / st["std"]
-        assert x[0] == want
+        assert x[0, 0] == want
 
     def test_missing_unseen_group_falls_back_to_global(self):
         t = tiny_table()
-        stats = fit_preprocess(t, with_images=False)
-        s = Sample(patient_id="X", visit_index=0, visit_time=0.0, image=None,
-                   rnflt=float("nan"), iop=15.0, cdr=0.4, age=50.0,
-                   sex="F", race="Hispanic", label=0, md=-1.0, slope_target=None)
-        x = apply_preprocess(stats, s)
-        assert x[0] == 0.0  # global mean z-scores to zero
+        stats = fit_preprocess(t)
+        one = t.subset([0])
+        one.rnflt[0] = np.nan
+        one.race = ["Hispanic"]
+        x = apply_preprocess_table(stats, one)
+        assert x[0, 0] == 0.0  # global mean z-scores to zero
 
     def test_unseen_category_truncates_to_zero(self):
         t = tiny_table()
-        stats = fit_preprocess(t, with_images=False)
-        s = t.sample(0, with_image=False)
-        s.sex = "device_X"
-        x = apply_preprocess(stats, s)
-        assert x[len(stats.continuous)] == 0.0
+        stats = fit_preprocess(t)
+        one = t.subset([0])
+        one.sex = ["device_X"]
+        x = apply_preprocess_table(stats, one)
+        assert x[0, len(stats.continuous)] == 0.0
 
     def test_vocab_reserves_index_zero(self):
-        stats = fit_preprocess(tiny_table(), with_images=False)
-        s = tiny_table().sample(0, with_image=False)
-        x = apply_preprocess(stats, s)
+        stats = fit_preprocess(tiny_table())
+        x = apply_preprocess_table(stats, tiny_table().subset([0]))
         sex_idx = stats.categorical["sex"].index("F") + 1
-        assert x[len(stats.continuous)] == sex_idx
+        assert x[0, len(stats.continuous)] == sex_idx
 
     def test_table_and_sample_paths_agree(self):
+        # a single visit is a batch of one: its row equals the table's row
         table = generate_cohort(default_cohort_spec(n_patients=30, seed=13))
-        stats = fit_preprocess(table, with_images=False)
+        stats = fit_preprocess(table)
         x = apply_preprocess_table(stats, table)
         for i in (0, 5, len(table) - 1):
-            xi = apply_preprocess(stats, table.sample(i, with_image=False))
-            assert np.array_equal(x[i], xi)
+            xi = apply_preprocess_table(stats, table.subset([i]))
+            assert np.array_equal(x[i], xi[0])
 
     def test_stats_json_round_trip(self):
-        stats = fit_preprocess(tiny_table(), with_images=False)
+        stats = fit_preprocess(tiny_table())
         d = stats.to_dict()
         again = PreprocessStats.from_dict(d)
         assert again.to_dict() == d
+        assert "image_norm" not in d
 
-    def test_pseudo_rgb_image_path(self):
-        table = generate_cohort(default_cohort_spec(
-            n_patients=10, seed=2, visits_per_patient=(1, 2)))
-        stats = fit_preprocess(table)
-        rgb = apply_preprocess_image(stats, table.raster(0))
-        assert rgb.shape == (3, 64, 64)
-        assert np.array_equal(rgb[0], rgb[1]) and np.array_equal(rgb[1], rgb[2])
-        flat = np.concatenate([(table.raster(i)).ravel() for i in range(len(table))])
-        assert stats.image_norm["mean"] == pytest.approx(flat.mean(), rel=1e-9)
-        assert stats.image_norm["std"] == pytest.approx(flat.std(), rel=1e-6)
+    def test_stats_from_older_file_with_image_norm(self):
+        d = fit_preprocess(tiny_table()).to_dict()
+        old = dict(d, image_norm={"mean": 0.5, "std": 0.2})
+        assert PreprocessStats.from_dict(old).to_dict() == d
+
+    @pytest.mark.parametrize("kind,name", [("continuous", "cdr"),
+                                           ("categorical", "race")])
+    def test_stats_lacking_a_feature_rejected(self, kind, name):
+        stats = fit_preprocess(tiny_table())
+        del getattr(stats, kind)[name]
+        with pytest.raises(SchemaError, match=name):
+            apply_preprocess_table(stats, tiny_table())
 
 
 class TestCohortCsv:

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oculogate.data import generate_image, inject_blur
+from oculogate.data import apply_preprocess_table, generate_image, inject_blur
 from oculogate.errors import ConfigError
 from oculogate.gate import (GateConfig, GateDecision, UncertaintyEstimate,
-                            apply_tta, ensemble_over_table, gate_decide,
-                            laplacian_variance, quality_gate, run_gate,
-                            stochastic_ensemble, summarize_passes, triage_queue)
+                            apply_tta, ensemble_over_table, ensemble_passes,
+                            gate_decide, laplacian_variance, run_gate,
+                            summarize_passes, triage_queue)
 from oculogate.rng import Rng
 
 
@@ -46,20 +46,32 @@ class TestLaplacianVariance:
 
 
 class TestQualityGate:
-    def test_sharp_generator_image_passes(self):
-        cfg = GateConfig()
-        assert quality_gate(generate_image(0.5, 99), cfg) is None
+    """The blur firewall as run_gate applies it to a batch of one."""
 
-    def test_blurred_image_rejected(self):
+    @staticmethod
+    def _gate_one(tp, raster):
+        one = tp.split.test.subset([0])
+        one.rasters = [raster]
+        return run_gate(tp.model, one, tp.stats, GateConfig(tau_unc=1.0),
+                        seed=2, fusion=tp.fusion)
+
+    def test_sharp_generator_image_passes(self, small_pipeline):
+        run = self._gate_one(small_pipeline, generate_image(0.5, 99))
+        assert run.lap_var[0] >= GateConfig().tau_blur
+        assert run.decisions[0].kind == "accept"  # U <= 0.25 < tau_unc
+
+    def test_blurred_image_rejected(self, small_pipeline):
         cfg = GateConfig()
-        img = inject_blur(generate_image(0.5, 99), 4)
-        decision = quality_gate(img, cfg)
-        assert decision is not None and decision.kind == "reject_blur"
+        run = self._gate_one(small_pipeline, inject_blur(generate_image(0.5, 99), 4))
+        decision = run.decisions[0]
+        assert decision.kind == "reject_blur"
         assert decision.lap_var < cfg.tau_blur
+        assert np.isnan(run.mu[0]) and np.isnan(run.u[0])
 
-    def test_constant_image_rejected(self):
-        decision = quality_gate(np.full((64, 64), 0.5), GateConfig())
-        assert decision is not None and decision.lap_var == 0.0
+    def test_constant_image_rejected(self, small_pipeline):
+        run = self._gate_one(small_pipeline, np.full((64, 64), 0.5))
+        decision = run.decisions[0]
+        assert decision.kind == "reject_blur" and decision.lap_var == 0.0
 
 
 class TestTTA:
@@ -118,29 +130,31 @@ class TestSummarize:
         assert np.all(u <= 0.25 + 1e-12)
 
 
+def one_row_passes(tp, i, cfg, seed):
+    """Ensemble passes of test visit i, run as a batch of one."""
+    one = tp.split.test.subset([i])
+    return ensemble_passes(tp.model, tp.fusion, apply_preprocess_table(tp.stats, one),
+                           one.raster(0)[None, :, :], one.sample_ids(), cfg, seed)
+
+
 class TestEnsemble:
     def test_no_dropout_identity_tta_gives_zero_u(self, small_pipeline):
         tp = small_pipeline
         cfg = GateConfig(dropout_p=0.0, tta_set=("identity",), n_passes=5)
-        s = tp.split.test.sample(0)
-        est = stochastic_ensemble(s, tp.model, cfg, seed=3, fusion=tp.fusion,
-                                  stats=tp.stats)
-        assert est.u == 0.0
-        assert np.all(est.passes == est.passes[0])
+        run = ensemble_over_table(tp.model, tp.split.test.subset([0]), tp.stats,
+                                  cfg, seed=3, fusion=tp.fusion)
+        assert run.u[0] == 0.0
+        passes, _ = one_row_passes(tp, 0, cfg, seed=3)
+        assert np.all(passes == passes[0, 0])
 
     def test_deterministic_given_seed(self, small_pipeline):
         tp = small_pipeline
         cfg = GateConfig(n_passes=6)
-        s = tp.split.test.sample(1)
-        a = stochastic_ensemble(s, tp.model, cfg, seed=5, fusion=tp.fusion,
-                                stats=tp.stats)
-        b = stochastic_ensemble(s, tp.model, cfg, seed=5, fusion=tp.fusion,
-                                stats=tp.stats)
-        assert np.array_equal(a.passes, b.passes)
-        assert (a.mu, a.u) == (b.mu, b.u)
-        c = stochastic_ensemble(s, tp.model, cfg, seed=6, fusion=tp.fusion,
-                                stats=tp.stats)
-        assert not np.array_equal(a.passes, c.passes)
+        a, _ = one_row_passes(tp, 1, cfg, seed=5)
+        b, _ = one_row_passes(tp, 1, cfg, seed=5)
+        assert np.array_equal(a, b)
+        c, _ = one_row_passes(tp, 1, cfg, seed=6)
+        assert not np.array_equal(a, c)
 
     def test_batched_matches_single_sample(self, small_pipeline):
         tp = small_pipeline
@@ -149,37 +163,39 @@ class TestEnsemble:
         run = ensemble_over_table(tp.model, table, tp.stats, cfg, seed=11,
                                   fusion=tp.fusion)
         for i in range(6):
-            est = stochastic_ensemble(table.sample(i), tp.model, cfg, seed=11,
-                                      fusion=tp.fusion, stats=tp.stats)
+            one = ensemble_over_table(tp.model, table.subset([i]), tp.stats, cfg,
+                                      seed=11, fusion=tp.fusion)
             # batched BLAS rounds differently from single-row products, so
             # the agreement bound is tight but not bitwise
-            assert run.mu[i] == pytest.approx(est.mu, abs=1e-12)
-            assert run.u[i] == pytest.approx(est.u, abs=1e-12)
+            assert run.mu[i] == pytest.approx(one.mu[0], abs=1e-12)
+            assert run.u[i] == pytest.approx(one.u[0], abs=1e-12)
+            assert run.mts_prob[i] == one.mts_prob[0]
 
     def test_passes_bounded_and_u_bounded(self, small_pipeline):
         tp = small_pipeline
         cfg = GateConfig(n_passes=8)
-        s = tp.split.test.sample(2)
-        est = stochastic_ensemble(s, tp.model, cfg, seed=7, fusion=tp.fusion,
-                                  stats=tp.stats)
-        assert np.all((est.passes >= 0) & (est.passes <= 1))
-        assert 0.0 <= est.u <= 0.25 + 1e-12
-        assert est.mu == pytest.approx(est.passes.mean(), abs=1e-12)
+        passes, _ = one_row_passes(tp, 2, cfg, seed=7)
+        run = ensemble_over_table(tp.model, tp.split.test.subset([2]), tp.stats,
+                                  cfg, seed=7, fusion=tp.fusion)
+        assert np.all((passes >= 0) & (passes <= 1))
+        assert 0.0 <= run.u[0] <= 0.25 + 1e-12
+        assert run.mu[0] == pytest.approx(passes.mean(), abs=1e-12)
+        assert run.decisions == []  # only run_gate decides
 
 
 class TestGateDecide:
     def test_zero_u_accepts(self):
-        est = UncertaintyEstimate(mu=0.7, u=0.0, passes=np.zeros(3))
+        est = UncertaintyEstimate(mu=0.7, u=0.0)
         d = gate_decide(est, GateConfig(tau_unc=0.01))
         assert d.kind == "accept" and d.y_hat == 0.7
 
     def test_boundary_rejects(self):
-        est = UncertaintyEstimate(mu=0.7, u=0.02, passes=np.zeros(3))
+        est = UncertaintyEstimate(mu=0.7, u=0.02)
         d = gate_decide(est, GateConfig(tau_unc=0.02))
         assert d.kind == "reject_uncertain" and d.y_hat is None
 
     def test_unset_tau_rejected(self):
-        est = UncertaintyEstimate(mu=0.7, u=0.0, passes=np.zeros(3))
+        est = UncertaintyEstimate(mu=0.7, u=0.0)
         with pytest.raises(ConfigError):
             gate_decide(est, GateConfig())
 
@@ -189,8 +205,7 @@ class TestGateDecide:
         for k in range(len(u)):
             cfg = GateConfig(tau_unc=float(u[k]))
             retained = sum(
-                gate_decide(UncertaintyEstimate(mu=0.5, u=float(x),
-                                                passes=np.zeros(2)), cfg).kind
+                gate_decide(UncertaintyEstimate(mu=0.5, u=float(x)), cfg).kind
                 == "accept" for x in u)
             assert retained == k
 
@@ -199,7 +214,7 @@ class TestGateDecide:
         us = rng.uniform(30)
         hi, lo = 0.6, 0.2
         for x in us:
-            est = UncertaintyEstimate(mu=0.5, u=float(x), passes=np.zeros(2))
+            est = UncertaintyEstimate(mu=0.5, u=float(x))
             d_hi = gate_decide(est, GateConfig(tau_unc=hi))
             d_lo = gate_decide(est, GateConfig(tau_unc=lo))
             if d_hi.kind == "reject_uncertain":
@@ -241,7 +256,6 @@ class TestBlurPrecedence:
     def test_mts_prob_is_ensemble_fraction(self, small_pipeline):
         tp = small_pipeline
         table = tp.split.test.subset(range(5))
-        from oculogate.gate import ensemble_passes
         from oculogate.pipeline import feature_matrices
 
         cfg = GateConfig(tau_unc=0.5, n_passes=6)

@@ -10,7 +10,8 @@ from oculogate.errors import DataError
 from oculogate.metrics import (coverage_accuracy_curve, dynamic_warning,
                                eligibility_filter, grade_md,
                                metrics_at_threshold, ols_slope,
-                               risk_by_age_band, roc_auc, severity_outputs)
+                               moderate_severe_fraction, risk_by_age_band,
+                               roc_auc)
 from oculogate.rng import Rng
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "data")
@@ -198,13 +199,20 @@ class TestSeverity:
         assert grade_md(md) == grade
 
     def test_mts_prob_from_passes(self):
-        out = severity_outputs(-5.0, 0.7, md_passes=[-7, -7, -7, -7, -7, -7] + [0] * 9)
-        assert out["mts_prob"] == 6 / 15
-        assert out["vfd_prob"] == 0.7
+        passes = np.array([[-7.0] * 6 + [0.0] * 9, [-7.0] * 15])
+        assert moderate_severe_fraction(passes).tolist() == [6 / 15, 1.0]
 
     def test_mts_prob_indicator_fallback(self):
-        assert severity_outputs(-7.0, 0.9)["mts_prob"] == 1.0
-        assert severity_outputs(-5.0, 0.9)["mts_prob"] == 0.0
+        # one estimate per row is the 0/1 indicator the predict stage writes
+        md_hat = np.array([-7.0, -5.0])
+        assert moderate_severe_fraction(md_hat[:, None]).tolist() == [1.0, 0.0]
+
+    def test_mts_boundary_agrees_with_grade(self):
+        # exactly -6 dB is "moderate" for grade_md and counts as
+        # moderate-to-severe for the gate and the predict stage alike
+        assert grade_md(-6.0) == "moderate"
+        assert moderate_severe_fraction([[-6.0]]).tolist() == [1.0]
+        assert moderate_severe_fraction([[np.nextafter(-6.0, 0.0)]]).tolist() == [0.0]
 
 
 class TestAgeBands:

@@ -4,11 +4,16 @@ import pytest
 from oculogate.errors import ConfigError, SchemaError
 from oculogate.model import (DCCEConfig, DualStreamModel, FusionConfig,
                              VisualFeatConfig, fuse, load_checkpoint,
-                             predict, predict_arrays, projection_matrix,
-                             save_checkpoint, visual_features)
+                             predict_arrays, projection_matrix,
+                             save_checkpoint, visual_features_batch)
 from oculogate.numerics import (binary_cross_entropy, grad_check, sigmoid,
                                 smooth_l1, smooth_l1_grad)
 from oculogate.rng import Rng
+
+
+def features_of_one(cfg, raster, proj=None):
+    """Features of one raster: the batched extractor on a batch of one."""
+    return visual_features_batch(cfg, raster[None, :, :], proj)[0]
 
 
 def small_model(input_dim=5, k=4, proj_dim=6, seed=3, dropout_p=0.0):
@@ -60,14 +65,14 @@ class TestVisualFeatures:
     def test_deterministic(self):
         cfg = VisualFeatConfig(patch_grid=4, proj_dim=32, proj_seed=5)
         raster = Rng(5, "r").uniform((64, 64))
-        assert np.array_equal(visual_features(cfg, raster),
-                              visual_features(cfg, raster))
+        assert np.array_equal(features_of_one(cfg, raster),
+                              features_of_one(cfg, raster))
 
     def test_constant_raster_uses_mean_channel_only(self):
         cfg = VisualFeatConfig(patch_grid=4, proj_dim=32, proj_seed=5)
         proj = projection_matrix(cfg)
-        f1 = visual_features(cfg, np.full((32, 32), 0.2), proj)
-        f2 = visual_features(cfg, np.full((32, 32), 0.8), proj)
+        f1 = features_of_one(cfg, np.full((32, 32), 0.2), proj)
+        f2 = features_of_one(cfg, np.full((32, 32), 0.8), proj)
         n_patches = 16
         means1 = np.full(n_patches, 0.2)
         means2 = np.full(n_patches, 0.8)
@@ -79,14 +84,14 @@ class TestVisualFeatures:
         from oculogate.data import generate_image
 
         cfg = VisualFeatConfig()
-        a = visual_features(cfg, generate_image(0.0, 9))
-        b = visual_features(cfg, generate_image(0.8, 9))
+        a = features_of_one(cfg, generate_image(0.0, 9))
+        b = features_of_one(cfg, generate_image(0.8, 9))
         assert np.linalg.norm(a - b) > 0.0
 
     def test_raster_smaller_than_grid_rejected(self):
         cfg = VisualFeatConfig(patch_grid=8, proj_dim=16, proj_seed=1)
         with pytest.raises(ConfigError):
-            visual_features(cfg, np.zeros((4, 4)))
+            features_of_one(cfg, np.zeros((4, 4)))
 
     def test_lipschitz_bound_via_projection_norm(self):
         cfg = VisualFeatConfig(patch_grid=4, proj_dim=64, proj_seed=2)
@@ -96,8 +101,8 @@ class TestVisualFeatures:
         for _ in range(10):
             a = rng.uniform((32, 32))
             b = np.clip(a + rng.normal((32, 32)) * 0.05, 0, 1)
-            fa = visual_features(cfg, a, proj)
-            fb = visual_features(cfg, b, proj)
+            fa = features_of_one(cfg, a, proj)
+            fb = features_of_one(cfg, b, proj)
             assert np.linalg.norm(fa - fb) <= op_norm * np.linalg.norm(a - b) + 1e-12
 
 
@@ -209,25 +214,33 @@ class TestGradients:
 
 class TestPredict:
     def test_eq1_identity_and_severity(self, small_pipeline):
+        from oculogate.metrics import grade_md, moderate_severe_fraction
+        from oculogate.pipeline import deterministic_scores
+
         tp = small_pipeline
         table = tp.split.test
+        batch = deterministic_scores(tp, table)
         for i in (0, 1, 2):
-            s = table.sample(i)
-            pred = predict(s, tp.stats, tp.model, tp.fusion)
-            want = tp.fusion.alpha_vis * pred.p_vis + tp.fusion.alpha_clin * pred.p_clin
-            assert abs(pred.p_final - want) <= 1e-12
-            assert pred.vfd_prob == pred.p_final
-            from oculogate.metrics import grade_md
-
-            assert pred.severity == grade_md(pred.md_hat)
-            assert pred.mts_prob in (0.0, 1.0)
+            one = deterministic_scores(tp, table.subset([i]))
+            assert set(one) == set(batch)
+            for key, value in one.items():
+                assert value.shape == (1,)
+                assert abs(value[0] - batch[key][i]) <= 1e-12
+            want = (tp.fusion.alpha_vis * one["p_vis"][0]
+                    + tp.fusion.alpha_clin * one["p_clin"][0])
+            assert abs(one["p_final"][0] - want) <= 1e-12
+            mts = moderate_severe_fraction(one["md_hat"][:, None])[0]
+            assert mts == float(grade_md(one["md_hat"][0]) in ("moderate",
+                                                                "advanced"))
 
     def test_deterministic_pass(self, small_pipeline):
+        from oculogate.pipeline import deterministic_scores
+
         tp = small_pipeline
-        s = tp.split.test.sample(0)
-        a = predict(s, tp.stats, tp.model, tp.fusion)
-        b = predict(s, tp.stats, tp.model, tp.fusion)
-        assert a == b
+        one = tp.split.test.subset([0])
+        a = deterministic_scores(tp, one)
+        b = deterministic_scores(tp, one)
+        assert all(np.array_equal(a[k], b[k]) for k in a)
 
 
 class TestCheckpoint:

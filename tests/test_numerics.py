@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oculogate.errors import NumericError, SchemaError
-from oculogate.numerics import (ParamStore, adamw_step, affine_forward,
+from oculogate.errors import NumericError
+from oculogate.numerics import (ParamStore, adamw_step, affine_backward,
                                 binary_cross_entropy, binary_cross_entropy_grad,
                                 grad_check, sigmoid, smooth_l1, smooth_l1_grad)
 from oculogate.rng import Rng
@@ -25,20 +25,35 @@ def naive_matmul(x, w, b):
     return out
 
 
+def naive_affine_backward(g, x, w):
+    """Gradients of y = x @ w + b, each through the triple-loop oracle."""
+    n, d = x.shape
+    h = w.shape[1]
+    return (naive_matmul(g, w.T, np.zeros(d)), naive_matmul(x.T, g, np.zeros(h)),
+            naive_matmul(np.ones((1, n)), g, np.zeros(h))[0])
+
+
 class TestAffine:
+    """The affine layer's backward half; the forward is the plain
+    `x @ w + b` inside DualStreamModel.forward."""
+
     def test_identity(self):
         eye = np.eye(2)
-        assert np.array_equal(affine_forward(eye, eye, np.zeros(2)), eye)
+        dx, dw, db = affine_backward(eye, eye, eye)
+        assert np.array_equal(dx, eye) and np.array_equal(dw, eye)
+        assert np.array_equal(db, np.ones(2))
 
     def test_hand_arithmetic(self):
-        y = affine_forward(np.array([[1.0, 2.0]]), np.array([[1.0], [1.0]]),
-                           np.array([1.0]))
-        assert y.shape == (1, 1) and y[0, 0] == 4.0
+        dx, dw, db = affine_backward(np.array([[1.0]]), np.array([[1.0, 2.0]]),
+                                     np.array([[1.0], [1.0]]))
+        assert dx.tolist() == [[1.0, 1.0]]
+        assert dw.tolist() == [[1.0], [2.0]] and db.tolist() == [1.0]
 
     def test_triple_loop_oracle_8x8(self):
         rng = Rng(2024, "affine")
-        x, w, b = rng.normal((8, 8)), rng.normal((8, 8)), rng.normal(8)
-        assert np.abs(affine_forward(x, w, b) - naive_matmul(x, w, b)).max() <= 1e-12
+        g, x, w = rng.normal((8, 8)), rng.normal((8, 8)), rng.normal((8, 8))
+        for got, want in zip(affine_backward(g, x, w), naive_affine_backward(g, x, w)):
+            assert np.abs(got - want).max() <= 1e-12
 
     def test_triple_loop_oracle_random_shapes(self):
         rng = Rng(77, "shapes")
@@ -46,16 +61,11 @@ class TestAffine:
             n = rng.integers(1, 17)
             d = rng.integers(1, 17)
             h = rng.integers(1, 17)
-            x, w, b = rng.normal((n, d)), rng.normal((d, h)), rng.normal(h)
-            assert np.abs(affine_forward(x, w, b) - naive_matmul(x, w, b)).max() <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(SchemaError):
-            affine_forward(np.ones((2, 3)), np.ones((4, 2)), np.zeros(2))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NumericError):
-            affine_forward(np.array([[np.nan]]), np.ones((1, 1)), np.zeros(1))
+            g, x, w = rng.normal((n, h)), rng.normal((n, d)), rng.normal((d, h))
+            for got, want in zip(affine_backward(g, x, w),
+                                 naive_affine_backward(g, x, w)):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12
 
 
 class TestSmoothL1:

@@ -455,15 +455,18 @@ class PreprocessStats:
     def from_dict(cls, d: dict) -> "PreprocessStats":
         """Inverse of to_dict; keys it does not know (such as the
         image-normalisation block older files carry) are ignored."""
-        return cls(
-            continuous={
-                name: {"mean": st["global_mean"], "std": st["global_std"],
-                       "group_means": dict(st["group_means"])}
-                for name, st in d["continuous"].items()
-            },
-            dropped=list(d["dropped"]),
-            categorical={k: list(v) for k, v in d["categorical"].items()},
-        )
+        try:
+            return cls(
+                continuous={
+                    name: {"mean": st["global_mean"], "std": st["global_std"],
+                           "group_means": dict(st["group_means"])}
+                    for name, st in d["continuous"].items()
+                },
+                dropped=list(d["dropped"]),
+                categorical={k: list(v) for k, v in d["categorical"].items()},
+            )
+        except KeyError as exc:
+            raise SchemaError(f"preprocess stats lack key {exc}") from None
 
 
 def fit_preprocess(train: CohortTable) -> PreprocessStats:

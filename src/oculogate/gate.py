@@ -3,8 +3,12 @@ test-time-augmentation ensemble whose predictive variance drives the
 accept/reject decision, and a triage ordering for the rejected queue.
 
 Every ensemble pass draws its dropout masks from the substream
-(seed, sample_id, pass_index), so results are identical no matter how the
-passes are batched or scheduled. Pass i applies tta_set[i mod len(tta_set)].
+(seed, "mc/<sample_id>/<pass_index>"), so the masks do not depend on how
+samples are batched. Pass i applies tta_set[i mod len(tta_set)]. A batch runs
+all its passes as one forward over the pass-major stack of (pass, sample)
+rows: each distinct transform is featurised once, and the substreams of all
+rows are derived in one vectorised call. Without dropout, passes that share a
+transform are one pass, computed once and copied, so they are bitwise equal.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .metrics import moderate_severe_fraction
 from .model import DualStreamModel, FusionConfig, fuse, visual_features_batch
-from .rng import Rng
+from .rng import substream_uniforms
 
 TTA_DEFAULT = (
     "identity", "hflip", "vflip",
@@ -111,34 +115,36 @@ def apply_tta(name: str, raster: np.ndarray) -> np.ndarray:
 # stochastic ensemble
 # ---------------------------------------------------------------------------
 
-def _pass_masks(model: DualStreamModel, sample_ids, pass_index: int,
-                seed: int, p: float) -> dict | None:
-    """Per-sample masks for one ensemble pass, one substream per sample."""
-    if p <= 0.0:
-        return None
-    total = sum(w for _, w in model.mask_segments())
-    u = np.empty((len(sample_ids), total))
-    for row, sid in enumerate(sample_ids):
-        u[row] = Rng(seed, f"mc/{sid}/{pass_index}").uniform(total)
-    return model.masks_from_uniform(u, p)
-
-
 def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
                     x_clin: np.ndarray, rasters: np.ndarray, sample_ids,
                     cfg: GateConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(p_passes, md_passes), each (n_samples, n_passes)."""
+    """(p_passes, md_passes), each (n_samples, n_passes), from one forward."""
     cfg.validate()
     n = x_clin.shape[0]
-    p_passes = np.empty((n, cfg.n_passes))
-    md_passes = np.empty((n, cfg.n_passes))
-    for i in range(cfg.n_passes):
-        aug = cfg.tta_set[i % len(cfg.tta_set)]
-        v = visual_features_batch(model.visual, apply_tta(aug, rasters), model.proj)
-        masks = _pass_masks(model, sample_ids, i, seed, cfg.dropout_p)
-        out, _ = model.forward(x_clin, v, masks)
-        p_passes[:, i] = fuse(fusion, out["logit_vis"], out["logit_clin"])
-        md_passes[:, i] = out["md_hat"]
-    return p_passes, md_passes
+    names = [cfg.tta_set[i % len(cfg.tta_set)] for i in range(cfg.n_passes)]
+    distinct = list(dict.fromkeys(names))
+    v = visual_features_batch(
+        model.visual, np.concatenate([apply_tta(t, rasters) for t in distinct]),
+        model.proj)
+    transform_of = [distinct.index(name) for name in names]
+    if cfg.dropout_p > 0.0:
+        # one row block per pass: row i*n + k is pass i of sample k
+        blocks, cols = transform_of, list(range(cfg.n_passes))
+        labels = [f"mc/{sid}/{i}" for i in range(cfg.n_passes) for sid in sample_ids]
+        width = sum(w for _, w in model.mask_segments())
+        masks = model.masks_from_uniform(substream_uniforms(seed, labels, width),
+                                         cfg.dropout_p)
+    else:
+        # without dropout, passes that share a transform are the same pass:
+        # run it once and copy it, so those passes stay bitwise equal (a row's
+        # rounding in the one-column heads depends on its place in the stack)
+        blocks, cols = list(range(len(distinct))), transform_of
+        masks = None
+    rows = (np.asarray(blocks)[:, None] * n + np.arange(n)).ravel()
+    out, _ = model.forward(np.tile(x_clin, (len(blocks), 1)), v[rows], masks)
+    p = fuse(fusion, out["logit_vis"], out["logit_clin"]).reshape(-1, n).T
+    md = out["md_hat"].reshape(-1, n).T
+    return p[:, cols], md[:, cols]
 
 
 def summarize_passes(p_passes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +198,7 @@ class GateRun:
 
 def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
                         seed: int, fusion: FusionConfig | None = None,
-                        batch_size: int = 256) -> GateRun:
+                        batch_size: int = 32) -> GateRun:
     """Firewall plus ensemble statistics for every sample of a table,
     without the accept/reject call (tau_unc may still be unset, and
     decisions stay empty). Blur rejects never reach the model; their
@@ -229,7 +235,7 @@ def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
 
 def run_gate(model: DualStreamModel, table, stats, cfg: GateConfig, seed: int,
              fusion: FusionConfig | None = None,
-             batch_size: int = 256) -> GateRun:
+             batch_size: int = 32) -> GateRun:
     """Gate every sample of a table: firewall first (no model pass for blur
     rejects), then the ensemble and the uncertainty decision."""
     run = ensemble_over_table(model, table, stats, cfg, seed, fusion, batch_size)

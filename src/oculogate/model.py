@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -365,12 +365,24 @@ def save_checkpoint(model: DualStreamModel, fusion: FusionConfig, out_dir,
             f.write(model.params[n].value.astype("<f8").tobytes())
 
 
+def _config_block(cls, manifest: dict, block: str):
+    """cls from the manifest block save_checkpoint wrote, which names every
+    field exactly once."""
+    entries = manifest.get(block, {})
+    want = {f.name for f in fields(cls)}
+    unknown, missing = sorted(set(entries) - want), sorted(want - set(entries))
+    if unknown or missing:
+        raise SchemaError(f"manifest block '{block}': unknown keys {unknown}, "
+                          f"missing keys {missing}")
+    return cls(**entries)
+
+
 def load_checkpoint(in_dir) -> tuple[DualStreamModel, FusionConfig, dict]:
     with open(os.path.join(in_dir, "manifest.json"), "r", encoding="utf-8") as f:
         manifest = json.load(f)
-    dcce = DCCEConfig(**manifest["dcce"])
-    visual = VisualFeatConfig(**manifest["visual"])
-    fusion = FusionConfig(**manifest["fusion"])
+    dcce = _config_block(DCCEConfig, manifest, "dcce")
+    visual = _config_block(VisualFeatConfig, manifest, "visual")
+    fusion = _config_block(FusionConfig, manifest, "fusion")
     model = DualStreamModel(dcce, visual)
     if [e["name"] for e in manifest["params"]] != model.params.names():
         raise SchemaError("manifest parameters do not match the model's")

@@ -6,44 +6,120 @@ order and still reproduce bit-for-bit. Bulk fills are lane-parallel: each
 call burns one draw of the parent stream as a sub-seed, expands it with the
 splitmix64 chain into per-lane xoshiro states, and takes one starstar output
 per lane (vectorized in uint64).
+
+Because a stream's first fill depends only on its sponge state,
+`substream_uniforms` derives that fill for many labels at once: labels of
+equal byte length run the sponge column-wise, in the manner of counter-based
+generators (Salmon et al., SC 2011).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_M64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_MIX1_INT = 0xBF58476D1CE4E5B9
+_MIX2_INT = 0x94D049BB133111EB
+_GOLDEN = np.uint64(_GOLDEN_INT)
+_MIX1 = np.uint64(_MIX1_INT)
+_MIX2 = np.uint64(_MIX2_INT)
 _U64 = np.uint64
 _INV_2_53 = float(2.0 ** -53)
+_BLOCK_VALUES = 1 << 16   # values per substream_uniforms block (512 kB of uint64)
 
 
-def _mix64(z):
-    """splitmix64 output function; works on uint64 scalars and arrays."""
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+def _mix64_int(z: int) -> int:
+    """splitmix64 output function on a Python int in [0, 2**64)."""
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _M64
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _M64
+    return z ^ (z >> 31)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 output function, in place on a uint64 array."""
+    t = np.empty_like(z)
+    np.right_shift(z, _U64(30), out=t)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, _U64(27), out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, _U64(31), out=t)
+    z ^= t
+    return z
 
 
 def _rotl(x, k: int):
     return (x << _U64(k)) | (x >> _U64(64 - k))
 
 
+def _starstar(s1):
+    """xoshiro256** output from the state word s1 (uint64 scalar or array)."""
+    return _rotl(s1 * _U64(5), 7) * _U64(9)
+
+
+def _sponge_start(seed: int) -> int:
+    return _mix64_int((seed + _GOLDEN_INT) & _M64)
+
+
+def _sponge(seed: int, data: np.ndarray) -> np.ndarray:
+    """Column-wise sponge states of m labels of one byte length L, given as
+    data (m, L) uint8; equal to _sponge_int on each row."""
+    m, length = data.shape
+    words = np.zeros((m, -(-length // 8) * 8), dtype=np.uint8)
+    words[:, :length] = data
+    words = words.view("<u8")
+    s = np.full(m, _sponge_start(seed), dtype=np.uint64)
+    for chunk in (*words.T, _U64(length)):
+        s ^= chunk
+        s += _GOLDEN
+        _mix64(s)
+    return s
+
+
+def _sponge_int(seed: int, data: bytes) -> int:
+    """Fold the seed, each zero-padded little-endian 8-byte chunk of the
+    label and then its byte length through splitmix64."""
+    s = _sponge_start(seed)
+    for i in range(0, len(data), 8):
+        s = _mix64_int(((s ^ int.from_bytes(data[i : i + 8], "little"))
+                        + _GOLDEN_INT) & _M64)
+    return _mix64_int(((s ^ len(data)) + _GOLDEN_INT) & _M64)
+
+
+def _fill(sub, n: int) -> np.ndarray:
+    """n starstar outputs of the lanes seeded by sub (a scalar or an (m, 1)
+    column) through the splitmix chain. A lane's word s1 is the second chain
+    output of its pair, so only the even chain indices are derived."""
+    z = sub + np.arange(2, 2 * n + 1, 2, dtype=np.uint64) * _GOLDEN
+    _mix64(z)
+    # _starstar, in place: this is the bulk of every fill
+    z *= _U64(5)
+    t = z >> _U64(57)
+    z <<= _U64(7)
+    z |= t
+    z *= _U64(9)
+    return z
+
+
+def _unit(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """U[0, 1) with 53-bit resolution from raw uint64s."""
+    return np.multiply(raw >> _U64(11), _INV_2_53, out=out)
+
+
 class Rng:
     """xoshiro256** stream with labeled substreams and vectorized fills."""
 
     def __init__(self, seed: int, label: str = ""):
-        with np.errstate(over="ignore"):
-            s = _U64(seed & 0xFFFFFFFFFFFFFFFF)
-            s = _mix64(s + _GOLDEN)
-            for chunk in _label_chunks(label):
-                s = _mix64((s ^ chunk) + _GOLDEN)
-            # expand the sponge into the 4 state words via the splitmix chain
-            idx = np.arange(1, 5, dtype=np.uint64)
-            self._state = _mix64(s + idx * _GOLDEN)
-            if not self._state.any():  # all-zero state is the one forbidden seed
-                self._state = _mix64(_GOLDEN + idx * _GOLDEN)
+        s = _sponge_int(seed, label.encode("utf-8"))
+        # expand the sponge into the 4 state words via the splitmix chain;
+        # _mix64 is a bijection with _mix64(0) == 0, so the four distinct
+        # inputs never give the forbidden all-zero state
+        self._state = np.array([_mix64_int((s + k * _GOLDEN_INT) & _M64)
+                                for k in range(1, 5)], dtype=np.uint64)
         self.seed = seed
         self.label = label
 
@@ -56,7 +132,7 @@ class Rng:
         """Advance the stream one step (reference xoshiro256** update)."""
         with np.errstate(over="ignore"):
             s0, s1, s2, s3 = self._state
-            result = _rotl(s1 * _U64(5), 7) * _U64(9)
+            result = _starstar(s1)
             t = s1 << _U64(17)
             s2 ^= s0
             s3 ^= s1
@@ -71,12 +147,7 @@ class Rng:
         """n uint64s, one starstar output per splitmix-seeded xoshiro lane."""
         if n == 0:
             return np.empty(0, dtype=np.uint64)
-        sub = self.next_u64()
-        with np.errstate(over="ignore"):
-            idx = np.arange(1, 2 * n + 1, dtype=np.uint64)
-            # lane word s1 is the second splitmix output of each lane pair
-            s1 = _mix64(sub + idx * _GOLDEN)[1::2]
-            return _rotl(s1 * _U64(5), 7) * _U64(9)
+        return _fill(self.next_u64(), n)
 
     def uniform(self, shape=None) -> np.ndarray | float:
         """U[0, 1) with 53-bit resolution."""
@@ -84,8 +155,7 @@ class Rng:
             return float(self.next_u64() >> _U64(11)) * _INV_2_53
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape)) if shape else 1
-        u = (self.fill_u64(n) >> _U64(11)).astype(np.float64) * _INV_2_53
-        return u.reshape(shape)
+        return _unit(self.fill_u64(n)).reshape(shape)
 
     def normal(self, shape=None, mean: float = 0.0, std: float = 1.0):
         """Gaussian variates via Box-Muller on paired uniforms."""
@@ -96,7 +166,7 @@ class Rng:
         raw = self.fill_u64(m)
         # (0, 1] so log() is safe
         u1 = ((raw[: m // 2] >> _U64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = (raw[m // 2 :] >> _U64(11)).astype(np.float64) * _INV_2_53
+        u2 = _unit(raw[m // 2 :])
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
@@ -115,9 +185,6 @@ class Rng:
         vals = (self.fill_u64(n) % _U64(span)).astype(np.int64) + low
         return vals.reshape(shape)
 
-    def bernoulli(self, p: float, shape) -> np.ndarray:
-        return self.uniform(shape) < p
-
     def permutation(self, n: int) -> np.ndarray:
         """Random permutation as the argsort of fresh random keys."""
         return np.argsort(self.fill_u64(n), kind="stable")
@@ -128,8 +195,23 @@ class Rng:
         return int(np.searchsorted(cum, self.uniform() * cum[-1], side="right"))
 
 
-def _label_chunks(label: str):
-    data = label.encode("utf-8")
-    for i in range(0, len(data), 8):
-        yield _U64(int.from_bytes(data[i : i + 8].ljust(8, b"\0"), "little"))
-    yield _U64(len(data))
+def substream_uniforms(seed: int, labels, n: int) -> np.ndarray:
+    """(len(labels), n) array whose row r equals Rng(seed, labels[r]).uniform(n)
+    bit for bit, derived for all labels at once."""
+    encoded = [label.encode("utf-8") for label in labels]
+    by_length = defaultdict(list)
+    for r, data in enumerate(encoded):
+        by_length[len(data)].append(r)
+    s = np.empty(len(encoded), dtype=np.uint64)
+    for length, rows in by_length.items():
+        data = np.frombuffer(b"".join(encoded[r] for r in rows), dtype=np.uint8)
+        s[rows] = _sponge(seed, data.reshape(len(rows), length))
+    # each stream's first draw, the starstar output of its state word s1
+    # (the sponge's second splitmix output), seeds its fill as in fill_u64
+    sub = _starstar(_mix64(s + _U64(2 * _GOLDEN_INT & _M64)))
+    out = np.empty((len(encoded), n))
+    # fill a block of rows at a time so the uint64 temporaries stay in cache
+    step = max(1, _BLOCK_VALUES // max(n, 1))
+    for r in range(0, len(encoded), step):
+        _unit(_fill(sub[r : r + step, None], n), out=out[r : r + step])
+    return out

@@ -236,3 +236,42 @@ def test_preprocess_lacking_a_feature_exits_one(run_dir, tmp_path, capsys,
     code, err = _predict_with_broken_model(run_dir, tmp_path, capsys, drop_feature)
     assert code == 1
     assert len(err) == 1 and name in err[0]
+
+
+@pytest.mark.parametrize("path", [("dropped",), ("continuous",), ("categorical",),
+                                  ("continuous", "cdr", "global_mean")],
+                         ids=lambda p: "-".join(p))
+def test_preprocess_lacking_a_key_exits_one(run_dir, tmp_path, capsys, path):
+    def drop_key(model):
+        file = model / "preprocess.json"
+        stats = json.loads(file.read_text())
+        node = stats
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        file.write_text(json.dumps(stats))
+
+    code, err = _predict_with_broken_model(run_dir, tmp_path, capsys, drop_key)
+    assert code == 1
+    assert len(err) == 1 and path[-1] in err[0]
+
+
+@pytest.mark.parametrize("block,edit", [("dcce", {"depth": 3}),
+                                        ("visual", {"proj_dim": None}),
+                                        ("fusion", {"alpha_vis": None})],
+                         ids=["dcce-unknown", "visual-missing", "fusion-missing"])
+def test_manifest_config_block_keys_exit_one(run_dir, tmp_path, capsys, block,
+                                             edit):
+    def edit_block(model):
+        file = model / "checkpoint" / "manifest.json"
+        manifest = json.loads(file.read_text())
+        for key, value in edit.items():
+            if value is None:
+                del manifest[block][key]
+            else:
+                manifest[block][key] = value
+        file.write_text(json.dumps(manifest))
+
+    code, err = _predict_with_broken_model(run_dir, tmp_path, capsys, edit_block)
+    assert code == 1
+    assert len(err) == 1 and block in err[0] and next(iter(edit)) in err[0]

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from oculogate.data import apply_preprocess_table, generate_image, inject_blur
 from oculogate.errors import ConfigError
-from oculogate.gate import (GateConfig, GateDecision, UncertaintyEstimate,
-                            apply_tta, ensemble_over_table, ensemble_passes,
-                            gate_decide, laplacian_variance, run_gate,
-                            summarize_passes, triage_queue)
+from oculogate.gate import (TTA_DEFAULT, GateConfig, GateDecision,
+                            UncertaintyEstimate, apply_tta, ensemble_over_table,
+                            ensemble_passes, gate_decide, laplacian_variance,
+                            run_gate, summarize_passes, triage_queue)
+from oculogate.model import fuse, visual_features_batch
 from oculogate.rng import Rng
 
 
@@ -181,6 +182,65 @@ class TestEnsemble:
         assert 0.0 <= run.u[0] <= 0.25 + 1e-12
         assert run.mu[0] == pytest.approx(passes.mean(), abs=1e-12)
         assert run.decisions == []  # only run_gate decides
+
+
+def per_pass_reference(model, fusion, x_clin, rasters, sample_ids, cfg, seed):
+    """The ensemble as a plain loop over passes: one Rng per (sample, pass),
+    one featurisation and one forward per pass."""
+    n = x_clin.shape[0]
+    width = sum(w for _, w in model.mask_segments())
+    p_passes = np.empty((n, cfg.n_passes))
+    md_passes = np.empty((n, cfg.n_passes))
+    for i in range(cfg.n_passes):
+        aug = cfg.tta_set[i % len(cfg.tta_set)]
+        v = visual_features_batch(model.visual, apply_tta(aug, rasters), model.proj)
+        masks = None
+        if cfg.dropout_p > 0.0:
+            u = np.stack([Rng(seed, f"mc/{sid}/{i}").uniform(width)
+                          for sid in sample_ids])
+            masks = model.masks_from_uniform(u, cfg.dropout_p)
+        out, _ = model.forward(x_clin, v, masks)
+        p_passes[:, i] = fuse(fusion, out["logit_vis"], out["logit_clin"])
+        md_passes[:, i] = out["md_hat"]
+    return p_passes, md_passes
+
+
+class TestEnsembleOracle:
+    @pytest.mark.parametrize("tta_set", [TTA_DEFAULT, ("identity",)],
+                             ids=["tta", "identity"])
+    @pytest.mark.parametrize("dropout_p", [0.3, 0.0], ids=["mc", "no-mc"])
+    @pytest.mark.parametrize("n_passes", [2, 4, 7, 15, 16])
+    @pytest.mark.parametrize("n", [1, 5, 6])
+    def test_matches_per_pass_loop(self, small_pipeline, n, n_passes, dropout_p,
+                                   tta_set):
+        tp = small_pipeline
+        cfg = GateConfig(n_passes=n_passes, dropout_p=dropout_p, tta_set=tta_set)
+        table = tp.split.test.subset(range(n))
+        x = apply_preprocess_table(tp.stats, table)
+        rasters = np.stack([table.raster(i) for i in range(n)])
+        args = (tp.model, tp.fusion, x, rasters, table.sample_ids(), cfg, 13)
+        before = tp.model.forward_count
+        p, md = ensemble_passes(*args)
+        assert tp.model.forward_count == before + 1
+        p_ref, md_ref = per_pass_reference(*args)
+        assert p.shape == md.shape == (n, n_passes)
+        assert np.abs(p - p_ref).max() <= 1e-12
+        assert np.abs(md - md_ref).max() <= 1e-12
+        if dropout_p == 0.0:
+            for i in range(n_passes):
+                j = i % len(tta_set)   # first pass with the same transform
+                assert p[:, i].tobytes() == p[:, j].tobytes()
+                assert md[:, i].tobytes() == md[:, j].tobytes()
+
+    def test_one_forward_per_batch(self, small_pipeline):
+        tp = small_pipeline
+        table = tp.split.test.subset(range(7))
+        before = tp.model.forward_count
+        run = ensemble_over_table(tp.model, table, tp.stats, GateConfig(), seed=4,
+                                  fusion=tp.fusion, batch_size=3)
+        sharp = int((run.lap_var >= GateConfig().tau_blur).sum())
+        assert sharp > 3
+        assert tp.model.forward_count - before == -(-sharp // 3)
 
 
 class TestGateDecide:

@@ -1,7 +1,75 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oculogate.rng import Rng
+from oculogate.rng import Rng, substream_uniforms
+
+GOLDEN = {
+    # (seed, label, n): sha256 of fill_u64(n), uniform(n), normal(n)
+    (0, '', 1): (
+        "3b868cfe94dfd5f94e1125098b3804b559892a5cf28bf1207dd16127aa840181",
+        "69fb32217c41f3986678df51a9b026271ebe61494cd7b4ebe3a99aa9ca8c72ea",
+        "36997da959846d749f8b63d495c9fd7f0728df67dd43959090396708e12eca66",
+    ),
+    (0, '', 7): (
+        "d6c3f7dacc7a5a81c6734a80a1994ec318ef4e8bffe167cac818bda5e962ed7d",
+        "f2aff88173f8caf617f01ffc3a3e75d28eaa25788d44e66db6efc962aff607e8",
+        "a0c04f7f660dfc69658aff93552348ae2272d72358ceb2064dd611ee11db19d8",
+    ),
+    (0, '', 2560): (
+        "06d738682c06b26be5b85421ca0445bf9cd0aa91f4aabbadfd976750dc2e2d0a",
+        "c0d6ddd741e9e309eea94cc3215d1a0ab54471514003efc1358d72b4f282b3e0",
+        "da229cac7d26cdf1d15c54816964fbc4e1eb41fe5cbdf3f5618fad6f3e197d55",
+    ),
+    (7, 'mc/P00012#3/14', 1): (
+        "4db741493b7795a7e8ea45645ebfc173fcf6699682665d1b135981d131da31fc",
+        "b97f970b2acce410a30c008317a645de5e355845ed737c2c23078765c54f42ca",
+        "15cc80a21e9927425e61f0826f19cdcb8b60a96550b3c0a9fb1effcd5ee1926b",
+    ),
+    (7, 'mc/P00012#3/14', 7): (
+        "4b8459f18832884b40ab2e7d1c889fbc7efe2b5105939a80b1b0eccc58107af6",
+        "9b6dbee669e22d923d75ce3569867cd17681e44d3b28263b6213e709afc9c318",
+        "74be6352af411e0f0562796268464c5f459f5fc66068175f21ffb73d331b4400",
+    ),
+    (7, 'mc/P00012#3/14', 2560): (
+        "8498fae794f5c8c9be75e103e1bf2732740337b7f8a06677d3b33c80e8fd93d7",
+        "9253236fc63a3073147452fa0c442132f0ec048461d75763defe7636050b7d53",
+        "ddbdd2fe0d9caa9607cee559836e37a4466caa18016985d28dc72cb7a6c054c6",
+    ),
+    (2**64 - 1, 'visual-projection', 1): (
+        "079f3ceb8a3210855ecdb7d8e28aed032a0b94257f09c395859143d2005f594b",
+        "7583695e3a9b3a70ef1b934b99da9e0000d229eb4d4ae8456e507b97ef77a6cc",
+        "3745cb5191c8280a8e3fc107973c5ba6be1cf557c115a599f208463fb6e659cf",
+    ),
+    (2**64 - 1, 'visual-projection', 7): (
+        "d579da908f8f3064b28449a55d53c9838e7713814b90ef054e11d846b6e3d282",
+        "481f4b39832d56dbbc4ed1e270c7f3671aa145f86be0f7f125a50dd8a91d9204",
+        "ab1d4b6a5672f073407b419e2149230ed6e68062588e23f3462cdc452116ef3d",
+    ),
+    (2**64 - 1, 'visual-projection', 2560): (
+        "fec11e03667eb93a7e15fe34c0aac9ec7298247663db8cbc720a4d3782aab90b",
+        "c9643364b2f7796b043d846040eafc31214ef38c88500e70e289aa3b76042f88",
+        "7421b9af179c4e4fce181a29f823d44ace9c7edc8c6757b483af114d5d6a8d08",
+    ),
+    (12345, 'é/ü/漢字', 1): (
+        "01dfa35874d253d09d24cb839db1940bb5eb01a9ce8f3029e0bca204a4a5ff52",
+        "88403516f4d0327ac7b500cdc8a0088c5fe77d8caaddb7e9cb77377da1107b72",
+        "ed609205588fb2620d8f978ca4f7c475bff788f4f2b7de0c58867ac25ea1889d",
+    ),
+    (12345, 'é/ü/漢字', 7): (
+        "fd1f56369e9fafb256d8a013e9f9b230fb1d7907b081e62de1e249d3b578676e",
+        "9a52f11efe711804918f5da3bb2389317a2f222d7aa0b84701f366007988b25b",
+        "d14cc855b70ab1cf729af5c455a9a6cd07a5903e59f7da214537863df565b610",
+    ),
+    (12345, 'é/ü/漢字', 2560): (
+        "55cb8f6bdd97139715285ef62bd80233f918fb92e82484336fea398127af9610",
+        "7245881e724cbe387d886db516a867a9d6c0591a2060368ee292d7ee2394665e",
+        "ac605f505499f4a364edf2dd1b1073e5319f9e53cb7d5886baaf4510b62fdce8",
+    ),
+}
 
 
 def test_same_seed_same_stream():
@@ -50,11 +118,6 @@ def test_integers_in_range():
     assert set(np.unique(v)) == set(range(3, 9))
 
 
-def test_bernoulli_rate():
-    m = Rng(6).bernoulli(0.3, 100_000)
-    assert abs(m.mean() - 0.3) < 5e-3
-
-
 def test_scalar_draws_deterministic():
     r1, r2 = Rng(42, "s"), Rng(42, "s")
     assert r1.uniform() == r2.uniform()
@@ -67,3 +130,40 @@ def test_shapes(shape):
     u = Rng(1).uniform(shape)
     expected = (shape,) if isinstance(shape, int) else shape
     assert u.shape == expected
+
+
+def _sha(values: np.ndarray, dtype: str) -> str:
+    return hashlib.sha256(values.astype(dtype).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed,label,n", sorted(GOLDEN, key=repr))
+def test_golden_streams(seed, label, n):
+    """The streams every seeded artifact rests on, pinned by digest."""
+    assert (_sha(Rng(seed, label).fill_u64(n), "<u8"),
+            _sha(Rng(seed, label).uniform(n), "<f8"),
+            _sha(Rng(seed, label).normal(n), "<f8")) == GOLDEN[(seed, label, n)]
+
+
+# labels of 7, 8, 9, 16 and 17 bytes sit on either side of the sponge's
+# 8-byte chunk boundaries; the others add the empty label and multi-byte UTF-8
+EDGE_LABELS = ["", "a" * 7, "b" * 8, "c" * 9, "d" * 16, "e" * 17, "é", "é" * 4,
+               "mc/漢字/3", "mc/P00012#3/14"]
+SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@given(SEEDS, st.lists(st.one_of(st.sampled_from(EDGE_LABELS), st.text(max_size=20)),
+                       min_size=1, max_size=12),
+       st.integers(0, 40))
+@settings(max_examples=80, deadline=None)
+def test_substream_uniforms_equal_per_label_streams(seed, labels, n):
+    got = substream_uniforms(seed, labels, n)
+    want = np.stack([Rng(seed, label).uniform(n) for label in labels])
+    assert got.shape == (len(labels), n)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_substream_uniforms_edge_labels_and_seeds():
+    for seed in (0, 2**64 - 1):
+        got = substream_uniforms(seed, EDGE_LABELS, 2560)
+        for row, label in zip(got, EDGE_LABELS):
+            assert row.tobytes() == Rng(seed, label).uniform(2560).tobytes()

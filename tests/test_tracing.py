@@ -13,12 +13,17 @@ TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
                        "perfbench", "tracing.py")
 
 
-def test_tracer_installs_over_every_module():
+def _load_tracing():
     for info in pkgutil.iter_modules(oculogate.__path__):
         importlib.import_module(f"oculogate.{info.name}")
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_installs_over_every_module():
+    tracing = _load_tracing()
     from oculogate import gate
 
     original = gate.run_gate
@@ -30,3 +35,26 @@ def test_tracer_installs_over_every_module():
         tracer.uninstall()
     assert gate.run_gate is original
     assert len(tracer.names) == len(tracing.TARGETS) + 1
+
+
+def test_gate_derives_substreams_at_once_and_featurises_each_transform_once(
+        small_pipeline):
+    """A fall-back to per-pass Rng objects or per-pass featurisation inside
+    the ensemble shows up in the benchmark's per-visit counts."""
+    tracing = _load_tracing()
+    from oculogate import gate
+
+    tp = small_pipeline
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with tracer.op():
+            gate.run_gate(tp.model, tp.split.test.subset(range(4)), tp.stats,
+                          gate.GateConfig(tau_unc=0.5), 3, tp.fusion)
+    finally:
+        tracer.uninstall()
+    m = tracer.layer_metrics(0.0)
+    assert m["gate.visits_ensembled"] > 0
+    assert m["rng.substreams_per_visit"] == 0
+    assert m["model.tta_distinct_per_visit"] == 7
+    assert m["model.featurisations_per_visit"] == m["model.tta_distinct_per_visit"]

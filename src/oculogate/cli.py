@@ -15,12 +15,11 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from .data import (CohortSpec, PreprocessStats, generate_cohort,
-                   load_cohort_csv, write_cohort)
+                   load_cohort_csv, write_atomic, write_cohort)
 from .errors import ConfigError, DataError, NumericError
 from .fairness import calibrate_groups, fairness_report
 from .gate import GateConfig, run_gate
@@ -87,23 +86,6 @@ def _json_default(o):
 
 def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
-
-
-def write_atomic(path: str, payload: str | bytes) -> None:
-    """Write-once: temp file in the same directory, then rename."""
-    if os.path.exists(path):
-        raise ConfigError(f"output already exists (run dirs are append-only): {path}")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    mode = "wb" if isinstance(payload, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, mode) as f:
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def resolve_config(command: str, config_path: str | None, overrides: dict) -> dict:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 
@@ -543,6 +544,23 @@ def apply_preprocess_table(stats: PreprocessStats, table: CohortTable) -> np.nda
 def _fmt(x: float) -> str:
     return "" if (x is None or (isinstance(x, float) and math.isnan(x))) \
         else f"{x:.9g}"
+
+
+def write_atomic(path: str, payload: str | bytes) -> None:
+    """Write-once: temp file in the same directory, then rename."""
+    if os.path.exists(path):
+        raise ConfigError(f"output already exists (run dirs are append-only): {path}")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    mode = "wb" if isinstance(payload, bytes) else "w"
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode) as f:
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_cohort_csv(table: CohortTable, path, image_paths=None) -> None:

@@ -51,12 +51,6 @@ class GateConfig:
 
 
 @dataclass
-class UncertaintyEstimate:
-    mu: float
-    u: float
-
-
-@dataclass
 class GateDecision:
     kind: str                       # accept | reject_blur | reject_uncertain
     mu: float | None = None
@@ -159,13 +153,12 @@ def summarize_passes(p_passes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, m2 / n_passes
 
 
-def gate_decide(est: UncertaintyEstimate, cfg: GateConfig) -> GateDecision:
+def gate_decide(mu: float, u: float, cfg: GateConfig) -> GateDecision:
     """Accept iff U < tau_unc; the boundary U == tau_unc rejects."""
     if cfg.tau_unc is None:
         raise ConfigError("tau_unc is unset; calibrate it on validation first")
-    if est.u < cfg.tau_unc:
-        return GateDecision(kind="accept", mu=est.mu, u=est.u)
-    return GateDecision(kind="reject_uncertain", mu=est.mu, u=est.u)
+    kind = "accept" if u < cfg.tau_unc else "reject_uncertain"
+    return GateDecision(kind=kind, mu=mu, u=u)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +234,7 @@ def run_gate(model: DualStreamModel, table, stats, cfg: GateConfig, seed: int,
     run = ensemble_over_table(model, table, stats, cfg, seed, fusion, batch_size)
     run.decisions = [
         GateDecision(kind="reject_blur", lap_var=float(lv)) if lv < cfg.tau_blur
-        else gate_decide(UncertaintyEstimate(mu=float(m), u=float(u)), cfg)
+        else gate_decide(float(m), float(u), cfg)
         for lv, m, u in zip(run.lap_var, run.mu, run.u)]
     return run
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .data import write_atomic
 from .errors import ConfigError, SchemaError
 from .numerics import ParamStore, affine_backward, relu, sigmoid
 from .rng import Rng
@@ -99,47 +100,57 @@ def visual_features_batch(cfg: VisualFeatConfig, rasters: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class DualStreamModel:
-    """Owns the ParamStore; forward is pure given parameters and masks."""
+    """Owns the ParamStore; forward is pure given parameters and masks.
+
+    With init_rng the weights are drawn (He scale for the trunk and the
+    regression hidden layers, 1/sqrt(fan-in) for the three output layers,
+    zero biases); without it every parameter is zero, ready to be filled
+    from a checkpoint.
+    """
+
+    # output layers; heads get small random inits so both loss terms reach
+    # the shared trunk from the first step
+    _OUTPUT_WEIGHTS = ("vis_head.W", "clin_head.W", "reg.W2")
 
     def __init__(self, dcce: DCCEConfig, visual: VisualFeatConfig,
                  init_rng: Rng | None = None):
         self.dcce = dcce
         self.visual = visual
         self.proj = projection_matrix(visual)
-        self.params = ParamStore()
+        self.params = ParamStore(self.param_layout())
         self.forward_count = 0
-        rng = init_rng or Rng(visual.proj_seed, "model-init")
-        self._build(rng)
+        if init_rng is not None:
+            for name, p in self.params.entries.items():
+                if p.value.ndim == 2:
+                    d = p.value.shape[0]
+                    if name in self._OUTPUT_WEIGHTS:
+                        p.value[...] = init_rng.normal(p.value.shape) / np.sqrt(d)
+                    else:
+                        p.value[...] = init_rng.normal(p.value.shape) * np.sqrt(2.0 / d)
 
     # layer input width for block b, layer l
     def _in_dim(self, b: int, l: int) -> int:
         d = self.dcce.input_dim + b * self.dcce.layers_per_block * self.dcce.growth_k
         return d + l * self.dcce.growth_k
 
-    def _build(self, rng: Rng) -> None:
+    def param_layout(self) -> dict[str, tuple[int, ...]]:
+        """Every parameter's name and shape, in store and checkpoint order."""
         k = self.dcce.growth_k
+        layout: dict[str, tuple[int, ...]] = {}
         for b in range(self.dcce.n_blocks):
             for l in range(self.dcce.layers_per_block):
-                d = self._in_dim(b, l)
-                w = rng.normal((d, k)) * np.sqrt(2.0 / d)
-                self.params.add(f"dcce.b{b}.l{l}.W", w)
-                self.params.add(f"dcce.b{b}.l{l}.b", np.zeros(k))
+                layout[f"dcce.b{b}.l{l}.W"] = (self._in_dim(b, l), k)
+                layout[f"dcce.b{b}.l{l}.b"] = (k,)
         emb = self.dcce.output_dim
-        # heads get small random inits so both loss terms reach the shared
-        # trunk from the first step
-        self.params.add("vis_head.W",
-                        rng.normal((self.visual.proj_dim, 1)) / np.sqrt(self.visual.proj_dim))
-        self.params.add("vis_head.b", np.zeros(1))
-        self.params.add("clin_head.W", rng.normal((emb, 1)) / np.sqrt(emb))
-        self.params.add("clin_head.b", np.zeros(1))
-        reg_in = self.visual.proj_dim + emb
         h0, h1 = REG_HIDDEN
-        self.params.add("reg.W0", rng.normal((reg_in, h0)) * np.sqrt(2.0 / reg_in))
-        self.params.add("reg.b0", np.zeros(h0))
-        self.params.add("reg.W1", rng.normal((h0, h1)) * np.sqrt(2.0 / h0))
-        self.params.add("reg.b1", np.zeros(h1))
-        self.params.add("reg.W2", rng.normal((h1, 2)) / np.sqrt(h1))
-        self.params.add("reg.b2", np.zeros(2))
+        layout.update({
+            "vis_head.W": (self.visual.proj_dim, 1), "vis_head.b": (1,),
+            "clin_head.W": (emb, 1), "clin_head.b": (1,),
+            "reg.W0": (self.visual.proj_dim + emb, h0), "reg.b0": (h0,),
+            "reg.W1": (h0, h1), "reg.b1": (h1,),
+            "reg.W2": (h1, 2), "reg.b2": (2,),
+        })
+        return layout
 
     def mask_segments(self) -> list[tuple[str, int]]:
         """Dropout sites: visual features, every DCCE hidden layer, and both
@@ -230,14 +241,12 @@ class DualStreamModel:
         def bump(name: str, g: np.ndarray) -> None:
             grads[name] = grads.get(name, 0.0) + g
 
-        d_v_used = np.zeros_like(cache["v_used"])
         d_emb = np.zeros_like(cache["emb"])
 
         if d_logit_vis is not None:
             g = np.asarray(d_logit_vis).reshape(n, 1)
             bump("vis_head.W", cache["v_used"].T @ g)
             bump("vis_head.b", g.sum(axis=0))
-            d_v_used += g @ p["vis_head.W"].value.T
         if d_logit_clin is not None:
             g = np.asarray(d_logit_clin).reshape(n, 1)
             bump("clin_head.W", cache["emb"].T @ g)
@@ -265,9 +274,7 @@ class DualStreamModel:
             dr_in, dw0, db0 = affine_backward(dpre0, cache["r_in"], p["reg.W0"].value)
             bump("reg.W0", dw0)
             bump("reg.b0", db0)
-            pd = self.visual.proj_dim
-            d_v_used += dr_in[:, :pd]
-            d_emb += dr_in[:, pd:]
+            d_emb += dr_in[:, self.visual.proj_dim:]
 
         # back through the dense blocks
         k = self.dcce.growth_k
@@ -295,23 +302,13 @@ class DualStreamModel:
                     acc[j + 1] += g_z[:, d_block_in + j * k : d_block_in + (j + 1) * k]
             g_out = acc[0]
 
-        if masks is not None:
-            d_v_used = d_v_used * masks["vis"]
-        grads["_d_visual_features"] = d_v_used  # for diagnostics, not a param
         return grads
 
-    def accumulate(self, grads: dict[str, np.ndarray], scale: float = 1.0) -> None:
-        for name, g in grads.items():
-            if name.startswith("_"):
-                continue
-            self.params[name].grad += scale * g
-
     def set_grads(self, grads: dict[str, np.ndarray]) -> None:
-        """Rebind gradients in place of zero+accumulate (hot path)."""
-        for name, g in grads.items():
-            if name.startswith("_"):
-                continue
-            self.params[name].grad = np.ascontiguousarray(g)
+        """Zero every gradient, then add one backward's grads: a parameter
+        the loss did not reach gets zero, not the previous step's gradient."""
+        for name, p in self.params.entries.items():
+            p.grad[...] = grads.get(name, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +334,7 @@ def predict_arrays(model: DualStreamModel, fusion: FusionConfig,
 
 def save_checkpoint(model: DualStreamModel, fusion: FusionConfig, out_dir,
                     extra: dict | None = None) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    names = model.params.names()
+    """Write manifest.json and params.bin, each atomically and write-once."""
     manifest = {
         "dcce": {
             "input_dim": model.dcce.input_dim,
@@ -353,16 +349,14 @@ def save_checkpoint(model: DualStreamModel, fusion: FusionConfig, out_dir,
             "proj_seed": model.visual.proj_seed,
         },
         "fusion": {"alpha_vis": fusion.alpha_vis, "alpha_clin": fusion.alpha_clin},
-        "params": [{"name": n, "shape": list(model.params[n].value.shape)}
-                   for n in names],
+        "params": [{"name": n, "shape": list(shape)}
+                   for n, shape in model.param_layout().items()],
         "extra": extra or {},
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(os.path.join(out_dir, "params.bin"), "wb") as f:
-        for n in names:
-            f.write(model.params[n].value.astype("<f8").tobytes())
+    write_atomic(os.path.join(out_dir, "manifest.json"),
+                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_atomic(os.path.join(out_dir, "params.bin"),
+                 model.params.value.astype("<f8", copy=False).tobytes())
 
 
 def _config_block(cls, manifest: dict, block: str):
@@ -383,22 +377,19 @@ def load_checkpoint(in_dir) -> tuple[DualStreamModel, FusionConfig, dict]:
     dcce = _config_block(DCCEConfig, manifest, "dcce")
     visual = _config_block(VisualFeatConfig, manifest, "visual")
     fusion = _config_block(FusionConfig, manifest, "fusion")
-    model = DualStreamModel(dcce, visual)
-    if [e["name"] for e in manifest["params"]] != model.params.names():
+    model = DualStreamModel(dcce, visual)  # zero parameters, no init draws
+    layout = model.param_layout()
+    if [e["name"] for e in manifest["params"]] != list(layout):
         raise SchemaError("manifest parameters do not match the model's")
     for entry in manifest["params"]:
-        value = model.params[entry["name"]].value
-        if tuple(entry["shape"]) != value.shape:
+        shape = layout[entry["name"]]
+        if tuple(entry["shape"]) != shape:
             raise SchemaError(f"manifest shape {entry['shape']} of "
                               f"'{entry['name']}' does not match the model's "
-                              f"{list(value.shape)}")
+                              f"{list(shape)}")
     with open(os.path.join(in_dir, "params.bin"), "rb") as f:
         raw = f.read()
-    if len(raw) != 8 * sum(p.value.size for p in model.params.entries.values()):
+    if len(raw) != 8 * model.params.value.size:
         raise SchemaError("params.bin length does not match the manifest")
-    offset = 0
-    for p in model.params.entries.values():
-        p.value[...] = np.frombuffer(raw, dtype="<f8", count=p.value.size,
-                                     offset=offset).reshape(p.value.shape)
-        offset += 8 * p.value.size
+    model.params.value[...] = np.frombuffer(raw, dtype="<f8")
     return model, fusion, manifest.get("extra", {})

@@ -2,12 +2,16 @@
 
 Everything is float64 and pure: functions return new arrays, and the only
 mutable object is the ParamStore that the optimizer updates in place
-(single writer). Matrices are plain 2-D numpy arrays, row-major.
+(single writer). The store keeps every parameter, gradient and AdamW moment
+in four flat vectors in layout order, so an optimizer step, a snapshot or a
+checkpoint is one whole-vector operation. Matrices are plain 2-D numpy
+arrays, row-major.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,46 +90,40 @@ def binary_cross_entropy_grad(logit, label):
 # parameter store and AdamW
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Param:
+class Param(NamedTuple):
+    """One entry's views into the store's flat value and grad vectors."""
+
     value: np.ndarray
     grad: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
-    step_count: int = 0
 
 
-@dataclass
 class ParamStore:
-    """Named parameters plus optimizer state, all shapes matching per entry."""
+    """Named parameters over four contiguous float64 vectors (value, grad and
+    the AdamW moments m1, m2) laid out in the order of an ordered
+    {name: shape} table; entries[name] holds reshaped views into value and
+    grad, so writes through either side are seen by both."""
 
-    entries: dict[str, Param] = field(default_factory=dict)
-
-    def add(self, name: str, value: np.ndarray) -> None:
-        value = np.asarray(value, dtype=np.float64)
-        self.entries[name] = Param(
-            value=value,
-            grad=np.zeros_like(value),
-            m1=np.zeros_like(value),
-            m2=np.zeros_like(value),
-        )
+    def __init__(self, layout: dict[str, tuple[int, ...]]):
+        sizes = [math.prod(shape) for shape in layout.values()]
+        total = sum(sizes)
+        self.value = np.zeros(total)
+        self.grad = np.zeros(total)
+        self.m1 = np.zeros(total)
+        self.m2 = np.zeros(total)
+        self.step_count = 0
+        self.entries: dict[str, Param] = {}
+        offset = 0
+        for (name, shape), size in zip(layout.items(), sizes):
+            window = slice(offset, offset + size)
+            self.entries[name] = Param(self.value[window].reshape(shape),
+                                       self.grad[window].reshape(shape))
+            offset += size
 
     def __getitem__(self, name: str) -> Param:
         return self.entries[name]
 
-    def names(self) -> list[str]:
-        return list(self.entries)
-
     def zero_grads(self) -> None:
-        for p in self.entries.values():
-            p.grad[...] = 0.0
-
-    def clone_values(self) -> dict[str, np.ndarray]:
-        return {k: p.value.copy() for k, p in self.entries.items()}
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for k, v in values.items():
-            self.entries[k].value[...] = v
+        self.grad[...] = 0.0
 
 
 def adamw_step(
@@ -137,22 +135,35 @@ def adamw_step(
     eps: float = 1e-8,
 ) -> ParamStore:
     """Decoupled weight decay (applied before the Adam update), then
-    bias-corrected Adam. Leaves the store untouched if any grad is non-finite.
+    bias-corrected Adam, as one pass over the flat vectors. Leaves the store
+    untouched if any grad is non-finite.
     """
-    for name, p in store.entries.items():
-        if not np.isfinite(p.grad).all():
-            raise NumericError(f"adamw_step: non-finite gradient in '{name}'")
-    for p in store.entries.values():
-        p.step_count += 1
-        t = p.step_count
-        p.value *= 1.0 - lr * wd
-        p.m1 *= beta1
-        p.m1 += (1.0 - beta1) * p.grad
-        p.m2 *= beta2
-        p.m2 += (1.0 - beta2) * (p.grad * p.grad)
-        denom = np.sqrt(p.m2 / (1.0 - beta2 ** t))
-        denom += eps
-        p.value -= lr * (p.m1 / (1.0 - beta1 ** t)) / denom
+    g = store.grad
+    if not np.isfinite(g).all():
+        name = next(k for k, p in store.entries.items()
+                    if not np.isfinite(p.grad).all())
+        raise NumericError(f"adamw_step: non-finite gradient in '{name}'")
+    store.step_count += 1
+    t = store.step_count
+    # in place with two temporaries: value *= 1 - lr*wd;
+    # m1 = beta1*m1 + (1-beta1)*g; m2 = beta2*m2 + (1-beta2)*g*g;
+    # value -= lr * (m1/bc1) / (sqrt(m2/bc2) + eps). A scalar product
+    # commutes exactly, so every element rounds as in that formula.
+    store.value *= 1.0 - lr * wd
+    tmp = np.multiply(g, 1.0 - beta1)
+    store.m1 *= beta1
+    store.m1 += tmp
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - beta2
+    store.m2 *= beta2
+    store.m2 += tmp
+    denom = np.divide(store.m2, 1.0 - beta2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(store.m1, 1.0 - beta1 ** t, out=tmp)
+    tmp *= lr
+    tmp /= denom
+    store.value -= tmp
     return store
 
 

@@ -120,13 +120,6 @@ class Rng:
         # inputs never give the forbidden all-zero state
         self._state = np.array([_mix64_int((s + k * _GOLDEN_INT) & _M64)
                                 for k in range(1, 5)], dtype=np.uint64)
-        self.seed = seed
-        self.label = label
-
-    def substream(self, label: str) -> "Rng":
-        """Independent stream keyed by (seed, self.label + '/' + label)."""
-        full = f"{self.label}/{label}" if self.label else label
-        return Rng(self.seed, full)
 
     def next_u64(self) -> np.uint64:
         """Advance the stream one step (reference xoshiro256** update)."""

@@ -160,7 +160,7 @@ def train_multitask(
     total_mask_width = sum(w for _, w in model.mask_segments())
 
     history = TrainHistory()
-    best_values = model.params.clone_values()
+    best_values = model.params.value.copy()
     since_best = 0
 
     for epoch in range(cfg.max_epochs):
@@ -202,19 +202,16 @@ def train_multitask(
                     out["slope_hat"][labeled], m_t[idx][labeled]) / m_count
 
             if n_batches % 8 == 0:
-                # per-term trunk norms on every 8th batch (epoch diagnostic)
-                g_scr = model.backward(cache, d_logit_vis=d_lv, d_logit_clin=d_lc)
-                norm_scr += _dcce_norm(g_scr)
+                # per-term trunk norms on every 8th batch (epoch diagnostic);
+                # no gradient dict is kept past its use, so at most one is
+                # alive beside the store's flat grad vector
+                norm_scr += _dcce_norm(
+                    model.backward(cache, d_logit_vis=d_lv, d_logit_clin=d_lc))
                 if d_md is not None:
-                    g_prog = model.backward(cache, d_md=d_md, d_slope=d_sl)
-                    norm_prog += cfg.lambda_weight ** 2 * _dcce_norm(g_prog)
+                    norm_prog += cfg.lambda_weight ** 2 * _dcce_norm(
+                        model.backward(cache, d_md=d_md, d_slope=d_sl))
 
             lam = cfg.lambda_weight
-            grads = model.backward(
-                cache, d_logit_vis=d_lv, d_logit_clin=d_lc,
-                d_md=None if d_md is None else lam * d_md,
-                d_slope=None if d_sl is None else lam * d_sl)
-
             loss = float(l_scr) + lam * l_prog
             if not np.isfinite(loss):
                 raise NumericError(
@@ -222,7 +219,10 @@ def train_multitask(
             epoch_loss += loss
             n_batches += 1
 
-            model.set_grads(grads)
+            model.set_grads(model.backward(
+                cache, d_logit_vis=d_lv, d_logit_clin=d_lc,
+                d_md=None if d_md is None else lam * d_md,
+                d_slope=None if d_sl is None else lam * d_sl))
             adamw_step(model.params, lr=cfg.lr, wd=cfg.wd)
 
         val_out, _ = model.forward(x_val, v_val, masks=None)
@@ -242,14 +242,14 @@ def train_multitask(
         if val_auc > history.best_val_auc:
             history.best_val_auc = val_auc
             history.best_epoch = epoch
-            best_values = model.params.clone_values()
+            best_values[...] = model.params.value
             since_best = 0
         else:
             since_best += 1
             if since_best >= cfg.patience:
                 break
 
-    model.params.load_values(best_values)
+    model.params.value[...] = best_values
     return history
 
 

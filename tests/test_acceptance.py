@@ -103,7 +103,7 @@ def test_c01_gradient_fidelity():
             g = m.backward(cache, d_logit_vis=d_lv, d_logit_clin=d_lc,
                            d_md=None if d_md is None else lam * d_md,
                            d_slope=None if d_sl is None else lam * d_sl)
-            m.accumulate(g)
+            m.set_grads(g)
             return float(l_scr) + lam * l_prog
 
         worst = max(worst, grad_check(model_fn, m.params, max_per_entry=16))

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from oculogate.data import apply_preprocess_table, generate_image, inject_blur
 from oculogate.errors import ConfigError
-from oculogate.gate import (TTA_DEFAULT, GateConfig, GateDecision,
-                            UncertaintyEstimate, apply_tta, ensemble_over_table,
-                            ensemble_passes, gate_decide, laplacian_variance,
-                            run_gate, summarize_passes, triage_queue)
+from oculogate.gate import (TTA_DEFAULT, GateConfig, GateDecision, apply_tta,
+                            ensemble_over_table, ensemble_passes, gate_decide,
+                            laplacian_variance, run_gate, summarize_passes,
+                            triage_queue)
 from oculogate.model import fuse, visual_features_batch
 from oculogate.rng import Rng
 
@@ -245,19 +245,16 @@ class TestEnsembleOracle:
 
 class TestGateDecide:
     def test_zero_u_accepts(self):
-        est = UncertaintyEstimate(mu=0.7, u=0.0)
-        d = gate_decide(est, GateConfig(tau_unc=0.01))
+        d = gate_decide(0.7, 0.0, GateConfig(tau_unc=0.01))
         assert d.kind == "accept" and d.y_hat == 0.7
 
     def test_boundary_rejects(self):
-        est = UncertaintyEstimate(mu=0.7, u=0.02)
-        d = gate_decide(est, GateConfig(tau_unc=0.02))
+        d = gate_decide(0.7, 0.02, GateConfig(tau_unc=0.02))
         assert d.kind == "reject_uncertain" and d.y_hat is None
 
     def test_unset_tau_rejected(self):
-        est = UncertaintyEstimate(mu=0.7, u=0.0)
         with pytest.raises(ConfigError):
-            gate_decide(est, GateConfig())
+            gate_decide(0.7, 0.0, GateConfig())
 
     def test_threshold_sweep_matches_rank(self):
         rng = Rng(65, "sweep")
@@ -265,7 +262,7 @@ class TestGateDecide:
         for k in range(len(u)):
             cfg = GateConfig(tau_unc=float(u[k]))
             retained = sum(
-                gate_decide(UncertaintyEstimate(mu=0.5, u=float(x)), cfg).kind
+                gate_decide(0.5, float(x), cfg).kind
                 == "accept" for x in u)
             assert retained == k
 
@@ -274,9 +271,8 @@ class TestGateDecide:
         us = rng.uniform(30)
         hi, lo = 0.6, 0.2
         for x in us:
-            est = UncertaintyEstimate(mu=0.5, u=float(x))
-            d_hi = gate_decide(est, GateConfig(tau_unc=hi))
-            d_lo = gate_decide(est, GateConfig(tau_unc=lo))
+            d_hi = gate_decide(0.5, float(x), GateConfig(tau_unc=hi))
+            d_lo = gate_decide(0.5, float(x), GateConfig(tau_unc=lo))
             if d_hi.kind == "reject_uncertain":
                 assert d_lo.kind == "reject_uncertain"
 

@@ -1,3 +1,6 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
@@ -34,7 +37,7 @@ class TestDCCE:
 
     def test_zero_weights_pass_input_through(self):
         m = small_model()
-        for name in m.params.names():
+        for name in m.params.entries:
             if name.startswith("dcce."):
                 m.params[name].value[...] = 0.0
         x = Rng(2, "x").normal((4, 5))
@@ -181,7 +184,7 @@ class TestGradients:
             g = m.backward(cache, d_logit_vis=d_lv, d_logit_clin=d_lc,
                            d_md=None if d_md is None else lam * d_md,
                            d_slope=None if d_sl is None else lam * d_sl)
-            m.accumulate(g)
+            m.set_grads(g)
             return float(l_scr) + lam * l_prog
 
         return model
@@ -210,6 +213,21 @@ class TestGradients:
         g = m.backward(cache, d_logit_vis=d_lv, d_logit_clin=d_lv)
         for name in ("reg.W0", "reg.b0", "reg.W1", "reg.b1", "reg.W2", "reg.b2"):
             assert name not in g
+
+    def test_set_grads_zeroes_parameters_the_loss_missed(self):
+        m = small_model()
+        rng = Rng(12, "stale")
+        x = rng.normal((4, 5))
+        v = rng.normal((4, 6))
+        out, cache = m.forward(x, v, None)
+        ones = np.ones(4)
+        m.set_grads(m.backward(cache, d_logit_vis=ones, d_logit_clin=ones,
+                               d_md=ones, d_slope=ones))
+        assert np.abs(m.params["reg.W0"].grad).sum() > 0
+        m.set_grads(m.backward(cache, d_logit_vis=ones, d_logit_clin=ones))
+        for name in ("reg.W0", "reg.b0", "reg.W1", "reg.b1", "reg.W2", "reg.b2"):
+            assert not m.params[name].grad.any(), name
+        assert m.params["vis_head.W"].grad.any()
 
 
 class TestPredict:
@@ -243,6 +261,28 @@ class TestPredict:
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
 
+class TestInit:
+    # sha256 of every parameter as float64 LE in layout order, for
+    # (config, init label, init seed); the digests pin the init draws
+    @pytest.mark.parametrize("dcce,vis,label,seed,digest", [
+        (DCCEConfig(input_dim=5, growth_k=4),
+         VisualFeatConfig(patch_grid=2, proj_dim=6, proj_seed=11), "test-model", 3,
+         "3bb9dbaedf2f6733952a397cba6cd140449648d7af620143b11eb75cf8c75486"),
+        (DCCEConfig(input_dim=9), VisualFeatConfig(), "model-init", 7,
+         "780d3a9acc23f03b13984ea7367bda063a1a42db94cceeccd37007c67aeac87b"),
+    ])
+    def test_init_draws_are_pinned(self, dcce, vis, label, seed, digest):
+        m = DualStreamModel(dcce, vis, init_rng=Rng(seed, label))
+        assert list(m.params.entries) == list(m.param_layout())
+        assert hashlib.sha256(m.params.value.astype("<f8").tobytes()).hexdigest() \
+            == digest
+
+    def test_no_init_rng_gives_zero_parameters(self):
+        m = DualStreamModel(DCCEConfig(input_dim=5, growth_k=4),
+                            VisualFeatConfig(patch_grid=2, proj_dim=6))
+        assert not m.params.value.any()
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         m = small_model(seed=21)
@@ -251,11 +291,35 @@ class TestCheckpoint:
         m2, fusion2, extra = load_checkpoint(tmp_path / "ck")
         assert extra == {"note": 1}
         assert fusion2 == fusion
-        for name in m.params.names():
-            assert np.array_equal(m.params[name].value, m2.params[name].value)
+        assert list(m2.params.entries) == list(m.params.entries)
+        assert np.array_equal(m.params.value, m2.params.value)
         x = Rng(1, "x").normal((2, 5))
         v = Rng(1, "v").normal((2, 6))
         a, _ = m.forward(x, v)
         b, _ = m2.forward(x, v)
         assert np.array_equal(a["md_hat"], b["md_hat"])
         assert np.array_equal(a["logit_vis"], b["logit_vis"])
+
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        import oculogate.model as model_module
+
+        save_checkpoint(small_model(seed=22), FusionConfig(), tmp_path / "ck")
+        labels = []
+
+        class RecordingRng(Rng):
+            def __init__(self, seed, label=""):
+                labels.append(label)
+                super().__init__(seed, label)
+
+        monkeypatch.setattr(model_module, "Rng", RecordingRng)
+        load_checkpoint(tmp_path / "ck")
+        assert "model-init" not in labels
+
+    def test_second_save_is_refused_and_changes_nothing(self, tmp_path):
+        out = tmp_path / "ck"
+        save_checkpoint(small_model(seed=23), FusionConfig(), out)
+        before = {f: (out / f).read_bytes() for f in os.listdir(out)}
+        assert sorted(before) == ["manifest.json", "params.bin"]
+        with pytest.raises(ConfigError):
+            save_checkpoint(small_model(seed=24), FusionConfig(), out)
+        assert {f: (out / f).read_bytes() for f in os.listdir(out)} == before

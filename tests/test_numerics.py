@@ -138,8 +138,8 @@ class TestBCE:
 
 
 def quad_store(theta):
-    store = ParamStore()
-    store.add("theta", np.array([float(theta)]))
+    store = ParamStore({"theta": (1,)})
+    store["theta"].value[0] = theta
     return store
 
 
@@ -178,14 +178,14 @@ class TestAdamW:
         with pytest.raises(NumericError):
             adamw_step(store)
         assert store["theta"].value[0] == 1.0
-        assert store["theta"].step_count == 0
+        assert store.step_count == 0
 
     def test_step_count_increments(self):
         store = quad_store(1.0)
         store["theta"].grad[:] = 0.1
         adamw_step(store)
         adamw_step(store)
-        assert store["theta"].step_count == 2
+        assert store.step_count == 2
 
     def test_decay_applied_before_update(self):
         store = quad_store(10.0)
@@ -194,18 +194,91 @@ class TestAdamW:
         assert abs(store["theta"].value[0] - 10.0 * (1 - 0.05)) <= 1e-12
 
 
+def per_entry_adamw(entries, lr=1e-4, wd=1e-4, beta1=0.9, beta2=0.999,
+                    eps=1e-8):
+    """Reference: one AdamW update per entry of {name: dict(value, grad, m1,
+    m2, t)}, with the op order of the flat step."""
+    for e in entries.values():
+        e["t"] += 1
+        t = e["t"]
+        e["value"] *= 1.0 - lr * wd
+        e["m1"] *= beta1
+        e["m1"] += (1.0 - beta1) * e["grad"]
+        e["m2"] *= beta2
+        e["m2"] += (1.0 - beta2) * (e["grad"] * e["grad"])
+        denom = np.sqrt(e["m2"] / (1.0 - beta2 ** t))
+        denom += eps
+        e["value"] -= lr * (e["m1"] / (1.0 - beta1 ** t)) / denom
+
+
+def mixed_store(seed=5):
+    layout = {"a.W": (4, 3), "a.b": (3,), "head.W": (7, 1), "c": (2, 2, 2)}
+    store = ParamStore(layout)
+    rng = Rng(seed, "mixed")
+    for name, shape in layout.items():
+        store[name].value[...] = rng.normal(shape)
+    return store
+
+
+class TestFlatStore:
+    def test_matches_per_entry_oracle_bitwise(self):
+        store = mixed_store()
+        ref = {name: {"value": p.value.copy(), "grad": None, "t": 0,
+                      "m1": np.zeros_like(p.value), "m2": np.zeros_like(p.value)}
+               for name, p in store.entries.items()}
+        rng = Rng(6, "grads")
+        for step in range(5):
+            for name, p in store.entries.items():
+                p.grad[...] = rng.normal(p.grad.shape) * 10.0 ** (step - 2)
+                ref[name]["grad"] = p.grad.copy()
+            adamw_step(store, lr=1e-2, wd=0.1)
+            per_entry_adamw(ref, lr=1e-2, wd=0.1)
+            for name, p in store.entries.items():
+                assert np.array_equal(p.value, ref[name]["value"])
+        assert store.step_count == 5
+        offset = 0
+        for name, e in ref.items():
+            size = e["value"].size
+            assert np.array_equal(store.m1[offset:offset + size], e["m1"].ravel())
+            assert np.array_equal(store.m2[offset:offset + size], e["m2"].ravel())
+            offset += size
+
+    def test_nonfinite_grad_leaves_all_state(self):
+        store = mixed_store()
+        store.grad[...] = 0.5
+        adamw_step(store, lr=1e-2)
+        before = [store.value.copy(), store.m1.copy(), store.m2.copy()]
+        store["head.W"].grad[3, 0] = np.inf
+        with pytest.raises(NumericError, match="'head.W'"):
+            adamw_step(store, lr=1e-2)
+        for kept, now in zip(before, (store.value, store.m1, store.m2)):
+            assert np.array_equal(kept, now)
+        assert store.step_count == 1
+
+    def test_entries_are_views_of_the_flat_vectors(self):
+        store = mixed_store()
+        for name, p in store.entries.items():
+            assert np.shares_memory(store.value, p.value)
+            assert np.shares_memory(store.grad, p.grad)
+        store.value[:] = 2.0
+        assert (store["c"].value == 2.0).all()
+        store["a.b"].grad[1] = 3.0
+        assert store.grad[12 + 1] == 3.0
+        assert store.value.size == 12 + 3 + 7 + 8
+
+
 class TestGradCheck:
     def test_linear_quadratic_exact(self):
         rng = Rng(8, "gc")
         x = rng.normal((6, 3))
         t = rng.normal(6)
-        store = ParamStore()
-        store.add("w", rng.normal(3))
+        store = ParamStore({"w": (3,)})
+        store["w"].value[...] = rng.normal(3)
 
         def model():
             pred = x @ store["w"].value
             r = pred - t
-            store["w"].grad += 2.0 * x.T @ r / 6.0
+            store["w"].grad[...] += 2.0 * x.T @ r / 6.0
             return float((r * r).mean())
 
         assert grad_check(model, store) <= 1e-7
@@ -214,13 +287,13 @@ class TestGradCheck:
         rng = Rng(9, "gc2")
         x = rng.normal((6, 3))
         t = rng.normal(6)
-        store = ParamStore()
-        store.add("w", rng.normal(3))
+        store = ParamStore({"w": (3,)})
+        store["w"].value[...] = rng.normal(3)
 
         def model():
             pred = x @ store["w"].value
             r = pred - t
-            store["w"].grad += 2.0 * (2.0 * x.T @ r / 6.0)  # doubled on purpose
+            store["w"].grad[...] += 2.0 * (2.0 * x.T @ r / 6.0)  # doubled on purpose
             return float((r * r).mean())
 
         assert grad_check(model, store) >= 0.4

@@ -85,9 +85,6 @@ def test_substreams_differ_and_reproduce():
     a2 = Rng(7, "alpha").uniform(256)
     assert np.array_equal(a, a2)
     assert not np.array_equal(a, b)
-    # nested derivation matches the flat label
-    assert np.array_equal(Rng(7).substream("x").substream("y").uniform(16),
-                          Rng(7, "x/y").uniform(16))
 
 
 def test_different_seeds_differ():

@@ -58,3 +58,23 @@ def test_gate_derives_substreams_at_once_and_featurises_each_transform_once(
     assert m["rng.substreams_per_visit"] == 0
     assert m["model.tta_distinct_per_visit"] == 7
     assert m["model.featurisations_per_visit"] == m["model.tta_distinct_per_visit"]
+
+
+def test_adamw_span_counts_every_parameter():
+    """perfbench's numerics.adamw_params_per_step reads the span info of
+    adamw_step, so it must count the whole flat vector."""
+    tracing = _load_tracing()
+    from oculogate import numerics
+    from oculogate.model import DCCEConfig, DualStreamModel, VisualFeatConfig
+
+    params = DualStreamModel(DCCEConfig(input_dim=9), VisualFeatConfig()).params
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with tracer.op():
+            numerics.adamw_step(params)
+    finally:
+        tracer.uninstall()
+    m = tracer.layer_metrics(0.0)
+    assert m["numerics.adamw_steps"] == 1
+    assert m["numerics.adamw_params_per_step"] == params.value.size

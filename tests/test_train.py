@@ -87,9 +87,7 @@ class TestTrainingLoop:
         cohort = generate_cohort(default_cohort_spec(n_patients=120, seed=55))
         a = run_training_pipeline(cohort, TrainConfig(max_epochs=2, seed=9))
         b = run_training_pipeline(cohort, TrainConfig(max_epochs=2, seed=9))
-        for name in a.model.params.names():
-            assert np.array_equal(a.model.params[name].value,
-                                  b.model.params[name].value)
+        assert np.array_equal(a.model.params.value, b.model.params.value)
         assert a.history.records == b.history.records
 
     def test_lambda_zero_freezes_regression_head(self):
@@ -102,7 +100,7 @@ class TestTrainingLoop:
         fresh = DualStreamModel(
             DCCEConfig(input_dim=tp.model.dcce.input_dim),
             VisualFeatConfig(), init_rng=Rng(9, "model-init"))
-        steps = tp.model.params["reg.W2"].step_count
+        steps = tp.model.params.step_count
         decay = (1.0 - 1e-4 * 1e-4) ** steps
         assert np.allclose(tp.model.params["reg.W2"].value,
                            fresh.params["reg.W2"].value * decay, atol=1e-12)

@@ -33,13 +33,12 @@ for i in range(0, 12):
 run = run_gate(tp.model, test, tp.stats, gate_cfg, seed=11, fusion=tp.fusion)
 print("\ndecisions:", dict(Counter(d.kind for d in run.decisions)))
 
-rejects = [(test.sample(i), d)
-           for i, d in enumerate(run.decisions) if d.kind != "accept"]
-queue = triage_queue(rejects, priority_groups=["Black", "Asian", "White"])
+queue = triage_queue(run, priority_groups=["Black", "Asian", "White"])
 print("\ntop of the review queue (priority group, then uncertainty):")
-for sample, decision in queue[:8]:
+for i in queue[:8]:
+    decision = run.decisions[i]
     u = "-" if decision.u is None else f"{decision.u:.4f}"
-    print(f"  {sample.sample_id:12s} {sample.group:6s} {decision.kind:17s} U={u}")
+    print(f"  {run.sample_ids[i]:12s} {run.groups[i]:6s} {decision.kind:17s} U={u}")
 
 cov = coverage_report(run, test.label)
 print("\ncoverage-accuracy over the sharp samples:")

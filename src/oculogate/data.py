@@ -12,6 +12,8 @@ positive, then flipped with probability label_noise.
 from __future__ import annotations
 
 import csv
+import io
+import json
 import math
 import os
 import tempfile
@@ -95,32 +97,6 @@ def default_cohort_spec(**overrides) -> CohortSpec:
     return spec
 
 
-@dataclass
-class Sample:
-    """One visit of one patient."""
-
-    patient_id: str
-    visit_index: int
-    visit_time: float
-    rnflt: float
-    iop: float
-    cdr: float
-    age: float
-    sex: str
-    race: str
-    label: int
-    md: float
-    slope_target: float | None
-
-    @property
-    def group(self) -> str:
-        return self.race
-
-    @property
-    def sample_id(self) -> str:
-        return f"{self.patient_id}#{self.visit_index}"
-
-
 class CohortTable:
     """Columnar visits table. rasters resolve from storage, file path, or
     the generator latents, in that order."""
@@ -155,10 +131,6 @@ class CohortTable:
     def __len__(self) -> int:
         return len(self.patient_id)
 
-    @property
-    def group(self) -> list[str]:
-        return self.race
-
     def sample_ids(self) -> list[str]:
         return [f"{p}#{v}" for p, v in zip(self.patient_id, self.visit_index)]
 
@@ -170,23 +142,6 @@ class CohortTable:
         if np.isnan(self.img_severity[i]):
             raise DataError(f"sample {i} has no image source")
         return generate_image(self.img_severity[i], int(self.image_seed[i]))
-
-    def sample(self, i: int) -> Sample:
-        st = self.slope_target[i]
-        return Sample(
-            patient_id=self.patient_id[i],
-            visit_index=int(self.visit_index[i]),
-            visit_time=float(self.visit_time[i]),
-            rnflt=float(self.rnflt[i]),
-            iop=float(self.iop[i]),
-            cdr=float(self.cdr[i]),
-            age=float(self.age[i]),
-            sex=self.sex[i],
-            race=self.race[i],
-            label=int(self.label[i]),
-            md=float(self.md[i]),
-            slope_target=None if np.isnan(st) else float(st),
-        )
 
     def subset(self, indices) -> "CohortTable":
         idx = np.asarray(indices)
@@ -546,10 +501,15 @@ def _fmt(x: float) -> str:
         else f"{x:.9g}"
 
 
-def write_atomic(path: str, payload: str | bytes) -> None:
-    """Write-once: temp file in the same directory, then rename."""
+def refuse_existing(path) -> None:
+    """The write-once rule: an output is never overwritten."""
     if os.path.exists(path):
         raise ConfigError(f"output already exists (run dirs are append-only): {path}")
+
+
+def write_atomic(path: str, payload: str | bytes) -> None:
+    """Write-once: temp file in the same directory, then rename."""
+    refuse_existing(path)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     mode = "wb" if isinstance(payload, bytes) else "w"
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
@@ -563,26 +523,42 @@ def write_atomic(path: str, payload: str | bytes) -> None:
         raise
 
 
+def read_json_object(path) -> dict:
+    """A JSON file that must hold an object; SchemaError names the file when
+    it is not UTF-8 JSON or holds anything else."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            obj = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"{path}: not valid UTF-8 JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: expected a JSON object, "
+                          f"got {type(obj).__name__}")
+    return obj
+
+
 def write_cohort_csv(table: CohortTable, path, image_paths=None) -> None:
+    """The cohort schema, written atomically and write-once."""
     image_paths = image_paths or table.image_path
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(CSV_HEADER)
-        for i in range(len(table)):
-            w.writerow([
-                table.patient_id[i],
-                int(table.visit_index[i]),
-                _fmt(float(table.visit_time[i])),
-                _fmt(float(table.age[i])),
-                table.sex[i],
-                table.race[i],
-                _fmt(float(table.rnflt[i])),
-                _fmt(float(table.iop[i])),
-                _fmt(float(table.cdr[i])),
-                _fmt(float(table.md[i])),
-                int(table.label[i]),
-                image_paths[i] or "",
-            ])
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(CSV_HEADER)
+    for i in range(len(table)):
+        w.writerow([
+            table.patient_id[i],
+            int(table.visit_index[i]),
+            _fmt(float(table.visit_time[i])),
+            _fmt(float(table.age[i])),
+            table.sex[i],
+            table.race[i],
+            _fmt(float(table.rnflt[i])),
+            _fmt(float(table.iop[i])),
+            _fmt(float(table.cdr[i])),
+            _fmt(float(table.md[i])),
+            int(table.label[i]),
+            image_paths[i] or "",
+        ])
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def load_cohort_csv(path) -> CohortTable:
@@ -695,9 +671,11 @@ def load_image_pgm(path) -> np.ndarray:
     return np.frombuffer(body, dtype=np.uint8).reshape(h, w).astype(np.float64) / 255.0
 
 
-def write_cohort(table: CohortTable, out_dir, with_images: bool = True) -> str:
-    """cohort.csv plus an images/ directory of PGMs; returns the CSV path."""
-    os.makedirs(out_dir, exist_ok=True)
+def write_cohort(table: CohortTable, out_dir, with_images: bool = True) -> None:
+    """cohort.csv plus an images/ directory of PGMs. cohort.csv goes last and
+    atomically: a crash may leave PGMs behind, never a truncated cohort."""
+    csv_path = os.path.join(out_dir, "cohort.csv")
+    refuse_existing(csv_path)
     image_paths: list[str | None] = [None] * len(table)
     if with_images:
         img_dir = os.path.join(out_dir, "images")
@@ -706,6 +684,4 @@ def write_cohort(table: CohortTable, out_dir, with_images: bool = True) -> str:
             name = f"{table.patient_id[i]}_{int(table.visit_index[i])}.pgm"
             write_image_pgm(table.raster(i), os.path.join(img_dir, name))
             image_paths[i] = os.path.join("images", name)
-    csv_path = os.path.join(out_dir, "cohort.csv")
     write_cohort_csv(table, csv_path, image_paths)
-    return csv_path

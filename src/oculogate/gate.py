@@ -243,16 +243,19 @@ def run_gate(model: DualStreamModel, table, stats, cfg: GateConfig, seed: int,
 # triage
 # ---------------------------------------------------------------------------
 
-def triage_queue(rejects, priority_groups) -> list:
-    """Stable total order for manual review: priority group first, then
-    higher uncertainty; blur rejects (no U) sort after uncertainty rejects
-    within a group; patient id breaks remaining ties."""
+def triage_queue(run: GateRun, priority_groups) -> list[int]:
+    """Indices of a gated run's rejects in manual-review order: priority
+    group first, then higher uncertainty; blur rejects (no U) sort after
+    uncertainty rejects within a group; patient id, then visit index, break
+    the remaining ties, so the order is total."""
     rank = {g: i for i, g in enumerate(priority_groups)}
 
-    def key(item):
-        sample, decision = item
+    def key(i):
+        decision = run.decisions[i]
         u_eff = decision.u if decision.kind == "reject_uncertain" else -math.inf
-        return (rank.get(sample.group, len(priority_groups)), -u_eff,
-                sample.patient_id)
+        patient, _, visit = run.sample_ids[i].rpartition("#")
+        return (rank.get(run.groups[i], len(priority_groups)), -u_eff,
+                patient, int(visit))
 
+    rejects = [i for i, d in enumerate(run.decisions) if d.kind != "accept"]
     return sorted(rejects, key=key)

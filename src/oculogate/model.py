@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import write_atomic
+from .data import read_json_object, write_atomic
 from .errors import ConfigError, SchemaError
 from .numerics import ParamStore, affine_backward, relu, sigmoid
 from .rng import Rng
@@ -332,9 +332,9 @@ def predict_arrays(model: DualStreamModel, fusion: FusionConfig,
 # checkpoints: JSON manifest + flat binary of float64 LE in manifest order
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(model: DualStreamModel, fusion: FusionConfig, out_dir,
-                    extra: dict | None = None) -> None:
-    """Write manifest.json and params.bin, each atomically and write-once."""
+def checkpoint_files(model: DualStreamModel, fusion: FusionConfig,
+                     extra: dict | None = None) -> dict[str, str | bytes]:
+    """manifest.json and params.bin, by file name."""
     manifest = {
         "dcce": {
             "input_dim": model.dcce.input_dim,
@@ -353,10 +353,17 @@ def save_checkpoint(model: DualStreamModel, fusion: FusionConfig, out_dir,
                    for n, shape in model.param_layout().items()],
         "extra": extra or {},
     }
-    write_atomic(os.path.join(out_dir, "manifest.json"),
-                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    write_atomic(os.path.join(out_dir, "params.bin"),
-                 model.params.value.astype("<f8", copy=False).tobytes())
+    return {
+        "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+        "params.bin": model.params.value.astype("<f8", copy=False).tobytes(),
+    }
+
+
+def save_checkpoint(model: DualStreamModel, fusion: FusionConfig, out_dir,
+                    extra: dict | None = None) -> None:
+    """Write manifest.json and params.bin, each atomically and write-once."""
+    for name, payload in checkpoint_files(model, fusion, extra).items():
+        write_atomic(os.path.join(out_dir, name), payload)
 
 
 def _config_block(cls, manifest: dict, block: str):
@@ -372,21 +379,22 @@ def _config_block(cls, manifest: dict, block: str):
 
 
 def load_checkpoint(in_dir) -> tuple[DualStreamModel, FusionConfig, dict]:
-    with open(os.path.join(in_dir, "manifest.json"), "r", encoding="utf-8") as f:
-        manifest = json.load(f)
+    manifest = read_json_object(os.path.join(in_dir, "manifest.json"))
     dcce = _config_block(DCCEConfig, manifest, "dcce")
     visual = _config_block(VisualFeatConfig, manifest, "visual")
     fusion = _config_block(FusionConfig, manifest, "fusion")
     model = DualStreamModel(dcce, visual)  # zero parameters, no init draws
     layout = model.param_layout()
-    if [e["name"] for e in manifest["params"]] != list(layout):
+    try:
+        listed = [(e["name"], e["shape"]) for e in manifest["params"]]
+    except KeyError as exc:
+        raise SchemaError(f"manifest.json in {in_dir} lacks key {exc}") from None
+    if [name for name, _ in listed] != list(layout):
         raise SchemaError("manifest parameters do not match the model's")
-    for entry in manifest["params"]:
-        shape = layout[entry["name"]]
-        if tuple(entry["shape"]) != shape:
-            raise SchemaError(f"manifest shape {entry['shape']} of "
-                              f"'{entry['name']}' does not match the model's "
-                              f"{list(shape)}")
+    for name, shape in listed:
+        if tuple(shape) != layout[name]:
+            raise SchemaError(f"manifest shape {shape} of '{name}' does not "
+                              f"match the model's {list(layout[name])}")
     with open(os.path.join(in_dir, "params.bin"), "rb") as f:
         raw = f.read()
     if len(raw) != 8 * model.params.value.size:

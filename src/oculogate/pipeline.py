@@ -63,7 +63,6 @@ class TrainedPipeline:
     fusion: FusionConfig
     split: SplitResult
     history: TrainHistory
-    train_cfg: TrainConfig
     train_seconds: float
 
 
@@ -101,15 +100,14 @@ def run_training_pipeline(
         fusion = grid_search_alpha(arrs["p_vis"], arrs["p_clin"], split.val.label)
     elapsed = time.perf_counter() - t0
     return TrainedPipeline(model=model, stats=stats, fusion=fusion, split=split,
-                           history=history, train_cfg=train_cfg,
-                           train_seconds=elapsed)
+                           history=history, train_seconds=elapsed)
 
 
-def deterministic_scores(tp: TrainedPipeline, table: CohortTable,
-                         fusion: FusionConfig | None = None) -> dict[str, np.ndarray]:
+def deterministic_scores(tp: TrainedPipeline,
+                         table: CohortTable) -> dict[str, np.ndarray]:
     """Single-pass predictions (dropout off, identity augmentation)."""
     x, v = feature_matrices(table, tp.stats, tp.model)
-    return predict_arrays(tp.model, fusion or tp.fusion, x, v)
+    return predict_arrays(tp.model, tp.fusion, x, v)
 
 
 def calibrate_gate(tp: TrainedPipeline, gate_cfg: GateConfig, gamma: float,
@@ -204,8 +202,7 @@ def ablation_report(tp: TrainedPipeline, gate_cfg: GateConfig, gamma: float,
     gap = fnr_gap(fnrs) if len(defined) >= 2 else None
     accepted = sum(d.kind == "accept" for d in test_run.decisions)
     return {
-        "flags": {"no_clinical": flags.no_clinical, "no_tta": flags.no_tta,
-                  "no_mc_dropout": flags.no_mc_dropout},
+        "flags": vars(flags),
         "top_fraction": top_fraction,
         "n_subset": int(k),
         "auc": auc,

@@ -18,7 +18,8 @@ from .data import CohortTable
 from .errors import ConfigError, NumericError
 from .metrics import mean_absolute_error, roc_auc
 from .model import DualStreamModel, FusionConfig, fuse
-from .numerics import adamw_step, binary_cross_entropy, sigmoid, smooth_l1, smooth_l1_grad
+from .numerics import (adamw_step, binary_cross_entropy, binary_cross_entropy_grad,
+                       smooth_l1, smooth_l1_grad)
 from .rng import Rng
 
 
@@ -181,8 +182,8 @@ def train_multitask(
             yb = y[idx]
             l_scr = 0.5 * (binary_cross_entropy(out["logit_vis"], yb)
                            + binary_cross_entropy(out["logit_clin"], yb)).mean()
-            d_lv = 0.5 * (sigmoid(out["logit_vis"]) - yb) / b
-            d_lc = 0.5 * (sigmoid(out["logit_clin"]) - yb) / b
+            d_lv = 0.5 * binary_cross_entropy_grad(out["logit_vis"], yb) / b
+            d_lc = 0.5 * binary_cross_entropy_grad(out["logit_clin"], yb) / b
 
             labeled = has_slope[idx]
             m_count = int(labeled.sum())

@@ -59,8 +59,7 @@ def _subset_pipeline(tp: TrainedPipeline, n: int) -> TrainedPipeline:
         assignment=tp.split.assignment,
     )
     return TrainedPipeline(model=tp.model, stats=tp.stats, fusion=tp.fusion,
-                           split=split, history=tp.history,
-                           train_cfg=tp.train_cfg, train_seconds=0.0)
+                           split=split, history=tp.history, train_seconds=0.0)
 
 
 def test_c01_gradient_fidelity():

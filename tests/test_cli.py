@@ -275,3 +275,85 @@ def test_manifest_config_block_keys_exit_one(run_dir, tmp_path, capsys, block,
     code, err = _predict_with_broken_model(run_dir, tmp_path, capsys, edit_block)
     assert code == 1
     assert len(err) == 1 and block in err[0] and next(iter(edit)) in err[0]
+
+
+@pytest.mark.parametrize("split", ["bogus", "assignment"])
+@pytest.mark.parametrize("command", ["predict", "gate", "calibrate", "evaluate",
+                                     "coverage"])
+def test_unknown_split_exits_two_before_any_work(run_dir, tmp_path, capsys,
+                                                 command, split):
+    cfg = tmp_path / "split.json"
+    cfg.write_text(json.dumps({"split": split}))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--cohort", str(run_dir / "cohort"),
+                 "--model", str(run_dir / "model"), "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and f"'{split}'" in err[0]
+    assert not out.exists()
+
+
+def test_rerun_train_is_refused_before_training(run_dir, capsys, monkeypatch):
+    def must_not_train(*args, **kwargs):
+        raise AssertionError("training ran before the write-once check")
+
+    monkeypatch.setattr("oculogate.cli.run_training_pipeline", must_not_train)
+    code = main(["train", "--config", str(run_dir / "train.json"),
+                 "--cohort", str(run_dir / "cohort"),
+                 "--out", str(run_dir / "model")])
+    assert code == 2
+    assert "train-config.json" in capsys.readouterr().err
+
+
+def test_zero_seed_and_coverage_flag_reach_the_config(run_dir):
+    out = run_dir / "cov-flags"
+    assert main(["coverage", "--config", str(run_dir / "gate.json"),
+                 "--cohort", str(run_dir / "cohort"),
+                 "--model", str(run_dir / "model"), "--out", str(out),
+                 "--seed", "0", "--coverage-min", "0.7"]) == 0
+    echoed = json.loads((out / "coverage-config.json").read_text())
+    assert echoed["seed"] == 0 and echoed["coverage_min"] == 0.7
+    assert echoed["n_passes"] == GATE_CFG["n_passes"]
+    assert echoed["no_tta"] is False  # an absent flag leaves the config alone
+    cov = json.loads((out / "coverage.json").read_text())
+    assert cov["points"][0][0] == 0.7
+
+
+def _truncate(relpath):
+    def corrupt(model):
+        path = model / relpath
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+    return corrupt
+
+
+def _edit_json(relpath, edit):
+    def corrupt(model):
+        path = model / relpath
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return corrupt
+
+
+def _drop_first_shape(manifest):
+    del manifest["params"][0]["shape"]
+    return manifest
+
+
+@pytest.mark.parametrize("corrupt,named", [
+    (_truncate("checkpoint/manifest.json"), "manifest.json"),
+    (_truncate("preprocess.json"), "preprocess.json"),
+    (_truncate("splits.json"), "splits.json"),
+    (_edit_json("checkpoint/manifest.json",
+                lambda m: {k: v for k, v in m.items() if k != "params"}), "params"),
+    (_edit_json("checkpoint/manifest.json", _drop_first_shape), "shape"),
+    (_edit_json("splits.json", sorted), "splits.json"),
+    (_edit_json("checkpoint/manifest.json", lambda m: [m]), "manifest.json"),
+    (lambda model: (model / "preprocess.json").write_bytes(b"\xff\xfe{}"),
+     "preprocess.json"),
+], ids=["manifest-truncated", "preprocess-truncated", "splits-truncated",
+        "manifest-no-params", "param-no-shape", "splits-list", "manifest-list",
+        "preprocess-not-utf8"])
+def test_malformed_model_file_exits_one(run_dir, tmp_path, capsys, corrupt, named):
+    code, err = _predict_with_broken_model(run_dir, tmp_path, capsys, corrupt)
+    assert code == 1
+    assert len(err) == 1 and named in err[0]

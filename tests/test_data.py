@@ -321,6 +321,17 @@ class TestCohortCsv:
         with pytest.raises(SchemaError, match="line 1"):
             load_cohort_csv(path)
 
+    def test_existing_cohort_is_refused_and_left_untouched(self, tmp_path):
+        write_cohort(generate_cohort(default_cohort_spec(
+            n_patients=3, seed=1, visits_per_patient=(2, 2))), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        other = generate_cohort(default_cohort_spec(
+            n_patients=3, seed=2, visits_per_patient=(2, 2)))
+        with pytest.raises(ConfigError, match="cohort.csv"):
+            write_cohort(other, tmp_path)
+        after = {p.name: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert after == before
+
     def test_loaded_slope_targets_recomputed(self, tmp_path):
         table = generate_cohort(default_cohort_spec(
             n_patients=10, seed=3, visits_per_patient=(4, 6)))

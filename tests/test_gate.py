@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from oculogate.data import apply_preprocess_table, generate_image, inject_blur
 from oculogate.errors import ConfigError
-from oculogate.gate import (TTA_DEFAULT, GateConfig, GateDecision, apply_tta,
-                            ensemble_over_table, ensemble_passes, gate_decide,
-                            laplacian_variance, run_gate, summarize_passes,
-                            triage_queue)
+from oculogate.gate import (TTA_DEFAULT, GateConfig, GateDecision, GateRun,
+                            apply_tta, ensemble_over_table, ensemble_passes,
+                            gate_decide, laplacian_variance, run_gate,
+                            summarize_passes, triage_queue)
 from oculogate.model import fuse, visual_features_batch
 from oculogate.rng import Rng
 
@@ -324,61 +324,65 @@ class TestBlurPrecedence:
                            atol=1e-12)
 
 
-class _Item:
-    def __init__(self, group, patient_id):
-        self.group = group
-        self.patient_id = patient_id
+def _gated(items):
+    """A GateRun over (group, sample id, decision) triples."""
+    nan = np.full(len(items), np.nan)
+    return GateRun(sample_ids=[sid for _, sid, _ in items],
+                   groups=[g for g, _, _ in items], lap_var=nan, mu=nan, u=nan,
+                   mts_prob=nan, decisions=[d for _, _, d in items])
+
+
+def _uncertain(u):
+    return GateDecision(kind="reject_uncertain", mu=0.5, u=u)
 
 
 class TestTriage:
     def test_higher_uncertainty_first(self):
-        a = (_Item("White", "P1"),
-             GateDecision(kind="reject_uncertain", mu=0.5, u=0.1))
-        b = (_Item("White", "P2"),
-             GateDecision(kind="reject_uncertain", mu=0.5, u=0.2))
-        out = triage_queue([a, b], ["White"])
-        assert out[0][1].u == 0.2
+        run = _gated([("White", "P1#0", _uncertain(0.1)),
+                      ("White", "P2#0", _uncertain(0.2)),
+                      ("White", "P3#0", GateDecision(kind="accept", mu=0.5, u=0.0))])
+        out = triage_queue(run, ["White"])
+        assert out == [1, 0]  # accepts are not queued
 
     def test_priority_group_precedes_regardless_of_u(self):
-        a = (_Item("Black", "P1"),
-             GateDecision(kind="reject_uncertain", mu=0.5, u=0.01))
-        b = (_Item("White", "P2"),
-             GateDecision(kind="reject_uncertain", mu=0.5, u=0.9))
-        c = (_Item("Asian", "P3"),
-             GateDecision(kind="reject_uncertain", mu=0.5, u=0.5))
-        out = triage_queue([b, c, a], ["Black", "Asian", "White"])
-        assert [x[0].group for x in out] == ["Black", "Asian", "White"]
+        run = _gated([("White", "P2#0", _uncertain(0.9)),
+                      ("Asian", "P3#0", _uncertain(0.5)),
+                      ("Black", "P1#0", _uncertain(0.01))])
+        out = triage_queue(run, ["Black", "Asian", "White"])
+        assert [run.groups[i] for i in out] == ["Black", "Asian", "White"]
 
     def test_blur_sorts_after_uncertain_within_group(self):
-        a = (_Item("White", "P1"), GateDecision(kind="reject_blur", lap_var=5.0))
-        b = (_Item("White", "P2"),
-             GateDecision(kind="reject_uncertain", mu=0.5, u=0.001))
-        out = triage_queue([a, b], ["White"])
-        assert out[0][1].kind == "reject_uncertain"
+        blur = GateDecision(kind="reject_blur", lap_var=5.0)
+        run = _gated([("White", "P1#0", blur), ("White", "P2#0", _uncertain(0.001))])
+        out = triage_queue(run, ["White"])
+        assert run.decisions[out[0]].kind == "reject_uncertain"
 
     def test_permutation_invariance(self):
         rng = Rng(67, "triage")
         items = []
-        for i in range(20):
+        for p in range(10):
             group = ["Asian", "Black", "White"][int(rng.integers(0, 3))]
-            if rng.uniform() < 0.3:
-                d = GateDecision(kind="reject_blur", lap_var=float(rng.uniform()))
-            else:
-                d = GateDecision(kind="reject_uncertain", mu=0.5,
-                                 u=float(rng.uniform()))
-            items.append((_Item(group, f"P{i:03d}"), d))
-        base = triage_queue(items, ["Black", "Asian", "White"])
+            for v in range(2):  # blur rejects of one patient tie up to visit
+                if rng.uniform() < 0.3:
+                    d = GateDecision(kind="reject_blur", lap_var=float(rng.uniform()))
+                else:
+                    d = _uncertain(float(rng.uniform()))
+                items.append((group, f"P{p:03d}#{v}", d))
+
+        def queued_ids(items):
+            run = _gated(items)
+            return [run.sample_ids[i]
+                    for i in triage_queue(run, ["Black", "Asian", "White"])]
+
+        base = queued_ids(items)
         for _ in range(5):
-            perm = [items[i] for i in rng.permutation(20)]
-            assert triage_queue(perm, ["Black", "Asian", "White"]) == base
+            assert queued_ids([items[i] for i in rng.permutation(20)]) == base
 
     def test_unknown_group_sorts_last(self):
-        a = (_Item("Martian", "P1"),
-             GateDecision(kind="reject_uncertain", mu=0.5, u=0.9))
-        b = (_Item("White", "P2"),
-             GateDecision(kind="reject_uncertain", mu=0.5, u=0.1))
-        out = triage_queue([a, b], ["Black", "Asian", "White"])
-        assert out[0][0].group == "White"
+        run = _gated([("Martian", "P1#0", _uncertain(0.9)),
+                      ("White", "P2#0", _uncertain(0.1))])
+        out = triage_queue(run, ["Black", "Asian", "White"])
+        assert run.groups[out[0]] == "White"
 
 
 class TestConfigValidation:

@@ -78,3 +78,24 @@ def test_adamw_span_counts_every_parameter():
     m = tracer.layer_metrics(0.0)
     assert m["numerics.adamw_steps"] == 1
     assert m["numerics.adamw_params_per_step"] == params.value.size
+
+
+def test_cli_stages_are_looked_up_at_call_time(tmp_path):
+    """perfbench's cli.<stage>_s and cli.write_atomic_* read the spans of the
+    rebound module functions; a stage table bound at import would bypass
+    them and report 0."""
+    tracing = _load_tracing()
+    from oculogate import cli
+
+    (tmp_path / "eval").mkdir()
+    (tmp_path / "eval" / "metrics.json").write_text('{"auc": 0.5}')
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with tracer.op():
+            assert cli.main(["report", str(tmp_path / "eval"),
+                             "--out", str(tmp_path / "rep")]) == 0
+    finally:
+        tracer.uninstall()
+    recorded = {tracer.names[span[0]] for span in tracer.spans}
+    assert {"cli.cmd_report", "cli.write_atomic"} <= recorded

@@ -12,6 +12,7 @@ positive, then flipped with probability label_noise.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -26,7 +27,7 @@ from scipy.special import ndtri
 
 from .errors import ConfigError, DataError, SchemaError
 from .metrics import eligibility_filter, ols_slope
-from .rng import Rng
+from .rng import Rng, substream_normals
 
 GROUPS = ("Asian", "Black", "White")
 
@@ -98,8 +99,9 @@ def default_cohort_spec(**overrides) -> CohortSpec:
 
 
 class CohortTable:
-    """Columnar visits table. rasters resolve from storage, file path, or
-    the generator latents, in that order."""
+    """Columnar visits table. A row's raster resolves from storage, file
+    path, or the generator latents, in that order; raster_stack reads many
+    rows at once."""
 
     def __init__(self, columns: dict):
         self.patient_id: list[str] = columns["patient_id"]
@@ -135,13 +137,31 @@ class CohortTable:
         return [f"{p}#{v}" for p, v in zip(self.patient_id, self.visit_index)]
 
     def raster(self, i: int) -> np.ndarray:
-        if self.rasters[i] is not None:
-            return self.rasters[i]
-        if self.image_path[i]:
-            return load_image_pgm(self.image_path[i])
-        if np.isnan(self.img_severity[i]):
-            raise DataError(f"sample {i} has no image source")
-        return generate_image(self.img_severity[i], int(self.image_seed[i]))
+        return self.raster_stack([i])[0]
+
+    def raster_stack(self, indices) -> np.ndarray:
+        """(len(indices), H, W) rasters of the given rows: attached rasters
+        as they are, PGM files one by one, and generated rows through one
+        generate_images call."""
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        stack: list[np.ndarray | None] = [None] * idx.size
+        generated = []
+        for j, i in enumerate(idx):
+            if self.rasters[i] is not None:
+                stack[j] = self.rasters[i]
+            elif self.image_path[i]:
+                stack[j] = load_image_pgm(self.image_path[i])
+            elif np.isnan(self.img_severity[i]):
+                raise DataError(f"sample {i} has no image source")
+            else:
+                generated.append(j)
+        rows = idx[generated]
+        images = generate_images(self.img_severity[rows], self.image_seed[rows])
+        if len(generated) == idx.size:
+            return images
+        for j, image in zip(generated, images):
+            stack[j] = image
+        return np.stack(stack)
 
     def subset(self, indices) -> "CohortTable":
         idx = np.asarray(indices)
@@ -274,21 +294,49 @@ def generate_cohort(spec: CohortSpec) -> CohortTable:
     return CohortTable(cols)
 
 
-def generate_image(severity: float, seed: int, size: int = IMAGE_SIZE) -> np.ndarray:
-    """Disc/cup raster in [0, 1]; the cup radius encodes severity and the
-    seeded texture keeps the Laplacian variance comfortably above 100."""
-    rng = Rng(seed, "image")
+_RASTER_BLOCK = 32   # rasters per noise block: 1 MB of uint64 draws
+
+
+@functools.lru_cache(maxsize=None)
+def _disc_geometry(size: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The size-only part of every raster: the disc radius, each pixel's
+    squared distance from the centre, and the cupless background-and-disc
+    image (both read-only)."""
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     cy = cx = size / 2.0
     disc_r = size * 0.22
-    cdr = float(np.clip(0.3 + 0.25 * severity, 0.1, 0.95))
-    cup_r = disc_r * cdr
     r2 = (yy - cy) ** 2 + (xx - cx) ** 2
     img = 0.30 + 0.06 * (yy / size)
     img = np.where(r2 <= disc_r ** 2, 0.65, img)
-    img = np.where(r2 <= cup_r ** 2, 0.95, img)
-    img = img + rng.normal((size, size)) * 0.02
-    return np.clip(img, 0.0, 1.0)
+    r2.flags.writeable = img.flags.writeable = False
+    return disc_r, r2, img
+
+
+def generate_images(severities, seeds, size: int = IMAGE_SIZE) -> np.ndarray:
+    """(n, size, size) disc/cup rasters in [0, 1]; row i is the raster of
+    (severities[i], seeds[i]), seeds in [0, 2**64). The cup radius encodes
+    severity, and the texture, from the substream (seed, "image"), keeps the
+    Laplacian variance comfortably above 100."""
+    severities = np.asarray(severities, dtype=np.float64)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    disc_r, r2, base = _disc_geometry(size)
+    cdr = np.clip(0.3 + 0.25 * severities, 0.1, 0.95)
+    # Python's float power (libm pow), as one raster at a time computed it;
+    # numpy's x*x rounds about 1 in 1,000 radii differently
+    cup_r2 = np.array([(disc_r * c) ** 2 for c in cdr.tolist()])
+    out = np.empty((severities.size, size, size))
+    for start in range(0, severities.size, _RASTER_BLOCK):
+        block = slice(start, start + _RASTER_BLOCK)
+        img = np.where(r2 <= cup_r2[block, None, None], 0.95, base)
+        img += substream_normals(seeds[block], "image",
+                                 size * size).reshape(-1, size, size) * 0.02
+        np.clip(img, 0.0, 1.0, out=out[block])
+    return out
+
+
+def generate_image(severity: float, seed: int, size: int = IMAGE_SIZE) -> np.ndarray:
+    """One raster of generate_images."""
+    return generate_images([severity], [seed], size)[0]
 
 
 def inject_blur(raster: np.ndarray, radius: int) -> np.ndarray:
@@ -680,8 +728,10 @@ def write_cohort(table: CohortTable, out_dir, with_images: bool = True) -> None:
     if with_images:
         img_dir = os.path.join(out_dir, "images")
         os.makedirs(img_dir, exist_ok=True)
-        for i in range(len(table)):
-            name = f"{table.patient_id[i]}_{int(table.visit_index[i])}.pgm"
-            write_image_pgm(table.raster(i), os.path.join(img_dir, name))
-            image_paths[i] = os.path.join("images", name)
+        for start in range(0, len(table), 512):   # 16 MB of rasters at a time
+            rows = range(start, min(start + 512, len(table)))
+            for i, raster in zip(rows, table.raster_stack(rows)):
+                name = f"{table.patient_id[i]}_{int(table.visit_index[i])}.pgm"
+                write_image_pgm(raster, os.path.join(img_dir, name))
+                image_paths[i] = os.path.join("images", name)
     write_cohort_csv(table, csv_path, image_paths)

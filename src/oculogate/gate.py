@@ -203,7 +203,7 @@ def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
     n = len(table)
     sample_ids = table.sample_ids()
     lap = np.empty(n)
-    rasters = [table.raster(i) for i in range(n)]
+    rasters = table.raster_stack(range(n))
     for i in range(n):
         lap[i] = laplacian_variance(rasters[i])
     sharp = np.flatnonzero(lap >= cfg.tau_blur)
@@ -215,9 +215,9 @@ def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
     for start in range(0, sharp.size, batch_size):
         idx = sharp[start : start + batch_size]
         x = x_all[idx]
-        r = np.stack([rasters[i] for i in idx])
         sids = [sample_ids[i] for i in idx]
-        p_passes, md_passes = ensemble_passes(model, fusion, x, r, sids, cfg, seed)
+        p_passes, md_passes = ensemble_passes(model, fusion, x, rasters[idx], sids,
+                                              cfg, seed)
         b_mu, b_u = summarize_passes(p_passes)
         mu[idx] = b_mu
         u[idx] = b_u

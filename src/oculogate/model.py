@@ -230,27 +230,27 @@ class DualStreamModel:
         return outputs, cache
 
     def backward(self, cache: dict, d_logit_vis=None, d_logit_clin=None,
-                 d_md=None, d_slope=None) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss given upstream derivatives (each (n,)
-        or None). Unused branches are skipped entirely."""
+                 d_md=None, d_slope=None, trunk_only: bool = False) -> None:
+        """Add the gradients of a scalar loss, given upstream derivatives
+        (each (n,) or None), onto the store's grad vector. Unused branches
+        are skipped entirely; with trunk_only the head and regression
+        parameters get nothing, and only the chain into the clinical trunk
+        (dcce.*) runs."""
         p = self.params
         masks = cache["masks"]
         n = cache["x"].shape[0]
-        grads: dict[str, np.ndarray] = {}
-
-        def bump(name: str, g: np.ndarray) -> None:
-            grads[name] = grads.get(name, 0.0) + g
 
         d_emb = np.zeros_like(cache["emb"])
 
-        if d_logit_vis is not None:
+        if d_logit_vis is not None and not trunk_only:
             g = np.asarray(d_logit_vis).reshape(n, 1)
-            bump("vis_head.W", cache["v_used"].T @ g)
-            bump("vis_head.b", g.sum(axis=0))
+            p["vis_head.W"].grad[...] += cache["v_used"].T @ g
+            p["vis_head.b"].grad[...] += g.sum(axis=0)
         if d_logit_clin is not None:
             g = np.asarray(d_logit_clin).reshape(n, 1)
-            bump("clin_head.W", cache["emb"].T @ g)
-            bump("clin_head.b", g.sum(axis=0))
+            if not trunk_only:
+                p["clin_head.W"].grad[...] += cache["emb"].T @ g
+                p["clin_head.b"].grad[...] += g.sum(axis=0)
             d_emb += g @ p["clin_head.W"].value.T
 
         if d_md is not None or d_slope is not None:
@@ -259,21 +259,26 @@ class DualStreamModel:
                 g2[:, 0] = d_md
             if d_slope is not None:
                 g2[:, 1] = d_slope
-            dh1, dw2, db2 = affine_backward(g2, cache["h1"], p["reg.W2"].value)
-            bump("reg.W2", dw2)
-            bump("reg.b2", db2)
+            dh1 = g2 @ p["reg.W2"].value.T
+            if not trunk_only:
+                p["reg.W2"].grad[...] += cache["h1"].T @ g2
+                p["reg.b2"].grad[...] += g2.sum(axis=0)
             if masks is not None:
                 dh1 = dh1 * masks["reg.h1"]
             dpre1 = dh1 * (cache["pre1"] > 0)
-            dh0, dw1, db1 = affine_backward(dpre1, cache["h0"], p["reg.W1"].value)
-            bump("reg.W1", dw1)
-            bump("reg.b1", db1)
+            dh0 = dpre1 @ p["reg.W1"].value.T
+            if not trunk_only:
+                p["reg.W1"].grad[...] += cache["h0"].T @ dpre1
+                p["reg.b1"].grad[...] += dpre1.sum(axis=0)
             if masks is not None:
                 dh0 = dh0 * masks["reg.h0"]
             dpre0 = dh0 * (cache["pre0"] > 0)
-            dr_in, dw0, db0 = affine_backward(dpre0, cache["r_in"], p["reg.W0"].value)
-            bump("reg.W0", dw0)
-            bump("reg.b0", db0)
+            # the whole product, not just the clinical columns: a narrower
+            # gemm can take another BLAS kernel and round differently
+            dr_in = dpre0 @ p["reg.W0"].value.T
+            if not trunk_only:
+                p["reg.W0"].grad[...] += cache["r_in"].T @ dpre0
+                p["reg.b0"].grad[...] += dpre0.sum(axis=0)
             d_emb += dr_in[:, self.visual.proj_dim:]
 
         # back through the dense blocks
@@ -294,21 +299,21 @@ class DualStreamModel:
                     g_h = g_h * masks[f"dcce.b{b}.l{l}"]
                 g_pre = g_h * (cache["pres"][(b, l)] > 0)
                 z_in = np.concatenate(feats[: l + 1], axis=1)
-                bump(f"dcce.b{b}.l{l}.W", z_in.T @ g_pre)
-                bump(f"dcce.b{b}.l{l}.b", g_pre.sum(axis=0))
-                g_z = g_pre @ p[f"dcce.b{b}.l{l}.W"].value.T
+                g_z, dw, db = affine_backward(g_pre, z_in,
+                                              p[f"dcce.b{b}.l{l}.W"].value)
+                p[f"dcce.b{b}.l{l}.W"].grad[...] += dw
+                p[f"dcce.b{b}.l{l}.b"].grad[...] += db
                 acc[0] += g_z[:, :d_block_in]
                 for j in range(l):
                     acc[j + 1] += g_z[:, d_block_in + j * k : d_block_in + (j + 1) * k]
             g_out = acc[0]
 
-        return grads
-
-    def set_grads(self, grads: dict[str, np.ndarray]) -> None:
-        """Zero every gradient, then add one backward's grads: a parameter
-        the loss did not reach gets zero, not the previous step's gradient."""
-        for name, p in self.params.entries.items():
-            p.grad[...] = grads.get(name, 0.0)
+    def set_grads(self, cache: dict, trunk_only: bool = False, **upstream) -> None:
+        """Zero every gradient, then run one backward into the store: a
+        parameter the loss did not reach gets zero, not the previous step's
+        gradient. upstream holds backward's d_* keywords."""
+        self.params.zero_grads()
+        self.backward(cache, trunk_only=trunk_only, **upstream)
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +390,19 @@ def load_checkpoint(in_dir) -> tuple[DualStreamModel, FusionConfig, dict]:
     fusion = _config_block(FusionConfig, manifest, "fusion")
     model = DualStreamModel(dcce, visual)  # zero parameters, no init draws
     layout = model.param_layout()
+    entries = manifest.get("params")
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise SchemaError(f"manifest.json in {in_dir}: 'params' is missing or "
+                          f"not a list of objects")
     try:
-        listed = [(e["name"], e["shape"]) for e in manifest["params"]]
+        listed = [(e["name"], e["shape"]) for e in entries]
     except KeyError as exc:
         raise SchemaError(f"manifest.json in {in_dir} lacks key {exc}") from None
     if [name for name, _ in listed] != list(layout):
         raise SchemaError("manifest parameters do not match the model's")
     for name, shape in listed:
+        if not isinstance(shape, list):
+            raise SchemaError(f"manifest shape of '{name}' is not a list")
         if tuple(shape) != layout[name]:
             raise SchemaError(f"manifest shape {shape} of '{name}' does not "
                               f"match the model's {list(layout[name])}")

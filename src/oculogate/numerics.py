@@ -3,9 +3,9 @@
 Everything is float64 and pure: functions return new arrays, and the only
 mutable object is the ParamStore that the optimizer updates in place
 (single writer). The store keeps every parameter, gradient and AdamW moment
-in four flat vectors in layout order, so an optimizer step, a snapshot or a
-checkpoint is one whole-vector operation. Matrices are plain 2-D numpy
-arrays, row-major.
+in four flat vectors in layout order, so an optimizer step is one blocked
+pass over them and a snapshot or a checkpoint one whole-vector operation.
+Matrices are plain 2-D numpy arrays, row-major.
 """
 
 from __future__ import annotations
@@ -126,6 +126,10 @@ class ParamStore:
         self.grad[...] = 0.0
 
 
+ADAMW_BLOCK = 1 << 15   # elements per block: 256 kB per vector, so a block's
+                        # four vectors and two temporaries stay in L2
+
+
 def adamw_step(
     store: ParamStore,
     lr: float = 1e-4,
@@ -135,35 +139,43 @@ def adamw_step(
     eps: float = 1e-8,
 ) -> ParamStore:
     """Decoupled weight decay (applied before the Adam update), then
-    bias-corrected Adam, as one pass over the flat vectors. Leaves the store
-    untouched if any grad is non-finite.
+    bias-corrected Adam, over the flat vectors one cache-sized block at a
+    time. Leaves the store untouched if any grad is non-finite.
     """
-    g = store.grad
-    if not np.isfinite(g).all():
+    if not np.isfinite(store.grad).all():
         name = next(k for k, p in store.entries.items()
                     if not np.isfinite(p.grad).all())
         raise NumericError(f"adamw_step: non-finite gradient in '{name}'")
     store.step_count += 1
     t = store.step_count
+    bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    tmp_block = np.empty(min(ADAMW_BLOCK, store.value.size))
+    denom_block = np.empty_like(tmp_block)
     # in place with two temporaries: value *= 1 - lr*wd;
     # m1 = beta1*m1 + (1-beta1)*g; m2 = beta2*m2 + (1-beta2)*g*g;
     # value -= lr * (m1/bc1) / (sqrt(m2/bc2) + eps). A scalar product
-    # commutes exactly, so every element rounds as in that formula.
-    store.value *= 1.0 - lr * wd
-    tmp = np.multiply(g, 1.0 - beta1)
-    store.m1 *= beta1
-    store.m1 += tmp
-    np.multiply(g, g, out=tmp)
-    tmp *= 1.0 - beta2
-    store.m2 *= beta2
-    store.m2 += tmp
-    denom = np.divide(store.m2, 1.0 - beta2 ** t)
-    np.sqrt(denom, out=denom)
-    denom += eps
-    np.divide(store.m1, 1.0 - beta1 ** t, out=tmp)
-    tmp *= lr
-    tmp /= denom
-    store.value -= tmp
+    # commutes exactly, so every element rounds as in that formula, and
+    # each element's ops do not depend on the block it falls in.
+    for start in range(0, store.value.size, ADAMW_BLOCK):
+        window = slice(start, start + ADAMW_BLOCK)
+        value, g = store.value[window], store.grad[window]
+        m1, m2 = store.m1[window], store.m2[window]
+        tmp, denom = tmp_block[: g.size], denom_block[: g.size]
+        value *= 1.0 - lr * wd
+        np.multiply(g, 1.0 - beta1, out=tmp)
+        m1 *= beta1
+        m1 += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - beta2
+        m2 *= beta2
+        m2 += tmp
+        np.divide(m2, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(m1, bc1, out=tmp)
+        tmp *= lr
+        tmp /= denom
+        value -= tmp
     return store
 
 

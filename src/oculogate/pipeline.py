@@ -44,13 +44,12 @@ def feature_matrices(table: CohortTable, stats: PreprocessStats,
                      model: DualStreamModel,
                      batch_size: int = 512) -> tuple[np.ndarray, np.ndarray]:
     """Clinical matrix and visual feature matrix for a table; rasters are
-    generated and consumed in batches to bound memory."""
+    read and consumed batch_size rows at a time to bound memory."""
     x = apply_preprocess_table(stats, table)
     n = len(table)
     v = np.empty((n, model.visual.proj_dim))
     for start in range(0, n, batch_size):
-        idx = range(start, min(start + batch_size, n))
-        rasters = np.stack([table.raster(i) for i in idx])
+        rasters = table.raster_stack(range(start, min(start + batch_size, n)))
         v[start : start + len(rasters)] = visual_features_batch(
             model.visual, rasters, model.proj)
     return x, v

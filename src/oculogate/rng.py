@@ -7,10 +7,11 @@ call burns one draw of the parent stream as a sub-seed, expands it with the
 splitmix64 chain into per-lane xoshiro states, and takes one starstar output
 per lane (vectorized in uint64).
 
-Because a stream's first fill depends only on its sponge state,
-`substream_uniforms` derives that fill for many labels at once: labels of
-equal byte length run the sponge column-wise, in the manner of counter-based
-generators (Salmon et al., SC 2011).
+Because a stream's first fill depends only on its sponge state, that fill
+can be derived for many streams at once, in the manner of counter-based
+generators (Salmon et al., SC 2011): `substream_uniforms` runs the sponge
+column-wise over labels of equal byte length under one seed, and
+`substream_normals` over many seeds under one label.
 """
 
 from __future__ import annotations
@@ -65,19 +66,31 @@ def _sponge_start(seed: int) -> int:
     return _mix64_int((seed + _GOLDEN_INT) & _M64)
 
 
-def _sponge(seed: int, data: np.ndarray) -> np.ndarray:
+def _sponge(seeds, data: np.ndarray) -> np.ndarray:
     """Column-wise sponge states of m labels of one byte length L, given as
-    data (m, L) uint8; equal to _sponge_int on each row."""
+    data (m, L) uint8, under one seed in [0, 2**64) or an (m,) uint64 array
+    of them; row r equals _sponge_int(seed of row r, data[r])."""
     m, length = data.shape
     words = np.zeros((m, -(-length // 8) * 8), dtype=np.uint8)
     words[:, :length] = data
     words = words.view("<u8")
-    s = np.full(m, _sponge_start(seed), dtype=np.uint64)
+    s = np.empty(m, dtype=np.uint64)
+    s[...] = seeds
+    s += _GOLDEN
+    _mix64(s)   # _sponge_start, column-wise
     for chunk in (*words.T, _U64(length)):
         s ^= chunk
         s += _GOLDEN
         _mix64(s)
     return s
+
+
+def _first_fill_seeds(seeds, data: np.ndarray) -> np.ndarray:
+    """Per row of _sponge(seeds, data), the sub-seed of that stream's first
+    fill_u64: its first draw, the starstar output of its state word s1 (the
+    sponge's second splitmix output)."""
+    s = _sponge(seeds, data)
+    return _starstar(_mix64(s + _U64(2 * _GOLDEN_INT & _M64)))
 
 
 def _sponge_int(seed: int, data: bytes) -> int:
@@ -108,6 +121,18 @@ def _fill(sub, n: int) -> np.ndarray:
 def _unit(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """U[0, 1) with 53-bit resolution from raw uint64s."""
     return np.multiply(raw >> _U64(11), _INV_2_53, out=out)
+
+
+def _box_muller(raw: np.ndarray, n: int) -> np.ndarray:
+    """n standard normals along the last axis from m = n + (n & 1) raw
+    uint64s there: the first m/2 give u1 in (0, 1], so log() is safe, the
+    last m/2 give the angles."""
+    half = raw.shape[-1] // 2
+    u1 = ((raw[..., :half] >> _U64(11)).astype(np.float64) + 1.0) * _INV_2_53
+    u2 = _unit(raw[..., half:])
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
 
 
 class Rng:
@@ -155,14 +180,7 @@ class Rng:
         scalar = shape is None
         shape = (1,) if scalar else ((shape,) if isinstance(shape, int) else tuple(shape))
         n = int(np.prod(shape)) if shape else 1
-        m = n + (n & 1)
-        raw = self.fill_u64(m)
-        # (0, 1] so log() is safe
-        u1 = ((raw[: m // 2] >> _U64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = _unit(raw[m // 2 :])
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        z = _box_muller(self.fill_u64(n + (n & 1)), n)
         out = mean + std * z.reshape(shape)
         return float(out[0]) if scalar else out
 
@@ -195,16 +213,22 @@ def substream_uniforms(seed: int, labels, n: int) -> np.ndarray:
     by_length = defaultdict(list)
     for r, data in enumerate(encoded):
         by_length[len(data)].append(r)
-    s = np.empty(len(encoded), dtype=np.uint64)
+    sub = np.empty(len(encoded), dtype=np.uint64)
     for length, rows in by_length.items():
         data = np.frombuffer(b"".join(encoded[r] for r in rows), dtype=np.uint8)
-        s[rows] = _sponge(seed, data.reshape(len(rows), length))
-    # each stream's first draw, the starstar output of its state word s1
-    # (the sponge's second splitmix output), seeds its fill as in fill_u64
-    sub = _starstar(_mix64(s + _U64(2 * _GOLDEN_INT & _M64)))
+        sub[rows] = _first_fill_seeds(int(seed) & _M64, data.reshape(len(rows), length))
     out = np.empty((len(encoded), n))
     # fill a block of rows at a time so the uint64 temporaries stay in cache
     step = max(1, _BLOCK_VALUES // max(n, 1))
     for r in range(0, len(encoded), step):
         _unit(_fill(sub[r : r + step, None], n), out=out[r : r + step])
     return out
+
+
+def substream_normals(seeds: np.ndarray, label: str, n: int) -> np.ndarray:
+    """(len(seeds), n) array whose row r holds the standard normals behind
+    Rng(seeds[r], label).normal(n), derived for all seeds at once; seeds is
+    a uint64 array."""
+    data = np.frombuffer(label.encode("utf-8"), dtype=np.uint8)
+    sub = _first_fill_seeds(seeds, np.broadcast_to(data, (len(seeds), data.size)))
+    return _box_muller(_fill(sub[:, None], n + (n & 1)), n)

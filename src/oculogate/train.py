@@ -116,11 +116,16 @@ def split_dataset(cohort: CohortTable, cfg: TrainConfig) -> SplitResult:
 # training loop
 # ---------------------------------------------------------------------------
 
-def _dcce_norm(grads: dict[str, np.ndarray]) -> float:
+def _dcce_norm(model: DualStreamModel) -> float:
+    """Squared norm of the trunk (dcce.*) gradients in the store, summed in
+    the order backward reaches them: blocks and layers last to first, the
+    weight before the bias."""
     total = 0.0
-    for name, g in grads.items():
-        if name.startswith("dcce."):
-            total += float((g * g).sum())
+    for b in reversed(range(model.dcce.n_blocks)):
+        for l in reversed(range(model.dcce.layers_per_block)):
+            for part in ("W", "b"):
+                g = model.params[f"dcce.b{b}.l{l}.{part}"].grad
+                total += float((g * g).sum())
     return total
 
 
@@ -203,14 +208,15 @@ def train_multitask(
                     out["slope_hat"][labeled], m_t[idx][labeled]) / m_count
 
             if n_batches % 8 == 0:
-                # per-term trunk norms on every 8th batch (epoch diagnostic);
-                # no gradient dict is kept past its use, so at most one is
-                # alive beside the store's flat grad vector
-                norm_scr += _dcce_norm(
-                    model.backward(cache, d_logit_vis=d_lv, d_logit_clin=d_lc))
+                # per-term trunk norms on every 8th batch (epoch diagnostic),
+                # each from a trunk-only backward into the store; the step's
+                # own set_grads below zeroes them again
+                model.set_grads(cache, trunk_only=True,
+                                d_logit_vis=d_lv, d_logit_clin=d_lc)
+                norm_scr += _dcce_norm(model)
                 if d_md is not None:
-                    norm_prog += cfg.lambda_weight ** 2 * _dcce_norm(
-                        model.backward(cache, d_md=d_md, d_slope=d_sl))
+                    model.set_grads(cache, trunk_only=True, d_md=d_md, d_slope=d_sl)
+                    norm_prog += cfg.lambda_weight ** 2 * _dcce_norm(model)
 
             lam = cfg.lambda_weight
             loss = float(l_scr) + lam * l_prog
@@ -220,10 +226,9 @@ def train_multitask(
             epoch_loss += loss
             n_batches += 1
 
-            model.set_grads(model.backward(
-                cache, d_logit_vis=d_lv, d_logit_clin=d_lc,
-                d_md=None if d_md is None else lam * d_md,
-                d_slope=None if d_sl is None else lam * d_sl))
+            model.set_grads(cache, d_logit_vis=d_lv, d_logit_clin=d_lc,
+                            d_md=None if d_md is None else lam * d_md,
+                            d_slope=None if d_sl is None else lam * d_sl)
             adamw_step(model.params, lr=cfg.lr, wd=cfg.wd)
 
         val_out, _ = model.forward(x_val, v_val, masks=None)

@@ -99,10 +99,9 @@ def test_c01_gradient_fidelity():
                                                      md_t[labeled]) / mc
                 d_sl[labeled] = 0.5 * smooth_l1_grad(out["slope_hat"][labeled],
                                                      sl_t[labeled]) / mc
-            g = m.backward(cache, d_logit_vis=d_lv, d_logit_clin=d_lc,
-                           d_md=None if d_md is None else lam * d_md,
-                           d_slope=None if d_sl is None else lam * d_sl)
-            m.set_grads(g)
+            m.set_grads(cache, d_logit_vis=d_lv, d_logit_clin=d_lc,
+                        d_md=None if d_md is None else lam * d_md,
+                        d_slope=None if d_sl is None else lam * d_sl)
             return float(l_scr) + lam * l_prog
 
         worst = max(worst, grad_check(model_fn, m.params, max_per_entry=16))

@@ -357,3 +357,34 @@ def test_malformed_model_file_exits_one(run_dir, tmp_path, capsys, corrupt, name
     code, err = _predict_with_broken_model(run_dir, tmp_path, capsys, corrupt)
     assert code == 1
     assert len(err) == 1 and named in err[0]
+
+
+def _set_params(value):
+    def edit(manifest):
+        manifest["params"] = value
+        return manifest
+    return edit
+
+
+def _set_first_shape(value):
+    def edit(manifest):
+        manifest["params"][0]["shape"] = value
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize("edit,named", [
+    (_set_params(5), "params"),
+    (_set_params(["dcce.b0.l0.W"]), "params"),
+    (_set_params({"name": "dcce.b0.l0.W"}), "params"),
+    (_set_first_shape(5), "shape"),
+    (_set_first_shape(None), "shape"),
+], ids=["params-int", "params-list-of-strings", "params-object",
+        "shape-int", "shape-null"])
+def test_malformed_manifest_types_exit_one(run_dir, tmp_path, capsys, edit, named):
+    """A manifest whose params is not a list of objects, or whose shape is
+    not a list, ends in a one-line exit 1, not a TypeError traceback."""
+    code, err = _predict_with_broken_model(
+        run_dir, tmp_path, capsys, _edit_json("checkpoint/manifest.json", edit))
+    assert code == 1
+    assert len(err) == 1 and named in err[0]

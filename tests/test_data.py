@@ -1,12 +1,16 @@
+import hashlib
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oculogate.data import (CohortSpec, CohortTable, apply_preprocess_table,
                             default_cohort_spec, fit_preprocess, generate_cohort,
-                            generate_image, generate_trajectory, inject_blur,
+                            generate_image, generate_images, generate_trajectory,
+                            inject_blur,
                             load_cohort_csv, load_image_pgm, write_cohort,
                             write_image_pgm, PreprocessStats)
 from oculogate.errors import ConfigError, DataError, SchemaError
@@ -127,6 +131,77 @@ class TestGenerateImage:
     def test_range(self):
         img = generate_image(0.5, 9)
         assert img.min() >= 0.0 and img.max() <= 1.0 and img.shape == (64, 64)
+
+    @pytest.mark.parametrize("severity,seed,digest", [
+        (0.0, 0, "8e9c0bf2926a7c3dc00a5806c4de8876113c082c846896f0321074835104a8e1"),
+        (0.37, 12345,
+         "14dfcab92a8e519e96a19f5ddb375a941ffd6bc4781278e32a712aa7a256dd29"),
+        (1.5, 2**64 - 1,
+         "8ca09104c9968f70b5087325d95dd0da791f889cd8812cde4ba778c1d91200f6"),
+        (-0.8, 987654321987654321,
+         "1ff92632423a9f802da9bdd3b0294d6fba398ff0a5ab55d90db23bae2b2b5824"),
+    ])
+    def test_rasters_are_pinned(self, severity, seed, digest):
+        raster = generate_image(severity, seed)
+        assert hashlib.sha256(raster.tobytes()).hexdigest() == digest
+
+
+def reference_image(severity, seed, size=64):
+    """The per-raster generator: its own Rng stream and its own geometry."""
+    rng = Rng(seed, "image")
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    disc_r = size * 0.22
+    cup_r = disc_r * float(np.clip(0.3 + 0.25 * severity, 0.1, 0.95))
+    r2 = (yy - size / 2.0) ** 2 + (xx - size / 2.0) ** 2
+    img = 0.30 + 0.06 * (yy / size)
+    img = np.where(r2 <= disc_r ** 2, 0.65, img)
+    img = np.where(r2 <= cup_r ** 2, 0.95, img)
+    return np.clip(img + rng.normal((size, size)) * 0.02, 0.0, 1.0)
+
+
+U64_SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+# batch sizes around the 32-raster noise block
+@given(st.sampled_from([1, 31, 32, 33, 65]).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-1.0, 3.0), min_size=n, max_size=n),
+    st.lists(U64_SEEDS, min_size=n, max_size=n))))
+@settings(max_examples=20, deadline=None)
+def test_generate_images_matches_per_raster_loop(case):
+    severities, seeds = case
+    batch = generate_images(severities, np.array(seeds, dtype=np.uint64))
+    assert batch.shape == (len(seeds), 64, 64)
+    for row, severity, seed in zip(batch, severities, seeds):
+        assert np.array_equal(row, reference_image(severity, seed))
+
+
+def test_raster_stack_reads_every_source(tmp_path):
+    """Generated, attached and PGM rows in one stack, each equal to its
+    source and to the row's own raster() call."""
+    table = tiny_table()
+    attached = np.full((64, 64), 0.25)
+    table.rasters[1] = attached
+    pgm = tmp_path / "row3.pgm"
+    write_image_pgm(reference_image(0.3, 17), pgm)
+    table.image_path[3] = str(pgm)
+    order = [4, 3, 1, 0, 2, 3]
+    stack = table.raster_stack(order)
+    assert np.array_equal(stack, np.stack([table.raster(i) for i in order]))
+    for row, i in zip(stack, order):
+        if i == 1:
+            assert np.array_equal(row, attached)
+        elif i == 3:
+            assert np.array_equal(row, load_image_pgm(pgm))
+        else:
+            assert np.array_equal(row, reference_image(table.img_severity[i],
+                                                       int(table.image_seed[i])))
+    assert table.raster_stack([]).shape == (0, 64, 64)
+
+
+def test_raster_stack_names_a_row_without_source():
+    table = tiny_table(img_severity=[0.0, np.nan, 0.8, 0.9, -0.1])
+    with pytest.raises(DataError, match="sample 1"):
+        table.raster_stack([0, 1])
 
 
 class TestInjectBlur:

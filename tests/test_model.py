@@ -181,10 +181,9 @@ class TestGradients:
                     out["md_hat"][labeled], md_t[labeled]) / mcount
                 d_sl[labeled] = 0.5 * smooth_l1_grad(
                     out["slope_hat"][labeled], sl_t[labeled]) / mcount
-            g = m.backward(cache, d_logit_vis=d_lv, d_logit_clin=d_lc,
-                           d_md=None if d_md is None else lam * d_md,
-                           d_slope=None if d_sl is None else lam * d_sl)
-            m.set_grads(g)
+            m.set_grads(cache, d_logit_vis=d_lv, d_logit_clin=d_lc,
+                        d_md=None if d_md is None else lam * d_md,
+                        d_slope=None if d_sl is None else lam * d_sl)
             return float(l_scr) + lam * l_prog
 
         return model
@@ -210,9 +209,9 @@ class TestGradients:
         y = np.array([1.0, 0.0, 1.0, 0.0])
         out, cache = m.forward(x, v, None)
         d_lv = 0.5 * (sigmoid(out["logit_vis"]) - y) / 4
-        g = m.backward(cache, d_logit_vis=d_lv, d_logit_clin=d_lv)
+        m.set_grads(cache, d_logit_vis=d_lv, d_logit_clin=d_lv)
         for name in ("reg.W0", "reg.b0", "reg.W1", "reg.b1", "reg.W2", "reg.b2"):
-            assert name not in g
+            assert not m.params[name].grad.any(), name
 
     def test_set_grads_zeroes_parameters_the_loss_missed(self):
         m = small_model()
@@ -221,13 +220,35 @@ class TestGradients:
         v = rng.normal((4, 6))
         out, cache = m.forward(x, v, None)
         ones = np.ones(4)
-        m.set_grads(m.backward(cache, d_logit_vis=ones, d_logit_clin=ones,
-                               d_md=ones, d_slope=ones))
+        m.set_grads(cache, d_logit_vis=ones, d_logit_clin=ones,
+                    d_md=ones, d_slope=ones)
         assert np.abs(m.params["reg.W0"].grad).sum() > 0
-        m.set_grads(m.backward(cache, d_logit_vis=ones, d_logit_clin=ones))
+        m.set_grads(cache, d_logit_vis=ones, d_logit_clin=ones)
         for name in ("reg.W0", "reg.b0", "reg.W1", "reg.b1", "reg.W2", "reg.b2"):
             assert not m.params[name].grad.any(), name
         assert m.params["vis_head.W"].grad.any()
+
+
+    def test_trunk_only_writes_the_full_pass_trunk_grads_and_nothing_else(self):
+        m = small_model(dropout_p=0.3)
+        rng = Rng(13, "trunk")
+        x = rng.normal((6, 5))
+        v = rng.normal((6, 6))
+        masks = m.masks_from_uniform(
+            rng.uniform((6, sum(w for _, w in m.mask_segments()))), 0.3)
+        _, cache = m.forward(x, v, masks)
+        up = dict(d_logit_vis=rng.normal(6), d_logit_clin=rng.normal(6),
+                  d_md=rng.normal(6), d_slope=rng.normal(6))
+        m.set_grads(cache, **up)
+        full = {name: p.grad.copy() for name, p in m.params.entries.items()}
+        m.params.grad[...] = 1.0   # set_grads must zero what it skips
+        m.set_grads(cache, trunk_only=True, **up)
+        for name, p in m.params.entries.items():
+            if name.startswith("dcce."):
+                assert p.grad.any(), name
+                assert np.array_equal(p.grad, full[name]), name
+            else:
+                assert full[name].any() and not p.grad.any(), name
 
 
 class TestPredict:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oculogate.errors import NumericError
-from oculogate.numerics import (ParamStore, adamw_step, affine_backward,
+from oculogate.numerics import (ADAMW_BLOCK, ParamStore, adamw_step, affine_backward,
                                 binary_cross_entropy, binary_cross_entropy_grad,
                                 grad_check, sigmoid, smooth_l1, smooth_l1_grad)
 from oculogate.rng import Rng
@@ -220,28 +220,50 @@ def mixed_store(seed=5):
     return store
 
 
+def straddling_store(seed=5):
+    """2*ADAMW_BLOCK + 7 values over entries whose edges fall on both sides
+    of each block edge, so the blocked step crosses into a short last
+    block."""
+    b = ADAMW_BLOCK
+    layout = {"lead": (b - 3,), "edge1.W": (2, 5), "mid": (b - 10, 1),
+              "edge2": (6,), "tail.W": (2, 2)}
+    assert sum(math.prod(shape) for shape in layout.values()) == 2 * b + 7
+    store = ParamStore(layout)
+    rng = Rng(seed, "straddle")
+    for name, shape in layout.items():
+        store[name].value[...] = rng.normal(shape)
+    return store
+
+
+def assert_matches_per_entry_oracle(store):
+    """Five steps of the flat store against per_entry_adamw, bit for bit."""
+    ref = {name: {"value": p.value.copy(), "grad": None, "t": 0,
+                  "m1": np.zeros_like(p.value), "m2": np.zeros_like(p.value)}
+           for name, p in store.entries.items()}
+    rng = Rng(6, "grads")
+    for step in range(5):
+        for name, p in store.entries.items():
+            p.grad[...] = rng.normal(p.grad.shape) * 10.0 ** (step - 2)
+            ref[name]["grad"] = p.grad.copy()
+        adamw_step(store, lr=1e-2, wd=0.1)
+        per_entry_adamw(ref, lr=1e-2, wd=0.1)
+        for name, p in store.entries.items():
+            assert np.array_equal(p.value, ref[name]["value"])
+    assert store.step_count == 5
+    offset = 0
+    for name, e in ref.items():
+        size = e["value"].size
+        assert np.array_equal(store.m1[offset:offset + size], e["m1"].ravel())
+        assert np.array_equal(store.m2[offset:offset + size], e["m2"].ravel())
+        offset += size
+
+
 class TestFlatStore:
     def test_matches_per_entry_oracle_bitwise(self):
-        store = mixed_store()
-        ref = {name: {"value": p.value.copy(), "grad": None, "t": 0,
-                      "m1": np.zeros_like(p.value), "m2": np.zeros_like(p.value)}
-               for name, p in store.entries.items()}
-        rng = Rng(6, "grads")
-        for step in range(5):
-            for name, p in store.entries.items():
-                p.grad[...] = rng.normal(p.grad.shape) * 10.0 ** (step - 2)
-                ref[name]["grad"] = p.grad.copy()
-            adamw_step(store, lr=1e-2, wd=0.1)
-            per_entry_adamw(ref, lr=1e-2, wd=0.1)
-            for name, p in store.entries.items():
-                assert np.array_equal(p.value, ref[name]["value"])
-        assert store.step_count == 5
-        offset = 0
-        for name, e in ref.items():
-            size = e["value"].size
-            assert np.array_equal(store.m1[offset:offset + size], e["m1"].ravel())
-            assert np.array_equal(store.m2[offset:offset + size], e["m2"].ravel())
-            offset += size
+        assert_matches_per_entry_oracle(mixed_store())
+
+    def test_crosses_block_edges_bitwise(self):
+        assert_matches_per_entry_oracle(straddling_store())
 
     def test_nonfinite_grad_leaves_all_state(self):
         store = mixed_store()
@@ -250,6 +272,18 @@ class TestFlatStore:
         before = [store.value.copy(), store.m1.copy(), store.m2.copy()]
         store["head.W"].grad[3, 0] = np.inf
         with pytest.raises(NumericError, match="'head.W'"):
+            adamw_step(store, lr=1e-2)
+        for kept, now in zip(before, (store.value, store.m1, store.m2)):
+            assert np.array_equal(kept, now)
+        assert store.step_count == 1
+
+    def test_nonfinite_grad_in_last_block_leaves_all_state(self):
+        store = straddling_store()
+        store.grad[...] = 0.5
+        adamw_step(store, lr=1e-2)
+        before = [store.value.copy(), store.m1.copy(), store.m2.copy()]
+        store["tail.W"].grad[1, 1] = np.nan
+        with pytest.raises(NumericError, match="'tail.W'"):
             adamw_step(store, lr=1e-2)
         for kept, now in zip(before, (store.value, store.m1, store.m2)):
             assert np.array_equal(kept, now)

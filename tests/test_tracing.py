@@ -99,3 +99,33 @@ def test_cli_stages_are_looked_up_at_call_time(tmp_path):
         tracer.uninstall()
     recorded = {tracer.names[span[0]] for span in tracer.spans}
     assert {"cli.cmd_report", "cli.write_atomic"} <= recorded
+
+
+def test_training_counters_follow_the_step_and_the_diagnostic():
+    """perfbench's numerics.adamw_params_per_step and
+    model.backward_calls_per_step read the spans of one training run: the
+    step updates the whole flat vector, and backward runs once per step
+    (inside set_grads) plus once per term on every 8th batch."""
+    tracing = _load_tracing()
+    from oculogate import pipeline
+    from oculogate.data import default_cohort_spec, generate_cohort
+    from oculogate.train import TrainConfig
+
+    cohort = generate_cohort(default_cohort_spec(n_patients=60, seed=2718,
+                                                 visits_per_patient=(2, 6)))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with tracer.op():
+            tp = pipeline.run_training_pipeline(
+                cohort, TrainConfig(max_epochs=1, batch_size=16, seed=5))
+    finally:
+        tracer.uninstall()
+    m = tracer.layer_metrics(0.0)
+    steps = -(-len(tp.split.train) // 16)
+    # every batch of this cohort holds slope-labeled rows, so each
+    # diagnostic batch runs both the screening and the progression pass
+    diagnostic = 2 * -(-steps // 8)
+    assert m["numerics.adamw_steps"] == steps
+    assert m["numerics.adamw_params_per_step"] == tp.model.params.value.size
+    assert m["model.backward_calls_per_step"] == (steps + diagnostic) / steps

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,23 @@ class TestAlphaSearchIntegration:
                                    search_alpha=True)
         assert isinstance(tp.fusion, FusionConfig)
         assert abs(tp.fusion.alpha_vis + tp.fusion.alpha_clin - 1.0) <= 1e-9
+
+
+def test_training_bytes_are_pinned():
+    """Two epochs with dropout on and slope labels on most rows, batches of
+    16 so the every-8th-batch trunk-norm diagnostic runs twice per epoch:
+    the final parameters and the history keep their bytes through any
+    rewrite of backward, the optimizer step or the raster generator. On
+    this cohort grad_ratio also changes if the trunk norms are summed in
+    layout order or in plain reversed layout order."""
+    cohort = generate_cohort(default_cohort_spec(n_patients=60, seed=12,
+                                                 visits_per_patient=(2, 6)))
+    labeled = ~np.isnan(cohort.slope_target)
+    assert 0 < labeled.sum() < len(cohort)
+    tp = run_training_pipeline(cohort, TrainConfig(max_epochs=2, patience=2,
+                                                   batch_size=16, seed=5))
+    assert tp.model.dcce.dropout_p > 0
+    assert hashlib.sha256(tp.model.params.value.tobytes()).hexdigest() == \
+        "0c408c98b7dfd063f9098b04bcfbb0e031efcbbc94ca71dd8ea546e7190dbe50"
+    assert hashlib.sha256(tp.history.to_jsonl().encode()).hexdigest() == \
+        "48cb32648e964428c4cd56c86c98cc5906e16ec95592e93f9a0c81d24039bd48"

@@ -2,8 +2,9 @@
 
 Each stage is a function `cmd_<stage>(cfg, args)` from its resolved config
 and inputs to `({path under --out: payload}, summary line)`; one runner,
-`_run`, does the rest. It resolves the flat JSON config (unknown keys
-rejected) and the flags that name a config key of the stage, refuses an --out
+`_run`, does the rest. It resolves the flat JSON config and the flags that
+name a config key of the stage (an unknown key, a value of another JSON type
+than its default's or out of its bounds is refused), refuses an --out
 that already holds the stage's output before any work, runs the stage, and
 only then creates --out, writes the resolved config (`<stage>-config.json`)
 and every artifact atomically (temp file + rename), and prints the summary.
@@ -95,8 +96,33 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
+# key -> (whether a value is allowed, what the key must be)
+_BOUNDS = {
+    "coverage_min": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "coverage_step": (lambda v: v > 0.0, "be > 0"),
+    "n_triples": (lambda v: v >= 1, "be >= 1"),
+    "patch_grid": (lambda v: v >= 1, "be >= 1"),
+}
+
+
+def _has_type_of(value, default) -> bool:
+    """Whether value has the JSON type of default: an int stands for a
+    float, a bool never for a number, and a dict's values are checked
+    against the default's."""
+    if isinstance(default, dict):
+        sample = next(iter(default.values()))
+        return isinstance(value, dict) and \
+            all(_has_type_of(v, sample) for v in value.values())
+    if isinstance(default, float) and type(value) is int:
+        return True
+    return type(value) is type(default)
+
+
 def resolve_config(command: str, args) -> dict:
-    cfg = json.loads(json.dumps(_DEFAULTS[command]))  # deep copy
+    """The stage's defaults, overridden by the --config file and then by
+    flags; a value of the wrong JSON type or out of bounds is refused."""
+    defaults = _DEFAULTS[command]
+    cfg = json.loads(json.dumps(defaults))  # deep copy
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -112,6 +138,14 @@ def resolve_config(command: str, args) -> dict:
     for key, value in vars(args).items():
         if key in cfg and value is not None:
             cfg[key] = value
+    for key, value in cfg.items():
+        if not _has_type_of(value, defaults[key]):
+            raise ConfigError(f"config key '{key}' for {command} must have the "
+                              f"JSON type of its default {json.dumps(defaults[key])}, "
+                              f"got {json.dumps(value)}")
+        if key in _BOUNDS and not _BOUNDS[key][0](value):
+            raise ConfigError(f"config key '{key}' for {command} must "
+                              f"{_BOUNDS[key][1]}, got {json.dumps(value)}")
     return cfg
 
 
@@ -122,26 +156,31 @@ def resolve_config(command: str, args) -> dict:
 _SPLITS = ("train", "val", "test")
 
 
-def _load(args, split: str | None, allowed=_SPLITS
-          ) -> tuple[TrainedPipeline, CohortTable]:
-    """The trained pipeline of --model over the cohort of --cohort, and the
-    named split of that cohort (`all` is the whole cohort, None names none).
-    A split name outside `allowed` is refused before anything is read."""
-    if split is not None and split not in allowed:
-        raise ConfigError(f"unknown split '{split}' for {args.command}: "
-                          f"expected one of {', '.join(allowed)}")
+def _load_model(args) -> TrainedPipeline:
+    """The trained pipeline of --model: its checkpoint and preprocessing
+    stats, with no split."""
     model, fusion, _ = load_checkpoint(os.path.join(args.model, "checkpoint"))
     stats = PreprocessStats.from_dict(
         read_json_object(os.path.join(args.model, "preprocess.json")))
+    return TrainedPipeline(model=model, stats=stats, fusion=fusion, split=None,
+                           history=TrainHistory(), train_seconds=0.0)
+
+
+def _load(args, split: str, allowed=_SPLITS) -> tuple[TrainedPipeline, CohortTable]:
+    """The trained pipeline of --model over the cohort of --cohort, and the
+    named split of that cohort (`all` is the whole cohort). A split name
+    outside `allowed` is refused before anything is read."""
+    if split not in allowed:
+        raise ConfigError(f"unknown split '{split}' for {args.command}: "
+                          f"expected one of {', '.join(allowed)}")
+    tp = _load_model(args)
     assignment = read_json_object(os.path.join(args.model, "splits.json"))
     table = load_cohort_csv(os.path.join(args.cohort, "cohort.csv"))
     of = [assignment.get(pid) for pid in table.patient_id]
     subsets = {name: table.subset(np.flatnonzero([s == name for s in of]))
                for name in _SPLITS}
-    tp = TrainedPipeline(model=model, stats=stats, fusion=fusion,
-                         split=SplitResult(**subsets, assignment=assignment),
-                         history=TrainHistory(), train_seconds=0.0)
-    if split is None or split == "all":
+    tp.split = SplitResult(**subsets, assignment=assignment)
+    if split == "all":
         return tp, table
     if len(subsets[split]) == 0:
         raise DataError(f"no samples assigned to split '{split}'")
@@ -319,7 +358,9 @@ def cmd_coverage(cfg, args):
 
 
 def cmd_warn(cfg, args):
-    tp, _ = _load(args, None)
+    # the trajectories are simulated, so only --model is read (--cohort is
+    # still taken, as by every stage that reads a model)
+    tp = _load_model(args)
     seeds = [cfg["seed"] + i for i in range(cfg["n_triples"])]
     report = warning_report(tp, seeds, n_visits=cfg["n_visits"])
     s = report["summary"]

@@ -19,7 +19,9 @@ import math
 import os
 import tempfile
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.ndimage import uniform_filter
@@ -31,14 +33,62 @@ from .rng import Rng, substream_normals
 
 GROUPS = ("Asian", "Black", "White")
 
-CSV_HEADER = [
-    "patient_id", "visit_index", "visit_time_years", "age", "sex", "race",
-    "rnflt_um", "iop_mmhg", "cdr", "md_db", "label", "image_path",
-]
+_RECORD = object()
+
+
+class Column(NamedTuple):
+    """One CohortTable column: a numpy dtype, or list for a Python list; its
+    cohort.csv header and the parser of a column of its cells, if the file
+    carries it; and each row's value in a table built without it. A _RECORD
+    column must be given (slope_target is derived when it is not), and
+    equals compares it."""
+    dtype: type
+    header: str | None = None
+    parse: Callable[[Sequence[str]], list] | None = None
+    fill: object = _RECORD
+
+
+def _parse_ints(cells) -> list[int]:
+    return list(map(int, cells))
+
+
+def _parse_floats(cells) -> list[float]:
+    return [float(c) if c else math.nan for c in cells]
+
+
+def _parse_labels(cells) -> list[int]:
+    if not set(cells) <= {"0", "1"}:
+        raise ValueError("labels are 0 or 1")
+    return list(map(int, cells))
+
+
+# The cohort schema, in cohort.csv column order. The slope target is derived
+# (assign_slope_targets); img_severity and image_seed are the generator
+# latents; rasters are attached in memory.
+COLUMNS = {
+    "patient_id": Column(list, "patient_id", list),
+    "visit_index": Column(np.int64, "visit_index", _parse_ints),
+    "visit_time": Column(np.float64, "visit_time_years", _parse_floats),
+    "age": Column(np.float64, "age", _parse_floats),
+    "sex": Column(list, "sex", list),
+    "race": Column(list, "race", list),
+    "rnflt": Column(np.float64, "rnflt_um", _parse_floats),
+    "iop": Column(np.float64, "iop_mmhg", _parse_floats),
+    "cdr": Column(np.float64, "cdr", _parse_floats),
+    "md": Column(np.float64, "md_db", _parse_floats),
+    "label": Column(np.int64, "label", _parse_labels),
+    "image_path": Column(list, "image_path", list, fill=None),
+    "slope_target": Column(np.float64),
+    "img_severity": Column(np.float64, fill=np.nan),
+    "image_seed": Column(np.uint64, fill=0),
+    "rasters": Column(list, fill=None),
+}
+_CSV_COLUMNS = {name: c for name, c in COLUMNS.items() if c.header}
+CSV_HEADER = [c.header for c in _CSV_COLUMNS.values()]
 
 CONTINUOUS_FEATURES = ("rnflt_um", "iop_mmhg", "cdr", "age")
 CATEGORICAL_FEATURES = ("sex", "race")
-_COLUMN_OF = {"rnflt_um": "rnflt", "iop_mmhg": "iop", "cdr": "cdr", "age": "age"}
+_COLUMN_OF = {c.header: name for name, c in _CSV_COLUMNS.items()}
 
 IMAGE_SIZE = 64
 
@@ -47,9 +97,7 @@ _MD_PER_SEVERITY = 8.0       # md = -2 - 8*s
 _SEVERITY_PER_Z = 0.8        # s = 0.8*z
 _LABEL_AMBIGUITY_STD = 0.2   # per-patient fuzz between severity and label
 _MD_OBS_STD = 0.35
-_RNFLT_STD = 2.5
-_IOP_STD = 1.5
-_CDR_STD = 0.02
+_STRUCTURE_STD = (2.5, 1.5, 0.02)   # rnflt, iop, cdr
 
 
 @dataclass
@@ -104,31 +152,18 @@ class CohortTable:
     rows at once."""
 
     def __init__(self, columns: dict):
-        self.patient_id: list[str] = columns["patient_id"]
-        self.visit_index = np.asarray(columns["visit_index"], dtype=np.int64)
-        self.visit_time = np.asarray(columns["visit_time"], dtype=np.float64)
-        self.age = np.asarray(columns["age"], dtype=np.float64)
-        self.sex: list[str] = columns["sex"]
-        self.race: list[str] = columns["race"]
-        self.rnflt = np.asarray(columns["rnflt"], dtype=np.float64)
-        self.iop = np.asarray(columns["iop"], dtype=np.float64)
-        self.cdr = np.asarray(columns["cdr"], dtype=np.float64)
-        self.md = np.asarray(columns["md"], dtype=np.float64)
-        self.label = np.asarray(columns["label"], dtype=np.int64)
-        self.slope_target = np.asarray(columns["slope_target"], dtype=np.float64)
-        self.img_severity = np.asarray(
-            columns.get("img_severity", np.full(len(self.patient_id), np.nan)),
-            dtype=np.float64,
-        )
-        self.image_seed = np.asarray(
-            columns.get("image_seed", np.zeros(len(self.patient_id))), dtype=np.uint64
-        )
-        self.image_path: list[str | None] = columns.get(
-            "image_path", [None] * len(self.patient_id)
-        )
-        self.rasters: list[np.ndarray | None] = columns.get(
-            "rasters", [None] * len(self.patient_id)
-        )
+        """columns maps names of COLUMNS to one value per row."""
+        n = len(columns["patient_id"])
+        derive = "slope_target" not in columns
+        if derive:
+            columns = {**columns, "slope_target": np.full(n, np.nan)}
+        for name, column in COLUMNS.items():
+            value = columns[name] if column.fill is _RECORD \
+                else columns.get(name, [column.fill] * n)
+            setattr(self, name, value if column.dtype is list
+                    else np.asarray(value, dtype=column.dtype))
+        if derive:
+            assign_slope_targets(self)
 
     def __len__(self) -> int:
         return len(self.patient_id)
@@ -165,24 +200,12 @@ class CohortTable:
 
     def subset(self, indices) -> "CohortTable":
         idx = np.asarray(indices)
-        return CohortTable({
-            "patient_id": [self.patient_id[i] for i in idx],
-            "visit_index": self.visit_index[idx],
-            "visit_time": self.visit_time[idx],
-            "age": self.age[idx],
-            "sex": [self.sex[i] for i in idx],
-            "race": [self.race[i] for i in idx],
-            "rnflt": self.rnflt[idx],
-            "iop": self.iop[idx],
-            "cdr": self.cdr[idx],
-            "md": self.md[idx],
-            "label": self.label[idx],
-            "slope_target": self.slope_target[idx],
-            "img_severity": self.img_severity[idx],
-            "image_seed": self.image_seed[idx],
-            "image_path": [self.image_path[i] for i in idx],
-            "rasters": [self.rasters[i] for i in idx],
-        })
+        columns = {}
+        for name, column in COLUMNS.items():
+            values = getattr(self, name)
+            columns[name] = [values[i] for i in idx] if column.dtype is list \
+                else values[idx]
+        return CohortTable(columns)
 
     def patients(self) -> dict[str, list[int]]:
         out: dict[str, list[int]] = {}
@@ -191,25 +214,18 @@ class CohortTable:
         return out
 
     def equals(self, other: "CohortTable", float_rtol: float = 0.0) -> bool:
+        """Whether the visit records agree, floats to within float_rtol;
+        where a row's raster comes from is not compared."""
         if len(self) != len(other):
             return False
-        if self.patient_id != other.patient_id or self.sex != other.sex \
-                or self.race != other.race:
-            return False
-        if not (np.array_equal(self.visit_index, other.visit_index)
-                and np.array_equal(self.label, other.label)):
-            return False
-        for a, b in ((self.visit_time, other.visit_time), (self.age, other.age),
-                     (self.rnflt, other.rnflt), (self.iop, other.iop),
-                     (self.cdr, other.cdr), (self.md, other.md),
-                     (self.slope_target, other.slope_target)):
-            na, nb = np.isnan(a), np.isnan(b)
-            if not np.array_equal(na, nb):
-                return False
-            if float_rtol == 0.0:
-                if not np.array_equal(a[~na], b[~nb]):
+        for name, column in COLUMNS.items():
+            if column.fill is not _RECORD:
+                continue
+            a, b = getattr(self, name), getattr(other, name)
+            if column.dtype is np.float64:
+                if not np.allclose(a, b, rtol=float_rtol, atol=0.0, equal_nan=True):
                     return False
-            elif not np.allclose(a[~na], b[~nb], rtol=float_rtol, atol=0.0):
+            elif not np.array_equal(a, b):
                 return False
         return True
 
@@ -217,6 +233,14 @@ class CohortTable:
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
+
+def _structure(s, eps, stds) -> dict[str, np.ndarray]:
+    """The OCT and IOP columns at severities s, each clipped to its range,
+    with noise eps[:, k] * stds[k]."""
+    return {"rnflt": np.clip(95.0 - 25.0 * s + eps[:, 0] * stds[0], 30.0, 140.0),
+            "iop": np.clip(16.0 + 3.0 * s + eps[:, 1] * stds[1], 6.0, 45.0),
+            "cdr": np.clip(0.3 + 0.25 * s + eps[:, 2] * stds[2], 0.05, 0.98)}
+
 
 def generate_cohort(spec: CohortSpec) -> CohortTable:
     """Synthetic multi-visit cohort, reproducible from spec.seed."""
@@ -229,10 +253,7 @@ def generate_cohort(spec: CohortSpec) -> CohortTable:
     sigma_eff = math.sqrt(1.0 + 3.0 * spec.age_effect ** 2)
     z0 = sigma_eff * float(ndtri(spec.prevalence)) - mean_shift
 
-    cols: dict[str, list] = {k: [] for k in (
-        "patient_id", "visit_index", "visit_time", "age", "sex", "race",
-        "rnflt", "iop", "cdr", "md", "label", "slope_target",
-        "img_severity", "image_seed")}
+    cols: dict[str, list] = defaultdict(list)
     vmin, vmax = spec.visits_per_patient
     for i in range(spec.n_patients):
         pid = f"P{i:05d}"
@@ -253,44 +274,23 @@ def generate_cohort(spec: CohortSpec) -> CohortTable:
         slope = -(0.05 + 0.25 * max(s0, 0.0)) + rp.normal() * 0.08
         slope = float(np.clip(slope, -2.0, 0.3))
 
-        md_obs_series = np.empty(n_visits)
-        for v in range(n_visits):
-            rv = Rng(spec.seed, f"visit/{i}/{v}")
-            eps = rv.normal(4)
-            flip = rv.uniform() < spec.label_noise
-            image_seed = int(rv.next_u64())
-
-            t = float(times[v])
-            md_lat = md0 + slope * t
-            s_t = (-2.0 - md_lat) / _MD_PER_SEVERITY
-            z_t = s_t / _SEVERITY_PER_Z
-            label = int(z_t + omega > 0.0) ^ int(flip)
-            md_obs = float(np.clip(md_lat + eps[3] * _MD_OBS_STD, -30.0, 5.0))
-            md_obs_series[v] = md_obs
-
-            cols["patient_id"].append(pid)
-            cols["visit_index"].append(v)
-            cols["visit_time"].append(t)
-            cols["age"].append(age0 + t)
-            cols["sex"].append(sex)
-            cols["race"].append(group)
-            cols["rnflt"].append(
-                float(np.clip(95.0 - 25.0 * s_t + eps[0] * _RNFLT_STD, 30.0, 140.0)))
-            cols["iop"].append(
-                float(np.clip(16.0 + 3.0 * s_t + eps[1] * _IOP_STD, 6.0, 45.0)))
-            cols["cdr"].append(
-                float(np.clip(0.3 + 0.25 * s_t + eps[2] * _CDR_STD, 0.05, 0.98)))
-            cols["md"].append(md_obs)
-            cols["label"].append(label)
-            cols["img_severity"].append(s_t)
-            cols["image_seed"].append(image_seed)
-
-        if eligibility_filter(times):
-            m = ols_slope(times, md_obs_series)
-        else:
-            m = np.nan
-        cols["slope_target"].extend([m] * n_visits)
-
+        # each visit's stream draws its noise, its label flip, its image seed
+        visits = [Rng(spec.seed, f"visit/{i}/{v}") for v in range(n_visits)]
+        eps = np.array([rv.normal(4) for rv in visits])
+        flip = np.array([rv.uniform() for rv in visits]) < spec.label_noise
+        md_lat = md0 + slope * times
+        s = (-2.0 - md_lat) / _MD_PER_SEVERITY
+        for name, values in {
+            "patient_id": [pid] * n_visits, "visit_index": range(n_visits),
+            "visit_time": times, "age": age0 + times,
+            "sex": [sex] * n_visits, "race": [group] * n_visits,
+            **_structure(s, eps, _STRUCTURE_STD),
+            "md": np.clip(md_lat + eps[:, 3] * _MD_OBS_STD, -30.0, 5.0),
+            "label": (s / _SEVERITY_PER_Z + omega > 0.0) ^ flip,
+            "img_severity": s,
+            "image_seed": [rv.next_u64() for rv in visits],
+        }.items():
+            cols[name].extend(values)
     return CohortTable(cols)
 
 
@@ -375,15 +375,11 @@ def generate_trajectory(kind: str, n_visits: int, seed: int,
     rng = Rng(seed, f"traj/{kind}")
     times = np.arange(n_visits) * _TRAJ_SPACING
     span = float(times[-1])
-    if kind == "stable":
-        md0 = 0.5
-        slope = -0.05 + 0.1 * rng.uniform()
+    if kind != "rapid":
+        md0, slope = (0.5, -0.05 + 0.1 * rng.uniform()) if kind == "stable" \
+            else (-0.7, -0.5)
         md_line = md0 + slope * times
         onset = None if slope >= -1e-9 else (-2.0 - md0) / slope
-    elif kind == "slow":
-        md0, slope = -0.7, -0.5
-        md_line = md0 + slope * times
-        onset = (-2.0 - md0) / slope
     else:
         md0, pre, post = -0.7, -0.2, -1.5
         t_break = span / 2.0
@@ -408,19 +404,12 @@ def generate_trajectory(kind: str, n_visits: int, seed: int,
         "age": 65.0 + times,
         "sex": ["F"] * n_visits,
         "race": [group] * n_visits,
-        "rnflt": np.clip(95.0 - 25.0 * s + feat_eps[:, 0] * 0.4, 30.0, 140.0),
-        "iop": np.clip(16.0 + 3.0 * s + feat_eps[:, 1] * 0.4, 6.0, 45.0),
-        "cdr": np.clip(0.3 + 0.25 * s + feat_eps[:, 2] * 0.005, 0.05, 0.98),
+        **_structure(s, feat_eps, (0.4, 0.4, 0.005)),
         "md": np.clip(md_obs, -30.0, 5.0),
         "label": (md_line < -2.0).astype(np.int64),
-        "slope_target": np.full(n_visits, np.nan),
         "img_severity": s,
         "image_seed": image_seeds,
     }
-    if eligibility_filter(times):
-        cols["slope_target"] = np.full(n_visits, ols_slope(times, md_obs))
-    if onset is not None and onset <= 0:
-        onset = None
     return Trajectory(kind=kind, table=CohortTable(cols), onset_time=onset)
 
 
@@ -544,11 +533,6 @@ def apply_preprocess_table(stats: PreprocessStats, table: CohortTable) -> np.nda
 # file formats
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return "" if (x is None or (isinstance(x, float) and math.isnan(x))) \
-        else f"{x:.9g}"
-
-
 def refuse_existing(path) -> None:
     """The write-once rule: an output is never overwritten."""
     if os.path.exists(path):
@@ -587,84 +571,62 @@ def read_json_object(path) -> dict:
 
 def write_cohort_csv(table: CohortTable, path, image_paths=None) -> None:
     """The cohort schema, written atomically and write-once."""
-    image_paths = image_paths or table.image_path
+    columns = []
+    for name, column in _CSV_COLUMNS.items():
+        values = (image_paths or table.image_path) if name == "image_path" \
+            else getattr(table, name)
+        if column.dtype is not list:
+            values = values.tolist()
+        if column.dtype is np.float64:
+            values = ["" if math.isnan(x) else f"{x:.9g}" for x in values]
+        columns.append(values)       # csv writes ints as they are, None as ""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_HEADER)
-    for i in range(len(table)):
-        w.writerow([
-            table.patient_id[i],
-            int(table.visit_index[i]),
-            _fmt(float(table.visit_time[i])),
-            _fmt(float(table.age[i])),
-            table.sex[i],
-            table.race[i],
-            _fmt(float(table.rnflt[i])),
-            _fmt(float(table.iop[i])),
-            _fmt(float(table.cdr[i])),
-            _fmt(float(table.md[i])),
-            int(table.label[i]),
-            image_paths[i] or "",
-        ])
+    w.writerows(zip(*columns))
     write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def load_cohort_csv(path) -> CohortTable:
-    """Read the cohort schema; slope targets are recomputed from the MD
-    series of each eligible patient."""
-    base = os.path.dirname(os.fspath(path))
-
-    def parse_float(cell: str, line_no: int, col: str) -> float:
-        if cell == "":
-            return float("nan")
-        try:
-            return float(cell)
-        except ValueError:
-            raise DataError(f"line {line_no}: bad value for {col}: {cell!r}")
-
-    cols: dict[str, list] = {k: [] for k in (
-        "patient_id", "visit_index", "visit_time", "age", "sex", "race",
-        "rnflt", "iop", "cdr", "md", "label", "image_path")}
+    """Read the cohort schema: every row's cell count first, then each
+    column through its parser. Slope targets are derived, not read."""
     with open(path, "r", newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("line 1: empty cohort file")
-        if header != CSV_HEADER:
-            raise SchemaError(f"line 1: unexpected header {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER):
-                raise DataError(
-                    f"line {line_no}: expected {len(CSV_HEADER)} cells, got {len(row)}")
-            cols["patient_id"].append(row[0])
-            try:
-                cols["visit_index"].append(int(row[1]))
-            except ValueError:
-                raise DataError(f"line {line_no}: bad visit_index {row[1]!r}")
-            cols["visit_time"].append(parse_float(row[2], line_no, "visit_time_years"))
-            cols["age"].append(parse_float(row[3], line_no, "age"))
-            cols["sex"].append(row[4])
-            cols["race"].append(row[5])
-            cols["rnflt"].append(parse_float(row[6], line_no, "rnflt_um"))
-            cols["iop"].append(parse_float(row[7], line_no, "iop_mmhg"))
-            cols["cdr"].append(parse_float(row[8], line_no, "cdr"))
-            cols["md"].append(parse_float(row[9], line_no, "md_db"))
-            if row[10] not in ("0", "1"):
-                raise DataError(f"line {line_no}: label must be 0 or 1, got {row[10]!r}")
-            cols["label"].append(int(row[10]))
-            cols["image_path"].append(
-                os.path.join(base, row[11]) if row[11] else None)
+        rows = list(csv.reader(f))
+    if not rows:
+        raise DataError("line 1: empty cohort file")
+    if rows[0] != CSV_HEADER:
+        raise SchemaError(f"line 1: unexpected header {rows[0]}")
+    for line_no, row in enumerate(rows[1:], start=2):
+        if len(row) != len(CSV_HEADER):
+            raise DataError(
+                f"line {line_no}: expected {len(CSV_HEADER)} cells, got {len(row)}")
+    cells = list(zip(*rows[1:])) or [()] * len(CSV_HEADER)
+    columns = {name: _parse_column(column, col_cells) for (name, column), col_cells
+               in zip(_CSV_COLUMNS.items(), cells)}
+    base = os.path.dirname(os.fspath(path))
+    columns["image_path"] = [os.path.join(base, p) if p else None
+                             for p in columns["image_path"]]
+    return CohortTable(columns)
 
-    n = len(cols["patient_id"])
-    cols["slope_target"] = [float("nan")] * n
-    table = CohortTable(cols)
-    assign_slope_targets(table)
-    return table
+
+def _parse_column(column: Column, cells) -> list:
+    """One cohort.csv column through its parser; when the parser refuses
+    it, a DataError names the line of the first cell it refuses."""
+    try:
+        return column.parse(cells)
+    except ValueError:
+        for line_no, cell in enumerate(cells, start=2):
+            try:
+                column.parse((cell,))
+            except ValueError:
+                raise DataError(f"line {line_no}: bad value for "
+                                f"{column.header}: {cell!r}") from None
+        raise
 
 
 def assign_slope_targets(table: CohortTable) -> None:
-    """Per-patient OLS slope of md on time for eligible patients, in place."""
+    """Per-patient OLS slope of md on time for eligible patients, in place:
+    the one rule every table's slope targets come from."""
     for pid, idx in table.patients().items():
         idx = sorted(idx, key=lambda i: table.visit_time[i])
         times = table.visit_time[idx]

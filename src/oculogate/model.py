@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -341,19 +341,9 @@ def checkpoint_files(model: DualStreamModel, fusion: FusionConfig,
                      extra: dict | None = None) -> dict[str, str | bytes]:
     """manifest.json and params.bin, by file name."""
     manifest = {
-        "dcce": {
-            "input_dim": model.dcce.input_dim,
-            "n_blocks": model.dcce.n_blocks,
-            "layers_per_block": model.dcce.layers_per_block,
-            "growth_k": model.dcce.growth_k,
-            "dropout_p": model.dcce.dropout_p,
-        },
-        "visual": {
-            "patch_grid": model.visual.patch_grid,
-            "proj_dim": model.visual.proj_dim,
-            "proj_seed": model.visual.proj_seed,
-        },
-        "fusion": {"alpha_vis": fusion.alpha_vis, "alpha_clin": fusion.alpha_clin},
+        "dcce": asdict(model.dcce),
+        "visual": asdict(model.visual),
+        "fusion": asdict(fusion),
         "params": [{"name": n, "shape": list(shape)}
                    for n, shape in model.param_layout().items()],
         "extra": extra or {},

@@ -60,7 +60,7 @@ class TrainedPipeline:
     model: DualStreamModel
     stats: PreprocessStats
     fusion: FusionConfig
-    split: SplitResult
+    split: SplitResult | None   # None: loaded without a cohort
     history: TrainHistory
     train_seconds: float
 
@@ -161,6 +161,7 @@ def coverage_report(gate_run: GateRun, labels, threshold: float = 0.5,
         np.asarray(labels)[sharp],
         sample_ids=[s for s, ok in zip(gate_run.sample_ids, sharp) if ok],
         coverages=coverages,
+        threshold=threshold,
     )
     return {"points": [[c, a] for c, a in points],
             "n_gated": int(sharp.sum()), "threshold": threshold}

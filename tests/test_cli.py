@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from oculogate.cli import main
+from oculogate.cli import build_parser, main, resolve_config
 
 GEN_CFG = {"n_patients": 90, "visits_min": 3, "visits_max": 5, "seed": 11}
 TRAIN_CFG = {"max_epochs": 4, "seed": 5}
@@ -388,3 +388,79 @@ def test_malformed_manifest_types_exit_one(run_dir, tmp_path, capsys, edit, name
         run_dir, tmp_path, capsys, _edit_json("checkpoint/manifest.json", edit))
     assert code == 1
     assert len(err) == 1 and named in err[0]
+
+
+def _refuse_reads(monkeypatch):
+    def must_not_read(*args, **kwargs):
+        raise AssertionError("an input was read before the config was checked")
+
+    for name in ("load_checkpoint", "load_cohort_csv"):
+        monkeypatch.setattr(f"oculogate.cli.{name}", must_not_read)
+
+
+def _run_with_config(run_dir, tmp_path, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    if command != "gen-data":
+        argv += ["--cohort", str(run_dir / "cohort")]
+    if command not in ("gen-data", "train"):
+        argv += ["--model", str(run_dir / "model")]
+    return main(argv)
+
+
+@pytest.mark.parametrize("command,cfg", [
+    # a value of another JSON type than its default's
+    ("gate", {"n_passes": "15"}),
+    ("gate", {"n_passes": 15.0}),
+    ("calibrate", {"threshold": None}),
+    ("coverage", {"no_tta": 1}),
+    ("train", {"lr": True}),
+    ("gen-data", {"n_patients": True}),
+    ("gen-data", {"group_mix": {"Asian": "1"}}),
+    ("gen-data", {"group_shift": [0.5]}),
+    ("warn", {"seed": "0"}),
+    # a value out of its key's bounds
+    ("coverage", {"coverage_step": 0}),
+    ("coverage", {"coverage_step": -0.05}),
+    ("coverage", {"coverage_min": 1.5}),
+    ("coverage", {"coverage_min": 0.0}),
+    ("warn", {"n_triples": 0}),
+    ("train", {"patch_grid": 0}),
+], ids=["str-for-int", "float-for-int", "null-for-float", "int-for-bool",
+        "bool-for-float", "bool-for-int", "str-in-dict", "list-for-dict",
+        "str-seed", "coverage-step-zero", "coverage-step-negative",
+        "coverage-min-above-one", "coverage-min-zero", "warn-no-triples",
+        "train-patch-grid-zero"])
+def test_refused_config_value_exits_two_before_any_read(
+        run_dir, tmp_path, capsys, monkeypatch, command, cfg):
+    _refuse_reads(monkeypatch)
+    code = _run_with_config(run_dir, tmp_path, command, cfg)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and f"'{next(iter(cfg))}'" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_int_config_value_stands_for_a_float(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threshold": 1, "acc_tolerance": 0}))
+    args = build_parser().parse_args(["calibrate", "--config", str(cfg),
+                                      "--cohort", "c", "--model", "m", "--out", "o"])
+    resolved = resolve_config("calibrate", args)
+    assert resolved["threshold"] == 1 and resolved["acc_tolerance"] == 0
+
+
+def test_warn_reads_only_the_model_directory(run_dir, tmp_path):
+    """warn simulates its trajectories: the cohort is never opened, so a
+    --cohort without cohort.csv gives the same warnings.json."""
+    cfg = tmp_path / "warn.json"
+    cfg.write_text(json.dumps({"n_triples": 2}))
+    outs = {}
+    for name, cohort in (("real", run_dir / "cohort"), ("empty", tmp_path)):
+        outs[name] = tmp_path / f"warn-{name}"
+        assert main(["warn", "--config", str(cfg), "--cohort", str(cohort),
+                     "--model", str(run_dir / "model"),
+                     "--out", str(outs[name])]) == 0
+    assert (outs["real"] / "warnings.json").read_bytes() == \
+        (outs["empty"] / "warnings.json").read_bytes()

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oculogate.data import (CohortSpec, CohortTable, apply_preprocess_table,
+from oculogate.data import (COLUMNS, CohortSpec, CohortTable,
+                            apply_preprocess_table, assign_slope_targets,
                             default_cohort_spec, fit_preprocess, generate_cohort,
                             generate_image, generate_images, generate_trajectory,
                             inject_blur,
@@ -101,6 +102,59 @@ class TestGenerateCohort:
             generate_cohort(CohortSpec(label_noise=0.5))
         with pytest.raises(ConfigError):
             generate_cohort(CohortSpec(group_mix={"Asian": 0.5, "Black": 0.4}))
+
+
+def test_subset_takes_the_rows_of_every_column():
+    """Every column of the schema, latents and attached rasters included,
+    keeps its dtype and yields exactly the chosen rows, in order."""
+    table = tiny_table()
+    table.rasters[2] = np.full((64, 64), 0.25)
+    table.image_path[0] = "images/A_0.pgm"
+    part = table.subset([2, 0])
+    for name, column in COLUMNS.items():
+        got, full = getattr(part, name), getattr(table, name)
+        if column.dtype is list:
+            assert len(got) == 2 and got[0] is full[2] and got[1] is full[0], name
+        else:
+            assert got.dtype == column.dtype, name
+            np.testing.assert_array_equal(got, full[[2, 0]], err_msg=name)
+
+
+def _generated(tmp_path):
+    return generate_cohort(default_cohort_spec(n_patients=40, seed=12))
+
+
+def _trajectory(tmp_path):
+    # long enough that the rapid decline reaches the -30 dB clip of md
+    table = generate_trajectory("rapid", 50, 3).table
+    assert table.md.min() == -30.0
+    return table
+
+
+def _loaded(tmp_path):
+    write_cohort(_generated(tmp_path), tmp_path, with_images=False)
+    return load_cohort_csv(tmp_path / "cohort.csv")
+
+
+@pytest.mark.parametrize("make", [_generated, _trajectory, _loaded],
+                         ids=["generated", "trajectory", "loaded"])
+def test_slope_targets_follow_the_one_rule(make, tmp_path):
+    """Generated, trajectory and loaded tables hold the slope targets that
+    assign_slope_targets derives from their own md and visit_time."""
+    table = make(tmp_path)
+    held = table.slope_target.copy()
+    assert np.isfinite(held).any()
+    table.slope_target[:] = 0.0
+    assign_slope_targets(table)
+    np.testing.assert_array_equal(table.slope_target, held)
+
+
+def test_table_without_slope_targets_derives_them():
+    table = generate_cohort(default_cohort_spec(n_patients=20, seed=4))
+    columns = {name: getattr(table, name) for name in COLUMNS
+               if name != "slope_target"}
+    np.testing.assert_array_equal(CohortTable(columns).slope_target,
+                                  table.slope_target)
 
 
 class TestGenerateImage:
@@ -388,6 +442,21 @@ class TestCohortCsv:
                 "P1,1,0.0,50,F,White,90,oops,0.4,-1.0,0,"]
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(DataError, match="line 3"):
+            load_cohort_csv(path)
+
+    @pytest.mark.parametrize("header,cell", [("visit_index", "1.5"),
+                                             ("label", "2"), ("label", " 1"),
+                                             ("md_db", "-1,0")])
+    def test_refused_cell_names_its_line_and_column(self, tmp_path, header, cell):
+        from oculogate.data import CSV_HEADER
+
+        good = "P1,0,0.0,50,F,White,90,15,0.4,-1.0,0,".split(",")
+        bad = list(good)
+        bad[CSV_HEADER.index(header)] = f'"{cell}"'
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([",".join(CSV_HEADER), ",".join(good),
+                                   ",".join(bad)]) + "\n")
+        with pytest.raises(DataError, match=f"line 3: .*{header}"):
             load_cohort_csv(path)
 
     def test_wrong_header_rejected(self, tmp_path):

@@ -336,6 +336,21 @@ def _uncertain(u):
     return GateDecision(kind="reject_uncertain", mu=0.5, u=u)
 
 
+def test_coverage_report_scores_at_its_threshold():
+    """At threshold 0.9 the sharp rows predict (0, 1, 0): all correct, where
+    0.5 would call the first positive. The blurred row is left out."""
+    from oculogate.pipeline import coverage_report
+
+    run = GateRun(sample_ids=["a", "b", "c", "d"], groups=["White"] * 4,
+                  lap_var=np.full(4, 200.0), mu=np.array([0.6, 0.95, 0.2, np.nan]),
+                  u=np.array([0.1, 0.2, 0.3, np.nan]), mts_prob=np.zeros(4))
+    labels = [0, 1, 0, 1]
+    report = coverage_report(run, labels, threshold=0.9, coverages=[1.0])
+    assert report == {"points": [[1.0, 1.0]], "n_gated": 3, "threshold": 0.9}
+    assert coverage_report(run, labels, coverages=[1.0])["points"] == \
+        [[1.0, pytest.approx(2 / 3)]]
+
+
 class TestTriage:
     def test_higher_uncertainty_first(self):
         run = _gated([("White", "P1#0", _uncertain(0.1)),

@@ -346,9 +346,10 @@ def cmd_coverage(cfg, args):
     _, fusion, gate_cfg = _gate_setup(cfg, tp)
     run = ensemble_over_table(tp.model, table, tp.stats, gate_cfg,
                               cfg["seed"], fusion)
-    n_pts = int(round((1.0 - cfg["coverage_min"]) / cfg["coverage_step"])) + 1
-    coverages = [round(cfg["coverage_min"] + i * cfg["coverage_step"], 10)
-                 for i in range(n_pts)]
+    lo, step = cfg["coverage_min"], cfg["coverage_step"]
+    # lo, lo + step, ... up to the last point at or below full coverage
+    grid = [round(lo + i * step, 10) for i in range(int(round((1.0 - lo) / step)) + 1)]
+    coverages = [c for c in grid if c <= 1.0]
     report = coverage_report(run, table.label, coverages=coverages)
     csv_lines = ["coverage,accuracy"] + [
         f"{c:.9g},{a:.9g}" for c, a in report["points"]]

@@ -40,8 +40,7 @@ class Column(NamedTuple):
     """One CohortTable column: a numpy dtype, or list for a Python list; its
     cohort.csv header and the parser of a column of its cells, if the file
     carries it; and each row's value in a table built without it. A _RECORD
-    column must be given (slope_target is derived when it is not), and
-    equals compares it."""
+    column must be given (slope_target is derived when it is not)."""
     dtype: type
     header: str | None = None
     parse: Callable[[Sequence[str]], list] | None = None
@@ -212,22 +211,6 @@ class CohortTable:
         for i, pid in enumerate(self.patient_id):
             out.setdefault(pid, []).append(i)
         return out
-
-    def equals(self, other: "CohortTable", float_rtol: float = 0.0) -> bool:
-        """Whether the visit records agree, floats to within float_rtol;
-        where a row's raster comes from is not compared."""
-        if len(self) != len(other):
-            return False
-        for name, column in COLUMNS.items():
-            if column.fill is not _RECORD:
-                continue
-            a, b = getattr(self, name), getattr(other, name)
-            if column.dtype is np.float64:
-                if not np.allclose(a, b, rtol=float_rtol, atol=0.0, equal_nan=True):
-                    return False
-            elif not np.array_equal(a, b):
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------

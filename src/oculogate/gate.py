@@ -5,10 +5,13 @@ accept/reject decision, and a triage ordering for the rejected queue.
 Every ensemble pass draws its dropout masks from the substream
 (seed, "mc/<sample_id>/<pass_index>"), so the masks do not depend on how
 samples are batched. Pass i applies tta_set[i mod len(tta_set)]. A batch runs
-all its passes as one forward over the pass-major stack of (pass, sample)
-rows: each distinct transform is featurised once, and the substreams of all
-rows are derived in one vectorised call. Without dropout, passes that share a
-transform are one pass, computed once and copied, so they are bitwise equal.
+all its passes as one call of the trunk and the two diagnostic heads over the
+pass-major stack of (pass, sample) rows: each distinct transform is
+featurised once, and the substreams of all rows are derived in one vectorised
+call, drawing only the diagnostic sites' prefix of each stream. The
+regression head is not run; MTS comes from predict's deterministic md_hat.
+Without dropout, passes that share a transform are one pass, computed once
+and copied, so they are bitwise equal.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .metrics import moderate_severe_fraction
 from .model import DualStreamModel, FusionConfig, fuse, visual_features_batch
 from .rng import substream_uniforms
 
@@ -111,8 +113,9 @@ def apply_tta(name: str, raster: np.ndarray) -> np.ndarray:
 
 def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
                     x_clin: np.ndarray, rasters: np.ndarray, sample_ids,
-                    cfg: GateConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(p_passes, md_passes), each (n_samples, n_passes), from one forward."""
+                    cfg: GateConfig, seed: int) -> np.ndarray:
+    """Fused probabilities p_passes (n_samples, n_passes) from one pass of
+    the trunk and the diagnostic heads; the regression head never runs."""
     cfg.validate()
     n = x_clin.shape[0]
     names = [cfg.tta_set[i % len(cfg.tta_set)] for i in range(cfg.n_passes)]
@@ -125,7 +128,9 @@ def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
         # one row block per pass: row i*n + k is pass i of sample k
         blocks, cols = transform_of, list(range(cfg.n_passes))
         labels = [f"mc/{sid}/{i}" for i in range(cfg.n_passes) for sid in sample_ids]
-        width = sum(w for _, w in model.mask_segments())
+        # the diagnostic sites lead mask_segments, so their columns are a
+        # prefix of each label's full-width stream
+        width = sum(w for _, w in model.diagnostic_segments())
         masks = model.masks_from_uniform(substream_uniforms(seed, labels, width),
                                          cfg.dropout_p)
     else:
@@ -135,10 +140,9 @@ def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
         blocks, cols = list(range(len(distinct))), transform_of
         masks = None
     rows = (np.asarray(blocks)[:, None] * n + np.arange(n)).ravel()
-    out, _ = model.forward(np.tile(x_clin, (len(blocks), 1)), v[rows], masks)
+    out, _ = model.diagnose(np.tile(x_clin, (len(blocks), 1)), v[rows], masks)
     p = fuse(fusion, out["logit_vis"], out["logit_clin"]).reshape(-1, n).T
-    md = out["md_hat"].reshape(-1, n).T
-    return p[:, cols], md[:, cols]
+    return p[:, cols]
 
 
 def summarize_passes(p_passes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +176,6 @@ class GateRun:
     lap_var: np.ndarray
     mu: np.ndarray            # NaN for blur rejects
     u: np.ndarray             # NaN for blur rejects
-    mts_prob: np.ndarray      # NaN for blur rejects
     decisions: list[GateDecision] = field(default_factory=list)  # by run_gate
 
     def audit_records(self) -> list[dict]:
@@ -194,8 +197,8 @@ def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
                         batch_size: int = 32) -> GateRun:
     """Firewall plus ensemble statistics for every sample of a table,
     without the accept/reject call (tau_unc may still be unset, and
-    decisions stay empty). Blur rejects never reach the model; their
-    mu/u/mts stay NaN."""
+    decisions stay empty). Blur rejects never reach the model; their mu
+    and u stay NaN."""
     from .data import apply_preprocess_table
 
     fusion = fusion or FusionConfig()
@@ -210,20 +213,15 @@ def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
 
     mu = np.full(n, np.nan)
     u = np.full(n, np.nan)
-    mts = np.full(n, np.nan)
     x_all = apply_preprocess_table(stats, table)
     for start in range(0, sharp.size, batch_size):
         idx = sharp[start : start + batch_size]
         x = x_all[idx]
         sids = [sample_ids[i] for i in idx]
-        p_passes, md_passes = ensemble_passes(model, fusion, x, rasters[idx], sids,
-                                              cfg, seed)
-        b_mu, b_u = summarize_passes(p_passes)
-        mu[idx] = b_mu
-        u[idx] = b_u
-        mts[idx] = moderate_severe_fraction(md_passes)
+        mu[idx], u[idx] = summarize_passes(
+            ensemble_passes(model, fusion, x, rasters[idx], sids, cfg, seed))
     return GateRun(sample_ids=sample_ids, groups=list(table.race), lap_var=lap,
-                   mu=mu, u=u, mts_prob=mts)
+                   mu=mu, u=u)
 
 
 def run_gate(model: DualStreamModel, table, stats, cfg: GateConfig, seed: int,

@@ -152,31 +152,41 @@ class DualStreamModel:
         })
         return layout
 
-    def mask_segments(self) -> list[tuple[str, int]]:
-        """Dropout sites: visual features, every DCCE hidden layer, and both
-        regression hidden layers."""
+    def diagnostic_segments(self) -> list[tuple[str, int]]:
+        """Dropout sites the trunk and the two diagnostic heads read: visual
+        features and every DCCE hidden layer."""
         segs = [("vis", self.visual.proj_dim)]
         for b in range(self.dcce.n_blocks):
             for l in range(self.dcce.layers_per_block):
                 segs.append((f"dcce.b{b}.l{l}", self.dcce.growth_k))
-        segs.append(("reg.h0", REG_HIDDEN[0]))
-        segs.append(("reg.h1", REG_HIDDEN[1]))
         return segs
 
+    def mask_segments(self) -> list[tuple[str, int]]:
+        """Every dropout site: the diagnostic ones, then both regression
+        hidden layers."""
+        return self.diagnostic_segments() + [("reg.h0", REG_HIDDEN[0]),
+                                             ("reg.h1", REG_HIDDEN[1])]
+
     def masks_from_uniform(self, u: np.ndarray, p: float) -> dict | None:
-        """Inverted-dropout masks from one (n, total_width) uniform draw."""
+        """Inverted-dropout masks from one (n, width) uniform draw; the
+        draw's columns fill the sites of mask_segments in order, and a
+        narrower draw masks only the sites it covers."""
         if p <= 0.0:
             return None
         masks = {}
         offset = 0
         for name, width in self.mask_segments():
+            if offset + width > u.shape[1]:
+                break
             masks[name] = (u[:, offset : offset + width] >= p) / (1.0 - p)
             offset += width
         return masks
 
-    def forward(self, x_clin: np.ndarray, v_feats: np.ndarray,
-                masks: dict | None = None) -> tuple[dict, dict]:
-        """Returns (outputs, cache). x_clin (n, d), v_feats (n, proj_dim)."""
+    def diagnose(self, x_clin: np.ndarray, v_feats: np.ndarray,
+                 masks: dict | None = None) -> tuple[dict, dict]:
+        """The clinical trunk and the two diagnostic heads: (outputs, cache)
+        with logit_vis, logit_clin and embedding. x_clin (n, d), v_feats
+        (n, proj_dim); masks need only the diagnostic sites."""
         if x_clin.shape[1] != self.dcce.input_dim:
             raise SchemaError(
                 f"clinical width {x_clin.shape[1]} != input_dim {self.dcce.input_dim}")
@@ -204,7 +214,18 @@ class DualStreamModel:
         logit_vis = (v_used @ p["vis_head.W"].value + p["vis_head.b"].value)[:, 0]
         logit_clin = (emb @ p["clin_head.W"].value + p["clin_head.b"].value)[:, 0]
 
-        r_in = np.concatenate([v_used, emb], axis=1)
+        outputs = {"logit_vis": logit_vis, "logit_clin": logit_clin, "embedding": emb}
+        cache = {"x": x_clin, "v_used": v_used, "emb": emb, "masks": masks,
+                 "feats_blocks": feats_blocks, "pres": pres}
+        return outputs, cache
+
+    def forward(self, x_clin: np.ndarray, v_feats: np.ndarray,
+                masks: dict | None = None) -> tuple[dict, dict]:
+        """diagnose, then the regression head on top: the outputs add md_hat
+        and slope_hat."""
+        outputs, cache = self.diagnose(x_clin, v_feats, masks)
+        p = self.params
+        r_in = np.concatenate([cache["v_used"], cache["emb"]], axis=1)
         pre0 = r_in @ p["reg.W0"].value + p["reg.b0"].value
         h0 = relu(pre0)
         if masks is not None:
@@ -215,18 +236,8 @@ class DualStreamModel:
             h1 = h1 * masks["reg.h1"]
         out2 = h1 @ p["reg.W2"].value + p["reg.b2"].value
 
-        outputs = {
-            "logit_vis": logit_vis,
-            "logit_clin": logit_clin,
-            "md_hat": out2[:, 0],
-            "slope_hat": out2[:, 1],
-            "embedding": emb,
-        }
-        cache = {
-            "x": x_clin, "v_used": v_used, "emb": emb, "masks": masks,
-            "feats_blocks": feats_blocks, "pres": pres,
-            "r_in": r_in, "pre0": pre0, "h0": h0, "pre1": pre1, "h1": h1,
-        }
+        outputs.update(md_hat=out2[:, 0], slope_hat=out2[:, 1])
+        cache.update(r_in=r_in, pre0=pre0, h0=h0, pre1=pre1, h1=h1)
         return outputs, cache
 
     def backward(self, cache: dict, d_logit_vis=None, d_logit_clin=None,

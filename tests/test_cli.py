@@ -124,6 +124,22 @@ def test_gate_and_coverage_outputs(run_dir):
     assert len(csv_lines) == len(cov["points"]) + 1
 
 
+@pytest.mark.parametrize("coverage_min, step, n_points, last", [
+    (0.01, 0.05, 20, 0.96), (0.3, 0.1, 8, 1.0)])
+def test_coverage_grid_stops_at_full_coverage(run_dir, tmp_path, coverage_min,
+                                              step, n_points, last):
+    cfg = tmp_path / "cov.json"
+    cfg.write_text(json.dumps({**GATE_CFG, "coverage_min": coverage_min,
+                               "coverage_step": step}))
+    assert main(["coverage", "--config", str(cfg),
+                 "--cohort", str(run_dir / "cohort"),
+                 "--model", str(run_dir / "model"), "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "coverage.csv").read_text().splitlines()[1:]
+    points = [float(row.split(",")[0]) for row in rows]
+    assert len(points) == n_points
+    assert points[0] == coverage_min and points[-1] == last
+
+
 def test_calibrate_output_shape(run_dir):
     out = run_dir / "cal"
     assert main(["calibrate", "--cohort", str(run_dir / "cohort"),

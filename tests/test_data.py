@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oculogate.data import (COLUMNS, CohortSpec, CohortTable,
+from oculogate.data import (_RECORD, COLUMNS, CohortSpec, CohortTable,
                             apply_preprocess_table, assign_slope_targets,
                             default_cohort_spec, fit_preprocess, generate_cohort,
                             generate_image, generate_images, generate_trajectory,
@@ -18,6 +18,23 @@ from oculogate.errors import ConfigError, DataError, SchemaError
 from oculogate.gate import laplacian_variance
 from oculogate.metrics import ols_slope
 from oculogate.rng import Rng
+
+
+def same_records(a, b, float_rtol=0.0):
+    """Whether two tables' visit records agree, floats to within float_rtol;
+    where a row's raster comes from is not compared."""
+    if len(a) != len(b):
+        return False
+    for name, column in COLUMNS.items():
+        if column.fill is not _RECORD:
+            continue
+        x, y = getattr(a, name), getattr(b, name)
+        if column.dtype is np.float64:
+            if not np.allclose(x, y, rtol=float_rtol, atol=0.0, equal_nan=True):
+                return False
+        elif not np.array_equal(x, y):
+            return False
+    return True
 
 
 def tiny_table(**over):
@@ -46,7 +63,7 @@ class TestGenerateCohort:
         spec = default_cohort_spec(n_patients=120, seed=9)
         a = generate_cohort(spec)
         b = generate_cohort(default_cohort_spec(n_patients=120, seed=9))
-        assert a.equals(b)
+        assert same_records(a, b)
         assert np.array_equal(a.image_seed, b.image_seed)
 
     def test_group_counts_within_binomial_bound(self):
@@ -407,7 +424,7 @@ class TestCohortCsv:
         assert np.allclose(loaded.slope_target[ok], table.slope_target[ok],
                            atol=1e-6)
         loaded.slope_target = table.slope_target.copy()
-        assert loaded.equals(table, float_rtol=1e-8)
+        assert same_records(loaded, table, float_rtol=1e-8)
         # second cycle is byte-identical: values now carry 9 significant digits
         write_cohort(loaded, tmp_path / "again", with_images=False)
         first = (tmp_path / "cohort.csv").read_text()
@@ -538,7 +555,7 @@ class TestTrajectories:
     def test_determinism_and_kinds(self):
         a = generate_trajectory("slow", 8, 3)
         b = generate_trajectory("slow", 8, 3)
-        assert a.table.equals(b.table)
+        assert same_records(a.table, b.table)
         assert a.onset_time == b.onset_time
         with pytest.raises(ConfigError):
             generate_trajectory("sideways", 8, 1)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,8 @@ from oculogate.gate import (TTA_DEFAULT, GateConfig, GateDecision, GateRun,
                             gate_decide, laplacian_variance, run_gate,
                             summarize_passes, triage_queue)
 from oculogate.model import fuse, visual_features_batch
-from oculogate.rng import Rng
+from oculogate.numerics import ParamStore
+from oculogate.rng import Rng, substream_uniforms
 
 
 def naive_laplacian_variance(raster):
@@ -145,16 +149,16 @@ class TestEnsemble:
         run = ensemble_over_table(tp.model, tp.split.test.subset([0]), tp.stats,
                                   cfg, seed=3, fusion=tp.fusion)
         assert run.u[0] == 0.0
-        passes, _ = one_row_passes(tp, 0, cfg, seed=3)
+        passes = one_row_passes(tp, 0, cfg, seed=3)
         assert np.all(passes == passes[0, 0])
 
     def test_deterministic_given_seed(self, small_pipeline):
         tp = small_pipeline
         cfg = GateConfig(n_passes=6)
-        a, _ = one_row_passes(tp, 1, cfg, seed=5)
-        b, _ = one_row_passes(tp, 1, cfg, seed=5)
+        a = one_row_passes(tp, 1, cfg, seed=5)
+        b = one_row_passes(tp, 1, cfg, seed=5)
         assert np.array_equal(a, b)
-        c, _ = one_row_passes(tp, 1, cfg, seed=6)
+        c = one_row_passes(tp, 1, cfg, seed=6)
         assert not np.array_equal(a, c)
 
     def test_batched_matches_single_sample(self, small_pipeline):
@@ -170,12 +174,11 @@ class TestEnsemble:
             # the agreement bound is tight but not bitwise
             assert run.mu[i] == pytest.approx(one.mu[0], abs=1e-12)
             assert run.u[i] == pytest.approx(one.u[0], abs=1e-12)
-            assert run.mts_prob[i] == one.mts_prob[0]
 
     def test_passes_bounded_and_u_bounded(self, small_pipeline):
         tp = small_pipeline
         cfg = GateConfig(n_passes=8)
-        passes, _ = one_row_passes(tp, 2, cfg, seed=7)
+        passes = one_row_passes(tp, 2, cfg, seed=7)
         run = ensemble_over_table(tp.model, tp.split.test.subset([2]), tp.stats,
                                   cfg, seed=7, fusion=tp.fusion)
         assert np.all((passes >= 0) & (passes <= 1))
@@ -220,17 +223,15 @@ class TestEnsembleOracle:
         rasters = np.stack([table.raster(i) for i in range(n)])
         args = (tp.model, tp.fusion, x, rasters, table.sample_ids(), cfg, 13)
         before = tp.model.forward_count
-        p, md = ensemble_passes(*args)
+        p = ensemble_passes(*args)
         assert tp.model.forward_count == before + 1
-        p_ref, md_ref = per_pass_reference(*args)
-        assert p.shape == md.shape == (n, n_passes)
+        p_ref, _ = per_pass_reference(*args)
+        assert p.shape == (n, n_passes)
         assert np.abs(p - p_ref).max() <= 1e-12
-        assert np.abs(md - md_ref).max() <= 1e-12
         if dropout_p == 0.0:
             for i in range(n_passes):
                 j = i % len(tta_set)   # first pass with the same transform
                 assert p[:, i].tobytes() == p[:, j].tobytes()
-                assert md[:, i].tobytes() == md[:, j].tobytes()
 
     def test_one_forward_per_batch(self, small_pipeline):
         tp = small_pipeline
@@ -241,6 +242,70 @@ class TestEnsembleOracle:
         sharp = int((run.lap_var >= GateConfig().tau_blur).sum())
         assert sharp > 3
         assert tp.model.forward_count - before == -(-sharp // 3)
+
+
+class TestEnsembleReadsOnlyDiagnostics:
+    """The gate reads only the fused probability, so the ensemble runs the
+    trunk and the two diagnostic heads, and draws only their dropout sites."""
+
+    @staticmethod
+    def _passes(tp, cfg):
+        table = tp.split.test.subset(range(3))
+        rasters = np.stack([table.raster(i) for i in range(3)])
+        return ensemble_passes(tp.model, tp.fusion,
+                               apply_preprocess_table(tp.stats, table), rasters,
+                               table.sample_ids(), cfg, 13)
+
+    @pytest.mark.parametrize("dropout_p", [0.3, 0.0], ids=["mc", "no-mc"])
+    def test_no_regression_parameter_read(self, small_pipeline, monkeypatch,
+                                          dropout_p):
+        read = []
+        getitem = ParamStore.__getitem__
+
+        def recording(store, name):
+            read.append(name)
+            return getitem(store, name)
+
+        monkeypatch.setattr(ParamStore, "__getitem__", recording)
+        self._passes(small_pipeline, GateConfig(n_passes=4, dropout_p=dropout_p))
+        assert read and not [name for name in read if name.startswith("reg.")]
+
+    def test_draws_only_diagnostic_sites(self, small_pipeline, monkeypatch):
+        import oculogate.gate as gate
+
+        widths = []
+
+        def recording(seed, labels, n):
+            widths.append(n)
+            return substream_uniforms(seed, labels, n)
+
+        monkeypatch.setattr(gate, "substream_uniforms", recording)
+        tp = small_pipeline
+        self._passes(tp, GateConfig(n_passes=4))
+        diagnostic = sum(w for name, w in tp.model.mask_segments()
+                         if name == "vis" or name.startswith("dcce."))
+        assert widths == [diagnostic]
+
+
+@pytest.mark.parametrize("dropout_p, digest", [
+    (0.3, "4712f211dfdc5c48a5a739501d35444bd9a750d4f187205913597e83cb562e29"),
+    (0.0, "ebf14ffcae6cb5ac4630681e42aa323f7f4b2c6432aa8ac12c90119e4ba3bc02"),
+], ids=["mc", "no-mc"])
+def test_gate_audit_bytes_are_pinned(small_pipeline, dropout_p, digest):
+    """The audit records of 40 test visits, one of them blurred, as gate.jsonl
+    writes them, keep their bytes through any rewrite of the ensemble."""
+    tp = small_pipeline
+    table = tp.split.test.subset(range(40))
+    table.rasters = [table.raster(i) for i in range(40)]
+    table.rasters[3] = inject_blur(table.rasters[3], 4)
+    run = run_gate(tp.model, table, tp.stats,
+                   GateConfig(tau_unc=0.005, dropout_p=dropout_p), seed=21,
+                   fusion=tp.fusion)
+    kinds = {d.kind for d in run.decisions}
+    assert kinds == {"accept", "reject_blur", "reject_uncertain"}
+    text = "\n".join(json.dumps(r, sort_keys=True)
+                     for r in run.audit_records()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestGateDecide:
@@ -309,27 +374,13 @@ class TestBlurPrecedence:
             assert set(rec) == {"sample_id", "lap_var", "mu", "u", "decision",
                                 "group"}
 
-    def test_mts_prob_is_ensemble_fraction(self, small_pipeline):
-        tp = small_pipeline
-        table = tp.split.test.subset(range(5))
-        from oculogate.pipeline import feature_matrices
-
-        cfg = GateConfig(tau_unc=0.5, n_passes=6)
-        run = run_gate(tp.model, table, tp.stats, cfg, seed=9, fusion=tp.fusion)
-        x, _ = feature_matrices(table, tp.stats, tp.model)
-        rasters = np.stack([table.raster(i) for i in range(5)])
-        _, md_passes = ensemble_passes(tp.model, tp.fusion, x, rasters,
-                                       table.sample_ids(), cfg, seed=9)
-        assert np.allclose(run.mts_prob, (md_passes <= -6.0).mean(axis=1),
-                           atol=1e-12)
-
 
 def _gated(items):
     """A GateRun over (group, sample id, decision) triples."""
     nan = np.full(len(items), np.nan)
     return GateRun(sample_ids=[sid for _, sid, _ in items],
                    groups=[g for g, _, _ in items], lap_var=nan, mu=nan, u=nan,
-                   mts_prob=nan, decisions=[d for _, _, d in items])
+                   decisions=[d for _, _, d in items])
 
 
 def _uncertain(u):
@@ -343,7 +394,7 @@ def test_coverage_report_scores_at_its_threshold():
 
     run = GateRun(sample_ids=["a", "b", "c", "d"], groups=["White"] * 4,
                   lap_var=np.full(4, 200.0), mu=np.array([0.6, 0.95, 0.2, np.nan]),
-                  u=np.array([0.1, 0.2, 0.3, np.nan]), mts_prob=np.zeros(4))
+                  u=np.array([0.1, 0.2, 0.3, np.nan]))
     labels = [0, 1, 0, 1]
     report = coverage_report(run, labels, threshold=0.9, coverages=[1.0])
     assert report == {"points": [[1.0, 1.0]], "n_gated": 3, "threshold": 0.9}

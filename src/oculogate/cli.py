@@ -313,7 +313,7 @@ def cmd_gate(cfg, args):
 
 def cmd_calibrate(cfg, args):
     tp, table = _load(args, cfg["split"])
-    arrs = deterministic_scores(tp, table)
+    arrs = deterministic_scores(tp, table, regression=False)
     groups = np.asarray(table.race)
     result = calibrate_groups(arrs["p_final"], table.label, groups,
                               acc_tolerance=cfg["acc_tolerance"],

@@ -206,6 +206,14 @@ class CohortTable:
                 else values[idx]
         return CohortTable(columns)
 
+    @classmethod
+    def concat(cls, tables) -> "CohortTable":
+        """The rows of the given tables, in order."""
+        return cls({name: [v for t in tables for v in getattr(t, name)]
+                    if column.dtype is list
+                    else np.concatenate([getattr(t, name) for t in tables])
+                    for name, column in COLUMNS.items()})
+
     def patients(self) -> dict[str, list[int]]:
         out: dict[str, list[int]] = {}
         for i, pid in enumerate(self.patient_id):

@@ -8,8 +8,10 @@ samples are batched. Pass i applies tta_set[i mod len(tta_set)]. A batch runs
 all its passes as one call of the trunk and the two diagnostic heads over the
 pass-major stack of (pass, sample) rows: each distinct transform is
 featurised once, and the substreams of all rows are derived in one vectorised
-call, drawing only the diagnostic sites' prefix of each stream. The
-regression head is not run; MTS comes from predict's deterministic md_hat.
+call, drawing only the diagnostic sites' prefix of each stream. The draw
+stays in raw uint64 words: the masks compare them against the dropout rate
+directly, with no conversion to uniforms. The regression head is not run;
+MTS comes from predict's deterministic md_hat.
 Without dropout, passes that share a transform are one pass, computed once
 and copied, so they are bitwise equal.
 """
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import DualStreamModel, FusionConfig, fuse, visual_features_batch
-from .rng import substream_uniforms
+from .rng import substream_u64
 
 TTA_DEFAULT = (
     "identity", "hflip", "vflip",
@@ -58,10 +60,6 @@ class GateDecision:
     mu: float | None = None
     u: float | None = None
     lap_var: float | None = None
-
-    @property
-    def y_hat(self) -> float | None:
-        return self.mu if self.kind == "accept" else None
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +129,7 @@ def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
         # the diagnostic sites lead mask_segments, so their columns are a
         # prefix of each label's full-width stream
         width = sum(w for _, w in model.diagnostic_segments())
-        masks = model.masks_from_uniform(substream_uniforms(seed, labels, width),
+        masks = model.masks_from_uniform(substream_u64(seed, labels, width),
                                          cfg.dropout_p)
     else:
         # without dropout, passes that share a transform are the same pass:

@@ -1,5 +1,5 @@
 """Discrimination metrics, selective-prediction curves, slopes, severity
-grades, age-band risk summaries, and the longitudinal warning rule."""
+grades, and the longitudinal warning rule."""
 
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ DEFAULT_SEVERITY_BANDS = (
     ("moderate", -11.0),  # -11 < md <= -6
     ("advanced", None),   # md <= -11
 )
-
-DEFAULT_AGE_BANDS = ((30.0, 50.0), (50.0, 70.0), (70.0, 90.0))
 
 WARN_ABS_THRESHOLD = 0.5    # fire when risk reaches this level
 WARN_RISE_THRESHOLD = 0.10  # or when risk rises this much over two visits
@@ -129,21 +127,6 @@ def moderate_severe_fraction(md_passes) -> np.ndarray:
     bound grade_md already counts as "moderate"; one estimate per row gives
     the 0/1 indicator."""
     return (np.asarray(md_passes, dtype=np.float64) <= -6.0).mean(axis=-1)
-
-
-def risk_by_age_band(risks, ages, bands=DEFAULT_AGE_BANDS) -> dict[str, float]:
-    """Mean predicted risk per age band; empty bands are flagged and omitted."""
-    risks = np.asarray(risks, dtype=np.float64)
-    ages = np.asarray(ages, dtype=np.float64)
-    out = {}
-    for lo, hi in bands:
-        key = f"{lo:g}-{hi:g}"
-        mask = (ages >= lo) & (ages < hi)
-        if not mask.any():
-            out[key] = None
-            continue
-        out[key] = float(risks[mask].mean())
-    return out
 
 
 @dataclass

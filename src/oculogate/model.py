@@ -10,7 +10,9 @@ convolutional backbone can replace it behind the same interface.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -37,7 +39,7 @@ class DCCEConfig:
         return self.input_dim + self.n_blocks * self.layers_per_block * self.growth_k
 
 
-@dataclass
+@dataclass(frozen=True)
 class VisualFeatConfig:
     patch_grid: int = 8
     proj_dim: int = 2048
@@ -66,24 +68,48 @@ def fuse(cfg: FusionConfig, logit_vis, logit_clin):
 # visual stand-in
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4)
 def projection_matrix(cfg: VisualFeatConfig) -> np.ndarray:
-    """Fixed seeded projection from patch statistics to proj_dim features."""
+    """Fixed seeded projection from patch statistics to proj_dim features,
+    drawn once per (patch_grid, proj_dim, proj_seed) and read-only."""
     feat_dim = 2 * cfg.patch_grid * cfg.patch_grid
-    rng = Rng(cfg.proj_seed, "visual-projection")
-    scale = 1.0 / np.sqrt(feat_dim)
-    return rng.normal((feat_dim, cfg.proj_dim)) * scale
+    proj = Rng(cfg.proj_seed, "visual-projection").normal((feat_dim, cfg.proj_dim))
+    proj *= 1.0 / np.sqrt(feat_dim)
+    proj.flags.writeable = False
+    return proj
+
+
+_STATS_BLOCK = 32   # rasters per patch_stats block: 1 MB of 64x64 float64
 
 
 def patch_stats(rasters: np.ndarray, grid: int) -> np.ndarray:
-    """Per-patch mean then std over a grid x grid tiling. rasters (n, H, W)."""
+    """Per-patch mean then population std over a grid x grid tiling, as
+    (n, 2·grid²) rows of means followed by stds. rasters (n, H, W).
+
+    It works 32 rasters at a time. Each sum runs over the contiguous pw
+    axis of every patch row first, then adds the ph row partials in order.
+    For grid >= 2 that is the order of tiles.mean/std(axis=(2, 4)), so the
+    result equals theirs bit for bit. With grid == 1 numpy reduces the whole
+    raster as one pairwise run, so that case keeps that reduction."""
     n, h, w = rasters.shape
     if h < grid or w < grid or h % grid or w % grid:
         raise ConfigError(f"raster {h}x{w} does not tile into a {grid}x{grid} grid")
+    if grid == 1:
+        return np.stack([rasters.mean(axis=(1, 2)), rasters.std(axis=(1, 2))], axis=1)
     ph, pw = h // grid, w // grid
-    tiles = rasters.reshape(n, grid, ph, grid, pw)
-    means = tiles.mean(axis=(2, 4))
-    stds = tiles.std(axis=(2, 4))
-    return np.concatenate([means.reshape(n, -1), stds.reshape(n, -1)], axis=1)
+    out = np.empty((n, 2, grid, grid))
+    for start in range(0, n, _STATS_BLOCK):
+        tiles = np.ascontiguousarray(rasters[start : start + _STATS_BLOCK])
+        tiles = tiles.reshape(-1, grid, ph, grid, pw)
+        mean, std = out[start : start + len(tiles)].swapaxes(0, 1)
+        np.sum(tiles.sum(axis=4), axis=2, out=mean)
+        mean /= ph * pw
+        dev = tiles - mean[:, :, None, :, None]
+        dev *= dev
+        np.sum(dev.sum(axis=4), axis=2, out=std)
+        std /= ph * pw
+        np.sqrt(std, out=std)
+    return out.reshape(n, -1)
 
 
 def visual_features_batch(cfg: VisualFeatConfig, rasters: np.ndarray,
@@ -167,18 +193,22 @@ class DualStreamModel:
         return self.diagnostic_segments() + [("reg.h0", REG_HIDDEN[0]),
                                              ("reg.h1", REG_HIDDEN[1])]
 
-    def masks_from_uniform(self, u: np.ndarray, p: float) -> dict | None:
-        """Inverted-dropout masks from one (n, width) uniform draw; the
-        draw's columns fill the sites of mask_segments in order, and a
-        narrower draw masks only the sites it covers."""
+    def masks_from_uniform(self, words: np.ndarray, p: float) -> dict | None:
+        """Inverted-dropout masks from one (n, width) draw of raw uint64 words
+        (as fill_u64 returns them); the draw's columns fill the sites of
+        mask_segments in order, and a narrower draw masks only the sites it
+        covers. A unit is kept where (word >> 11)·2^-53 >= p, which is word >=
+        ceil(p·2^53) << 11 as p·2^53 is exact: the bytes of (u >= p)/(1 - p)."""
         if p <= 0.0:
             return None
+        keep = words >= np.uint64(math.ceil(p * 2.0 ** 53) << 11)
+        scaled = keep * (1.0 / (1.0 - p))
         masks = {}
         offset = 0
         for name, width in self.mask_segments():
-            if offset + width > u.shape[1]:
+            if offset + width > words.shape[1]:
                 break
-            masks[name] = (u[:, offset : offset + width] >= p) / (1.0 - p)
+            masks[name] = scaled[:, offset : offset + width]
             offset += width
         return masks
 
@@ -332,16 +362,20 @@ class DualStreamModel:
 # ---------------------------------------------------------------------------
 
 def predict_arrays(model: DualStreamModel, fusion: FusionConfig,
-                   x_clin: np.ndarray, v_feats: np.ndarray) -> dict[str, np.ndarray]:
-    """Deterministic pass (dropout off, identity augmentation) over a batch."""
-    out, _ = model.forward(x_clin, v_feats, masks=None)
-    return {
+                   x_clin: np.ndarray, v_feats: np.ndarray,
+                   regression: bool = True) -> dict[str, np.ndarray]:
+    """Deterministic pass (dropout off, identity augmentation) over a batch:
+    the probabilities, and with regression md_hat and slope_hat too. The
+    probabilities are the same bytes either way."""
+    out, _ = (model.forward if regression else model.diagnose)(x_clin, v_feats)
+    arrs = {
         "p_vis": sigmoid(out["logit_vis"]),
         "p_clin": sigmoid(out["logit_clin"]),
         "p_final": fuse(fusion, out["logit_vis"], out["logit_clin"]),
-        "md_hat": out["md_hat"],
-        "slope_hat": out["slope_hat"],
     }
+    if regression:
+        arrs.update(md_hat=out["md_hat"], slope_hat=out["slope_hat"])
+    return arrs
 
 
 # ---------------------------------------------------------------------------

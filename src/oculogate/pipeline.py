@@ -95,18 +95,20 @@ def run_training_pipeline(
     history = train_multitask(model, train_cfg, x_tr, v_tr, split.train,
                               x_va, v_va, split.val, fusion)
     if search_alpha:
-        arrs = predict_arrays(model, FusionConfig(0.5, 0.5), x_va, v_va)
+        arrs = predict_arrays(model, FusionConfig(0.5, 0.5), x_va, v_va,
+                              regression=False)
         fusion = grid_search_alpha(arrs["p_vis"], arrs["p_clin"], split.val.label)
     elapsed = time.perf_counter() - t0
     return TrainedPipeline(model=model, stats=stats, fusion=fusion, split=split,
                            history=history, train_seconds=elapsed)
 
 
-def deterministic_scores(tp: TrainedPipeline,
-                         table: CohortTable) -> dict[str, np.ndarray]:
-    """Single-pass predictions (dropout off, identity augmentation)."""
+def deterministic_scores(tp: TrainedPipeline, table: CohortTable,
+                         regression: bool = True) -> dict[str, np.ndarray]:
+    """Single-pass predictions (dropout off, identity augmentation); without
+    regression, only the probabilities."""
     x, v = feature_matrices(table, tp.stats, tp.model)
-    return predict_arrays(tp.model, tp.fusion, x, v)
+    return predict_arrays(tp.model, tp.fusion, x, v, regression)
 
 
 def calibrate_gate(tp: TrainedPipeline, gate_cfg: GateConfig, gamma: float,
@@ -216,26 +218,27 @@ def ablation_report(tp: TrainedPipeline, gate_cfg: GateConfig, gamma: float,
 
 
 def warning_report(tp: TrainedPipeline, seeds, n_visits: int = 8) -> dict:
-    """Run the three simulated follow-up scenarios for each seed and apply
-    the dynamic warning rule to the deterministic risk trajectory."""
+    """Apply the dynamic warning rule to the deterministic risk of the three
+    simulated follow-up scenarios per seed, all scored as one table."""
     kinds = ("stable", "slow", "rapid")
     per_kind = {k: [] for k in kinds}
-    for seed in seeds:
-        for kind in kinds:
-            traj = generate_trajectory(kind, n_visits, seed)
-            arrs = deterministic_scores(tp, traj.table)
-            w = dynamic_warning(traj.table.visit_time, arrs["p_final"],
-                                traj.onset_time)
-            per_kind[kind].append({
-                "seed": int(seed),
-                "fired": w.fired,
-                "first_warning_index": w.first_warning_index,
-                "first_warning_time": w.first_warning_time,
-                "lead_time_months": w.lead_time_months,
-                "delta_risk": w.delta_risk,
-                "peak_risk": w.peak_risk,
-                "mean_risk": float(np.mean(arrs["p_final"])),
-            })
+    trajs = [(int(seed), generate_trajectory(kind, n_visits, seed))
+             for seed in seeds for kind in kinds]
+    risks = deterministic_scores(
+        tp, CohortTable.concat([traj.table for _, traj in trajs]),
+        regression=False)["p_final"].reshape(len(trajs), n_visits)
+    for (seed, traj), risk in zip(trajs, risks):
+        w = dynamic_warning(traj.table.visit_time, risk, traj.onset_time)
+        per_kind[traj.kind].append({
+            "seed": seed,
+            "fired": w.fired,
+            "first_warning_index": w.first_warning_index,
+            "first_warning_time": w.first_warning_time,
+            "lead_time_months": w.lead_time_months,
+            "delta_risk": w.delta_risk,
+            "peak_risk": w.peak_risk,
+            "mean_risk": float(np.mean(risk)),
+        })
     summary = {}
     for kind in kinds:
         rows = per_kind[kind]

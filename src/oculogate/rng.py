@@ -9,9 +9,10 @@ per lane (vectorized in uint64).
 
 Because a stream's first fill depends only on its sponge state, that fill
 can be derived for many streams at once, in the manner of counter-based
-generators (Salmon et al., SC 2011): `substream_uniforms` runs the sponge
-column-wise over labels of equal byte length under one seed, and
-`substream_normals` over many seeds under one label.
+generators (Salmon et al., SC 2011): `substream_u64` returns the raw words
+of many labels' first fills under one seed, one column-wise sponge pass per
+label word count (each row folds its own byte length), and
+`substream_normals` the normals of one label under many seeds.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ _MIX1 = np.uint64(_MIX1_INT)
 _MIX2 = np.uint64(_MIX2_INT)
 _U64 = np.uint64
 _INV_2_53 = float(2.0 ** -53)
-_BLOCK_VALUES = 1 << 16   # values per substream_uniforms block (512 kB of uint64)
+_BLOCK_VALUES = 1 << 16   # values per substream_u64 block (512 kB of uint64)
 
 
 def _mix64_int(z: int) -> int:
@@ -66,30 +67,27 @@ def _sponge_start(seed: int) -> int:
     return _mix64_int((seed + _GOLDEN_INT) & _M64)
 
 
-def _sponge(seeds, data: np.ndarray) -> np.ndarray:
-    """Column-wise sponge states of m labels of one byte length L, given as
-    data (m, L) uint8, under one seed in [0, 2**64) or an (m,) uint64 array
-    of them; row r equals _sponge_int(seed of row r, data[r])."""
-    m, length = data.shape
-    words = np.zeros((m, -(-length // 8) * 8), dtype=np.uint8)
-    words[:, :length] = data
-    words = words.view("<u8")
-    s = np.empty(m, dtype=np.uint64)
+def _sponge(seeds, words: np.ndarray, lengths) -> np.ndarray:
+    """Column-wise sponge states of m labels of one word count W, given as
+    their zero-padded words (m, W) uint64 and byte lengths (an (m,) uint64
+    array or one length for all), under one seed in [0, 2**64) or an (m,)
+    uint64 array of them; row r equals _sponge_int(seed of row r, label r)."""
+    s = np.empty(words.shape[0], dtype=np.uint64)
     s[...] = seeds
     s += _GOLDEN
     _mix64(s)   # _sponge_start, column-wise
-    for chunk in (*words.T, _U64(length)):
+    for chunk in (*words.T, lengths):
         s ^= chunk
         s += _GOLDEN
         _mix64(s)
     return s
 
 
-def _first_fill_seeds(seeds, data: np.ndarray) -> np.ndarray:
-    """Per row of _sponge(seeds, data), the sub-seed of that stream's first
-    fill_u64: its first draw, the starstar output of its state word s1 (the
-    sponge's second splitmix output)."""
-    s = _sponge(seeds, data)
+def _first_fill_seeds(seeds, words: np.ndarray, lengths) -> np.ndarray:
+    """Per row of _sponge(seeds, words, lengths), the sub-seed of that
+    stream's first fill_u64: its first draw, the starstar output of its
+    state word s1 (the sponge's second splitmix output)."""
+    s = _sponge(seeds, words, lengths)
     return _starstar(_mix64(s + _U64(2 * _GOLDEN_INT & _M64)))
 
 
@@ -103,11 +101,11 @@ def _sponge_int(seed: int, data: bytes) -> int:
     return _mix64_int(((s ^ len(data)) + _GOLDEN_INT) & _M64)
 
 
-def _fill(sub, n: int) -> np.ndarray:
-    """n starstar outputs of the lanes seeded by sub (a scalar or an (m, 1)
-    column) through the splitmix chain. A lane's word s1 is the second chain
-    output of its pair, so only the even chain indices are derived."""
-    z = sub + np.arange(2, 2 * n + 1, 2, dtype=np.uint64) * _GOLDEN
+def _fill(sub, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """n starstar outputs (into out, if given) of the lanes seeded by sub, a
+    scalar or an (m, 1) column, through the splitmix chain. A lane's word s1
+    is its pair's second chain output: only even chain indices are derived."""
+    z = np.add(sub, np.arange(2, 2 * n + 1, 2, dtype=np.uint64) * _GOLDEN, out=out)
     _mix64(z)
     # _starstar, in place: this is the bulk of every fill
     z *= _U64(5)
@@ -118,9 +116,9 @@ def _fill(sub, n: int) -> np.ndarray:
     return z
 
 
-def _unit(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _unit(raw: np.ndarray) -> np.ndarray:
     """U[0, 1) with 53-bit resolution from raw uint64s."""
-    return np.multiply(raw >> _U64(11), _INV_2_53, out=out)
+    return (raw >> _U64(11)) * _INV_2_53
 
 
 def _box_muller(raw: np.ndarray, n: int) -> np.ndarray:
@@ -206,22 +204,25 @@ class Rng:
         return int(np.searchsorted(cum, self.uniform() * cum[-1], side="right"))
 
 
-def substream_uniforms(seed: int, labels, n: int) -> np.ndarray:
-    """(len(labels), n) array whose row r equals Rng(seed, labels[r]).uniform(n)
-    bit for bit, derived for all labels at once."""
+def substream_u64(seed: int, labels, n: int) -> np.ndarray:
+    """(len(labels), n) uint64 array whose row r equals
+    Rng(seed, labels[r]).fill_u64(n) bit for bit, derived for all labels at
+    once: one sponge pass per label word count."""
     encoded = [label.encode("utf-8") for label in labels]
-    by_length = defaultdict(list)
+    by_words = defaultdict(list)
     for r, data in enumerate(encoded):
-        by_length[len(data)].append(r)
+        by_words[-(-len(data) // 8)].append(r)
     sub = np.empty(len(encoded), dtype=np.uint64)
-    for length, rows in by_length.items():
-        data = np.frombuffer(b"".join(encoded[r] for r in rows), dtype=np.uint8)
-        sub[rows] = _first_fill_seeds(int(seed) & _M64, data.reshape(len(rows), length))
-    out = np.empty((len(encoded), n))
+    for n_words, rows in by_words.items():
+        padded = b"".join(encoded[r].ljust(8 * n_words, b"\0") for r in rows)
+        words = np.frombuffer(padded, dtype="<u8").reshape(len(rows), n_words)
+        lengths = np.array([len(encoded[r]) for r in rows], dtype=np.uint64)
+        sub[rows] = _first_fill_seeds(int(seed) & _M64, words, lengths)
+    out = np.empty((len(encoded), n), dtype=np.uint64)
     # fill a block of rows at a time so the uint64 temporaries stay in cache
     step = max(1, _BLOCK_VALUES // max(n, 1))
     for r in range(0, len(encoded), step):
-        _unit(_fill(sub[r : r + step, None], n), out=out[r : r + step])
+        _fill(sub[r : r + step, None], n, out=out[r : r + step])
     return out
 
 
@@ -229,6 +230,8 @@ def substream_normals(seeds: np.ndarray, label: str, n: int) -> np.ndarray:
     """(len(seeds), n) array whose row r holds the standard normals behind
     Rng(seeds[r], label).normal(n), derived for all seeds at once; seeds is
     a uint64 array."""
-    data = np.frombuffer(label.encode("utf-8"), dtype=np.uint8)
-    sub = _first_fill_seeds(seeds, np.broadcast_to(data, (len(seeds), data.size)))
+    data = label.encode("utf-8")
+    words = np.frombuffer(data.ljust(-(-len(data) // 8) * 8, b"\0"), dtype="<u8")
+    sub = _first_fill_seeds(seeds, np.broadcast_to(words, (len(seeds), words.size)),
+                            _U64(len(data)))
     return _box_muller(_fill(sub[:, None], n + (n & 1)), n)

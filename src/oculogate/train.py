@@ -181,7 +181,8 @@ def train_multitask(
             masks = None
             if model.dcce.dropout_p > 0:
                 masks = model.masks_from_uniform(
-                    rng.uniform((b, total_mask_width)), model.dcce.dropout_p)
+                    rng.fill_u64(b * total_mask_width).reshape(b, total_mask_width),
+                    model.dcce.dropout_p)
             out, cache = model.forward(x_train[idx], v_train[idx], masks)
 
             yb = y[idx]

@@ -267,7 +267,7 @@ def test_c08_age_monotonicity(big):
     the held-out split."""
     risks = big.scores["p_final"]
     ages = big.tp.split.test.age
-    from oculogate.metrics import risk_by_age_band
+    from helpers import risk_by_age_band
 
     bands = risk_by_age_band(risks, ages)
     values = [bands["30-50"], bands["50-70"], bands["70-90"]]

@@ -14,7 +14,9 @@ from oculogate.gate import (TTA_DEFAULT, GateConfig, GateDecision, GateRun,
                             summarize_passes, triage_queue)
 from oculogate.model import fuse, visual_features_batch
 from oculogate.numerics import ParamStore
-from oculogate.rng import Rng, substream_uniforms
+from oculogate.rng import Rng, substream_u64
+
+from helpers import float_rule_masks, y_hat
 
 
 def naive_laplacian_variance(raster):
@@ -199,9 +201,10 @@ def per_pass_reference(model, fusion, x_clin, rasters, sample_ids, cfg, seed):
         v = visual_features_batch(model.visual, apply_tta(aug, rasters), model.proj)
         masks = None
         if cfg.dropout_p > 0.0:
+            # the float rule on each stream's uniforms, not the word compare
             u = np.stack([Rng(seed, f"mc/{sid}/{i}").uniform(width)
                           for sid in sample_ids])
-            masks = model.masks_from_uniform(u, cfg.dropout_p)
+            masks = float_rule_masks(model, u, cfg.dropout_p)
         out, _ = model.forward(x_clin, v, masks)
         p_passes[:, i] = fuse(fusion, out["logit_vis"], out["logit_clin"])
         md_passes[:, i] = out["md_hat"]
@@ -277,9 +280,9 @@ class TestEnsembleReadsOnlyDiagnostics:
 
         def recording(seed, labels, n):
             widths.append(n)
-            return substream_uniforms(seed, labels, n)
+            return substream_u64(seed, labels, n)
 
-        monkeypatch.setattr(gate, "substream_uniforms", recording)
+        monkeypatch.setattr(gate, "substream_u64", recording)
         tp = small_pipeline
         self._passes(tp, GateConfig(n_passes=4))
         diagnostic = sum(w for name, w in tp.model.mask_segments()
@@ -311,11 +314,11 @@ def test_gate_audit_bytes_are_pinned(small_pipeline, dropout_p, digest):
 class TestGateDecide:
     def test_zero_u_accepts(self):
         d = gate_decide(0.7, 0.0, GateConfig(tau_unc=0.01))
-        assert d.kind == "accept" and d.y_hat == 0.7
+        assert d.kind == "accept" and y_hat(d) == 0.7
 
     def test_boundary_rejects(self):
         d = gate_decide(0.7, 0.02, GateConfig(tau_unc=0.02))
-        assert d.kind == "reject_uncertain" and d.y_hat is None
+        assert d.kind == "reject_uncertain" and y_hat(d) is None
 
     def test_unset_tau_rejected(self):
         with pytest.raises(ConfigError):

@@ -10,9 +10,10 @@ from oculogate.errors import DataError
 from oculogate.metrics import (coverage_accuracy_curve, dynamic_warning,
                                eligibility_filter, grade_md,
                                metrics_at_threshold, ols_slope,
-                               moderate_severe_fraction, risk_by_age_band,
-                               roc_auc)
+                               moderate_severe_fraction, roc_auc)
 from oculogate.rng import Rng
+
+from helpers import risk_by_age_band
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "data")
 

@@ -3,15 +3,19 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oculogate.errors import ConfigError, SchemaError
 from oculogate.model import (DCCEConfig, DualStreamModel, FusionConfig,
                              VisualFeatConfig, fuse, load_checkpoint,
-                             predict_arrays, projection_matrix,
+                             patch_stats, predict_arrays, projection_matrix,
                              save_checkpoint, visual_features_batch)
 from oculogate.numerics import (binary_cross_entropy, grad_check, sigmoid,
                                 smooth_l1, smooth_l1_grad)
-from oculogate.rng import Rng
+from oculogate.rng import Rng, _unit
+
+from helpers import float_rule_masks
 
 
 def features_of_one(cfg, raster, proj=None):
@@ -107,6 +111,74 @@ class TestVisualFeatures:
             fa = features_of_one(cfg, a, proj)
             fb = features_of_one(cfg, b, proj)
             assert np.linalg.norm(fa - fb) <= op_norm * np.linalg.norm(a - b) + 1e-12
+
+
+def reference_patch_stats(rasters, grid):
+    """Per-patch mean then std as numpy's reductions over the tile axes."""
+    n, h, w = rasters.shape
+    tiles = rasters.reshape(n, grid, h // grid, grid, w // grid)
+    return np.concatenate([tiles.mean(axis=(2, 4)).reshape(n, -1),
+                           tiles.std(axis=(2, 4)).reshape(n, -1)], axis=1)
+
+
+class TestPatchStats:
+    @given(st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+           st.sampled_from([1, 31, 32, 33, 65]),
+           st.sampled_from(["noise", None, "hflip", "vflip", "brightness+0.2",
+                            "contrast-0.2"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_numpy_reduction_bitwise(self, grid, n, tta, seed):
+        """Generated rasters, raw or TTA'd as the gate stacks them
+        (contiguous), and uniform noise."""
+        from oculogate.data import generate_images
+        from oculogate.gate import apply_tta
+
+        rng = Rng(seed, "patch-stats")
+        if tta == "noise":
+            rasters = rng.uniform((n, 64, 64))
+        else:
+            rasters = generate_images(rng.uniform(n), rng.fill_u64(n))
+            if tta is not None:
+                rasters = np.ascontiguousarray(apply_tta(tta, rasters))
+        got = patch_stats(rasters, grid)
+        assert got.shape == (n, 2 * grid * grid)
+        assert got.tobytes() == reference_patch_stats(rasters, grid).tobytes()
+
+
+class TestProjection:
+    def test_read_only_and_equal_to_a_fresh_draw(self):
+        cfg = VisualFeatConfig(patch_grid=4, proj_dim=48, proj_seed=19)
+        proj = projection_matrix(cfg)
+        assert not proj.flags.writeable
+        with pytest.raises(ValueError):
+            proj[0, 0] = 1.0
+        fresh = Rng(19, "visual-projection").normal((32, 48)) * (1.0 / np.sqrt(32))
+        assert proj.tobytes() == fresh.tobytes()
+        assert projection_matrix(VisualFeatConfig(patch_grid=4, proj_dim=48,
+                                                  proj_seed=19)) is proj
+
+
+class TestMasksFromWords:
+    @given(st.one_of(st.sampled_from([0.3, 0.5, 2**-53, 5 / 2**53,
+                                      (2**53 - 1) / 2**53]),
+                     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_word_rule_equals_float_rule_bitwise(self, p, seed):
+        m = small_model()
+        width = sum(w for _, w in m.mask_segments())
+        words = Rng(seed, "mask-words").fill_u64(4 * width).reshape(4, width)
+        # words at the cut, one below and one above it, and the extremes
+        cut = int(np.ceil(p * 2.0**53)) << 11
+        words[0, :5] = [cut - 1, cut, cut + 1, 0, 2**64 - 1]
+        got = m.masks_from_uniform(words, p)
+        want = float_rule_masks(m, _unit(words), p)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+        kept = 1.0 / (1.0 - p)
+        assert got["vis"][0, :5].tolist() == [0.0, kept, kept, 0.0, kept]
 
 
 class TestFusion:
@@ -234,8 +306,8 @@ class TestGradients:
         rng = Rng(13, "trunk")
         x = rng.normal((6, 5))
         v = rng.normal((6, 6))
-        masks = m.masks_from_uniform(
-            rng.uniform((6, sum(w for _, w in m.mask_segments()))), 0.3)
+        width = sum(w for _, w in m.mask_segments())
+        masks = m.masks_from_uniform(rng.fill_u64(6 * width).reshape(6, width), 0.3)
         _, cache = m.forward(x, v, masks)
         up = dict(d_logit_vis=rng.normal(6), d_logit_clin=rng.normal(6),
                   d_md=rng.normal(6), d_slope=rng.normal(6))
@@ -280,6 +352,38 @@ class TestPredict:
         a = deterministic_scores(tp, one)
         b = deterministic_scores(tp, one)
         assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    def test_probabilities_only_pass_gives_the_same_bytes(self, small_pipeline):
+        from oculogate.pipeline import deterministic_scores
+
+        tp = small_pipeline
+        full = deterministic_scores(tp, tp.split.val)
+        probs = deterministic_scores(tp, tp.split.val, regression=False)
+        assert set(probs) == {"p_vis", "p_clin", "p_final"}
+        for key, value in probs.items():
+            assert value.tobytes() == full[key].tobytes(), key
+
+    def test_warning_report_scores_as_per_trajectory_calls(self, small_pipeline):
+        """The trajectories scored as one table give each trajectory's
+        warning record the bytes of scoring it alone."""
+        from oculogate.data import generate_trajectory
+        from oculogate.metrics import dynamic_warning
+        from oculogate.pipeline import deterministic_scores, warning_report
+
+        tp = small_pipeline
+        seeds = [5, 6, 7, 8]
+        report = warning_report(tp, seeds, n_visits=8)
+        for kind, records in report["per_kind"].items():
+            assert [r["seed"] for r in records] == seeds
+            for seed, record in zip(seeds, records):
+                traj = generate_trajectory(kind, 8, seed)
+                risk = deterministic_scores(tp, traj.table)["p_final"]
+                w = dynamic_warning(traj.table.visit_time, risk, traj.onset_time)
+                assert record["fired"] == w.fired
+                assert record["first_warning_index"] == w.first_warning_index
+                for key in ("delta_risk", "peak_risk"):
+                    assert record[key] == getattr(w, key), (kind, seed, key)
+                assert record["mean_risk"] == float(np.mean(risk))
 
 
 class TestInit:

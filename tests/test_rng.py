@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oculogate.rng import Rng, substream_uniforms
+from oculogate.rng import Rng, substream_u64
 
 GOLDEN = {
     # (seed, label, n): sha256 of fill_u64(n), uniform(n), normal(n)
@@ -152,15 +152,35 @@ SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
                        min_size=1, max_size=12),
        st.integers(0, 40))
 @settings(max_examples=80, deadline=None)
-def test_substream_uniforms_equal_per_label_streams(seed, labels, n):
-    got = substream_uniforms(seed, labels, n)
-    want = np.stack([Rng(seed, label).uniform(n) for label in labels])
-    assert got.shape == (len(labels), n)
+def test_substream_u64_equals_per_label_streams(seed, labels, n):
+    got = substream_u64(seed, labels, n)
+    want = np.stack([Rng(seed, label).fill_u64(n) for label in labels])
+    assert got.dtype == np.uint64 and got.shape == (len(labels), n)
     assert got.tobytes() == want.tobytes()
 
 
-def test_substream_uniforms_edge_labels_and_seeds():
+def test_substream_u64_edge_labels_and_seeds():
     for seed in (0, 2**64 - 1):
-        got = substream_uniforms(seed, EDGE_LABELS, 2560)
+        got = substream_u64(seed, EDGE_LABELS, 2560)
         for row, label in zip(got, EDGE_LABELS):
-            assert row.tobytes() == Rng(seed, label).uniform(2560).tobytes()
+            assert row.tobytes() == Rng(seed, label).fill_u64(2560).tobytes()
+
+
+def test_substream_u64_groups_labels_by_word_count(monkeypatch):
+    """Gate labels mc/<sid>/<i> with i < 10 and i >= 10 differ in byte
+    length but not in word count: one sponge pass serves them all."""
+    import oculogate.rng as rng_module
+
+    calls = []
+    sponge = rng_module._sponge
+
+    def recording(seeds, words, lengths):
+        calls.append(words.shape)
+        return sponge(seeds, words, lengths)
+
+    monkeypatch.setattr(rng_module, "_sponge", recording)
+    labels = [f"mc/P00012#3/{i}" for i in range(15)]
+    got = substream_u64(7, labels, 5)
+    assert calls == [(15, 2)]
+    for row, label in zip(got, labels):
+        assert row.tobytes() == Rng(7, label).fill_u64(5).tobytes()

@@ -42,6 +42,11 @@ from .pipeline import (AblationFlags, TrainedPipeline, ablation_report,
                        run_training_pipeline, screening_report, warning_report)
 from .train import SplitResult, TrainConfig, TrainHistory
 
+# the defaults every gated stage (gate, evaluate, coverage) shares
+_GATED = {
+    "seed": 23, "split": "test", "tau_blur": 100.0, "n_passes": 15,
+    "dropout_p": 0.3, "no_clinical": False, "no_tta": False, "no_mc_dropout": False,
+}
 _DEFAULTS = {
     "gen-data": {
         "seed": 20240601, "n_patients": 300, "visits_min": 4, "visits_max": 8,
@@ -60,23 +65,11 @@ _DEFAULTS = {
         "include_md_in_regression": True,
     },
     "predict": {"split": "test"},
-    "gate": {
-        "seed": 23, "split": "test", "tau_blur": 100.0, "n_passes": 15,
-        "dropout_p": 0.3, "gamma": 0.15,
-        "no_clinical": False, "no_tta": False, "no_mc_dropout": False,
-    },
+    "gate": {**_GATED, "gamma": 0.15},
     "calibrate": {"split": "val", "acc_tolerance": 0.005, "threshold": 0.5},
-    "evaluate": {
-        "seed": 23, "split": "test", "threshold": 0.5, "ablation_table": False,
-        "top_fraction": 0.3, "gamma": 0.15, "tau_blur": 100.0, "n_passes": 15,
-        "dropout_p": 0.3,
-        "no_clinical": False, "no_tta": False, "no_mc_dropout": False,
-    },
-    "coverage": {
-        "seed": 23, "split": "test", "coverage_min": 0.5, "coverage_step": 0.05,
-        "tau_blur": 100.0, "n_passes": 15, "dropout_p": 0.3,
-        "no_clinical": False, "no_tta": False, "no_mc_dropout": False,
-    },
+    "evaluate": {**_GATED, "threshold": 0.5, "ablation_table": False,
+                 "top_fraction": 0.3, "gamma": 0.15},
+    "coverage": {**_GATED, "coverage_min": 0.5, "coverage_step": 0.05},
     "warn": {"seed": 0, "n_triples": 50, "n_visits": 8},
     "report": {},
 }
@@ -314,11 +307,10 @@ def cmd_gate(cfg, args):
 def cmd_calibrate(cfg, args):
     tp, table = _load(args, cfg["split"])
     arrs = deterministic_scores(tp, table, regression=False)
-    groups = np.asarray(table.race)
-    result = calibrate_groups(arrs["p_final"], table.label, groups,
+    result = calibrate_groups(arrs["p_final"], table.label, np.asarray(table.race),
                               acc_tolerance=cfg["acc_tolerance"],
                               global_threshold=cfg["threshold"])
-    report = fairness_report(arrs["p_final"], table.label, groups, result)
+    report = fairness_report(result)
     return ({"fairness.json": dump_json(report)},
             f"FNR gap {result.gap_before:.4f} -> {result.gap_after:.4f} "
             f"(accuracy {result.acc_before:.4f} -> {result.acc_after:.4f}) "

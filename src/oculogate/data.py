@@ -288,46 +288,46 @@ def generate_cohort(spec: CohortSpec) -> CohortTable:
 _RASTER_BLOCK = 32   # rasters per noise block: 1 MB of uint64 draws
 
 
-@functools.lru_cache(maxsize=None)
-def _disc_geometry(size: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """The size-only part of every raster: the disc radius, each pixel's
+@functools.cache
+def _disc_geometry() -> tuple[float, np.ndarray, np.ndarray]:
+    """The seed-free part of every raster: the disc radius, each pixel's
     squared distance from the centre, and the cupless background-and-disc
     image (both read-only)."""
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-    cy = cx = size / 2.0
-    disc_r = size * 0.22
+    yy, xx = np.mgrid[0:IMAGE_SIZE, 0:IMAGE_SIZE].astype(np.float64)
+    cy = cx = IMAGE_SIZE / 2.0
+    disc_r = IMAGE_SIZE * 0.22
     r2 = (yy - cy) ** 2 + (xx - cx) ** 2
-    img = 0.30 + 0.06 * (yy / size)
+    img = 0.30 + 0.06 * (yy / IMAGE_SIZE)
     img = np.where(r2 <= disc_r ** 2, 0.65, img)
     r2.flags.writeable = img.flags.writeable = False
     return disc_r, r2, img
 
 
-def generate_images(severities, seeds, size: int = IMAGE_SIZE) -> np.ndarray:
-    """(n, size, size) disc/cup rasters in [0, 1]; row i is the raster of
-    (severities[i], seeds[i]), seeds in [0, 2**64). The cup radius encodes
-    severity, and the texture, from the substream (seed, "image"), keeps the
-    Laplacian variance comfortably above 100."""
+def generate_images(severities, seeds) -> np.ndarray:
+    """(n, IMAGE_SIZE, IMAGE_SIZE) disc/cup rasters in [0, 1]; row i is the
+    raster of (severities[i], seeds[i]), seeds in [0, 2**64). The cup radius
+    encodes severity, and the texture, from the substream (seed, "image"),
+    keeps the Laplacian variance comfortably above 100."""
     severities = np.asarray(severities, dtype=np.float64)
     seeds = np.asarray(seeds, dtype=np.uint64)
-    disc_r, r2, base = _disc_geometry(size)
+    disc_r, r2, base = _disc_geometry()
     cdr = np.clip(0.3 + 0.25 * severities, 0.1, 0.95)
     # Python's float power (libm pow), as one raster at a time computed it;
     # numpy's x*x rounds about 1 in 1,000 radii differently
     cup_r2 = np.array([(disc_r * c) ** 2 for c in cdr.tolist()])
-    out = np.empty((severities.size, size, size))
+    out = np.empty((severities.size, *base.shape))
     for start in range(0, severities.size, _RASTER_BLOCK):
         block = slice(start, start + _RASTER_BLOCK)
         img = np.where(r2 <= cup_r2[block, None, None], 0.95, base)
         img += substream_normals(seeds[block], "image",
-                                 size * size).reshape(-1, size, size) * 0.02
+                                 base.size).reshape(-1, *base.shape) * 0.02
         np.clip(img, 0.0, 1.0, out=out[block])
     return out
 
 
-def generate_image(severity: float, seed: int, size: int = IMAGE_SIZE) -> np.ndarray:
+def generate_image(severity: float, seed: int) -> np.ndarray:
     """One raster of generate_images."""
-    return generate_images([severity], [seed], size)[0]
+    return generate_images([severity], [seed])[0]
 
 
 def inject_blur(raster: np.ndarray, radius: int) -> np.ndarray:
@@ -356,9 +356,9 @@ _TRAJ_NOISE_STD = 0.03
 _TRAJ_NOISE_CLIP = 0.08
 
 
-def generate_trajectory(kind: str, n_visits: int, seed: int,
-                        group: str = "White") -> Trajectory:
-    """Follow-up series for one simulated patient: stable, slow, or rapid."""
+def generate_trajectory(kind: str, n_visits: int, seed: int) -> Trajectory:
+    """Follow-up series for one simulated patient of group White: stable,
+    slow, or rapid."""
     if n_visits < 4:
         raise ConfigError("trajectories need at least 4 visits")
     if kind not in ("stable", "slow", "rapid"):
@@ -394,7 +394,7 @@ def generate_trajectory(kind: str, n_visits: int, seed: int,
         "visit_time": times,
         "age": 65.0 + times,
         "sex": ["F"] * n_visits,
-        "race": [group] * n_visits,
+        "race": ["White"] * n_visits,
         **_structure(s, feat_eps, (0.4, 0.4, 0.005)),
         "md": np.clip(md_obs, -30.0, 5.0),
         "label": (md_line < -2.0).astype(np.int64),
@@ -560,12 +560,12 @@ def read_json_object(path) -> dict:
     return obj
 
 
-def write_cohort_csv(table: CohortTable, path, image_paths=None) -> None:
-    """The cohort schema, written atomically and write-once."""
+def write_cohort_csv(table: CohortTable, path, image_paths) -> None:
+    """The cohort schema, with image_paths as its image_path column, written
+    atomically and write-once."""
     columns = []
     for name, column in _CSV_COLUMNS.items():
-        values = (image_paths or table.image_path) if name == "image_path" \
-            else getattr(table, name)
+        values = image_paths if name == "image_path" else getattr(table, name)
         if column.dtype is not list:
             values = values.tolist()
         if column.dtype is np.float64:

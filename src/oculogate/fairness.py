@@ -43,20 +43,6 @@ class CalibrationResult:
     auc: float
     feasible: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "thresholds": {g: self.thresholds[g] for g in sorted(self.thresholds)},
-            "global_threshold": self.global_threshold,
-            "fnr_before": {g: self.fnr_before[g] for g in sorted(self.fnr_before)},
-            "fnr_after": {g: self.fnr_after[g] for g in sorted(self.fnr_after)},
-            "gap_before": self.gap_before,
-            "gap_after": self.gap_after,
-            "acc_before": self.acc_before,
-            "acc_after": self.acc_after,
-            "auc": self.auc,
-            "feasible": self.feasible,
-        }
-
 
 def _as_arrays(scores, labels, groups):
     scores = np.asarray(scores, dtype=np.float64)
@@ -231,8 +217,9 @@ def apply_group_thresholds(result: CalibrationResult, scores, groups
     return decisions, flagged
 
 
-def fairness_report(scores, labels, groups, result: CalibrationResult) -> dict:
-    """Two-stage report: shared global threshold vs per-group calibrated."""
+def fairness_report(result: CalibrationResult) -> dict:
+    """Two-stage report of a calibration: shared global threshold vs
+    per-group calibrated."""
     return {
         "stages": [
             {

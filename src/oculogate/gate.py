@@ -66,16 +66,19 @@ class GateDecision:
 # physical firewall
 # ---------------------------------------------------------------------------
 
-def laplacian_variance(raster: np.ndarray) -> float:
+def laplacian_variance(rasters: np.ndarray):
     """Population variance of the 4-neighbour Laplacian over the valid
-    interior (no padding), with the raster scaled to 0-255 first."""
-    r = np.asarray(raster, dtype=np.float64)
-    if r.ndim != 2 or r.shape[0] < 3 or r.shape[1] < 3:
-        raise ConfigError("laplacian_variance needs a raster of at least 3x3")
+    interior (no padding), with the raster scaled to 0-255 first: (n,) for
+    an (n, H, W) stack, a float for one (H, W) raster (Pech-Pacheco et al.,
+    ICPR 2000)."""
+    r = np.asarray(rasters, dtype=np.float64)
+    if r.ndim not in (2, 3) or r.shape[-2] < 3 or r.shape[-1] < 3:
+        raise ConfigError("laplacian_variance needs rasters of at least 3x3")
     a = r * 255.0
-    resp = (-4.0 * a[1:-1, 1:-1] + a[:-2, 1:-1] + a[2:, 1:-1]
-            + a[1:-1, :-2] + a[1:-1, 2:])
-    return float(resp.var())
+    resp = (-4.0 * a[..., 1:-1, 1:-1] + a[..., :-2, 1:-1] + a[..., 2:, 1:-1]
+            + a[..., 1:-1, :-2] + a[..., 1:-1, 2:])
+    out = resp.var(axis=(-2, -1))
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +122,7 @@ def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
     names = [cfg.tta_set[i % len(cfg.tta_set)] for i in range(cfg.n_passes)]
     distinct = list(dict.fromkeys(names))
     v = visual_features_batch(
-        model.visual, np.concatenate([apply_tta(t, rasters) for t in distinct]),
-        model.proj)
+        model.visual, np.concatenate([apply_tta(t, rasters) for t in distinct]))
     transform_of = [distinct.index(name) for name in names]
     if cfg.dropout_p > 0.0:
         # one row block per pass: row i*n + k is pass i of sample k
@@ -167,6 +169,9 @@ def gate_decide(mu: float, u: float, cfg: GateConfig) -> GateDecision:
 # table-level gating
 # ---------------------------------------------------------------------------
 
+_LAP_BLOCK = 32   # rasters per laplacian_variance call: ~1 MB of 64x64 temporaries
+
+
 @dataclass
 class GateRun:
     sample_ids: list[str]
@@ -191,7 +196,7 @@ class GateRun:
 
 
 def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
-                        seed: int, fusion: FusionConfig | None = None,
+                        seed: int, fusion: FusionConfig,
                         batch_size: int = 32) -> GateRun:
     """Firewall plus ensemble statistics for every sample of a table,
     without the accept/reject call (tau_unc may still be unset, and
@@ -199,14 +204,14 @@ def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
     and u stay NaN."""
     from .data import apply_preprocess_table
 
-    fusion = fusion or FusionConfig()
     cfg.validate()
     n = len(table)
     sample_ids = table.sample_ids()
     lap = np.empty(n)
     rasters = table.raster_stack(range(n))
-    for i in range(n):
-        lap[i] = laplacian_variance(rasters[i])
+    for start in range(0, n, _LAP_BLOCK):
+        lap[start : start + _LAP_BLOCK] = laplacian_variance(
+            rasters[start : start + _LAP_BLOCK])
     sharp = np.flatnonzero(lap >= cfg.tau_blur)
 
     mu = np.full(n, np.nan)
@@ -223,8 +228,7 @@ def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
 
 
 def run_gate(model: DualStreamModel, table, stats, cfg: GateConfig, seed: int,
-             fusion: FusionConfig | None = None,
-             batch_size: int = 32) -> GateRun:
+             fusion: FusionConfig, batch_size: int = 32) -> GateRun:
     """Gate every sample of a table: firewall first (no model pass for blur
     rejects), then the ensemble and the uncertainty decision."""
     run = ensemble_over_table(model, table, stats, cfg, seed, fusion, batch_size)

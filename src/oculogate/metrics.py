@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 # Severity bands in dB: label -> (low_exclusive, high_inclusive_or_open)
-DEFAULT_SEVERITY_BANDS = (
+SEVERITY_BANDS = (
     ("normal", -2.0),     # md > -2
     ("early", -6.0),      # -6 < md <= -2
     ("moderate", -11.0),  # -11 < md <= -6
@@ -115,11 +115,10 @@ def eligibility_filter(visit_times) -> bool:
     return t.size >= 3 and float(t.max() - t.min()) >= 1.0
 
 
-def grade_md(md: float, bands=DEFAULT_SEVERITY_BANDS) -> str:
-    for name, floor in bands:
+def grade_md(md: float) -> str:
+    for name, floor in SEVERITY_BANDS:
         if floor is None or md > floor:
             return name
-    return bands[-1][0]
 
 
 def moderate_severe_fraction(md_passes) -> np.ndarray:
@@ -139,16 +138,11 @@ class WarningResult:
     peak_risk: float
 
 
-def dynamic_warning(
-    visit_times,
-    risks,
-    onset_time: float | None = None,
-    abs_threshold: float = WARN_ABS_THRESHOLD,
-    rise_threshold: float = WARN_RISE_THRESHOLD,
-) -> WarningResult:
-    """First-visit warning: risk >= abs_threshold OR a two-visit rise >=
-    rise_threshold. Lead time is (onset - first warning) in months; negative
-    means the warning came after onset.
+def dynamic_warning(visit_times, risks,
+                    onset_time: float | None = None) -> WarningResult:
+    """First-visit warning: risk >= WARN_ABS_THRESHOLD OR a two-visit rise
+    >= WARN_RISE_THRESHOLD. Lead time is (onset - first warning) in months;
+    negative means the warning came after onset.
     """
     t = np.asarray(visit_times, dtype=np.float64)
     p = np.asarray(risks, dtype=np.float64)
@@ -158,7 +152,8 @@ def dynamic_warning(
         raise DataError("dynamic_warning: visit times must be strictly increasing")
     fired_at = None
     for i in range(t.size):
-        if p[i] >= abs_threshold or (i >= 2 and p[i] - p[i - 2] >= rise_threshold):
+        if p[i] >= WARN_ABS_THRESHOLD or \
+                (i >= 2 and p[i] - p[i - 2] >= WARN_RISE_THRESHOLD):
             fired_at = i
             break
     lead = None

@@ -112,13 +112,10 @@ def patch_stats(rasters: np.ndarray, grid: int) -> np.ndarray:
     return out.reshape(n, -1)
 
 
-def visual_features_batch(cfg: VisualFeatConfig, rasters: np.ndarray,
-                          proj: np.ndarray | None = None) -> np.ndarray:
+def visual_features_batch(cfg: VisualFeatConfig, rasters: np.ndarray) -> np.ndarray:
     """(n, proj_dim) features for a stack of rasters in [0, 1], (n, H, W)."""
-    if proj is None:
-        proj = projection_matrix(cfg)
     return np.tanh(patch_stats(np.asarray(rasters, dtype=np.float64),
-                               cfg.patch_grid) @ proj)
+                               cfg.patch_grid) @ projection_matrix(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +139,7 @@ class DualStreamModel:
                  init_rng: Rng | None = None):
         self.dcce = dcce
         self.visual = visual
-        self.proj = projection_matrix(visual)
         self.params = ParamStore(self.param_layout())
-        self.forward_count = 0
         if init_rng is not None:
             for name, p in self.params.entries.items():
                 if p.value.ndim == 2:
@@ -220,7 +215,6 @@ class DualStreamModel:
         if x_clin.shape[1] != self.dcce.input_dim:
             raise SchemaError(
                 f"clinical width {x_clin.shape[1]} != input_dim {self.dcce.input_dim}")
-        self.forward_count += 1
         p = self.params
         v_used = v_feats if masks is None else v_feats * masks["vis"]
 

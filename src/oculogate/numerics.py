@@ -46,22 +46,22 @@ def sigmoid(z):
 # losses
 # ---------------------------------------------------------------------------
 
-def smooth_l1(pred, target, beta: float = 1.0):
-    """Huber-style loss: 0.5*d^2 for |d| < beta, else |d| - 0.5*beta."""
+def smooth_l1(pred, target):
+    """Huber-style loss with beta 1: 0.5*d^2 for |d| < 1, else |d| - 0.5."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if not (np.isfinite(pred).all() and np.isfinite(target).all()):
         raise NumericError("smooth_l1: non-finite input")
     d = pred - target
     a = np.abs(d)
-    out = np.where(a < beta, 0.5 * d * d, a - 0.5 * beta)
+    out = np.where(a < 1.0, 0.5 * d * d, a - 0.5)
     return out if out.ndim else float(out)
 
 
-def smooth_l1_grad(pred, target, beta: float = 1.0):
-    """d/dpred of smooth_l1: d for |d| < beta, else sign(d)."""
+def smooth_l1_grad(pred, target):
+    """d/dpred of smooth_l1: d for |d| < 1, else sign(d)."""
     d = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    out = np.where(np.abs(d) < beta, d, np.sign(d))
+    out = np.where(np.abs(d) < 1.0, d, np.sign(d))
     return out if out.ndim else float(out)
 
 
@@ -128,19 +128,14 @@ class ParamStore:
 
 ADAMW_BLOCK = 1 << 15   # elements per block: 256 kB per vector, so a block's
                         # four vectors and two temporaries stay in L2
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def adamw_step(
-    store: ParamStore,
-    lr: float = 1e-4,
-    wd: float = 1e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> ParamStore:
+def adamw_step(store: ParamStore, lr: float = 1e-4, wd: float = 1e-4) -> ParamStore:
     """Decoupled weight decay (applied before the Adam update), then
-    bias-corrected Adam, over the flat vectors one cache-sized block at a
-    time. Leaves the store untouched if any grad is non-finite.
+    bias-corrected Adam with the ADAM_* decay rates and epsilon, over the
+    flat vectors one cache-sized block at a time. Leaves the store untouched
+    if any grad is non-finite.
     """
     if not np.isfinite(store.grad).all():
         name = next(k for k, p in store.entries.items()
@@ -148,7 +143,7 @@ def adamw_step(
         raise NumericError(f"adamw_step: non-finite gradient in '{name}'")
     store.step_count += 1
     t = store.step_count
-    bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    bc1, bc2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
     tmp_block = np.empty(min(ADAMW_BLOCK, store.value.size))
     denom_block = np.empty_like(tmp_block)
     # in place with two temporaries: value *= 1 - lr*wd;
@@ -162,16 +157,16 @@ def adamw_step(
         m1, m2 = store.m1[window], store.m2[window]
         tmp, denom = tmp_block[: g.size], denom_block[: g.size]
         value *= 1.0 - lr * wd
-        np.multiply(g, 1.0 - beta1, out=tmp)
-        m1 *= beta1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        m1 *= ADAM_BETA1
         m1 += tmp
         np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - beta2
-        m2 *= beta2
+        tmp *= 1.0 - ADAM_BETA2
+        m2 *= ADAM_BETA2
         m2 += tmp
         np.divide(m2, bc2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += eps
+        denom += ADAM_EPS
         np.divide(m1, bc1, out=tmp)
         tmp *= lr
         tmp /= denom

@@ -40,18 +40,19 @@ class AblationFlags:
         return fusion, gate_cfg
 
 
+_FEATURE_BATCH = 512   # rasters read and featurised at a time: 16 MB of 64x64
+
+
 def feature_matrices(table: CohortTable, stats: PreprocessStats,
-                     model: DualStreamModel,
-                     batch_size: int = 512) -> tuple[np.ndarray, np.ndarray]:
+                     model: DualStreamModel) -> tuple[np.ndarray, np.ndarray]:
     """Clinical matrix and visual feature matrix for a table; rasters are
-    read and consumed batch_size rows at a time to bound memory."""
+    read and consumed _FEATURE_BATCH rows at a time to bound memory."""
     x = apply_preprocess_table(stats, table)
     n = len(table)
     v = np.empty((n, model.visual.proj_dim))
-    for start in range(0, n, batch_size):
-        rasters = table.raster_stack(range(start, min(start + batch_size, n)))
-        v[start : start + len(rasters)] = visual_features_batch(
-            model.visual, rasters, model.proj)
+    for start in range(0, n, _FEATURE_BATCH):
+        rasters = table.raster_stack(range(start, min(start + _FEATURE_BATCH, n)))
+        v[start : start + len(rasters)] = visual_features_batch(model.visual, rasters)
     return x, v
 
 

@@ -173,13 +173,12 @@ class Rng:
         n = int(np.prod(shape)) if shape else 1
         return _unit(self.fill_u64(n)).reshape(shape)
 
-    def normal(self, shape=None, mean: float = 0.0, std: float = 1.0):
-        """Gaussian variates via Box-Muller on paired uniforms."""
+    def normal(self, shape=None):
+        """Standard normal variates via Box-Muller on paired uniforms."""
         scalar = shape is None
         shape = (1,) if scalar else ((shape,) if isinstance(shape, int) else tuple(shape))
         n = int(np.prod(shape)) if shape else 1
-        z = _box_muller(self.fill_u64(n + (n & 1)), n)
-        out = mean + std * z.reshape(shape)
+        out = _box_muller(self.fill_u64(n + (n & 1)), n).reshape(shape)
         return float(out[0]) if scalar else out
 
     def integers(self, low: int, high: int, shape=None):

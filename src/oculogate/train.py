@@ -17,7 +17,7 @@ import numpy as np
 from .data import CohortTable
 from .errors import ConfigError, NumericError
 from .metrics import mean_absolute_error, roc_auc
-from .model import DualStreamModel, FusionConfig, fuse
+from .model import DualStreamModel, FusionConfig, predict_arrays
 from .numerics import (adamw_step, binary_cross_entropy, binary_cross_entropy_grad,
                        smooth_l1, smooth_l1_grad)
 from .rng import Rng
@@ -144,7 +144,7 @@ def train_multitask(
     cfg: TrainConfig,
     x_train: np.ndarray, v_train: np.ndarray, train_table: CohortTable,
     x_val: np.ndarray, v_val: np.ndarray, val_table: CohortTable,
-    fusion: FusionConfig | None = None,
+    fusion: FusionConfig,
 ) -> TrainHistory:
     """AdamW on the multi-task loss with early stopping on validation AUC.
 
@@ -153,7 +153,6 @@ def train_multitask(
     left holding the best-validation-AUC parameters.
     """
     cfg.validate()
-    fusion = fusion or FusionConfig()
     rng = Rng(cfg.seed, "train")
     n = len(train_table)
     y = train_table.label.astype(np.float64)
@@ -232,10 +231,9 @@ def train_multitask(
                             d_slope=None if d_sl is None else lam * d_sl)
             adamw_step(model.params, lr=cfg.lr, wd=cfg.wd)
 
-        val_out, _ = model.forward(x_val, v_val, masks=None)
-        p_val = fuse(fusion, val_out["logit_vis"], val_out["logit_clin"])
-        val_auc = roc_auc(p_val, y_val)
-        val_mae = mean_absolute_error(val_out["md_hat"], md_val)
+        val = predict_arrays(model, fusion, x_val, v_val)
+        val_auc = roc_auc(val["p_final"], y_val)
+        val_mae = mean_absolute_error(val["md_hat"], md_val)
         grad_ratio = (float(np.sqrt(norm_scr) / np.sqrt(norm_prog))
                       if norm_prog > 0 else None)
         history.records.append({
@@ -292,10 +290,9 @@ class TauSearchResult:
     candidates: np.ndarray
 
 
-def grid_search_tau_unc(u_values, mu_values, labels, gamma: float,
-                        threshold: float = 0.5) -> TauSearchResult:
-    """Pick the uncertainty threshold maximizing retained accuracy minus
-    gamma times the referral rate.
+def grid_search_tau_unc(u_values, mu_values, labels, gamma: float) -> TauSearchResult:
+    """Pick the uncertainty threshold maximizing retained accuracy (mu >= 0.5
+    is positive) minus gamma times the referral rate.
 
     Candidates are the 5th..95th percentiles of the validation U plus one
     accept-everything sentinel just above max(U); without the sentinel a
@@ -310,7 +307,7 @@ def grid_search_tau_unc(u_values, mu_values, labels, gamma: float,
     pct = np.percentile(u, np.arange(5, 100, 5))
     sentinel = float(u.max()) * (1.0 + 1e-9) + 1e-12
     candidates = np.append(pct, sentinel)
-    correct = (mu >= threshold).astype(int) == labels
+    correct = (mu >= 0.5).astype(int) == labels
 
     best = None
     for tau in candidates:

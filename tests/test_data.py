@@ -446,7 +446,7 @@ class TestCohortCsv:
         path = tmp_path / "cohort.csv"
         from oculogate.data import write_cohort_csv
 
-        write_cohort_csv(table, path)
+        write_cohort_csv(table, path, table.image_path)
         loaded = load_cohort_csv(path)
         assert np.isnan(loaded.rnflt[3])
 

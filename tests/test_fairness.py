@@ -239,7 +239,7 @@ class TestReportShape:
     def test_two_stage_report(self):
         scores, labels, groups = shifted_fixture(n_per_group=150, seed=82)
         res = calibrate_groups(scores, labels, groups)
-        report = fairness_report(scores, labels, groups, res)
+        report = fairness_report(res)
         assert [s["stage"] for s in report["stages"]] == ["global", "calibrated"]
         for stage in report["stages"]:
             assert set(stage) == {"stage", "per_group", "gap", "auc", "accuracy"}

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oculogate.data import apply_preprocess_table, generate_image, inject_blur
+from oculogate.data import (apply_preprocess_table, generate_image, generate_images,
+                            inject_blur)
 from oculogate.errors import ConfigError
 from oculogate.gate import (TTA_DEFAULT, GateConfig, GateDecision, GateRun,
                             apply_tta, ensemble_over_table, ensemble_passes,
                             gate_decide, laplacian_variance, run_gate,
                             summarize_passes, triage_queue)
-from oculogate.model import fuse, visual_features_batch
+from oculogate.model import DualStreamModel, fuse, visual_features_batch
 from oculogate.numerics import ParamStore
 from oculogate.rng import Rng, substream_u64
 
@@ -50,6 +51,30 @@ class TestLaplacianVariance:
     def test_small_raster_rejected(self):
         with pytest.raises(ConfigError):
             laplacian_variance(np.zeros((2, 5)))
+        with pytest.raises(ConfigError):
+            laplacian_variance(np.zeros((4, 5, 2)))
+
+    @pytest.mark.parametrize("kind", ["uniform", "generated", "blurred",
+                                      "17x23", "3x3"])
+    def test_stack_equals_per_raster_calls_bytewise(self, kind):
+        rng = Rng(67, f"lap-stack/{kind}")
+        shape = {"17x23": (17, 23), "3x3": (3, 3)}.get(kind, (64, 64))
+        if kind in ("generated", "blurred"):
+            stack = generate_images(rng.uniform(40), rng.fill_u64(40))
+            if kind == "blurred":
+                stack = np.stack([inject_blur(r, 1 + i % 3)
+                                  for i, r in enumerate(stack)])
+        else:
+            stack = rng.uniform((40, *shape))
+        got = laplacian_variance(stack)
+        one = [laplacian_variance(r) for r in stack]
+        assert got.shape == (40,) and all(type(v) is float for v in one)
+        assert got.tobytes() == np.array(one).tobytes()
+        # and each one is the variance of that raster's whole response
+        a = stack * 255.0
+        whole = [float((-4.0 * r[1:-1, 1:-1] + r[:-2, 1:-1] + r[2:, 1:-1]
+                        + r[1:-1, :-2] + r[1:-1, 2:]).var()) for r in a]
+        assert np.array(one).tobytes() == np.array(whole).tobytes()
 
 
 class TestQualityGate:
@@ -198,7 +223,7 @@ def per_pass_reference(model, fusion, x_clin, rasters, sample_ids, cfg, seed):
     md_passes = np.empty((n, cfg.n_passes))
     for i in range(cfg.n_passes):
         aug = cfg.tta_set[i % len(cfg.tta_set)]
-        v = visual_features_batch(model.visual, apply_tta(aug, rasters), model.proj)
+        v = visual_features_batch(model.visual, apply_tta(aug, rasters))
         masks = None
         if cfg.dropout_p > 0.0:
             # the float rule on each stream's uniforms, not the word compare
@@ -211,23 +236,38 @@ def per_pass_reference(model, fusion, x_clin, rasters, sample_ids, cfg, seed):
     return p_passes, md_passes
 
 
+@pytest.fixture
+def diagnose_calls(monkeypatch):
+    """A list that grows by one per DualStreamModel.diagnose call. The spy
+    goes on the class through monkeypatch, which restores the method after
+    the test: the session's small_pipeline model must not keep it."""
+    calls = []
+    diagnose = DualStreamModel.diagnose
+
+    def spy(self, *args, **kwargs):
+        calls.append(1)
+        return diagnose(self, *args, **kwargs)
+
+    monkeypatch.setattr(DualStreamModel, "diagnose", spy)
+    return calls
+
+
 class TestEnsembleOracle:
     @pytest.mark.parametrize("tta_set", [TTA_DEFAULT, ("identity",)],
                              ids=["tta", "identity"])
     @pytest.mark.parametrize("dropout_p", [0.3, 0.0], ids=["mc", "no-mc"])
     @pytest.mark.parametrize("n_passes", [2, 4, 7, 15, 16])
     @pytest.mark.parametrize("n", [1, 5, 6])
-    def test_matches_per_pass_loop(self, small_pipeline, n, n_passes, dropout_p,
-                                   tta_set):
+    def test_matches_per_pass_loop(self, small_pipeline, diagnose_calls, n,
+                                   n_passes, dropout_p, tta_set):
         tp = small_pipeline
         cfg = GateConfig(n_passes=n_passes, dropout_p=dropout_p, tta_set=tta_set)
         table = tp.split.test.subset(range(n))
         x = apply_preprocess_table(tp.stats, table)
         rasters = np.stack([table.raster(i) for i in range(n)])
         args = (tp.model, tp.fusion, x, rasters, table.sample_ids(), cfg, 13)
-        before = tp.model.forward_count
         p = ensemble_passes(*args)
-        assert tp.model.forward_count == before + 1
+        assert len(diagnose_calls) == 1
         p_ref, _ = per_pass_reference(*args)
         assert p.shape == (n, n_passes)
         assert np.abs(p - p_ref).max() <= 1e-12
@@ -236,15 +276,14 @@ class TestEnsembleOracle:
                 j = i % len(tta_set)   # first pass with the same transform
                 assert p[:, i].tobytes() == p[:, j].tobytes()
 
-    def test_one_forward_per_batch(self, small_pipeline):
+    def test_one_forward_per_batch(self, small_pipeline, diagnose_calls):
         tp = small_pipeline
         table = tp.split.test.subset(range(7))
-        before = tp.model.forward_count
         run = ensemble_over_table(tp.model, table, tp.stats, GateConfig(), seed=4,
                                   fusion=tp.fusion, batch_size=3)
         sharp = int((run.lap_var >= GateConfig().tau_blur).sum())
         assert sharp > 3
-        assert tp.model.forward_count - before == -(-sharp // 3)
+        assert len(diagnose_calls) == -(-sharp // 3)
 
 
 class TestEnsembleReadsOnlyDiagnostics:
@@ -346,16 +385,15 @@ class TestGateDecide:
 
 
 class TestBlurPrecedence:
-    def test_no_forward_pass_for_blur_rejects(self, small_pipeline):
+    def test_no_forward_pass_for_blur_rejects(self, small_pipeline, diagnose_calls):
         tp = small_pipeline
         table = tp.split.test.subset(range(4))
         # blur every raster so the firewall rejects them all
         table.rasters = [inject_blur(table.raster(i), 4) for i in range(4)]
-        before = tp.model.forward_count
         run = run_gate(tp.model, table, tp.stats, GateConfig(tau_unc=0.05),
                        seed=2, fusion=tp.fusion)
         assert all(d.kind == "reject_blur" for d in run.decisions)
-        assert tp.model.forward_count == before
+        assert diagnose_calls == []
 
     def test_mixed_table_decision_kinds(self, small_pipeline):
         tp = small_pipeline

@@ -18,9 +18,9 @@ from oculogate.rng import Rng, _unit
 from helpers import float_rule_masks
 
 
-def features_of_one(cfg, raster, proj=None):
+def features_of_one(cfg, raster):
     """Features of one raster: the batched extractor on a batch of one."""
-    return visual_features_batch(cfg, raster[None, :, :], proj)[0]
+    return visual_features_batch(cfg, raster[None, :, :])[0]
 
 
 def small_model(input_dim=5, k=4, proj_dim=6, seed=3, dropout_p=0.0):
@@ -78,8 +78,8 @@ class TestVisualFeatures:
     def test_constant_raster_uses_mean_channel_only(self):
         cfg = VisualFeatConfig(patch_grid=4, proj_dim=32, proj_seed=5)
         proj = projection_matrix(cfg)
-        f1 = features_of_one(cfg, np.full((32, 32), 0.2), proj)
-        f2 = features_of_one(cfg, np.full((32, 32), 0.8), proj)
+        f1 = features_of_one(cfg, np.full((32, 32), 0.2))
+        f2 = features_of_one(cfg, np.full((32, 32), 0.8))
         n_patches = 16
         means1 = np.full(n_patches, 0.2)
         means2 = np.full(n_patches, 0.8)
@@ -108,8 +108,8 @@ class TestVisualFeatures:
         for _ in range(10):
             a = rng.uniform((32, 32))
             b = np.clip(a + rng.normal((32, 32)) * 0.05, 0, 1)
-            fa = features_of_one(cfg, a, proj)
-            fb = features_of_one(cfg, b, proj)
+            fa = features_of_one(cfg, a)
+            fb = features_of_one(cfg, b)
             assert np.linalg.norm(fa - fb) <= op_norm * np.linalg.norm(a - b) + 1e-12
 
 

@@ -7,6 +7,7 @@ combines them with weights (0.6, 0.4). The regression head predicts the
 current MD and the progression slope at the same time.
 """
 
+import time
 from collections import Counter
 
 from oculogate.data import default_cohort_spec, generate_cohort
@@ -16,9 +17,11 @@ from oculogate.pipeline import (deterministic_scores, run_training_pipeline,
 from oculogate.train import TrainConfig
 
 cohort = generate_cohort(default_cohort_spec(n_patients=500, seed=2))
+t0 = time.perf_counter()
 tp = run_training_pipeline(cohort, TrainConfig(max_epochs=12, seed=3))
 
-print(f"trained {len(tp.history.records)} epochs in {tp.train_seconds:.0f}s; "
+print(f"trained {len(tp.history.records)} epochs in "
+      f"{time.perf_counter() - t0:.0f}s; "
       f"best val AUC {tp.history.best_val_auc:.4f} "
       f"at epoch {tp.history.best_epoch}")
 

@@ -24,15 +24,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
-from .data import (CohortSpec, CohortTable, PreprocessStats, generate_cohort,
-                   load_cohort_csv, read_json_object, refuse_existing,
-                   write_atomic, write_cohort)
+from .data import (CohortSpec, CohortTable, PreprocessStats, default_cohort_spec,
+                   generate_cohort, load_cohort_csv, read_json_object,
+                   refuse_existing, write_atomic, write_cohort)
 from .errors import ConfigError, DataError, NumericError, SchemaError
-from .fairness import calibrate_groups, fairness_report
+from .fairness import DEFAULT_ACC_TOLERANCE, calibrate_groups, fairness_report
 from .gate import GateConfig, ensemble_over_table, run_gate
 from .metrics import grade_md, moderate_severe_fraction
 from .model import (DCCEConfig, FusionConfig, VisualFeatConfig,
@@ -42,31 +42,48 @@ from .pipeline import (AblationFlags, TrainedPipeline, ablation_report,
                        run_training_pipeline, screening_report, warning_report)
 from .train import SplitResult, TrainConfig, TrainHistory
 
+
+# ---------------------------------------------------------------------------
+# stage defaults: a key that names a config-dataclass field reads its default
+# ---------------------------------------------------------------------------
+
+def _field_defaults(config) -> dict:
+    """The defaulted fields of a config instance that a flat JSON config
+    holds as they are (numbers, bools and dicts), by name; a stage spells
+    out a tuple field as one key per element."""
+    return {f.name: getattr(config, f.name) for f in fields(config)
+            if (f.default is not MISSING or f.default_factory is not MISSING)
+            and isinstance(getattr(config, f.name), (int, float, dict))}
+
+
+def _build(cls, cfg: dict, **fixed):
+    """cls from the resolved config's keys that name its fields, and fixed."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}, **fixed)
+
+
+_SPLIT_KEYS = ("split_train", "split_val", "split_test")
+_VISIT_KEYS = ("visits_min", "visits_max")
 # the defaults every gated stage (gate, evaluate, coverage) shares
-_GATED = {
-    "seed": 23, "split": "test", "tau_blur": 100.0, "n_passes": 15,
-    "dropout_p": 0.3, "no_clinical": False, "no_tta": False, "no_mc_dropout": False,
-}
+_GATED = {"seed": 23, "split": "test", **_field_defaults(GateConfig()),
+          **_field_defaults(AblationFlags())}
 _DEFAULTS = {
     "gen-data": {
-        "seed": 20240601, "n_patients": 300, "visits_min": 4, "visits_max": 8,
-        "prevalence": 0.35, "age_effect": 0.5, "label_noise": 0.05,
-        "group_mix": {"Asian": 1 / 3, "Black": 1 / 3, "White": 1 / 3},
-        "group_shift": {"Asian": 0.5, "Black": -0.5, "White": 0.0},
+        **_field_defaults(default_cohort_spec()),
+        "n_patients": 300,   # a desk-sized cohort, not CohortSpec's 2,000
+        **dict(zip(_VISIT_KEYS, CohortSpec().visits_per_patient)),
         "with_images": True,
     },
     "train": {
-        "seed": 7, "lambda_weight": 5.0, "lr": 1e-4, "wd": 1e-4,
-        "batch_size": 32, "max_epochs": 30, "patience": 10,
-        "split_train": 0.70, "split_val": 0.15, "split_test": 0.15,
-        "dropout_p": 0.3, "growth_k": 32, "n_blocks": 2, "layers_per_block": 2,
-        "patch_grid": 8, "proj_dim": 2048, "proj_seed": 7040125,
-        "alpha_vis": 0.6, "alpha_clin": 0.4, "search_alpha": False,
-        "include_md_in_regression": True,
+        **_field_defaults(TrainConfig()),
+        **dict(zip(_SPLIT_KEYS, TrainConfig().split)),
+        **_field_defaults(DCCEConfig(input_dim=0)),
+        **_field_defaults(VisualFeatConfig()), **_field_defaults(FusionConfig()),
+        "search_alpha": False,
     },
     "predict": {"split": "test"},
     "gate": {**_GATED, "gamma": 0.15},
-    "calibrate": {"split": "val", "acc_tolerance": 0.005, "threshold": 0.5},
+    "calibrate": {"split": "val", "acc_tolerance": DEFAULT_ACC_TOLERANCE,
+                  "threshold": 0.5},
     "evaluate": {**_GATED, "threshold": 0.5, "ablation_table": False,
                  "top_fraction": 0.3, "gamma": 0.15},
     "coverage": {**_GATED, "coverage_min": 0.5, "coverage_step": 0.05},
@@ -156,7 +173,7 @@ def _load_model(args) -> TrainedPipeline:
     stats = PreprocessStats.from_dict(
         read_json_object(os.path.join(args.model, "preprocess.json")))
     return TrainedPipeline(model=model, stats=stats, fusion=fusion, split=None,
-                           history=TrainHistory(), train_seconds=0.0)
+                           history=TrainHistory())
 
 
 def _load(args, split: str, allowed=_SPLITS) -> tuple[TrainedPipeline, CohortTable]:
@@ -183,10 +200,8 @@ def _load(args, split: str, allowed=_SPLITS) -> tuple[TrainedPipeline, CohortTab
 def _gate_setup(cfg: dict, tp: TrainedPipeline
                 ) -> tuple[AblationFlags, FusionConfig, GateConfig]:
     """The stage's ablation flags, and the fusion and gate config under them."""
-    flags = AblationFlags(**{name: cfg[name] for name in _ABLATIONS})
-    gate_cfg = GateConfig(tau_blur=cfg["tau_blur"], n_passes=cfg["n_passes"],
-                          dropout_p=cfg["dropout_p"])
-    return (flags, *flags.apply(tp.fusion, gate_cfg))
+    flags = _build(AblationFlags, cfg)
+    return (flags, *flags.apply(tp.fusion, _build(GateConfig, cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +209,8 @@ def _gate_setup(cfg: dict, tp: TrainedPipeline
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(cfg, args):
-    spec = CohortSpec(
-        n_patients=cfg["n_patients"],
-        visits_per_patient=(cfg["visits_min"], cfg["visits_max"]),
-        group_mix=dict(cfg["group_mix"]),
-        prevalence=cfg["prevalence"],
-        age_effect=cfg["age_effect"],
-        group_shift=dict(cfg["group_shift"]),
-        label_noise=cfg["label_noise"],
-        seed=cfg["seed"],
-    )
-    table = generate_cohort(spec)
+    table = generate_cohort(_build(
+        CohortSpec, cfg, visits_per_patient=tuple(cfg[k] for k in _VISIT_KEYS)))
     # PGMs stream to disk; write_cohort commits cohort.csv last, atomically
     write_cohort(table, args.out, with_images=cfg["with_images"])
     return {}, (f"wrote {len(table)} visits for {cfg['n_patients']} "
@@ -213,27 +219,12 @@ def cmd_gen_data(cfg, args):
 
 def cmd_train(cfg, args):
     table = load_cohort_csv(os.path.join(args.cohort, "cohort.csv"))
-    train_cfg = TrainConfig(
-        lambda_weight=cfg["lambda_weight"], lr=cfg["lr"], wd=cfg["wd"],
-        batch_size=cfg["batch_size"], max_epochs=cfg["max_epochs"],
-        patience=cfg["patience"],
-        split=(cfg["split_train"], cfg["split_val"], cfg["split_test"]),
-        seed=cfg["seed"],
-        include_md_in_regression=cfg["include_md_in_regression"],
-    )
-    visual_cfg = VisualFeatConfig(patch_grid=cfg["patch_grid"],
-                                  proj_dim=cfg["proj_dim"],
-                                  proj_seed=cfg["proj_seed"])
-    dcce_template = DCCEConfig(input_dim=0, n_blocks=cfg["n_blocks"],
-                               layers_per_block=cfg["layers_per_block"],
-                               growth_k=cfg["growth_k"],
-                               dropout_p=cfg["dropout_p"])
-    fusion = FusionConfig(alpha_vis=cfg["alpha_vis"], alpha_clin=cfg["alpha_clin"])
+    fusion = _build(FusionConfig, cfg)
     fusion.validate()
-
     tp = run_training_pipeline(
-        table, train_cfg,
-        dcce_cfg=dcce_template, visual_cfg=visual_cfg, fusion=fusion,
+        table, _build(TrainConfig, cfg, split=tuple(cfg[k] for k in _SPLIT_KEYS)),
+        dcce_cfg=_build(DCCEConfig, cfg, input_dim=0),
+        visual_cfg=_build(VisualFeatConfig, cfg), fusion=fusion,
         search_alpha=cfg["search_alpha"],
     )
     checkpoint = checkpoint_files(tp.model, tp.fusion,

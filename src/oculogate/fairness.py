@@ -18,6 +18,8 @@ from .metrics import roc_auc
 
 THRESHOLD_GRID = np.round(np.arange(0.05, 0.95 + 1e-9, 0.01), 2)
 DEFAULT_ACC_TOLERANCE = 0.005  # 0.5 percentage points
+MAX_GRID_CELLS = 1 << 24       # per-group threshold combinations searched
+                               # densely: 128 MB per float64 array
 
 
 @dataclass
@@ -117,9 +119,15 @@ def calibrate_groups(
     global-threshold accuracy. Ties break toward higher accuracy, then
     thresholds nearest 0.5 in L2, then lexicographic threshold order. With an
     empty feasible set the global thresholds are returned, flagged infeasible.
+    A group count whose grid product exceeds MAX_GRID_CELLS is refused.
     """
     scores, labels, groups = _as_arrays(scores, labels, groups)
     names = [str(g) for g in np.unique(groups)]
+    if grid.size ** len(names) > MAX_GRID_CELLS:
+        raise ConfigError(
+            f"calibrate_groups: {len(names)} groups on a {grid.size}-point "
+            f"threshold grid exceed the {MAX_GRID_CELLS} combinations the "
+            f"dense search holds")
     n = scores.size
     for g in names:
         m = groups == g

@@ -170,6 +170,7 @@ def gate_decide(mu: float, u: float, cfg: GateConfig) -> GateDecision:
 # ---------------------------------------------------------------------------
 
 _LAP_BLOCK = 32   # rasters per laplacian_variance call: ~1 MB of 64x64 temporaries
+_ENSEMBLE_BATCH = 32   # sharp samples per ensemble_passes call
 
 
 @dataclass
@@ -196,8 +197,7 @@ class GateRun:
 
 
 def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
-                        seed: int, fusion: FusionConfig,
-                        batch_size: int = 32) -> GateRun:
+                        seed: int, fusion: FusionConfig) -> GateRun:
     """Firewall plus ensemble statistics for every sample of a table,
     without the accept/reject call (tau_unc may still be unset, and
     decisions stay empty). Blur rejects never reach the model; their mu
@@ -217,8 +217,8 @@ def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
     mu = np.full(n, np.nan)
     u = np.full(n, np.nan)
     x_all = apply_preprocess_table(stats, table)
-    for start in range(0, sharp.size, batch_size):
-        idx = sharp[start : start + batch_size]
+    for start in range(0, sharp.size, _ENSEMBLE_BATCH):
+        idx = sharp[start : start + _ENSEMBLE_BATCH]
         x = x_all[idx]
         sids = [sample_ids[i] for i in idx]
         mu[idx], u[idx] = summarize_passes(
@@ -228,10 +228,10 @@ def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
 
 
 def run_gate(model: DualStreamModel, table, stats, cfg: GateConfig, seed: int,
-             fusion: FusionConfig, batch_size: int = 32) -> GateRun:
+             fusion: FusionConfig) -> GateRun:
     """Gate every sample of a table: firewall first (no model pass for blur
     rejects), then the ensemble and the uncertainty decision."""
-    run = ensemble_over_table(model, table, stats, cfg, seed, fusion, batch_size)
+    run = ensemble_over_table(model, table, stats, cfg, seed, fusion)
     run.decisions = [
         GateDecision(kind="reject_blur", lap_var=float(lv)) if lv < cfg.tau_blur
         else gate_decide(float(m), float(u), cfg)

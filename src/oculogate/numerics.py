@@ -1,4 +1,4 @@
-"""Dense linear algebra, losses, optimizer state, and gradient verification.
+"""Dense linear algebra, losses, and optimizer state.
 
 Everything is float64 and pure: functions return new arrays, and the only
 mutable object is the ParamStore that the optimizer updates in place
@@ -131,7 +131,7 @@ ADAMW_BLOCK = 1 << 15   # elements per block: 256 kB per vector, so a block's
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def adamw_step(store: ParamStore, lr: float = 1e-4, wd: float = 1e-4) -> ParamStore:
+def adamw_step(store: ParamStore, lr: float, wd: float) -> ParamStore:
     """Decoupled weight decay (applied before the Adam update), then
     bias-corrected Adam with the ADAM_* decay rates and epsilon, over the
     flat vectors one cache-sized block at a time. Leaves the store untouched
@@ -173,45 +173,3 @@ def adamw_step(store: ParamStore, lr: float = 1e-4, wd: float = 1e-4) -> ParamSt
         value -= tmp
     return store
 
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-def grad_check(model_fn, store: ParamStore, h: float = 1e-5,
-               max_per_entry: int | None = None) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    model_fn() must compute the scalar loss from the store's current values
-    and write analytic gradients into store.*.grad. Relative error per
-    component is |ga - gn| / max(|ga|, |gn|, 1e-8). With max_per_entry set,
-    large tensors are probed at that many evenly spaced components instead
-    of all of them (deterministic selection).
-    """
-    store.zero_grads()
-    model_fn()
-    analytic = {k: p.grad.copy() for k, p in store.entries.items()}
-    worst = 0.0
-    for name, p in store.entries.items():
-        flat = p.value.reshape(-1)
-        ga = analytic[name].reshape(-1)
-        if max_per_entry is None or flat.size <= max_per_entry:
-            indices = range(flat.size)
-        else:
-            indices = np.unique(np.linspace(0, flat.size - 1, max_per_entry,
-                                            dtype=np.int64))
-        for i in indices:
-            orig = flat[i]
-            flat[i] = orig + h
-            store.zero_grads()
-            lp = model_fn()
-            flat[i] = orig - h
-            store.zero_grads()
-            lm = model_fn()
-            flat[i] = orig
-            gn = (lp - lm) / (2.0 * h)
-            denom = max(abs(ga[i]), abs(gn), 1e-8)
-            worst = max(worst, abs(ga[i] - gn) / denom)
-    store.zero_grads()
-    model_fn()
-    return worst

@@ -3,7 +3,6 @@ feature assembly, training, gate calibration, and the report builders."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,7 +62,6 @@ class TrainedPipeline:
     fusion: FusionConfig
     split: SplitResult | None   # None: loaded without a cohort
     history: TrainHistory
-    train_seconds: float
 
 
 def run_training_pipeline(
@@ -90,7 +88,6 @@ def run_training_pipeline(
                             init_rng=Rng(train_cfg.seed, "model-init"))
     fusion = fusion or FusionConfig()
 
-    t0 = time.perf_counter()
     x_tr, v_tr = feature_matrices(split.train, stats, model)
     x_va, v_va = feature_matrices(split.val, stats, model)
     history = train_multitask(model, train_cfg, x_tr, v_tr, split.train,
@@ -99,9 +96,8 @@ def run_training_pipeline(
         arrs = predict_arrays(model, FusionConfig(0.5, 0.5), x_va, v_va,
                               regression=False)
         fusion = grid_search_alpha(arrs["p_vis"], arrs["p_clin"], split.val.label)
-    elapsed = time.perf_counter() - t0
     return TrainedPipeline(model=model, stats=stats, fusion=fusion, split=split,
-                           history=history, train_seconds=elapsed)
+                           history=history)
 
 
 def deterministic_scores(tp: TrainedPipeline, table: CohortTable,

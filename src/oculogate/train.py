@@ -129,6 +129,32 @@ def _dcce_norm(model: DualStreamModel) -> float:
     return total
 
 
+def multitask_loss(out: dict, y, md_t, slope_t, labeled, cfg: TrainConfig
+                   ) -> tuple[float, float, dict, dict]:
+    """The training objective of one batch from the forward outputs: the
+    screening loss, the progression loss, and the upstream derivatives
+    (backward's d_* keywords) of each. The progression term and its
+    upstream are before the lambda weight; with lambda 0 or no slope-labeled
+    row (labeled) it is 0.0 with no upstream."""
+    b = y.size
+    l_scr = 0.5 * (binary_cross_entropy(out["logit_vis"], y)
+                   + binary_cross_entropy(out["logit_clin"], y)).mean()
+    d_scr = {"d_logit_vis": 0.5 * binary_cross_entropy_grad(out["logit_vis"], y) / b,
+             "d_logit_clin": 0.5 * binary_cross_entropy_grad(out["logit_clin"], y) / b}
+    m_count = int(labeled.sum())
+    if m_count == 0 or cfg.lambda_weight == 0:
+        return float(l_scr), 0.0, d_scr, {}
+    w_md, w_sl = (0.5, 0.5) if cfg.include_md_in_regression else (0.0, 1.0)
+    md_hat, md_t = out["md_hat"][labeled], md_t[labeled]
+    sl_hat, slope_t = out["slope_hat"][labeled], slope_t[labeled]
+    l_prog = float((w_md * smooth_l1(md_hat, md_t)
+                    + w_sl * smooth_l1(sl_hat, slope_t)).mean())
+    d_prog = {"d_md": np.zeros(b), "d_slope": np.zeros(b)}
+    d_prog["d_md"][labeled] = w_md * smooth_l1_grad(md_hat, md_t) / m_count
+    d_prog["d_slope"][labeled] = w_sl * smooth_l1_grad(sl_hat, slope_t) / m_count
+    return float(l_scr), l_prog, d_scr, d_prog
+
+
 @dataclass
 class TrainHistory:
     records: list[dict] = field(default_factory=list)
@@ -164,6 +190,7 @@ def train_multitask(
     md_val = val_table.md
     total_mask_width = sum(w for _, w in model.mask_segments())
 
+    lam = cfg.lambda_weight
     history = TrainHistory()
     best_values = model.params.value.copy()
     since_best = 0
@@ -184,51 +211,27 @@ def train_multitask(
                     model.dcce.dropout_p)
             out, cache = model.forward(x_train[idx], v_train[idx], masks)
 
-            yb = y[idx]
-            l_scr = 0.5 * (binary_cross_entropy(out["logit_vis"], yb)
-                           + binary_cross_entropy(out["logit_clin"], yb)).mean()
-            d_lv = 0.5 * binary_cross_entropy_grad(out["logit_vis"], yb) / b
-            d_lc = 0.5 * binary_cross_entropy_grad(out["logit_clin"], yb) / b
-
-            labeled = has_slope[idx]
-            m_count = int(labeled.sum())
-            l_prog = 0.0
-            d_md = d_sl = None
-            if m_count > 0 and cfg.lambda_weight > 0:
-                w_md = 0.5 if cfg.include_md_in_regression else 0.0
-                w_sl = 0.5 if cfg.include_md_in_regression else 1.0
-                sl_md = smooth_l1(out["md_hat"][labeled], md_t[idx][labeled])
-                sl_sl = smooth_l1(out["slope_hat"][labeled], m_t[idx][labeled])
-                l_prog = float((w_md * sl_md + w_sl * sl_sl).mean())
-                d_md = np.zeros(b)
-                d_sl = np.zeros(b)
-                d_md[labeled] = w_md * smooth_l1_grad(
-                    out["md_hat"][labeled], md_t[idx][labeled]) / m_count
-                d_sl[labeled] = w_sl * smooth_l1_grad(
-                    out["slope_hat"][labeled], m_t[idx][labeled]) / m_count
-
+            l_scr, l_prog, d_scr, d_prog = multitask_loss(
+                out, y[idx], md_t[idx], m_t[idx], has_slope[idx], cfg)
             if n_batches % 8 == 0:
                 # per-term trunk norms on every 8th batch (epoch diagnostic),
                 # each from a trunk-only backward into the store; the step's
                 # own set_grads below zeroes them again
-                model.set_grads(cache, trunk_only=True,
-                                d_logit_vis=d_lv, d_logit_clin=d_lc)
+                model.set_grads(cache, trunk_only=True, **d_scr)
                 norm_scr += _dcce_norm(model)
-                if d_md is not None:
-                    model.set_grads(cache, trunk_only=True, d_md=d_md, d_slope=d_sl)
-                    norm_prog += cfg.lambda_weight ** 2 * _dcce_norm(model)
+                if d_prog:
+                    model.set_grads(cache, trunk_only=True, **d_prog)
+                    norm_prog += lam ** 2 * _dcce_norm(model)
 
-            lam = cfg.lambda_weight
-            loss = float(l_scr) + lam * l_prog
+            loss = l_scr + lam * l_prog
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {n_batches}")
             epoch_loss += loss
             n_batches += 1
 
-            model.set_grads(cache, d_logit_vis=d_lv, d_logit_clin=d_lc,
-                            d_md=None if d_md is None else lam * d_md,
-                            d_slope=None if d_sl is None else lam * d_sl)
+            model.set_grads(cache, **d_scr,
+                            **{key: lam * d for key, d in d_prog.items()})
             adamw_step(model.params, lr=cfg.lr, wd=cfg.wd)
 
         val = predict_arrays(model, fusion, x_val, v_val)

@@ -33,3 +33,42 @@ def float_rule_masks(model, u, p):
         masks[name] = (u[:, offset : offset + width] >= p) / (1.0 - p)
         offset += width
     return masks
+
+
+def grad_check(model_fn, store, h: float = 1e-5,
+               max_per_entry: int | None = None) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    model_fn() must compute the scalar loss from the store's current values
+    and write analytic gradients into store.*.grad. Relative error per
+    component is |ga - gn| / max(|ga|, |gn|, 1e-8). With max_per_entry set,
+    large tensors are probed at that many evenly spaced components instead
+    of all of them (deterministic selection).
+    """
+    store.zero_grads()
+    model_fn()
+    analytic = {k: p.grad.copy() for k, p in store.entries.items()}
+    worst = 0.0
+    for name, p in store.entries.items():
+        flat = p.value.reshape(-1)
+        ga = analytic[name].reshape(-1)
+        if max_per_entry is None or flat.size <= max_per_entry:
+            indices = range(flat.size)
+        else:
+            indices = np.unique(np.linspace(0, flat.size - 1, max_per_entry,
+                                            dtype=np.int64))
+        for i in indices:
+            orig = flat[i]
+            flat[i] = orig + h
+            store.zero_grads()
+            lp = model_fn()
+            flat[i] = orig - h
+            store.zero_grads()
+            lm = model_fn()
+            flat[i] = orig
+            gn = (lp - lm) / (2.0 * h)
+            denom = max(abs(ga[i]), abs(gn), 1e-8)
+            worst = max(worst, abs(ga[i] - gn) / denom)
+    store.zero_grads()
+    model_fn()
+    return worst

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from oculogate.cli import build_parser, main, resolve_config
+from oculogate.cli import build_parser, dump_json, main, resolve_config
 
 GEN_CFG = {"n_patients": 90, "visits_min": 3, "visits_max": 5, "seed": 11}
 TRAIN_CFG = {"max_epochs": 4, "seed": 5}
@@ -456,6 +457,31 @@ def test_refused_config_value_exits_two_before_any_read(
     assert code == 2
     assert len(err) == 1 and f"'{next(iter(cfg))}'" in err[0]
     assert not (tmp_path / "out").exists()
+
+
+# sha256 of each stage's default resolved config as the stage echoes it: a
+# changed default of a config dataclass shows here as a CLI contract change
+DEFAULT_CONFIG_SHA256 = {
+    "gen-data": "8e521e885fa8a61510bb84f67947451f0a9a4b854ea6316c62ffb2f1732216ed",
+    "train": "16292efdfc1195f1291803fa334e6c60794375245bfdcd91f12f9ecb9e39a740",
+    "predict": "bce0a33ccd509652768337dd07f17b91eeda5e030129ceaf7359eafdcde02b06",
+    "gate": "c742404a58a5b4562513b70b709985da133004f0422fe59ee914bd7d6ce8b554",
+    "calibrate": "c6e5ef4db0a8807a5380b15a920e2c51185bdd069ea2f513ef92960aedd37f57",
+    "evaluate": "084c3588d3dc0eb90322958f38dc6e09febf11c61e7e40507ba65cea29d861b4",
+    "coverage": "ed6c31fa6418e4755156a650f1a336ee0124dc33e64a12e6296d458a845d3bd6",
+    "warn": "85c54e8a19d0f8aa313e4a13ec9150e3ffd7893b6fdcfbacca56c760db12bc6b",
+    "report": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
+}
+
+
+@pytest.mark.parametrize("stage", list(DEFAULT_CONFIG_SHA256))
+def test_default_config_bytes_are_pinned(stage):
+    required = {"gen-data": ["--out", "o"], "train": ["--cohort", "c", "--out", "o"],
+                "report": ["i", "--out", "o"]}
+    argv = [stage, *required.get(stage, ["--cohort", "c", "--model", "m", "--out", "o"])]
+    resolved = resolve_config(stage, build_parser().parse_args(argv))
+    assert hashlib.sha256(dump_json(resolved).encode()).hexdigest() == \
+        DEFAULT_CONFIG_SHA256[stage]
 
 
 def test_int_config_value_stands_for_a_float(tmp_path):

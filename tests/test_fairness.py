@@ -190,6 +190,15 @@ class TestCalibrateGroups:
         with pytest.raises(ConfigError, match="'b'"):
             calibrate_groups(scores, labels, groups)
 
+    def test_four_groups_refused_before_the_search(self):
+        """91^4 threshold combinations exceed the dense search's cap; the
+        refusal comes before any grid array is built."""
+        scores = np.tile([0.9, 0.2], 4)
+        labels = np.tile([1, 0], 4)
+        groups = np.repeat(["a", "b", "c", "d"], 2)
+        with pytest.raises(ConfigError, match="4 groups"):
+            calibrate_groups(scores, labels, groups)
+
     def test_infeasible_returns_global_with_flag(self):
         scores, labels, groups = shifted_fixture(n_per_group=200, seed=79)
         res = calibrate_groups(scores, labels, groups, acc_tolerance=-1.0)

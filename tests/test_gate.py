@@ -276,11 +276,13 @@ class TestEnsembleOracle:
                 j = i % len(tta_set)   # first pass with the same transform
                 assert p[:, i].tobytes() == p[:, j].tobytes()
 
-    def test_one_forward_per_batch(self, small_pipeline, diagnose_calls):
+    def test_one_forward_per_batch(self, small_pipeline, diagnose_calls,
+                                   monkeypatch):
+        monkeypatch.setattr("oculogate.gate._ENSEMBLE_BATCH", 3)
         tp = small_pipeline
         table = tp.split.test.subset(range(7))
         run = ensemble_over_table(tp.model, table, tp.stats, GateConfig(), seed=4,
-                                  fusion=tp.fusion, batch_size=3)
+                                  fusion=tp.fusion)
         sharp = int((run.lap_var >= GateConfig().tau_blur).sum())
         assert sharp > 3
         assert len(diagnose_calls) == -(-sharp // 3)

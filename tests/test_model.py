@@ -11,11 +11,11 @@ from oculogate.model import (DCCEConfig, DualStreamModel, FusionConfig,
                              VisualFeatConfig, fuse, load_checkpoint,
                              patch_stats, predict_arrays, projection_matrix,
                              save_checkpoint, visual_features_batch)
-from oculogate.numerics import (binary_cross_entropy, grad_check, sigmoid,
-                                smooth_l1, smooth_l1_grad)
+from oculogate.numerics import sigmoid
 from oculogate.rng import Rng, _unit
+from oculogate.train import TrainConfig, multitask_loss
 
-from helpers import float_rule_masks
+from helpers import float_rule_masks, grad_check
 
 
 def features_of_one(cfg, raster):
@@ -231,37 +231,21 @@ class TestHeads:
 
 
 class TestGradients:
-    def _loss_fn(self, m, lam, x, v, y, md_t, sl_t, labeled):
-        n = x.shape[0]
-
+    @staticmethod
+    def _loss_fn(m, cfg, x, v, y, md_t, sl_t, labeled):
         def model():
             out, cache = m.forward(x, v, None)
-            l_scr = 0.5 * (binary_cross_entropy(out["logit_vis"], y)
-                           + binary_cross_entropy(out["logit_clin"], y)).mean()
-            d_lv = 0.5 * (sigmoid(out["logit_vis"]) - y) / n
-            d_lc = 0.5 * (sigmoid(out["logit_clin"]) - y) / n
-            mcount = int(labeled.sum())
-            l_prog = 0.0
-            d_md = d_sl = None
-            if lam > 0 and mcount:
-                sl_md = smooth_l1(out["md_hat"][labeled], md_t[labeled])
-                sl_s = smooth_l1(out["slope_hat"][labeled], sl_t[labeled])
-                l_prog = float((0.5 * sl_md + 0.5 * sl_s).mean())
-                d_md = np.zeros(n)
-                d_sl = np.zeros(n)
-                d_md[labeled] = 0.5 * smooth_l1_grad(
-                    out["md_hat"][labeled], md_t[labeled]) / mcount
-                d_sl[labeled] = 0.5 * smooth_l1_grad(
-                    out["slope_hat"][labeled], sl_t[labeled]) / mcount
-            m.set_grads(cache, d_logit_vis=d_lv, d_logit_clin=d_lc,
-                        d_md=None if d_md is None else lam * d_md,
-                        d_slope=None if d_sl is None else lam * d_sl)
-            return float(l_scr) + lam * l_prog
+            l_scr, l_prog, d_scr, d_prog = multitask_loss(out, y, md_t, sl_t,
+                                                          labeled, cfg)
+            lam = cfg.lambda_weight
+            m.set_grads(cache, **d_scr, **{k: lam * d for k, d in d_prog.items()})
+            return l_scr + lam * l_prog
 
         return model
 
+    @pytest.mark.parametrize("include_md", [True, False])
     @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
-    def test_multitask_loss_gradcheck(self, lam):
+    def test_multitask_loss_gradcheck(self, lam, include_md):
         m = small_model()
         rng = Rng(10, f"probe{lam}")
         x = rng.normal((4, 5))
@@ -270,7 +254,8 @@ class TestGradients:
         md_t = rng.normal(4) * 2
         sl_t = rng.normal(4) * 0.5
         labeled = np.array([True, True, False, True])
-        fn = self._loss_fn(m, lam, x, v, y, md_t, sl_t, labeled)
+        cfg = TrainConfig(lambda_weight=lam, include_md_in_regression=include_md)
+        fn = self._loss_fn(m, cfg, x, v, y, md_t, sl_t, labeled)
         assert grad_check(fn, m.params, max_per_entry=24) <= 1e-4
 
     def test_lambda_zero_kills_regression_gradients(self):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from oculogate.errors import NumericError
 from oculogate.numerics import (ADAMW_BLOCK, ParamStore, adamw_step, affine_backward,
                                 binary_cross_entropy, binary_cross_entropy_grad,
-                                grad_check, sigmoid, smooth_l1, smooth_l1_grad)
+                                sigmoid, smooth_l1, smooth_l1_grad)
 from oculogate.rng import Rng
+
+from helpers import grad_check
 
 
 def naive_matmul(x, w, b):
@@ -176,15 +178,15 @@ class TestAdamW:
         store = quad_store(1.0)
         store["theta"].grad[:] = np.nan
         with pytest.raises(NumericError):
-            adamw_step(store)
+            adamw_step(store, lr=1e-4, wd=1e-4)
         assert store["theta"].value[0] == 1.0
         assert store.step_count == 0
 
     def test_step_count_increments(self):
         store = quad_store(1.0)
         store["theta"].grad[:] = 0.1
-        adamw_step(store)
-        adamw_step(store)
+        adamw_step(store, lr=1e-4, wd=1e-4)
+        adamw_step(store, lr=1e-4, wd=1e-4)
         assert store.step_count == 2
 
     def test_decay_applied_before_update(self):
@@ -268,11 +270,11 @@ class TestFlatStore:
     def test_nonfinite_grad_leaves_all_state(self):
         store = mixed_store()
         store.grad[...] = 0.5
-        adamw_step(store, lr=1e-2)
+        adamw_step(store, lr=1e-2, wd=1e-4)
         before = [store.value.copy(), store.m1.copy(), store.m2.copy()]
         store["head.W"].grad[3, 0] = np.inf
         with pytest.raises(NumericError, match="'head.W'"):
-            adamw_step(store, lr=1e-2)
+            adamw_step(store, lr=1e-2, wd=1e-4)
         for kept, now in zip(before, (store.value, store.m1, store.m2)):
             assert np.array_equal(kept, now)
         assert store.step_count == 1
@@ -280,11 +282,11 @@ class TestFlatStore:
     def test_nonfinite_grad_in_last_block_leaves_all_state(self):
         store = straddling_store()
         store.grad[...] = 0.5
-        adamw_step(store, lr=1e-2)
+        adamw_step(store, lr=1e-2, wd=1e-4)
         before = [store.value.copy(), store.m1.copy(), store.m2.copy()]
         store["tail.W"].grad[1, 1] = np.nan
         with pytest.raises(NumericError, match="'tail.W'"):
-            adamw_step(store, lr=1e-2)
+            adamw_step(store, lr=1e-2, wd=1e-4)
         for kept, now in zip(before, (store.value, store.m1, store.m2)):
             assert np.array_equal(kept, now)
         assert store.step_count == 1

@@ -72,7 +72,7 @@ def test_adamw_span_counts_every_parameter():
     try:
         tracer.install()
         with tracer.op():
-            numerics.adamw_step(params)
+            numerics.adamw_step(params, lr=1e-4, wd=1e-4)
     finally:
         tracer.uninstall()
     m = tracer.layer_metrics(0.0)

@@ -40,7 +40,7 @@ from .model import (DCCEConfig, FusionConfig, VisualFeatConfig,
 from .pipeline import (AblationFlags, TrainedPipeline, ablation_report,
                        calibrate_gate, coverage_report, deterministic_scores,
                        run_training_pipeline, screening_report, warning_report)
-from .train import SplitResult, TrainConfig, TrainHistory
+from .train import SPLITS, SplitResult, TrainConfig, TrainHistory
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +110,7 @@ def dump_json(obj) -> str:
 _BOUNDS = {
     "coverage_min": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "coverage_step": (lambda v: v > 0.0, "be > 0"),
+    "top_fraction": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "n_triples": (lambda v: v >= 1, "be >= 1"),
     "patch_grid": (lambda v: v >= 1, "be >= 1"),
 }
@@ -163,9 +164,6 @@ def resolve_config(command: str, args) -> dict:
 # shared loading
 # ---------------------------------------------------------------------------
 
-_SPLITS = ("train", "val", "test")
-
-
 def _load_model(args) -> TrainedPipeline:
     """The trained pipeline of --model: its checkpoint and preprocessing
     stats, with no split."""
@@ -176,7 +174,7 @@ def _load_model(args) -> TrainedPipeline:
                            history=TrainHistory())
 
 
-def _load(args, split: str, allowed=_SPLITS) -> tuple[TrainedPipeline, CohortTable]:
+def _load(args, split: str, allowed=SPLITS) -> tuple[TrainedPipeline, CohortTable]:
     """The trained pipeline of --model over the cohort of --cohort, and the
     named split of that cohort (`all` is the whole cohort). A split name
     outside `allowed` is refused before anything is read."""
@@ -186,15 +184,13 @@ def _load(args, split: str, allowed=_SPLITS) -> tuple[TrainedPipeline, CohortTab
     tp = _load_model(args)
     assignment = read_json_object(os.path.join(args.model, "splits.json"))
     table = load_cohort_csv(os.path.join(args.cohort, "cohort.csv"))
-    of = [assignment.get(pid) for pid in table.patient_id]
-    subsets = {name: table.subset(np.flatnonzero([s == name for s in of]))
-               for name in _SPLITS}
-    tp.split = SplitResult(**subsets, assignment=assignment)
+    tp.split = SplitResult.of(table, assignment)
     if split == "all":
         return tp, table
-    if len(subsets[split]) == 0:
+    subset = getattr(tp.split, split)
+    if len(subset) == 0:
         raise DataError(f"no samples assigned to split '{split}'")
-    return tp, subsets[split]
+    return tp, subset
 
 
 def _gate_setup(cfg: dict, tp: TrainedPipeline
@@ -249,7 +245,7 @@ def cmd_train(cfg, args):
 
 
 def cmd_predict(cfg, args):
-    tp, table = _load(args, cfg["split"], allowed=(*_SPLITS, "all"))
+    tp, table = _load(args, cfg["split"], allowed=(*SPLITS, "all"))
     arrs = deterministic_scores(tp, table)
     mts = moderate_severe_fraction(arrs["md_hat"][:, None])
 

@@ -20,7 +20,7 @@ import os
 import tempfile
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -410,7 +410,8 @@ def generate_trajectory(kind: str, n_visits: int, seed: int) -> Trajectory:
 
 @dataclass
 class PreprocessStats:
-    continuous: dict[str, dict]          # name -> {mean, std, group_means}
+    # each field in its preprocess.json form
+    continuous: dict[str, dict]   # name -> {global_mean, global_std, group_means}
     dropped: list[str]
     categorical: dict[str, list[str]]    # name -> vocab (index 0 = unknown)
 
@@ -420,20 +421,7 @@ class PreprocessStats:
                list(CATEGORICAL_FEATURES)
 
     def to_dict(self) -> dict:
-        return {
-            "continuous": {
-                name: {
-                    "global_mean": st["mean"],
-                    "global_std": st["std"],
-                    "group_means": {g: st["group_means"][g]
-                                    for g in sorted(st["group_means"])},
-                }
-                for name, st in self.continuous.items()
-            },
-            "dropped": self.dropped,
-            "categorical": {name: list(vocab)
-                            for name, vocab in self.categorical.items()},
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PreprocessStats":
@@ -442,7 +430,8 @@ class PreprocessStats:
         try:
             return cls(
                 continuous={
-                    name: {"mean": st["global_mean"], "std": st["global_std"],
+                    name: {"global_mean": st["global_mean"],
+                           "global_std": st["global_std"],
                            "group_means": dict(st["group_means"])}
                     for name, st in d["continuous"].items()
                 },
@@ -476,7 +465,8 @@ def fit_preprocess(train: CohortTable) -> PreprocessStats:
             m = present & (race == g)
             if m.any():
                 group_means[str(g)] = float(values[m].mean())
-        continuous[name] = {"mean": mean, "std": std, "group_means": group_means}
+        continuous[name] = {"global_mean": mean, "global_std": std,
+                            "group_means": group_means}
 
     categorical = {
         name: sorted(set(getattr(train, name)))
@@ -506,11 +496,11 @@ def apply_preprocess_table(stats: PreprocessStats, table: CohortTable) -> np.nda
         values = getattr(table, _COLUMN_OF[name]).copy()
         missing = np.isnan(values)
         if missing.any():
-            fill = np.full(n, st["mean"])
+            fill = np.full(n, st["global_mean"])
             for g, gm in st["group_means"].items():
                 fill[race == g] = gm
             values[missing] = fill[missing]
-        cols.append((values - st["mean"]) / st["std"])
+        cols.append((values - st["global_mean"]) / st["global_std"])
     for name in CATEGORICAL_FEATURES:
         if name not in stats.categorical:
             raise SchemaError(f"stats lack feature '{name}'")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -111,18 +112,20 @@ def calibrate_groups(
     groups,
     acc_tolerance: float = DEFAULT_ACC_TOLERANCE,
     global_threshold: float = 0.5,
-    grid: np.ndarray = THRESHOLD_GRID,
 ) -> CalibrationResult:
-    """Exhaustive per-group grid search minimizing the FNR gap.
+    """Exhaustive search of THRESHOLD_GRID per group minimizing the FNR gap
+    (Hardt, Price & Srebro, NeurIPS 2016).
 
     Feasible solutions keep overall accuracy within acc_tolerance of the
     global-threshold accuracy. Ties break toward higher accuracy, then
-    thresholds nearest 0.5 in L2, then lexicographic threshold order. With an
-    empty feasible set the global thresholds are returned, flagged infeasible.
-    A group count whose grid product exceeds MAX_GRID_CELLS is refused.
+    thresholds nearest 0.5 in L2, then lexicographic threshold order (groups
+    in sorted name order). With an empty feasible set the global thresholds
+    are returned, flagged infeasible. A group count whose grid product
+    exceeds MAX_GRID_CELLS is refused.
     """
     scores, labels, groups = _as_arrays(scores, labels, groups)
     names = [str(g) for g in np.unique(groups)]
+    grid = THRESHOLD_GRID
     if grid.size ** len(names) > MAX_GRID_CELLS:
         raise ConfigError(
             f"calibrate_groups: {len(names)} groups on a {grid.size}-point "
@@ -140,30 +143,18 @@ def calibrate_groups(
     acc_before = float(((scores >= global_threshold).astype(int) == labels).mean())
 
     # per-group curves over the grid: FNR and correct-count are separable
-    k = grid.size
-    fnr_curves, correct_curves = {}, {}
+    fnr_curves, correct_curves = [], []
     for g in names:
         m = groups == g
-        s_g, y_g = scores[m], labels[m]
-        pred = s_g[None, :] >= grid[:, None]            # (k, n_g)
-        pos = y_g == 1
-        fnr_curves[g] = (~pred[:, pos]).sum(axis=1) / max(int(pos.sum()), 1)
-        correct_curves[g] = (pred == (y_g == 1)[None, :]).sum(axis=1).astype(np.float64)
+        pred = scores[m][None, :] >= grid[:, None]      # (k, n_g)
+        pos = labels[m] == 1
+        fnr_curves.append((~pred[:, pos]).sum(axis=1) / max(int(pos.sum()), 1))
+        correct_curves.append((pred == pos[None, :]).sum(axis=1).astype(np.float64))
 
-    # broadcast the separable curves over the full grid product
-    shape = tuple([k] * len(names))
-    gap_max = np.full(shape, -np.inf)
-    gap_min = np.full(shape, np.inf)
-    total_correct = np.zeros(shape)
-    for axis, g in enumerate(names):
-        view = [None] * len(names)
-        view[axis] = slice(None)
-        fc = fnr_curves[g][tuple(view)]
-        gap_max = np.maximum(gap_max, fc)
-        gap_min = np.minimum(gap_min, fc)
-        total_correct = total_correct + correct_curves[g][tuple(view)]
-    gap = gap_max - gap_min
-    accuracy = total_correct / n
+    # the same curves, one grid axis per group, over the full grid product
+    fnr = np.ix_(*fnr_curves)
+    gap = reduce(np.maximum, fnr) - reduce(np.minimum, fnr)
+    accuracy = reduce(np.add, np.ix_(*correct_curves)) / n
 
     feasible = accuracy >= acc_before - acc_tolerance
     if not feasible.any():
@@ -177,19 +168,12 @@ def calibrate_groups(
         )
 
     candidate_gap = np.where(feasible, gap, np.inf)
-    best_gap = candidate_gap.min()
-    mask = candidate_gap == best_gap
-    best_acc = accuracy[mask].max()
-    mask &= accuracy == best_acc
+    mask = candidate_gap == candidate_gap.min()
+    mask &= accuracy == accuracy[mask].max()
+    # argwhere lists the ties in lexicographic index order, and argmin takes
+    # the first of the L2 minima
     idx = np.argwhere(mask)
-    if idx.shape[0] > 1:
-        t_mat = grid[idx]                               # (m, n_groups)
-        d2 = ((t_mat - 0.5) ** 2).sum(axis=1)
-        idx = idx[d2 == d2.min()]
-        if idx.shape[0] > 1:
-            order = np.lexsort(tuple(idx[:, j] for j in range(idx.shape[1] - 1, -1, -1)))
-            idx = idx[order[:1]]
-    chosen = idx[0]
+    chosen = idx[np.argmin(((grid[idx] - 0.5) ** 2).sum(axis=1))]
     thresholds = {g: float(grid[chosen[a]]) for a, g in enumerate(names)}
 
     fnr_after = group_fnr(scores, labels, groups, thresholds)

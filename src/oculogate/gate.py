@@ -182,6 +182,13 @@ class GateRun:
     u: np.ndarray             # NaN for blur rejects
     decisions: list[GateDecision] = field(default_factory=list)  # by run_gate
 
+    def gated(self, *columns) -> tuple:
+        """The visits that passed the blur firewall (finite u), in table
+        order: their u, mu and sample ids, then each per-visit column given."""
+        keep = np.flatnonzero(~np.isnan(self.u))
+        return (self.u[keep], self.mu[keep], [self.sample_ids[i] for i in keep],
+                *(np.asarray(c)[keep] for c in columns))
+
     def audit_records(self) -> list[dict]:
         recs = []
         for i, sid in enumerate(self.sample_ids):

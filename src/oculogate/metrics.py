@@ -67,6 +67,15 @@ def metrics_at_threshold(scores, labels, threshold: float) -> dict[str, float]:
     return {"accuracy": acc, "sensitivity": sens, "specificity": spec, "f1": f1}
 
 
+def retained(uncertainties, sample_ids, coverage: float) -> np.ndarray:
+    """Indices of the ceil(coverage*n) lowest-U samples, lowest first, with
+    at least one and at most n kept. Ties in U break by sample id, so the
+    retained sets are a deterministic, nested family as coverage grows."""
+    u = np.asarray(uncertainties, dtype=np.float64)
+    k = min(max(int(np.ceil(coverage * u.size)), 1), u.size)
+    return np.lexsort((np.asarray(sample_ids), u))[:k]
+
+
 def coverage_accuracy_curve(
     uncertainties,
     scores,
@@ -75,27 +84,20 @@ def coverage_accuracy_curve(
     coverages=None,
     threshold: float = 0.5,
 ) -> list[tuple[float, float]]:
-    """(coverage, accuracy) points retaining the ceil(c*n) lowest-U samples.
-
-    Ties in U break by sample_id so the retained sets are a deterministic,
-    nested family as coverage grows.
-    """
-    u = np.asarray(uncertainties, dtype=np.float64)
+    """(coverage, accuracy) points over the samples `retained` at each
+    coverage (Geifman & El-Yaniv, NeurIPS 2017)."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = u.size
+    if scores.size == 0:
+        raise DataError("coverage_accuracy_curve needs at least one sample")
     if sample_ids is None:
-        sample_ids = np.arange(n)
+        sample_ids = np.arange(scores.size)
     if coverages is None:
         coverages = [round(0.50 + 0.05 * i, 2) for i in range(11)]
-    order = np.lexsort((np.asarray(sample_ids), u))
-    correct = ((scores >= threshold).astype(int) == labels)[order]
-    cum_correct = np.cumsum(correct)
+    correct = (scores >= threshold).astype(int) == np.asarray(labels)
     points = []
     for c in coverages:
-        k = int(np.ceil(c * n))
-        k = min(max(k, 1), n)
-        points.append((float(c), float(cum_correct[k - 1] / k)))
+        keep = retained(uncertainties, sample_ids, c)
+        points.append((float(c), float(correct[keep].sum() / keep.size)))
     return points
 
 

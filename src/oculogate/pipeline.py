@@ -3,7 +3,7 @@ feature assembly, training, gate calibration, and the report builders."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -13,7 +13,8 @@ from .errors import DataError
 from .fairness import fnr_gap, group_fnr, group_metrics
 from .gate import GateConfig, GateRun, ensemble_over_table, run_gate
 from .metrics import (coverage_accuracy_curve, dynamic_warning,
-                      mean_absolute_error, metrics_at_threshold, roc_auc)
+                      mean_absolute_error, metrics_at_threshold, retained,
+                      roc_auc)
 from .model import (DCCEConfig, DualStreamModel, FusionConfig, VisualFeatConfig,
                     predict_arrays, visual_features_batch)
 from .rng import Rng
@@ -115,10 +116,8 @@ def calibrate_gate(tp: TrainedPipeline, gate_cfg: GateConfig, gamma: float,
     fusion = fusion or tp.fusion
     val_run = ensemble_over_table(tp.model, tp.split.val, tp.stats, gate_cfg,
                                   seed, fusion)
-    sharp = ~np.isnan(val_run.u)
-    result = grid_search_tau_unc(val_run.u[sharp],
-                                 val_run.mu[sharp],
-                                 tp.split.val.label[sharp], gamma)
+    u, mu, _, labels = val_run.gated(tp.split.val.label)
+    result = grid_search_tau_unc(u, mu, labels, gamma)
     return replace(gate_cfg, tau_unc=result.tau_unc), result, val_run
 
 
@@ -153,17 +152,11 @@ def screening_report(tp: TrainedPipeline, table: CohortTable,
 def coverage_report(gate_run: GateRun, labels, threshold: float = 0.5,
                     coverages=None) -> dict:
     """Coverage-accuracy points over the gated (sharp) subset."""
-    sharp = ~np.isnan(gate_run.u)
-    points = coverage_accuracy_curve(
-        gate_run.u[sharp],
-        gate_run.mu[sharp],
-        np.asarray(labels)[sharp],
-        sample_ids=[s for s, ok in zip(gate_run.sample_ids, sharp) if ok],
-        coverages=coverages,
-        threshold=threshold,
-    )
+    u, mu, sample_ids, labels = gate_run.gated(labels)
+    points = coverage_accuracy_curve(u, mu, labels, sample_ids=sample_ids,
+                                     coverages=coverages, threshold=threshold)
     return {"points": [[c, a] for c, a in points],
-            "n_gated": int(sharp.sum()), "threshold": threshold}
+            "n_gated": u.size, "threshold": threshold}
 
 
 def ablation_report(tp: TrainedPipeline, gate_cfg: GateConfig, gamma: float,
@@ -172,45 +165,36 @@ def ablation_report(tp: TrainedPipeline, gate_cfg: GateConfig, gamma: float,
     """Table-shaped ablation row: AUC / sensitivity / specificity / FNR gap
     on the top confidence subset (lowest-U fraction of gated test samples)."""
     fusion, cfg = flags.apply(tp.fusion, gate_cfg)
-    cfg, tau_result, _ = calibrate_gate(tp, cfg, gamma, seed, fusion)
+    cfg, _, _ = calibrate_gate(tp, cfg, gamma, seed, fusion)
     test_run = run_gate(tp.model, tp.split.test, tp.stats, cfg, seed, fusion)
-    labels = tp.split.test.label
-    groups = np.asarray(tp.split.test.race)
-
-    sharp = ~np.isnan(test_run.u)
-    u = test_run.u[sharp]
-    mu = test_run.mu[sharp]
-    y = labels[sharp]
-    g = groups[sharp]
-    sids = [s for s, ok in zip(test_run.sample_ids, sharp) if ok]
-    order = np.lexsort((sids, u))
-    k = max(int(np.ceil(top_fraction * u.size)), 1)
-    keep = order[:k]
-
+    u, mu, sample_ids, y, g = test_run.gated(tp.split.test.label,
+                                             tp.split.test.race)
+    keep = retained(u, sample_ids, top_fraction)
+    mu, y, g = mu[keep], y[keep], g[keep]
     try:
-        auc = roc_auc(mu[keep], y[keep])
+        auc = roc_auc(mu, y)
     except DataError:
         auc = None
     try:
-        rates = metrics_at_threshold(mu[keep], y[keep], 0.5)
+        rates = metrics_at_threshold(mu, y, 0.5)
     except DataError:
         rates = {"sensitivity": None, "specificity": None,
                  "accuracy": None, "f1": None}
-    fnrs = group_fnr(mu[keep], y[keep], g[keep], 0.5)
+    fnrs = group_fnr(mu, y, g, 0.5)
     defined = [v for v in fnrs.values() if v is not None]
     gap = fnr_gap(fnrs) if len(defined) >= 2 else None
     accepted = sum(d.kind == "accept" for d in test_run.decisions)
     return {
         "flags": vars(flags),
         "top_fraction": top_fraction,
-        "n_subset": int(k),
+        "n_subset": keep.size,
         "auc": auc,
         "sensitivity": rates["sensitivity"],
         "specificity": rates["specificity"],
         "fnr_gap": gap,
         "tau_unc": cfg.tau_unc,
         "accept_rate": accepted / len(test_run.decisions),
-        "max_u": float(np.nanmax(test_run.u)) if sharp.any() else None,
+        "max_u": float(u.max()) if u.size else None,
     }
 
 
@@ -226,16 +210,8 @@ def warning_report(tp: TrainedPipeline, seeds, n_visits: int = 8) -> dict:
         regression=False)["p_final"].reshape(len(trajs), n_visits)
     for (seed, traj), risk in zip(trajs, risks):
         w = dynamic_warning(traj.table.visit_time, risk, traj.onset_time)
-        per_kind[traj.kind].append({
-            "seed": seed,
-            "fired": w.fired,
-            "first_warning_index": w.first_warning_index,
-            "first_warning_time": w.first_warning_time,
-            "lead_time_months": w.lead_time_months,
-            "delta_risk": w.delta_risk,
-            "peak_risk": w.peak_risk,
-            "mean_risk": float(np.mean(risk)),
-        })
+        per_kind[traj.kind].append(
+            {"seed": seed, **asdict(w), "mean_risk": float(np.mean(risk))})
     summary = {}
     for kind in kinds:
         rows = per_kind[kind]

@@ -44,12 +44,23 @@ class TrainConfig:
             raise ConfigError("batch_size, max_epochs, patience must be >= 1")
 
 
+SPLITS = ("train", "val", "test")
+
+
 @dataclass
 class SplitResult:
     train: CohortTable
     val: CohortTable
     test: CohortTable
     assignment: dict[str, str]    # patient_id -> split name
+
+    @classmethod
+    def of(cls, cohort: CohortTable, assignment: dict[str, str]) -> "SplitResult":
+        """Each split's rows of cohort, in cohort order; a patient the
+        assignment does not name belongs to no split."""
+        split_of = [assignment.get(pid) for pid in cohort.patient_id]
+        return cls(**{name: cohort.subset(np.flatnonzero([s == name for s in split_of]))
+                      for name in SPLITS}, assignment=assignment)
 
 
 def _apportion(n: int, fractions) -> list[int]:
@@ -85,10 +96,9 @@ def split_dataset(cohort: CohortTable, cfg: TrainConfig) -> SplitResult:
         e = per_patient[pid]
         strata.setdefault((e["group"], e["label"]), []).append(pid)
 
-    names = ("train", "val", "test")
     assignment: dict[str, str] = {}
     for (group, label), pids in sorted(strata.items()):
-        if len(pids) < len(names):
+        if len(pids) < len(SPLITS):
             raise ConfigError(
                 f"stratum (group={group}, label={label}) has {len(pids)} patients; "
                 f"too small to appear in all splits")
@@ -96,20 +106,11 @@ def split_dataset(cohort: CohortTable, cfg: TrainConfig) -> SplitResult:
         order = rng.permutation(len(pids))
         counts = _apportion(len(pids), cfg.split)
         cursor = 0
-        for name, count in zip(names, counts):
+        for name, count in zip(SPLITS, counts):
             for j in order[cursor : cursor + count]:
                 assignment[pids[j]] = name
             cursor += count
-
-    idx = {name: [] for name in names}
-    for i, pid in enumerate(cohort.patient_id):
-        idx[assignment[pid]].append(i)
-    return SplitResult(
-        train=cohort.subset(idx["train"]),
-        val=cohort.subset(idx["val"]),
-        test=cohort.subset(idx["test"]),
-        assignment=assignment,
-    )
+    return SplitResult.of(cohort, assignment)
 
 
 # ---------------------------------------------------------------------------

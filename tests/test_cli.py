@@ -444,11 +444,15 @@ def _run_with_config(run_dir, tmp_path, command, cfg):
     ("coverage", {"coverage_min": 0.0}),
     ("warn", {"n_triples": 0}),
     ("train", {"patch_grid": 0}),
+    ("evaluate", {"top_fraction": float("nan"), "ablation_table": True}),
+    ("evaluate", {"top_fraction": 0.0, "ablation_table": True}),
+    ("evaluate", {"top_fraction": 1.5, "ablation_table": True}),
 ], ids=["str-for-int", "float-for-int", "null-for-float", "int-for-bool",
         "bool-for-float", "bool-for-int", "str-in-dict", "list-for-dict",
         "str-seed", "coverage-step-zero", "coverage-step-negative",
         "coverage-min-above-one", "coverage-min-zero", "warn-no-triples",
-        "train-patch-grid-zero"])
+        "train-patch-grid-zero", "top-fraction-nan", "top-fraction-zero",
+        "top-fraction-above-one"])
 def test_refused_config_value_exits_two_before_any_read(
         run_dir, tmp_path, capsys, monkeypatch, command, cfg):
     _refuse_reads(monkeypatch)
@@ -456,6 +460,16 @@ def test_refused_config_value_exits_two_before_any_read(
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert len(err) == 1 and f"'{next(iter(cfg))}'" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_coverage_with_every_visit_blurred_exits_one(run_dir, tmp_path, capsys):
+    """No visit passes the firewall, so there is no curve to draw: one line
+    and exit 1, not an IndexError traceback."""
+    code = _run_with_config(run_dir, tmp_path, "coverage", {"tau_blur": 1e12})
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and "at least one sample" in err[0]
     assert not (tmp_path / "out").exists()
 
 

@@ -310,8 +310,8 @@ class TestPreprocess:
         t = tiny_table(rnflt=[1.0, 2.0, 3.0, np.nan, np.nan])
         stats = fit_preprocess(t)
         st = stats.continuous["rnflt_um"]
-        assert st["mean"] == 2.0
-        assert st["std"] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
+        assert st["global_mean"] == 2.0
+        assert st["global_std"] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
 
     def test_constant_feature_dropped_with_warning(self):
         t = tiny_table(iop=[15.0] * 5)
@@ -345,7 +345,7 @@ class TestPreprocess:
         t = tiny_table()
         stats = fit_preprocess(t)
         one = t.subset([2])
-        one.iop[0] = stats.continuous["iop_mmhg"]["mean"]
+        one.iop[0] = stats.continuous["iop_mmhg"]["global_mean"]
         x = apply_preprocess_table(stats, one)
         assert x.shape == (1, len(stats.feature_names))
         assert x[0, 1] == 0.0
@@ -357,7 +357,7 @@ class TestPreprocess:
         one.rnflt[0] = np.nan
         x = apply_preprocess_table(stats, one)
         st = stats.continuous["rnflt_um"]
-        want = (st["group_means"]["Black"] - st["mean"]) / st["std"]
+        want = (st["group_means"]["Black"] - st["global_mean"]) / st["global_std"]
         assert x[0, 0] == want
 
     def test_missing_unseen_group_falls_back_to_global(self):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from oculogate.errors import ConfigError
-from oculogate.fairness import (CalibrationResult, apply_group_thresholds,
-                                calibrate_groups, fairness_report, fnr_gap,
-                                group_fnr, group_metrics)
+from oculogate.fairness import (THRESHOLD_GRID, CalibrationResult,
+                                apply_group_thresholds, calibrate_groups,
+                                fairness_report, fnr_gap, group_fnr,
+                                group_metrics)
 from oculogate.metrics import roc_auc
 from oculogate.rng import Rng
 
@@ -118,6 +119,55 @@ def shifted_fixture(n_per_group=600, shift=-0.2, seed=73):
     return np.array(scores), np.array(labels), np.array(groups)
 
 
+def oracle_fixture(n_groups, kind):
+    """150 visits per group with shifted scores ("coarse": rounded to 0.1,
+    so whole threshold ranges tie on gap and accuracy), or "l2-tie": a
+    small input whose best (gap, accuracy) holds (0.49, 0.48) and
+    (0.51, 0.52), which lie at the same L2 distance from 0.5; group c
+    copies group a."""
+    if kind == "l2-tie":
+        a = ([0.49, 0.52, 0.5, 0.58], [1, 1, 0, 0])
+        b = ([0.58, 0.48, 0.51, 0.44, 0.45], [1, 1, 0, 0, 0])
+        parts = [("a", a), ("b", b), ("c", a)][:n_groups]
+        return (np.array([v for _, (s, _) in parts for v in s]),
+                np.array([v for _, (_, y) in parts for v in y]),
+                np.array([g for g, (s, _) in parts for _ in s]))
+    rng = Rng(76, f"oracle/{n_groups}")
+    n = 150 * n_groups
+    groups = np.repeat(["a", "b", "c"][:n_groups], 150)
+    labels = (rng.uniform(n) < 0.5).astype(int)
+    shift = np.repeat([0.0, -0.2, 0.1][:n_groups], 150)
+    scores = np.clip(0.35 + 0.3 * labels + rng.normal(n) * 0.18 + shift, 0, 1)
+    if kind == "coarse":
+        scores = np.round(scores * 10) / 10
+    return scores, labels, groups
+
+
+def lexsort_oracle(scores, labels, groups, names, acc_tolerance=0.005):
+    """The first of every feasible threshold combination in one lexsort by
+    (gap, -accuracy, L2 to 0.5, thresholds), from per-threshold counts; and
+    how many combinations tie with it on all but the thresholds."""
+    grid = THRESHOLD_GRID
+    fnr = np.empty((len(names), grid.size))
+    correct = np.empty((len(names), grid.size))
+    for j, g in enumerate(names):
+        s, y = scores[groups == g], labels[groups == g]
+        for i, t in enumerate(grid):
+            fnr[j, i] = np.sum((s < t) & (y == 1)) / np.sum(y == 1)
+            correct[j, i] = np.sum((s >= t) == (y == 1))
+    combos = np.indices((grid.size,) * len(names)).reshape(len(names), -1)
+    rows = np.arange(len(names))[:, None]
+    gap = fnr[rows, combos].max(axis=0) - fnr[rows, combos].min(axis=0)
+    acc = correct[rows, combos].sum(axis=0) / scores.size
+    acc0 = ((scores >= 0.5).astype(int) == labels).mean()
+    ok = acc >= acc0 - acc_tolerance
+    t, gap, acc = grid[combos[:, ok].T], gap[ok], acc[ok]     # t: (m, groups)
+    d2 = ((t - 0.5) ** 2).sum(axis=1)
+    first = np.lexsort((*t.T[::-1], d2, -acc, gap))[0]
+    tied = (gap == gap[first]) & (acc == acc[first]) & (d2 == d2[first])
+    return [float(v) for v in t[first]], int(tied.sum())
+
+
 class TestCalibrateGroups:
     def test_identical_distributions_symmetric(self):
         rng = Rng(74, "sym")
@@ -151,25 +201,16 @@ class TestCalibrateGroups:
             res = calibrate_groups(scores, labels, groups)
             assert res.gap_after <= res.gap_before + 1e-12
 
-    def test_exhaustive_grid_oracle_two_groups(self):
-        scores, labels, groups = shifted_fixture(n_per_group=150, seed=76)
+    @pytest.mark.parametrize("kind", ["fine", "coarse", "l2-tie"])
+    @pytest.mark.parametrize("n_groups", [2, 3])
+    def test_exhaustive_grid_oracle(self, n_groups, kind):
+        scores, labels, groups = oracle_fixture(n_groups, kind)
         res = calibrate_groups(scores, labels, groups)
-        grid = np.round(np.arange(0.05, 0.9501, 0.01), 2)
-        acc0 = ((scores >= 0.5).astype(int) == labels).mean()
-        best = None
-        for ta in grid:
-            for tb in grid:
-                fa = group_fnr(scores, labels, groups, {"a": ta, "b": tb})
-                gap = abs(fa["a"] - fa["b"])
-                pred = np.where(groups == "a", scores >= ta, scores >= tb)
-                acc = (pred.astype(int) == labels).mean()
-                if acc < acc0 - 0.005:
-                    continue
-                key = (gap, -acc, (ta - 0.5) ** 2 + (tb - 0.5) ** 2, ta, tb)
-                if best is None or key < best[0]:
-                    best = (key, ta, tb)
-        assert res.thresholds["a"] == best[1]
-        assert res.thresholds["b"] == best[2]
+        names = sorted(set(groups))
+        chosen, n_tied = lexsort_oracle(scores, labels, groups, names)
+        assert [res.thresholds[g] for g in names] == chosen
+        if kind == "l2-tie":   # only the threshold order decides
+            assert n_tied == 2
 
     def test_order_and_renaming_invariance(self):
         scores, labels, groups = shifted_fixture(n_per_group=200, seed=77)

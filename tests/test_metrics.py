@@ -10,7 +10,7 @@ from oculogate.errors import DataError
 from oculogate.metrics import (coverage_accuracy_curve, dynamic_warning,
                                eligibility_filter, grade_md,
                                metrics_at_threshold, ols_slope,
-                               moderate_severe_fraction, roc_auc)
+                               moderate_severe_fraction, retained, roc_auc)
 from oculogate.rng import Rng
 
 from helpers import risk_by_age_band
@@ -125,10 +125,20 @@ class TestCoverageCurve:
         order = sorted(range(len(u)), key=lambda i: (u[i], ids[i]))
         prev = set()
         for c in [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]:
-            k = int(np.ceil(c * len(u)))
-            cur = set(order[:k])
-            assert prev.issubset(cur)
-            prev = cur
+            keep = retained(u, ids, c)
+            assert list(keep) == order[:int(np.ceil(c * len(u)))]
+            assert prev.issubset(set(keep))
+            prev = set(keep)
+
+    def test_retained_keeps_one_to_n(self):
+        u, _, _, ids = self._fixture()
+        assert list(retained(u, ids, 0.0)) == [int(np.argmin(u))]
+        assert sorted(retained(u, ids, 2.0)) == list(range(len(u)))
+        assert retained([], [], 0.5).size == 0
+
+    def test_no_samples_refused(self):
+        with pytest.raises(DataError, match="at least one sample"):
+            coverage_accuracy_curve([], [], [], [])
 
     def test_ties_break_by_sample_id(self):
         u = [0.5, 0.5, 0.5, 0.5]

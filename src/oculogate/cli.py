@@ -113,6 +113,11 @@ _BOUNDS = {
     "top_fraction": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "n_triples": (lambda v: v >= 1, "be >= 1"),
     "patch_grid": (lambda v: v >= 1, "be >= 1"),
+    "proj_dim": (lambda v: v >= 0, "be >= 0"),
+    "n_blocks": (lambda v: v >= 0, "be >= 0"),
+    "layers_per_block": (lambda v: v >= 0, "be >= 0"),
+    "growth_k": (lambda v: v >= 0, "be >= 0"),
+    "dropout_p": (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
 }
 
 

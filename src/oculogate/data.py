@@ -319,8 +319,9 @@ def generate_images(severities, seeds) -> np.ndarray:
     for start in range(0, severities.size, _RASTER_BLOCK):
         block = slice(start, start + _RASTER_BLOCK)
         img = np.where(r2 <= cup_r2[block, None, None], 0.95, base)
-        img += substream_normals(seeds[block], "image",
-                                 base.size).reshape(-1, *base.shape) * 0.02
+        noise = substream_normals(seeds[block], "image", base.size)
+        noise *= 0.02
+        img += noise.reshape(-1, *base.shape)
         np.clip(img, 0.0, 1.0, out=out[block])
     return out
 

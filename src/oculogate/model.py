@@ -82,15 +82,47 @@ def projection_matrix(cfg: VisualFeatConfig) -> np.ndarray:
 _STATS_BLOCK = 32   # rasters per patch_stats block: 1 MB of 64x64 float64
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over x's last axis in the order of numpy's pairwise summation,
+    as whole-array strided adds: below 8 values one running sum; up to 128
+    eight running sums over stride-8 columns, combined as ((r0+r1)+(r2+r3))
+    + ((r4+r5)+(r6+r7)), then the tail added in order; above 128 the sums of
+    two halves split at a multiple of 8."""
+    n = x.shape[-1]
+    if n < 8:
+        total = x[..., 0].copy()
+        for i in range(1, n):
+            total += x[..., i]
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _row_sums(x[..., :half])
+        total += _row_sums(x[..., half:])
+        return total
+    body = n - n % 8
+    acc = x[..., :8]
+    if body > 8:
+        acc = acc.copy()
+        for i in range(8, body, 8):
+            acc += x[..., i : i + 8]
+    for _ in range(3):   # pairwise halving: 8 -> 4 -> 2 -> 1
+        acc = acc[..., 0::2] + acc[..., 1::2]
+    total = acc[..., 0]
+    for i in range(body, n):
+        total += x[..., i]
+    return total
+
+
 def patch_stats(rasters: np.ndarray, grid: int) -> np.ndarray:
     """Per-patch mean then population std over a grid x grid tiling, as
     (n, 2·grid²) rows of means followed by stds. rasters (n, H, W).
 
-    It works 32 rasters at a time. Each sum runs over the contiguous pw
-    axis of every patch row first, then adds the ph row partials in order.
-    For grid >= 2 that is the order of tiles.mean/std(axis=(2, 4)), so the
-    result equals theirs bit for bit. With grid == 1 numpy reduces the whole
-    raster as one pairwise run, so that case keeps that reduction."""
+    It works 32 rasters at a time. Each patch row of pw values is summed in
+    numpy's own pairwise order (_row_sums), then the ph row partials are
+    added in order; the deviations subtract the means repeated along each
+    patch row. For grid >= 2 that is the order of tiles.mean/std(axis=(2, 4)),
+    so the result equals theirs bit for bit. With grid == 1 numpy reduces
+    the whole raster as one pairwise run, so that case keeps that reduction."""
     n, h, w = rasters.shape
     if h < grid or w < grid or h % grid or w % grid:
         raise ConfigError(f"raster {h}x{w} does not tile into a {grid}x{grid} grid")
@@ -99,14 +131,15 @@ def patch_stats(rasters: np.ndarray, grid: int) -> np.ndarray:
     ph, pw = h // grid, w // grid
     out = np.empty((n, 2, grid, grid))
     for start in range(0, n, _STATS_BLOCK):
-        tiles = np.ascontiguousarray(rasters[start : start + _STATS_BLOCK])
-        tiles = tiles.reshape(-1, grid, ph, grid, pw)
-        mean, std = out[start : start + len(tiles)].swapaxes(0, 1)
-        np.sum(tiles.sum(axis=4), axis=2, out=mean)
+        rows = np.ascontiguousarray(rasters[start : start + _STATS_BLOCK])
+        b = len(rows)
+        rows = rows.reshape(b, grid, ph, w)
+        mean, std = out[start : start + b].swapaxes(0, 1)
+        np.sum(_row_sums(rows.reshape(b, grid, ph, grid, pw)), axis=2, out=mean)
         mean /= ph * pw
-        dev = tiles - mean[:, :, None, :, None]
+        dev = rows - np.repeat(mean, pw, axis=2)[:, :, None, :]
         dev *= dev
-        np.sum(dev.sum(axis=4), axis=2, out=std)
+        np.sum(_row_sums(dev.reshape(b, grid, ph, grid, pw)), axis=2, out=std)
         std /= ph * pw
         np.sqrt(std, out=std)
     return out.reshape(n, -1)
@@ -121,6 +154,22 @@ def visual_features_batch(cfg: VisualFeatConfig, rasters: np.ndarray) -> np.ndar
 # ---------------------------------------------------------------------------
 # trainable network
 # ---------------------------------------------------------------------------
+
+_TRUNK_LEAD = 512   # visual rows of reg.W0 kept ahead of the trunk's rows
+
+
+def trunk_columns(dpre0: np.ndarray, w0: np.ndarray, proj_dim: int) -> np.ndarray:
+    """The trunk's columns of dpre0 @ w0.T, (n, rows of w0 past proj_dim),
+    bit for bit as the full product gives them. The product starts 512
+    visual rows before the trunk's, so gemm reaches the trunk's columns
+    with the blocking and kernels of the full product; a product of the
+    trunk's rows alone rounds differently at most batch sizes. A single row
+    goes through gemv, whose threaded split follows the row count, so it
+    keeps the full product. The equality is a property of the BLAS build;
+    the tests check it for batches of 1 to 64."""
+    lo = 0 if len(dpre0) == 1 else max(proj_dim - _TRUNK_LEAD, 0)
+    return (dpre0 @ w0[lo:].T)[:, proj_dim - lo:]
+
 
 class DualStreamModel:
     """Owns the ParamStore; forward is pure given parameters and masks.
@@ -218,7 +267,7 @@ class DualStreamModel:
         p = self.params
         v_used = v_feats if masks is None else v_feats * masks["vis"]
 
-        feats_blocks: list[list[np.ndarray]] = []
+        z_ins: dict[tuple[int, int], np.ndarray] = {}
         pres: dict[tuple[int, int], np.ndarray] = {}
         block_in = x_clin
         for b in range(self.dcce.n_blocks):
@@ -229,9 +278,9 @@ class DualStreamModel:
                 h = relu(pre)
                 if masks is not None:
                     h = h * masks[f"dcce.b{b}.l{l}"]
+                z_ins[(b, l)] = z_in
                 pres[(b, l)] = pre
                 feats.append(h)
-            feats_blocks.append(feats)
             block_in = np.concatenate(feats, axis=1)
         emb = block_in
 
@@ -240,7 +289,7 @@ class DualStreamModel:
 
         outputs = {"logit_vis": logit_vis, "logit_clin": logit_clin, "embedding": emb}
         cache = {"x": x_clin, "v_used": v_used, "emb": emb, "masks": masks,
-                 "feats_blocks": feats_blocks, "pres": pres}
+                 "z_ins": z_ins, "pres": pres}
         return outputs, cache
 
     def forward(self, x_clin: np.ndarray, v_feats: np.ndarray,
@@ -265,28 +314,33 @@ class DualStreamModel:
         return outputs, cache
 
     def backward(self, cache: dict, d_logit_vis=None, d_logit_clin=None,
-                 d_md=None, d_slope=None, trunk_only: bool = False) -> None:
-        """Add the gradients of a scalar loss, given upstream derivatives
-        (each (n,) or None), onto the store's grad vector. Unused branches
-        are skipped entirely; with trunk_only the head and regression
-        parameters get nothing, and only the chain into the clinical trunk
-        (dcce.*) runs."""
+                 d_md=None, d_slope=None, trunk_only: bool = False) -> tuple[str, ...]:
+        """Write the gradients of a scalar loss, given upstream derivatives
+        (each (n,) or None), into the store's grad vector, and return the
+        name prefixes of the branches written. Each gradient it reaches gets
+        exactly one contribution, written in place (matmul's or sum's out=);
+        a branch the upstream does not reach is skipped and keeps what it
+        held, so call it through set_grads. With trunk_only the head and
+        regression parameters get nothing, and only the chain into the
+        clinical trunk (dcce.*) runs."""
         p = self.params
         masks = cache["masks"]
         n = cache["x"].shape[0]
-
-        d_emb = np.zeros_like(cache["emb"])
+        reached = []
+        d_emb = None
 
         if d_logit_vis is not None and not trunk_only:
             g = np.asarray(d_logit_vis).reshape(n, 1)
-            p["vis_head.W"].grad[...] += cache["v_used"].T @ g
-            p["vis_head.b"].grad[...] += g.sum(axis=0)
+            np.matmul(cache["v_used"].T, g, out=p["vis_head.W"].grad)
+            np.sum(g, axis=0, out=p["vis_head.b"].grad)
+            reached.append("vis_head.")
         if d_logit_clin is not None:
             g = np.asarray(d_logit_clin).reshape(n, 1)
             if not trunk_only:
-                p["clin_head.W"].grad[...] += cache["emb"].T @ g
-                p["clin_head.b"].grad[...] += g.sum(axis=0)
-            d_emb += g @ p["clin_head.W"].value.T
+                np.matmul(cache["emb"].T, g, out=p["clin_head.W"].grad)
+                np.sum(g, axis=0, out=p["clin_head.b"].grad)
+                reached.append("clin_head.")
+            d_emb = g @ p["clin_head.W"].value.T
 
         if d_md is not None or d_slope is not None:
             g2 = np.zeros((n, 2))
@@ -296,33 +350,36 @@ class DualStreamModel:
                 g2[:, 1] = d_slope
             dh1 = g2 @ p["reg.W2"].value.T
             if not trunk_only:
-                p["reg.W2"].grad[...] += cache["h1"].T @ g2
-                p["reg.b2"].grad[...] += g2.sum(axis=0)
+                np.matmul(cache["h1"].T, g2, out=p["reg.W2"].grad)
+                np.sum(g2, axis=0, out=p["reg.b2"].grad)
             if masks is not None:
                 dh1 = dh1 * masks["reg.h1"]
             dpre1 = dh1 * (cache["pre1"] > 0)
             dh0 = dpre1 @ p["reg.W1"].value.T
             if not trunk_only:
-                p["reg.W1"].grad[...] += cache["h0"].T @ dpre1
-                p["reg.b1"].grad[...] += dpre1.sum(axis=0)
+                np.matmul(cache["h0"].T, dpre1, out=p["reg.W1"].grad)
+                np.sum(dpre1, axis=0, out=p["reg.b1"].grad)
             if masks is not None:
                 dh0 = dh0 * masks["reg.h0"]
             dpre0 = dh0 * (cache["pre0"] > 0)
-            # the whole product, not just the clinical columns: a narrower
-            # gemm can take another BLAS kernel and round differently
-            dr_in = dpre0 @ p["reg.W0"].value.T
             if not trunk_only:
-                p["reg.W0"].grad[...] += cache["r_in"].T @ dpre0
-                p["reg.b0"].grad[...] += dpre0.sum(axis=0)
-            d_emb += dr_in[:, self.visual.proj_dim:]
+                np.matmul(cache["r_in"].T, dpre0, out=p["reg.W0"].grad)
+                np.sum(dpre0, axis=0, out=p["reg.b0"].grad)
+                reached.append("reg.")
+            d_reg = trunk_columns(dpre0, p["reg.W0"].value, self.visual.proj_dim)
+            if d_emb is None:
+                d_emb = d_reg
+            else:
+                d_emb += d_reg
 
+        if d_emb is None:
+            return tuple(reached)
         # back through the dense blocks
         k = self.dcce.growth_k
         L = self.dcce.layers_per_block
         g_out = d_emb
         for b in reversed(range(self.dcce.n_blocks)):
-            feats = cache["feats_blocks"][b]
-            d_block_in = feats[0].shape[1]
+            d_block_in = self._in_dim(b, 0)
             # split the block-output gradient into its concat segments
             acc = [g_out[:, :d_block_in]]
             for l in range(L):
@@ -333,22 +390,27 @@ class DualStreamModel:
                 if masks is not None:
                     g_h = g_h * masks[f"dcce.b{b}.l{l}"]
                 g_pre = g_h * (cache["pres"][(b, l)] > 0)
-                z_in = np.concatenate(feats[: l + 1], axis=1)
-                g_z, dw, db = affine_backward(g_pre, z_in,
-                                              p[f"dcce.b{b}.l{l}.W"].value)
-                p[f"dcce.b{b}.l{l}.W"].grad[...] += dw
-                p[f"dcce.b{b}.l{l}.b"].grad[...] += db
+                g_z, _, _ = affine_backward(g_pre, cache["z_ins"][(b, l)],
+                                            p[f"dcce.b{b}.l{l}.W"].value,
+                                            p[f"dcce.b{b}.l{l}.W"].grad,
+                                            p[f"dcce.b{b}.l{l}.b"].grad)
                 acc[0] += g_z[:, :d_block_in]
                 for j in range(l):
                     acc[j + 1] += g_z[:, d_block_in + j * k : d_block_in + (j + 1) * k]
             g_out = acc[0]
+        reached.append("dcce.")
+        return tuple(reached)
 
     def set_grads(self, cache: dict, trunk_only: bool = False, **upstream) -> None:
-        """Zero every gradient, then run one backward into the store: a
-        parameter the loss did not reach gets zero, not the previous step's
-        gradient. upstream holds backward's d_* keywords."""
-        self.params.zero_grads()
-        self.backward(cache, trunk_only=trunk_only, **upstream)
+        """Run one backward into the store, then zero the gradients of the
+        branches it did not reach: a parameter the loss did not reach gets
+        zero, not the previous step's gradient. A full training step reaches
+        every branch and zeroes nothing. upstream holds backward's d_*
+        keywords."""
+        reached = self.backward(cache, trunk_only=trunk_only, **upstream)
+        for name, param in self.params.entries.items():
+            if not name.startswith(reached):
+                param.grad[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

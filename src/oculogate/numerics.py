@@ -22,9 +22,11 @@ from .errors import NumericError
 # forward / backward primitives
 # ---------------------------------------------------------------------------
 
-def affine_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Gradients of y = x @ w + b. Returns (dx, dw, db) for upstream g (n, h)."""
-    return g @ w.T, x.T @ g, g.sum(axis=0)
+def affine_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray,
+                    dw: np.ndarray | None = None, db: np.ndarray | None = None):
+    """Gradients of y = x @ w + b. Returns (dx, dw, db) for upstream g (n, h);
+    a given dw or db is written in place (matmul's and sum's out=)."""
+    return g @ w.T, np.matmul(x.T, g, out=dw), np.sum(g, axis=0, out=db)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -121,9 +123,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Param:
         return self.entries[name]
-
-    def zero_grads(self) -> None:
-        self.grad[...] = 0.0
 
 
 ADAMW_BLOCK = 1 << 15   # elements per block: 256 kB per vector, so a block's

@@ -124,13 +124,23 @@ def _unit(raw: np.ndarray) -> np.ndarray:
 def _box_muller(raw: np.ndarray, n: int) -> np.ndarray:
     """n standard normals along the last axis from m = n + (n & 1) raw
     uint64s there: the first m/2 give u1 in (0, 1], so log() is safe, the
-    last m/2 give the angles."""
+    last m/2 give the angles. One float array holds u1 and the angles, then
+    r·cos and r·sin in their place; the shifted words go straight into it
+    (exact, as they are below 2^53), with no uint64 temporary."""
     half = raw.shape[-1] // 2
-    u1 = ((raw[..., :half] >> _U64(11)).astype(np.float64) + 1.0) * _INV_2_53
-    u2 = _unit(raw[..., half:])
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
+    out = np.right_shift(raw, _U64(11), out=np.empty(raw.shape), casting="unsafe")
+    r, theta = out[..., :half], out[..., half:]
+    r += 1.0
+    out *= _INV_2_53
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * np.pi
+    cos = np.cos(theta)
+    np.sin(theta, out=theta)
+    theta *= r
+    r *= cos
+    return out[..., :n]
 
 
 class Rng:

@@ -217,7 +217,7 @@ def train_multitask(
             if n_batches % 8 == 0:
                 # per-term trunk norms on every 8th batch (epoch diagnostic),
                 # each from a trunk-only backward into the store; the step's
-                # own set_grads below zeroes them again
+                # own set_grads below overwrites them
                 model.set_grads(cache, trunk_only=True, **d_scr)
                 norm_scr += _dcce_norm(model)
                 if d_prog:

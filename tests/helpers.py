@@ -40,12 +40,13 @@ def grad_check(model_fn, store, h: float = 1e-5,
     """Max relative error between analytic and central-difference gradients.
 
     model_fn() must compute the scalar loss from the store's current values
-    and write analytic gradients into store.*.grad. Relative error per
+    and write (not add) every analytic gradient into store.*.grad, as
+    DualStreamModel.set_grads does, so no probe needs the store zeroed and
+    the grads read are those of the first call. Relative error per
     component is |ga - gn| / max(|ga|, |gn|, 1e-8). With max_per_entry set,
     large tensors are probed at that many evenly spaced components instead
     of all of them (deterministic selection).
     """
-    store.zero_grads()
     model_fn()
     analytic = {k: p.grad.copy() for k, p in store.entries.items()}
     worst = 0.0
@@ -60,15 +61,11 @@ def grad_check(model_fn, store, h: float = 1e-5,
         for i in indices:
             orig = flat[i]
             flat[i] = orig + h
-            store.zero_grads()
             lp = model_fn()
             flat[i] = orig - h
-            store.zero_grads()
             lm = model_fn()
             flat[i] = orig
             gn = (lp - lm) / (2.0 * h)
             denom = max(abs(ga[i]), abs(gn), 1e-8)
             worst = max(worst, abs(ga[i] - gn) / denom)
-    store.zero_grads()
-    model_fn()
     return worst

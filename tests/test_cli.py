@@ -444,6 +444,13 @@ def _run_with_config(run_dir, tmp_path, command, cfg):
     ("coverage", {"coverage_min": 0.0}),
     ("warn", {"n_triples": 0}),
     ("train", {"patch_grid": 0}),
+    ("train", {"proj_dim": -1}),
+    ("train", {"n_blocks": -1}),
+    ("train", {"layers_per_block": -1}),
+    ("train", {"growth_k": -1}),
+    ("train", {"dropout_p": 1.0}),
+    ("train", {"dropout_p": -0.5}),
+    ("gate", {"dropout_p": float("nan")}),
     ("evaluate", {"top_fraction": float("nan"), "ablation_table": True}),
     ("evaluate", {"top_fraction": 0.0, "ablation_table": True}),
     ("evaluate", {"top_fraction": 1.5, "ablation_table": True}),
@@ -451,7 +458,10 @@ def _run_with_config(run_dir, tmp_path, command, cfg):
         "bool-for-float", "bool-for-int", "str-in-dict", "list-for-dict",
         "str-seed", "coverage-step-zero", "coverage-step-negative",
         "coverage-min-above-one", "coverage-min-zero", "warn-no-triples",
-        "train-patch-grid-zero", "top-fraction-nan", "top-fraction-zero",
+        "train-patch-grid-zero", "train-proj-dim-negative",
+        "train-n-blocks-negative", "train-layers-per-block-negative",
+        "train-growth-k-negative", "train-dropout-one", "train-dropout-negative",
+        "gate-dropout-nan", "top-fraction-nan", "top-fraction-zero",
         "top-fraction-above-one"])
 def test_refused_config_value_exits_two_before_any_read(
         run_dir, tmp_path, capsys, monkeypatch, command, cfg):

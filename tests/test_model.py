@@ -10,7 +10,7 @@ from oculogate.errors import ConfigError, SchemaError
 from oculogate.model import (DCCEConfig, DualStreamModel, FusionConfig,
                              VisualFeatConfig, fuse, load_checkpoint,
                              patch_stats, predict_arrays, projection_matrix,
-                             save_checkpoint, visual_features_batch)
+                             save_checkpoint, trunk_columns, visual_features_batch)
 from oculogate.numerics import sigmoid
 from oculogate.rng import Rng, _unit
 from oculogate.train import TrainConfig, multitask_loss
@@ -141,6 +141,27 @@ class TestPatchStats:
             rasters = generate_images(rng.uniform(n), rng.fill_u64(n))
             if tta is not None:
                 rasters = np.ascontiguousarray(apply_tta(tta, rasters))
+        got = patch_stats(rasters, grid)
+        assert got.shape == (n, 2 * grid * grid)
+        assert got.tobytes() == reference_patch_stats(rasters, grid).tobytes()
+
+    # every (side, grid) with grid dividing side: patch rows of fewer than 8
+    # values (one running sum), of 8 to 128 with and without a tail past the
+    # last multiple of 8, and above 128 (264 / 2 = 132: split in two halves)
+    @given(st.sampled_from([(side, grid) for side in (24, 40, 48, 96, 264)
+                            for grid in range(1, side + 1) if side % grid == 0]),
+           st.sampled_from([1, 32, 33]),
+           st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_other_raster_sides_equal_numpy_reduction_bitwise(self, side_grid, n,
+                                                              quantized, seed):
+        """Uniform noise, raw or quantized to 8-bit levels as PGM rasters
+        are, on square rasters other than 64x64."""
+        side, grid = side_grid
+        rasters = Rng(seed, "patch-stats-sides").uniform((n, side, side))
+        if quantized:
+            rasters = np.round(rasters * 255.0) / 255.0
         got = patch_stats(rasters, grid)
         assert got.shape == (n, 2 * grid * grid)
         assert got.tobytes() == reference_patch_stats(rasters, grid).tobytes()
@@ -285,6 +306,24 @@ class TestGradients:
             assert not m.params[name].grad.any(), name
         assert m.params["vis_head.W"].grad.any()
 
+
+    def test_trunk_columns_equal_the_full_product_bitwise(self):
+        """backward reads the trunk's columns of dpre0 @ reg.W0.T from a
+        narrowed product; on the production-shape W0 (2,048 visual rows and
+        a 134-wide trunk) they equal the full product's columns bit for bit
+        at every batch size a training step uses. This rests on the BLAS
+        build, which picks the kernels and their blocking."""
+        vis = VisualFeatConfig()
+        m = DualStreamModel(DCCEConfig(input_dim=6), vis, init_rng=Rng(14, "w0"))
+        w0 = m.params["reg.W0"].value
+        assert w0.shape == (2182, 256)
+        rng = Rng(15, "dpre0")
+        for n in range(1, 65):
+            # relu-gated like dh0 * (pre0 > 0): about half the entries zero
+            dpre0 = rng.normal((n, 256)) * (rng.uniform((n, 256)) < 0.5)
+            got = trunk_columns(dpre0, w0, vis.proj_dim)
+            assert got.shape == (n, 134)
+            assert got.tobytes() == (dpre0 @ w0.T)[:, vis.proj_dim:].tobytes(), n
 
     def test_trunk_only_writes_the_full_pass_trunk_grads_and_nothing_else(self):
         m = small_model(dropout_p=0.3)

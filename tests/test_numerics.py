@@ -314,7 +314,7 @@ class TestGradCheck:
         def model():
             pred = x @ store["w"].value
             r = pred - t
-            store["w"].grad[...] += 2.0 * x.T @ r / 6.0
+            store["w"].grad[...] = 2.0 * x.T @ r / 6.0
             return float((r * r).mean())
 
         assert grad_check(model, store) <= 1e-7
@@ -329,7 +329,7 @@ class TestGradCheck:
         def model():
             pred = x @ store["w"].value
             r = pred - t
-            store["w"].grad[...] += 2.0 * (2.0 * x.T @ r / 6.0)  # doubled on purpose
+            store["w"].grad[...] = 2.0 * (2.0 * x.T @ r / 6.0)  # doubled on purpose
             return float((r * r).mean())
 
         assert grad_check(model, store) >= 0.4

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import DualStreamModel, FusionConfig, fuse, visual_features_batch
+from .model import (DualStreamModel, FusionConfig, check_dropout, fuse,
+                    visual_features_batch)
 from .rng import substream_u64
 
 TTA_DEFAULT = (
@@ -45,8 +46,7 @@ class GateConfig:
     def validate(self) -> None:
         if self.n_passes < 2:
             raise ConfigError("n_passes must be >= 2")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError("dropout_p must lie in [0, 1)")
+        check_dropout(self.dropout_p)
         if self.tau_blur <= 0:
             raise ConfigError("tau_blur must be positive")
         for name in self.tta_set:

@@ -25,6 +25,17 @@ from .rng import Rng
 
 REG_HIDDEN = (256, 128)
 
+# inverted dropout scales each kept unit by 1/(1 - p); as a config bound
+# (whether a value is allowed, what it must be), shared by DCCEConfig,
+# GateConfig and the CLI
+DROPOUT_BOUND = (lambda p: 0.0 <= p < 1.0, "lie in [0, 1)")
+
+
+def check_dropout(p: float) -> None:
+    allowed, rule = DROPOUT_BOUND
+    if not allowed(p):
+        raise ConfigError(f"dropout_p must {rule}, got {p}")
+
 
 @dataclass
 class DCCEConfig:
@@ -33,6 +44,9 @@ class DCCEConfig:
     layers_per_block: int = 2
     growth_k: int = 32
     dropout_p: float = 0.3
+
+    def __post_init__(self):
+        check_dropout(self.dropout_p)
 
     @property
     def output_dim(self) -> int:
@@ -155,19 +169,26 @@ def visual_features_batch(cfg: VisualFeatConfig, rasters: np.ndarray) -> np.ndar
 # trainable network
 # ---------------------------------------------------------------------------
 
-_TRUNK_LEAD = 512   # visual rows of reg.W0 kept ahead of the trunk's rows
+_TRUNK_LEAD = 512        # visual rows of reg.W0 kept ahead of the trunk's rows
+_TRUNK_ALIGN = 64        # the narrowed product starts on a multiple of this
+_NARROW_MIN_ROWS = 8     # smaller batches keep the full product
 
 
 def trunk_columns(dpre0: np.ndarray, w0: np.ndarray, proj_dim: int) -> np.ndarray:
     """The trunk's columns of dpre0 @ w0.T, (n, rows of w0 past proj_dim),
-    bit for bit as the full product gives them. The product starts 512
-    visual rows before the trunk's, so gemm reaches the trunk's columns
-    with the blocking and kernels of the full product; a product of the
-    trunk's rows alone rounds differently at most batch sizes. A single row
-    goes through gemv, whose threaded split follows the row count, so it
-    keeps the full product. The equality is a property of the BLAS build;
-    the tests check it for batches of 1 to 64."""
-    lo = 0 if len(dpre0) == 1 else max(proj_dim - _TRUNK_LEAD, 0)
+    bit for bit as the full product gives them. From 8 rows on, the product
+    starts at least 512 visual rows before the trunk's, on a row index that
+    is a multiple of 64, so gemm reaches the trunk's columns at the same
+    place in its unrolled kernels as the full product does; a product of
+    the trunk's rows alone, or one starting off that grid, rounds apart.
+    Smaller batches keep the full product: one row goes through gemv, and
+    with two threads some OpenBLAS kernels round 2 or 3 rows apart. The
+    equality is a property of the BLAS build: it was checked on OpenBLAS
+    0.3.31 (the SkylakeX, Haswell, Sandybridge and Nehalem kernels, one and
+    two threads) for batches up to 256 rows and proj_dim from 1 to 3,000."""
+    if len(dpre0) < _NARROW_MIN_ROWS:
+        return (dpre0 @ w0.T)[:, proj_dim:]
+    lo = max(proj_dim - _TRUNK_LEAD, 0) // _TRUNK_ALIGN * _TRUNK_ALIGN
     return (dpre0 @ w0[lo:].T)[:, proj_dim - lo:]
 
 
@@ -390,10 +411,10 @@ class DualStreamModel:
                 if masks is not None:
                     g_h = g_h * masks[f"dcce.b{b}.l{l}"]
                 g_pre = g_h * (cache["pres"][(b, l)] > 0)
-                g_z, _, _ = affine_backward(g_pre, cache["z_ins"][(b, l)],
-                                            p[f"dcce.b{b}.l{l}.W"].value,
-                                            p[f"dcce.b{b}.l{l}.W"].grad,
-                                            p[f"dcce.b{b}.l{l}.b"].grad)
+                g_z = affine_backward(g_pre, cache["z_ins"][(b, l)],
+                                      p[f"dcce.b{b}.l{l}.W"].value,
+                                      p[f"dcce.b{b}.l{l}.W"].grad,
+                                      p[f"dcce.b{b}.l{l}.b"].grad)
                 acc[0] += g_z[:, :d_block_in]
                 for j in range(l):
                     acc[j + 1] += g_z[:, d_block_in + j * k : d_block_in + (j + 1) * k]

@@ -2,9 +2,10 @@
 
 Everything is float64 and pure: functions return new arrays, and the only
 mutable object is the ParamStore that the optimizer updates in place
-(single writer). The store keeps every parameter, gradient and AdamW moment
-in four flat vectors in layout order, so an optimizer step is one blocked
-pass over them and a snapshot or a checkpoint one whole-vector operation.
+(single writer) and whose gradient views affine_backward writes. The store
+keeps every parameter, gradient and AdamW moment in four flat vectors in
+layout order, so an optimizer step is one blocked pass over them and a
+snapshot or a checkpoint one whole-vector operation.
 Matrices are plain 2-D numpy arrays, row-major.
 """
 
@@ -23,10 +24,12 @@ from .errors import NumericError
 # ---------------------------------------------------------------------------
 
 def affine_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray,
-                    dw: np.ndarray | None = None, db: np.ndarray | None = None):
-    """Gradients of y = x @ w + b. Returns (dx, dw, db) for upstream g (n, h);
-    a given dw or db is written in place (matmul's and sum's out=)."""
-    return g @ w.T, np.matmul(x.T, g, out=dw), np.sum(g, axis=0, out=db)
+                    dw: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """Gradients of y = x @ w + b for upstream g (n, h): writes the weight
+    and bias gradients into dw and db and returns dx."""
+    np.matmul(x.T, g, out=dw)
+    np.sum(g, axis=0, out=db)
+    return g @ w.T
 
 
 def relu(x: np.ndarray) -> np.ndarray:

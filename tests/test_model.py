@@ -67,6 +67,11 @@ class TestDCCE:
         with pytest.raises(SchemaError):
             m.forward(np.zeros((2, 7)), np.zeros((2, 6)))
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, -0.5, float("nan")])
+    def test_dropout_outside_zero_one_refused(self, p):
+        with pytest.raises(ConfigError, match="dropout_p"):
+            DCCEConfig(input_dim=5, dropout_p=p)
+
 
 class TestVisualFeatures:
     def test_deterministic(self):
@@ -307,23 +312,32 @@ class TestGradients:
         assert m.params["vis_head.W"].grad.any()
 
 
-    def test_trunk_columns_equal_the_full_product_bitwise(self):
+    @pytest.mark.parametrize("proj_dim,sizes", [
+        (2048, [*range(1, 65), 96, 128, 192, 255, 256]),
+        (1000, range(1, 65)),
+        (600, range(1, 65)),
+        (577, range(1, 65)),
+        (513, range(1, 65)),
+        (100, range(1, 17)),
+        (0, range(1, 17)),
+    ])
+    def test_trunk_columns_equal_the_full_product_bitwise(self, proj_dim, sizes):
         """backward reads the trunk's columns of dpre0 @ reg.W0.T from a
-        narrowed product; on the production-shape W0 (2,048 visual rows and
+        narrowed product; on a production-shape W0 (proj_dim visual rows and
         a 134-wide trunk) they equal the full product's columns bit for bit
-        at every batch size a training step uses. This rests on the BLAS
-        build, which picks the kernels and their blocking."""
-        vis = VisualFeatConfig()
+        at every batch size. This rests on the BLAS build, which picks the
+        kernels, their blocking and the thread split."""
+        vis = VisualFeatConfig(proj_dim=proj_dim)
         m = DualStreamModel(DCCEConfig(input_dim=6), vis, init_rng=Rng(14, "w0"))
         w0 = m.params["reg.W0"].value
-        assert w0.shape == (2182, 256)
+        assert w0.shape == (proj_dim + 134, 256)
         rng = Rng(15, "dpre0")
-        for n in range(1, 65):
+        for n in sizes:
             # relu-gated like dh0 * (pre0 > 0): about half the entries zero
             dpre0 = rng.normal((n, 256)) * (rng.uniform((n, 256)) < 0.5)
-            got = trunk_columns(dpre0, w0, vis.proj_dim)
+            got = trunk_columns(dpre0, w0, proj_dim)
             assert got.shape == (n, 134)
-            assert got.tobytes() == (dpre0 @ w0.T)[:, vis.proj_dim:].tobytes(), n
+            assert got.tobytes() == (dpre0 @ w0.T)[:, proj_dim:].tobytes(), n
 
     def test_trunk_only_writes_the_full_pass_trunk_grads_and_nothing_else(self):
         m = small_model(dropout_p=0.3)

@@ -35,26 +35,32 @@ def naive_affine_backward(g, x, w):
             naive_matmul(np.ones((1, n)), g, np.zeros(h))[0])
 
 
+def affine_grads(g, x, w):
+    """(dx, dw, db) from affine_backward, with fresh dw and db buffers."""
+    dw, db = np.empty((x.shape[1], g.shape[1])), np.empty(g.shape[1])
+    return affine_backward(g, x, w, dw, db), dw, db
+
+
 class TestAffine:
     """The affine layer's backward half; the forward is the plain
     `x @ w + b` inside DualStreamModel.forward."""
 
     def test_identity(self):
         eye = np.eye(2)
-        dx, dw, db = affine_backward(eye, eye, eye)
+        dx, dw, db = affine_grads(eye, eye, eye)
         assert np.array_equal(dx, eye) and np.array_equal(dw, eye)
         assert np.array_equal(db, np.ones(2))
 
     def test_hand_arithmetic(self):
-        dx, dw, db = affine_backward(np.array([[1.0]]), np.array([[1.0, 2.0]]),
-                                     np.array([[1.0], [1.0]]))
+        dx, dw, db = affine_grads(np.array([[1.0]]), np.array([[1.0, 2.0]]),
+                                  np.array([[1.0], [1.0]]))
         assert dx.tolist() == [[1.0, 1.0]]
         assert dw.tolist() == [[1.0], [2.0]] and db.tolist() == [1.0]
 
     def test_triple_loop_oracle_8x8(self):
         rng = Rng(2024, "affine")
         g, x, w = rng.normal((8, 8)), rng.normal((8, 8)), rng.normal((8, 8))
-        for got, want in zip(affine_backward(g, x, w), naive_affine_backward(g, x, w)):
+        for got, want in zip(affine_grads(g, x, w), naive_affine_backward(g, x, w)):
             assert np.abs(got - want).max() <= 1e-12
 
     def test_triple_loop_oracle_random_shapes(self):
@@ -64,7 +70,7 @@ class TestAffine:
             d = rng.integers(1, 17)
             h = rng.integers(1, 17)
             g, x, w = rng.normal((n, h)), rng.normal((n, d)), rng.normal((d, h))
-            for got, want in zip(affine_backward(g, x, w),
+            for got, want in zip(affine_grads(g, x, w),
                                  naive_affine_backward(g, x, w)):
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-12

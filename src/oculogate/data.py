@@ -1,10 +1,14 @@
 """Synthetic cohorts, fundus-like rasters, trajectories, preprocessing,
 and the CSV/PGM interchange formats.
 
-Generation is a pure function of (spec, seed): every patient and visit draws
-from its own labeled substream, so tables regenerate bit-for-bit in any
-order. The latent model ties everything together: a risk score z drives
-severity s = 0.8*z, field loss md = -2 - 8*s, structural features track s,
+Generation is a pure function of (spec, seed). Patient i draws from its
+own stream (seed, "patient/<i>") and its visit v from (seed,
+"visit/<i>/<v>"), so tables regenerate bit-for-bit in any order and any
+blocking. A patient's stream always makes 8 draws and a visit's 3, so a
+block of patients is drawn column-wise: one rng.Streams over the block's
+patients, then one over their visits. Trajectories are drawn the same way,
+one stream per seed. The latent model ties everything together: a risk
+score z drives severity s = 0.8*z, field loss md = -2 - 8*s, structural features track s,
 and the screening label is 1 iff z (plus a per-patient ambiguity term) is
 positive, then flipped with probability label_noise.
 """
@@ -19,8 +23,7 @@ import math
 import os
 import tempfile
 import warnings
-from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -29,7 +32,7 @@ from scipy.special import ndtri
 
 from .errors import ConfigError, DataError, SchemaError
 from .metrics import eligibility_filter, ols_slope
-from .rng import Rng, substream_normals
+from .rng import Streams
 
 GROUPS = ("Asian", "Black", "White")
 
@@ -115,6 +118,14 @@ class CohortSpec:
     seed: int = 20240601
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for key, x in value.items() if isinstance(value, dict) else [(None, value)]:
+                if isinstance(x, float) and not math.isfinite(x):
+                    entry = "" if key is None else f" entry '{key}'"
+                    raise ConfigError(f"'{f.name}'{entry} must be finite, got {x}")
+        if any(x < 0.0 for x in self.group_mix.values()):
+            raise ConfigError("'group_mix' fractions must be >= 0")
         if self.n_patients < 1:
             raise ConfigError("n_patients must be >= 1")
         lo, hi = self.visits_per_patient
@@ -233,56 +244,74 @@ def _structure(s, eps, stds) -> dict[str, np.ndarray]:
             "cdr": np.clip(0.3 + 0.25 * s + eps[:, 2] * stds[2], 0.05, 0.98)}
 
 
+_PATIENT_BLOCK = 4096   # patients drawn at a time
+
+
 def generate_cohort(spec: CohortSpec) -> CohortTable:
     """Synthetic multi-visit cohort, reproducible from spec.seed."""
     spec.validate()
     groups = sorted(spec.group_mix)
-    mix = np.array([spec.group_mix[g] for g in groups])
     mean_shift = float(sum(spec.group_mix[g] * spec.group_shift.get(g, 0.0)
                            for g in groups))
     # age ~ U(30, 90) contributes variance 3 * age_effect^2 to the risk logit
     sigma_eff = math.sqrt(1.0 + 3.0 * spec.age_effect ** 2)
     z0 = sigma_eff * float(ndtri(spec.prevalence)) - mean_shift
+    blocks = [_cohort_block(spec, groups, z0,
+                            range(start, min(start + _PATIENT_BLOCK, spec.n_patients)))
+              for start in range(0, spec.n_patients, _PATIENT_BLOCK)]
+    return blocks[0] if len(blocks) == 1 else CohortTable.concat(blocks)
 
-    cols: dict[str, list] = defaultdict(list)
+
+def _cohort_block(spec: CohortSpec, groups: list[str], z0: float,
+                  ids: range) -> CohortTable:
+    """The visits of patients ids, drawn column-wise."""
+    rp = Streams(spec.seed, [f"patient/{i}" for i in ids])
+    group = rp.choice([spec.group_mix[g] for g in groups])
+    age0 = 30.0 + 60.0 * rp.uniform()
+    eta = rp.normal()
+    omega = rp.normal() * _LABEL_AMBIGUITY_STD
+    female = rp.uniform() < 0.5
     vmin, vmax = spec.visits_per_patient
-    for i in range(spec.n_patients):
-        pid = f"P{i:05d}"
-        rp = Rng(spec.seed, f"patient/{i}")
-        group = groups[rp.choice(mix)]
-        age0 = 30.0 + 60.0 * rp.uniform()
-        eta = rp.normal()
-        omega = rp.normal() * _LABEL_AMBIGUITY_STD
-        sex = "F" if rp.uniform() < 0.5 else "M"
-        n_visits = rp.integers(vmin, vmax + 1)
-        gaps = 0.4 + 0.4 * rp.uniform(max(n_visits - 1, 1))
-        times = np.concatenate([[0.0], np.cumsum(gaps[: n_visits - 1])])
+    n_visits = rp.integers(vmin, vmax + 1)
+    # the n - 1 gaps a patient uses of its fill of max(n - 1, 1)
+    gaps = 0.4 + 0.4 * rp.uniform(n_visits - 1)
+    slope_eps = rp.normal()
 
-        z = z0 + spec.age_effect * (age0 - 60.0) / 10.0 \
-            + spec.group_shift.get(group, 0.0) + eta
-        s0 = _SEVERITY_PER_Z * z
-        md0 = -2.0 - _MD_PER_SEVERITY * s0
-        slope = -(0.05 + 0.25 * max(s0, 0.0)) + rp.normal() * 0.08
-        slope = float(np.clip(slope, -2.0, 0.3))
+    shift = np.array([spec.group_shift.get(g, 0.0) for g in groups], dtype=np.float64)
+    z = z0 + spec.age_effect * (age0 - 60.0) / 10.0 + shift[group] + eta
+    s0 = _SEVERITY_PER_Z * z
+    md0 = -2.0 - _MD_PER_SEVERITY * s0
+    slope = np.clip(-(0.05 + 0.25 * np.maximum(s0, 0.0)) + slope_eps * 0.08, -2.0, 0.3)
 
-        # each visit's stream draws its noise, its label flip, its image seed
-        visits = [Rng(spec.seed, f"visit/{i}/{v}") for v in range(n_visits)]
-        eps = np.array([rv.normal(4) for rv in visits])
-        flip = np.array([rv.uniform() for rv in visits]) < spec.label_noise
-        md_lat = md0 + slope * times
-        s = (-2.0 - md_lat) / _MD_PER_SEVERITY
-        for name, values in {
-            "patient_id": [pid] * n_visits, "visit_index": range(n_visits),
-            "visit_time": times, "age": age0 + times,
-            "sex": [sex] * n_visits, "race": [group] * n_visits,
-            **_structure(s, eps, _STRUCTURE_STD),
-            "md": np.clip(md_lat + eps[:, 3] * _MD_OBS_STD, -30.0, 5.0),
-            "label": (s / _SEVERITY_PER_Z + omega > 0.0) ^ flip,
-            "img_severity": s,
-            "image_seed": [rv.next_u64() for rv in visits],
-        }.items():
-            cols[name].extend(values)
-    return CohortTable(cols)
+    # one row per visit, patient by patient; a patient's visit times are the
+    # running sum of its gaps, in visit order
+    patient = np.repeat(np.arange(len(ids)), n_visits)
+    visit = np.arange(patient.size) - (np.cumsum(n_visits) - n_visits)[patient]
+    used = np.arange(n_visits.max()) < n_visits[:, None]
+    steps = np.zeros(used.shape)
+    steps[:, 1:][used[:, 1:]] = gaps
+    times = np.cumsum(steps, axis=1)[used]
+
+    # each visit's stream draws its noise, its label flip, its image seed
+    rv = Streams(spec.seed, [f"visit/{i}/{v}" for i, k in zip(ids, n_visits.tolist())
+                             for v in range(k)])
+    eps = rv.normal(4)
+    flip = rv.uniform() < spec.label_noise
+    image_seed = rv.next_u64()
+    md_lat = md0[patient] + slope[patient] * times
+    s = (-2.0 - md_lat) / _MD_PER_SEVERITY
+    pids = [f"P{i:05d}" for i in ids]
+    return CohortTable({
+        "patient_id": [pids[p] for p in patient.tolist()],
+        "visit_index": visit, "visit_time": times, "age": age0[patient] + times,
+        "sex": [("M", "F")[f] for f in female[patient].tolist()],
+        "race": [groups[g] for g in group[patient].tolist()],
+        **_structure(s, eps, _STRUCTURE_STD),
+        "md": np.clip(md_lat + eps[:, 3] * _MD_OBS_STD, -30.0, 5.0),
+        "label": (s / _SEVERITY_PER_Z + omega[patient] > 0.0) ^ flip,
+        "img_severity": s,
+        "image_seed": image_seed,
+    })
 
 
 _RASTER_BLOCK = 32   # rasters per noise block: 1 MB of uint64 draws
@@ -319,7 +348,7 @@ def generate_images(severities, seeds) -> np.ndarray:
     for start in range(0, severities.size, _RASTER_BLOCK):
         block = slice(start, start + _RASTER_BLOCK)
         img = np.where(r2 <= cup_r2[block, None, None], 0.95, base)
-        noise = substream_normals(seeds[block], "image", base.size)
+        noise = Streams(seeds[block], "image").normal(base.size)
         noise *= 0.02
         img += noise.reshape(-1, *base.shape)
         np.clip(img, 0.0, 1.0, out=out[block])
@@ -357,52 +386,64 @@ _TRAJ_NOISE_STD = 0.03
 _TRAJ_NOISE_CLIP = 0.08
 
 
-def generate_trajectory(kind: str, n_visits: int, seed: int) -> Trajectory:
-    """Follow-up series for one simulated patient of group White: stable,
-    slow, or rapid."""
+def generate_trajectories(kind: str, n_visits: int, seeds
+                          ) -> tuple[CohortTable, list[float | None]]:
+    """Follow-up series of one simulated patient of group White per seed,
+    stable, slow, or rapid, drawn column-wise from the streams
+    (seed, "traj/<kind>"): one table of n_visits rows per seed, in the
+    order of seeds, and each series' onset time. A repeated seed is the
+    same patient twice."""
     if n_visits < 4:
         raise ConfigError("trajectories need at least 4 visits")
     if kind not in ("stable", "slow", "rapid"):
         raise ConfigError(f"unknown trajectory kind '{kind}'")
-    rng = Rng(seed, f"traj/{kind}")
+    seeds = list(seeds)
+    rng = Streams(seeds, f"traj/{kind}")
     times = np.arange(n_visits) * _TRAJ_SPACING
     span = float(times[-1])
     if kind != "rapid":
         md0, slope = (0.5, -0.05 + 0.1 * rng.uniform()) if kind == "stable" \
-            else (-0.7, -0.5)
-        md_line = md0 + slope * times
-        onset = None if slope >= -1e-9 else (-2.0 - md0) / slope
+            else (-0.7, np.full(len(seeds), -0.5))
+        md_line = md0 + slope[:, None] * times
+        onsets = [None if b >= -1e-9 else (-2.0 - md0) / b for b in slope.tolist()]
     else:
         md0, pre, post = -0.7, -0.2, -1.5
         t_break = span / 2.0
         md_break = md0 + pre * t_break
-        md_line = np.where(times <= t_break,
-                           md0 + pre * times,
-                           md_break + post * (times - t_break))
-        onset = t_break + (-2.0 - md_break) / post
+        md_line = np.tile(np.where(times <= t_break,
+                                   md0 + pre * times,
+                                   md_break + post * (times - t_break)), (len(seeds), 1))
+        onsets = [t_break + (-2.0 - md_break) / post] * len(seeds)
 
     eps = np.clip(rng.normal(n_visits) * _TRAJ_NOISE_STD,
                   -_TRAJ_NOISE_CLIP, _TRAJ_NOISE_CLIP)
-    feat_eps = rng.normal((n_visits, 3))
-    image_seeds = rng.fill_u64(n_visits)
-    md_obs = md_line + eps
+    feat_eps = rng.normal(3 * n_visits).reshape(-1, 3)
+    image_seeds = rng.fill_u64(n_visits).reshape(-1)
+    md_obs = (md_line + eps).reshape(-1)
     s = (-2.0 - md_obs) / _MD_PER_SEVERITY
 
-    pid = f"traj-{kind}-{seed}"
+    n = len(seeds) * n_visits
     cols = {
-        "patient_id": [pid] * n_visits,
-        "visit_index": np.arange(n_visits),
-        "visit_time": times,
-        "age": 65.0 + times,
-        "sex": ["F"] * n_visits,
-        "race": ["White"] * n_visits,
+        "patient_id": [pid for pid in [f"traj-{kind}-{seed}" for seed in seeds]
+                       for _ in range(n_visits)],
+        "visit_index": np.tile(np.arange(n_visits), len(seeds)),
+        "visit_time": np.tile(times, len(seeds)),
+        "age": np.tile(65.0 + times, len(seeds)),
+        "sex": ["F"] * n,
+        "race": ["White"] * n,
         **_structure(s, feat_eps, (0.4, 0.4, 0.005)),
         "md": np.clip(md_obs, -30.0, 5.0),
-        "label": (md_line < -2.0).astype(np.int64),
+        "label": (md_line < -2.0).reshape(-1).astype(np.int64),
         "img_severity": s,
         "image_seed": image_seeds,
     }
-    return Trajectory(kind=kind, table=CohortTable(cols), onset_time=onset)
+    return CohortTable(cols), onsets
+
+
+def generate_trajectory(kind: str, n_visits: int, seed: int) -> Trajectory:
+    """The follow-up series of generate_trajectories for one seed."""
+    table, (onset,) = generate_trajectories(kind, n_visits, [seed])
+    return Trajectory(kind=kind, table=table, onset_time=onset)
 
 
 # ---------------------------------------------------------------------------
@@ -608,16 +649,27 @@ def _parse_column(column: Column, cells) -> list:
 
 def assign_slope_targets(table: CohortTable) -> None:
     """Per-patient OLS slope of md on time for eligible patients, in place:
-    the one rule every table's slope targets come from."""
-    for pid, idx in table.patients().items():
-        idx = sorted(idx, key=lambda i: table.visit_time[i])
-        times = table.visit_time[idx]
-        mds = table.md[idx]
-        ok = ~np.isnan(mds)
-        if eligibility_filter(times[ok]):
-            table.slope_target[idx] = ols_slope(times[ok], mds[ok])
-        else:
-            table.slope_target[idx] = np.nan
+    the one rule every table's slope targets come from. Each patient's
+    non-NaN md visits, in time order (ties in table order), form one row of
+    the block of patients with that many such visits, so the row sums of
+    ols_slope run as its sums over one patient's visits do."""
+    if len(table) == 0:
+        return
+    _, patient = np.unique(table.patient_id, return_inverse=True)
+    order = np.argsort(table.visit_time, kind="stable")
+    order = order[np.argsort(patient[order], kind="stable")]
+    order = order[~np.isnan(table.md[order])]
+    owner = patient[order]
+    slopes = np.full(patient.max() + 1, np.nan)
+    count = np.bincount(owner, minlength=slopes.size)[owner]
+    for k in np.unique(count):
+        group = count == k
+        times = table.visit_time[order[group]].reshape(-1, k)
+        ok = eligibility_filter(times)
+        if ok.any():
+            slopes[owner[group][::k][ok]] = ols_slope(
+                times[ok], table.md[order[group]].reshape(-1, k)[ok])
+    table.slope_target[:] = slopes[patient]
 
 
 def write_image_pgm(raster: np.ndarray, path) -> None:

@@ -101,20 +101,27 @@ def coverage_accuracy_curve(
     return points
 
 
-def ols_slope(times, values) -> float:
-    """Closed-form least-squares slope of values on times."""
+def ols_slope(times, values):
+    """Closed-form least-squares slope of values on times along the last
+    axis: a float for one series, an array for a stack of them."""
     t = np.asarray(times, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
-    if t.size < 2 or np.all(t == t[0]):
+    if t.shape[-1] < 2 or np.all(t == t[..., :1], axis=-1).any():
         raise DataError("ols_slope needs at least 2 distinct times")
-    tc = t - t.mean()
-    return float((tc * (v - v.mean())).sum() / (tc * tc).sum())
+    tc = t - t.mean(axis=-1, keepdims=True)
+    slope = (tc * (v - v.mean(axis=-1, keepdims=True))).sum(axis=-1) \
+        / (tc * tc).sum(axis=-1)
+    return float(slope) if slope.ndim == 0 else slope
 
 
-def eligibility_filter(visit_times) -> bool:
-    """True when there are >= 3 visits spanning >= 1.0 year."""
+def eligibility_filter(visit_times):
+    """True when there are >= 3 visits spanning >= 1.0 year, along the last
+    axis: a bool for one series, a bool array for a stack of them."""
     t = np.asarray(visit_times, dtype=np.float64)
-    return t.size >= 3 and float(t.max() - t.min()) >= 1.0
+    if t.shape[-1] < 3:
+        return False if t.ndim == 1 else np.zeros(t.shape[:-1], dtype=bool)
+    ok = t.max(axis=-1) - t.min(axis=-1) >= 1.0
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def grade_md(md: float) -> str:

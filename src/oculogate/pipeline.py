@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .data import (CohortTable, PreprocessStats, apply_preprocess_table,
-                   fit_preprocess, generate_trajectory)
+                   fit_preprocess, generate_trajectories)
 from .errors import DataError
 from .fairness import fnr_gap, group_fnr, group_metrics
 from .gate import GateConfig, GateRun, ensemble_over_table, run_gate
@@ -200,18 +200,24 @@ def ablation_report(tp: TrainedPipeline, gate_cfg: GateConfig, gamma: float,
 
 def warning_report(tp: TrainedPipeline, seeds, n_visits: int = 8) -> dict:
     """Apply the dynamic warning rule to the deterministic risk of the three
-    simulated follow-up scenarios per seed, all scored as one table."""
+    simulated follow-up scenarios per seed, all scored as one table whose
+    rows run seed-major, kind-minor."""
     kinds = ("stable", "slow", "rapid")
+    seeds = [int(seed) for seed in seeds]
+    drawn = [generate_trajectories(kind, n_visits, seeds) for kind in kinds]
+    # trajectory (kind k, seed j) is block k * len(seeds) + j of the concat
+    order = np.arange(len(kinds) * len(seeds) * n_visits) \
+        .reshape(len(kinds), len(seeds), n_visits).transpose(1, 0, 2).reshape(-1)
+    table = CohortTable.concat([t for t, _ in drawn]).subset(order)
+    shape = (len(seeds), len(kinds), n_visits)
+    risks = deterministic_scores(tp, table, regression=False)["p_final"].reshape(shape)
+    times = table.visit_time.reshape(shape)
     per_kind = {k: [] for k in kinds}
-    trajs = [(int(seed), generate_trajectory(kind, n_visits, seed))
-             for seed in seeds for kind in kinds]
-    risks = deterministic_scores(
-        tp, CohortTable.concat([traj.table for _, traj in trajs]),
-        regression=False)["p_final"].reshape(len(trajs), n_visits)
-    for (seed, traj), risk in zip(trajs, risks):
-        w = dynamic_warning(traj.table.visit_time, risk, traj.onset_time)
-        per_kind[traj.kind].append(
-            {"seed": seed, **asdict(w), "mean_risk": float(np.mean(risk))})
+    for j, seed in enumerate(seeds):
+        for k, (kind, (_, onsets)) in enumerate(zip(kinds, drawn)):
+            w = dynamic_warning(times[j, k], risks[j, k], onsets[j])
+            per_kind[kind].append(
+                {"seed": seed, **asdict(w), "mean_risk": float(np.mean(risks[j, k]))})
     summary = {}
     for kind in kinds:
         rows = per_kind[kind]

@@ -1,43 +1,41 @@
 """Deterministic random numbers: xoshiro256** seeded via splitmix64.
 
-One Rng = one stream. Substreams are derived from (seed, label) by folding
-the label bytes into a splitmix64 sponge, so per-sample work can run in any
-order and still reproduce bit-for-bit. Bulk fills are lane-parallel: each
-call burns one draw of the parent stream as a sub-seed, expands it with the
-splitmix64 chain into per-lane xoshiro states, and takes one starstar output
-per lane (vectorized in uint64).
+A stream is derived from (seed, label) by folding the label bytes into a
+splitmix64 sponge, so per-sample work can run in any order and still
+reproduce bit-for-bit. Bulk fills are lane-parallel: each call burns one
+draw of the parent stream as a sub-seed, expands it with the splitmix64
+chain into per-lane xoshiro states, and takes one starstar output per lane
+(vectorized in uint64).
 
-Because a stream's first fill depends only on its sponge state, that fill
-can be derived for many streams at once, in the manner of counter-based
-generators (Salmon et al., SC 2011): `substream_u64` returns the raw words
-of many labels' first fills under one seed, one column-wise sponge pass per
-label word count (each row folds its own byte length), and
-`substream_normals` the normals of one label under many seeds.
+Streams are derived and advanced column-wise, in the manner of
+counter-based generators (Salmon et al., SC 2011): `Streams(seeds, labels)`
+holds one stream per row, runs one sponge pass per label word count (each
+row folds its own byte length), and steps every row's xoshiro256** state
+(Blackman & Vigna, ACM TOMS 2021) with one numpy operation per state word.
+A draw program whose length does not depend on the drawn values, such as a
+synthetic patient's or visit's, so costs a few array operations however many
+rows it has. `Rng` is a Streams of one row with shaped draws, and
+`substream_u64` is the first fill of many labels' streams.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import math
 
 import numpy as np
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN_INT = 0x9E3779B97F4A7C15
-_MIX1_INT = 0xBF58476D1CE4E5B9
-_MIX2_INT = 0x94D049BB133111EB
 _GOLDEN = np.uint64(_GOLDEN_INT)
-_MIX1 = np.uint64(_MIX1_INT)
-_MIX2 = np.uint64(_MIX2_INT)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
 _INV_2_53 = float(2.0 ** -53)
-_BLOCK_VALUES = 1 << 16   # values per substream_u64 block (512 kB of uint64)
-
-
-def _mix64_int(z: int) -> int:
-    """splitmix64 output function on a Python int in [0, 2**64)."""
-    z = ((z ^ (z >> 30)) * _MIX1_INT) & _M64
-    z = ((z ^ (z >> 27)) * _MIX2_INT) & _M64
-    return z ^ (z >> 31)
+_BLOCK_VALUES = 1 << 16   # values per fill block (512 kB of uint64)
+# lane j of a fill reads the splitmix chain at index 2(j + 1), and state
+# word k of a stream its sponge's chain at index k + 1
+_LANE_STEP = np.uint64(2 * _GOLDEN_INT & _M64)
+_STATE_STEPS = np.array([[k * _GOLDEN_INT & _M64] for k in range(1, 5)], dtype=np.uint64)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -59,23 +57,17 @@ def _rotl(x, k: int):
 
 
 def _starstar(s1):
-    """xoshiro256** output from the state word s1 (uint64 scalar or array)."""
+    """xoshiro256** output from the state word s1 (uint64 array)."""
     return _rotl(s1 * _U64(5), 7) * _U64(9)
-
-
-def _sponge_start(seed: int) -> int:
-    return _mix64_int((seed + _GOLDEN_INT) & _M64)
 
 
 def _sponge(seeds, words: np.ndarray, lengths) -> np.ndarray:
     """Column-wise sponge states of m labels of one word count W, given as
-    their zero-padded words (m, W) uint64 and byte lengths (an (m,) uint64
-    array or one length for all), under one seed in [0, 2**64) or an (m,)
-    uint64 array of them; row r equals _sponge_int(seed of row r, label r)."""
-    s = np.empty(words.shape[0], dtype=np.uint64)
-    s[...] = seeds
-    s += _GOLDEN
-    _mix64(s)   # _sponge_start, column-wise
+    their zero-padded little-endian words (m, W) uint64 and byte lengths
+    (m,) uint64, under the (m,) uint64 seeds: the seed, each word and then
+    the length are folded in through splitmix64."""
+    s = seeds + _GOLDEN
+    _mix64(s)
     for chunk in (*words.T, lengths):
         s ^= chunk
         s += _GOLDEN
@@ -83,29 +75,11 @@ def _sponge(seeds, words: np.ndarray, lengths) -> np.ndarray:
     return s
 
 
-def _first_fill_seeds(seeds, words: np.ndarray, lengths) -> np.ndarray:
-    """Per row of _sponge(seeds, words, lengths), the sub-seed of that
-    stream's first fill_u64: its first draw, the starstar output of its
-    state word s1 (the sponge's second splitmix output)."""
-    s = _sponge(seeds, words, lengths)
-    return _starstar(_mix64(s + _U64(2 * _GOLDEN_INT & _M64)))
-
-
-def _sponge_int(seed: int, data: bytes) -> int:
-    """Fold the seed, each zero-padded little-endian 8-byte chunk of the
-    label and then its byte length through splitmix64."""
-    s = _sponge_start(seed)
-    for i in range(0, len(data), 8):
-        s = _mix64_int(((s ^ int.from_bytes(data[i : i + 8], "little"))
-                        + _GOLDEN_INT) & _M64)
-    return _mix64_int(((s ^ len(data)) + _GOLDEN_INT) & _M64)
-
-
-def _fill(sub, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """n starstar outputs (into out, if given) of the lanes seeded by sub, a
-    scalar or an (m, 1) column, through the splitmix chain. A lane's word s1
-    is its pair's second chain output: only even chain indices are derived."""
-    z = np.add(sub, np.arange(2, 2 * n + 1, 2, dtype=np.uint64) * _GOLDEN, out=out)
+def _fill(z: np.ndarray) -> np.ndarray:
+    """Lane outputs of fills, in place: z holds each lane's sub-seed plus
+    (j + 1)·_LANE_STEP for its lane number j. A lane's word s1 is its pair's
+    second splitmix chain output, so only even chain indices are derived,
+    and a lane depends only on its sub-seed and its number."""
     _mix64(z)
     # _starstar, in place: this is the bulk of every fill
     z *= _U64(5)
@@ -143,104 +117,160 @@ def _box_muller(raw: np.ndarray, n: int) -> np.ndarray:
     return out[..., :n]
 
 
-class Rng:
-    """xoshiro256** stream with labeled substreams and vectorized fills."""
+def _seed_words(seeds) -> np.ndarray:
+    """seeds as uint64: a uint64 array as it is, ints reduced mod 2**64."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds
+    if isinstance(seeds, (int, np.integer)):
+        return np.array(int(seeds) & _M64, dtype=np.uint64)
+    return np.array([int(s) & _M64 for s in seeds], dtype=np.uint64)
 
-    def __init__(self, seed: int, label: str = ""):
-        s = _sponge_int(seed, label.encode("utf-8"))
-        # expand the sponge into the 4 state words via the splitmix chain;
+
+class Streams:
+    """m xoshiro256** streams advanced together. Row r is bit for bit the
+    stream of (seeds[r], labels[r]); seeds is one int for every row or one
+    per row, and labels one str per row or one str for every seed. Each
+    draw method gives every row what that row's Rng draws: an (m,) column,
+    or (m, n) rows of n values."""
+
+    def __init__(self, seeds, labels):
+        one_label = isinstance(labels, str)
+        encoded = [label.encode("utf-8") for label in ([labels] if one_label else labels)]
+        seeds = _seed_words(seeds)
+        self.size = m = seeds.size if one_label else len(encoded)
+        n_words = {-(-len(data) // 8) for data in encoded}
+        width = max(max(n_words, default=0), 1)
+        words = np.array(encoded, dtype=f"S{8 * width}").view("<u8") \
+            .reshape(len(encoded), width)
+        lengths = np.array([len(data) for data in encoded], dtype=np.uint64)
+        if one_label:
+            words, lengths = words.repeat(m, axis=0), lengths.repeat(m)
+        if seeds.ndim == 0:
+            seeds = np.full(m, seeds, dtype=np.uint64)
+        if len(n_words) == 1:
+            s = _sponge(seeds, words[:, : n_words.pop()], lengths)
+        else:
+            s = np.empty(m, dtype=np.uint64)
+            row_words = (lengths + _U64(7)) // _U64(8)
+            for w in sorted(n_words):
+                rows = np.flatnonzero(row_words == w)
+                s[rows] = _sponge(seeds[rows], words[rows, :w], lengths[rows])
+        # expand each sponge into the 4 state words via the splitmix chain;
         # _mix64 is a bijection with _mix64(0) == 0, so the four distinct
         # inputs never give the forbidden all-zero state
-        self._state = np.array([_mix64_int((s + k * _GOLDEN_INT) & _M64)
-                                for k in range(1, 5)], dtype=np.uint64)
+        self._state = list(_mix64(s + _STATE_STEPS))
 
-    def next_u64(self) -> np.uint64:
-        """Advance the stream one step (reference xoshiro256** update)."""
-        with np.errstate(over="ignore"):
-            s0, s1, s2, s3 = self._state
-            result = _starstar(s1)
-            t = s1 << _U64(17)
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = _rotl(s3, 45)
-            self._state = np.array([s0, s1, s2, s3], dtype=np.uint64)
+    def next_u64(self) -> np.ndarray:
+        """Advance every stream one step (the xoshiro256** update)."""
+        s0, s1, s2, s3 = self._state
+        result = _starstar(s1)
+        t = s1 << _U64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self._state = [s0, s1, s2, _rotl(s3, 45)]
         return result
 
-    def fill_u64(self, n: int) -> np.ndarray:
-        """n uint64s, one starstar output per splitmix-seeded xoshiro lane."""
+    def fill_u64(self, n) -> np.ndarray:
+        """(m, n) uint64s, one starstar output per splitmix-seeded lane; a
+        fill of 0 values leaves the streams as they are. Given an (m,)
+        array of counts instead, the first n[r] values of each row's fill,
+        concatenated: every stream advances once, as a fill of any count
+        >= 1 advances it."""
+        if isinstance(n, np.ndarray):
+            sub = self.next_u64()
+            z = np.arange(1, int(n.sum()) + 1, dtype=np.uint64)
+            z -= np.repeat(np.cumsum(n) - n, n).astype(np.uint64)
+            z *= _LANE_STEP
+            z += np.repeat(sub, n)
+            return _fill(z)
+        out = np.empty((self.size, n), dtype=np.uint64)
         if n == 0:
-            return np.empty(0, dtype=np.uint64)
-        return _fill(self.next_u64(), n)
+            return out
+        sub = self.next_u64()[:, None]
+        # fill a block of rows at a time so the uint64 temporaries stay in cache
+        step = max(1, _BLOCK_VALUES // n)
+        for r in range(0, self.size, step):
+            z = out[r : r + step]
+            np.multiply(np.arange(1, n + 1, dtype=np.uint64), _LANE_STEP, out=z)
+            z += sub[r : r + step]
+            _fill(z)
+        return out
 
-    def uniform(self, shape=None) -> np.ndarray | float:
-        """U[0, 1) with 53-bit resolution."""
-        if shape is None:
-            return float(self.next_u64() >> _U64(11)) * _INV_2_53
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape)) if shape else 1
-        return _unit(self.fill_u64(n)).reshape(shape)
+    def uniform(self, n=None) -> np.ndarray:
+        """U[0, 1) with 53-bit resolution: one per row, or fill_u64(n) as
+        uniforms."""
+        return _unit(self.next_u64() if n is None else self.fill_u64(n))
 
-    def normal(self, shape=None):
-        """Standard normal variates via Box-Muller on paired uniforms."""
-        scalar = shape is None
-        shape = (1,) if scalar else ((shape,) if isinstance(shape, int) else tuple(shape))
-        n = int(np.prod(shape)) if shape else 1
-        out = _box_muller(self.fill_u64(n + (n & 1)), n).reshape(shape)
-        return float(out[0]) if scalar else out
+    def normal(self, n: int | None = None) -> np.ndarray:
+        """Standard normals via Box-Muller on paired uniforms: one per row,
+        or (m, n)."""
+        k = 1 if n is None else n
+        out = _box_muller(self.fill_u64(k + (k & 1)), k)
+        return out[:, 0] if n is None else out
 
-    def integers(self, low: int, high: int, shape=None):
-        """Uniform ints in [low, high). Modulo bias is negligible at our ranges."""
+    def integers(self, low: int, high: int, n: int | None = None) -> np.ndarray:
+        """Uniform ints in [low, high): one per row, or (m, n). Modulo bias
+        is negligible at our ranges."""
         span = high - low
         if span <= 0:
             raise ValueError("high must exceed low")
+        raw = self.next_u64() if n is None else self.fill_u64(n)
+        return (raw % _U64(span)).astype(np.int64) + low
+
+    def choice(self, weights) -> np.ndarray:
+        """Per row, an index drawn proportionally to non-negative weights."""
+        cum = np.cumsum(np.asarray(weights, dtype=np.float64))
+        return np.searchsorted(cum, self.uniform() * cum[-1], side="right")
+
+
+class Rng:
+    """One xoshiro256** stream: the single row of a Streams, drawing a
+    scalar when no shape is given and otherwise an array of that shape."""
+
+    def __init__(self, seed: int, label: str = ""):
+        self._row = Streams(seed, [label])
+
+    def next_u64(self) -> np.uint64:
+        return self._row.next_u64()[0]
+
+    def fill_u64(self, n: int) -> np.ndarray:
+        """n uint64s, one starstar output per splitmix-seeded xoshiro lane."""
+        return self._row.fill_u64(n)[0]
+
+    @staticmethod
+    def _shaped(draw, shape, *args):
+        """draw(*args) of the one row as a Python scalar, or draw(*args, n)
+        of n values reshaped to shape."""
         if shape is None:
-            return low + int(self.next_u64() % _U64(span))
+            return draw(*args)[0].item()
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape)) if shape else 1
-        vals = (self.fill_u64(n) % _U64(span)).astype(np.int64) + low
-        return vals.reshape(shape)
+        return draw(*args, math.prod(shape))[0].reshape(shape)
+
+    def uniform(self, shape=None):
+        """U[0, 1) with 53-bit resolution."""
+        return self._shaped(self._row.uniform, shape)
+
+    def normal(self, shape=None):
+        """Standard normal variates via Box-Muller on paired uniforms."""
+        return self._shaped(self._row.normal, shape)
+
+    def integers(self, low: int, high: int, shape=None):
+        """Uniform ints in [low, high)."""
+        return self._shaped(self._row.integers, shape, low, high)
 
     def permutation(self, n: int) -> np.ndarray:
         """Random permutation as the argsort of fresh random keys."""
         return np.argsort(self.fill_u64(n), kind="stable")
 
-    def choice(self, weights: np.ndarray) -> int:
+    def choice(self, weights) -> int:
         """Index drawn proportionally to non-negative weights."""
-        cum = np.cumsum(np.asarray(weights, dtype=np.float64))
-        return int(np.searchsorted(cum, self.uniform() * cum[-1], side="right"))
+        return int(self._row.choice(weights)[0])
 
 
 def substream_u64(seed: int, labels, n: int) -> np.ndarray:
     """(len(labels), n) uint64 array whose row r equals
-    Rng(seed, labels[r]).fill_u64(n) bit for bit, derived for all labels at
-    once: one sponge pass per label word count."""
-    encoded = [label.encode("utf-8") for label in labels]
-    by_words = defaultdict(list)
-    for r, data in enumerate(encoded):
-        by_words[-(-len(data) // 8)].append(r)
-    sub = np.empty(len(encoded), dtype=np.uint64)
-    for n_words, rows in by_words.items():
-        padded = b"".join(encoded[r].ljust(8 * n_words, b"\0") for r in rows)
-        words = np.frombuffer(padded, dtype="<u8").reshape(len(rows), n_words)
-        lengths = np.array([len(encoded[r]) for r in rows], dtype=np.uint64)
-        sub[rows] = _first_fill_seeds(int(seed) & _M64, words, lengths)
-    out = np.empty((len(encoded), n), dtype=np.uint64)
-    # fill a block of rows at a time so the uint64 temporaries stay in cache
-    step = max(1, _BLOCK_VALUES // max(n, 1))
-    for r in range(0, len(encoded), step):
-        _fill(sub[r : r + step, None], n, out=out[r : r + step])
-    return out
-
-
-def substream_normals(seeds: np.ndarray, label: str, n: int) -> np.ndarray:
-    """(len(seeds), n) array whose row r holds the standard normals behind
-    Rng(seeds[r], label).normal(n), derived for all seeds at once; seeds is
-    a uint64 array."""
-    data = label.encode("utf-8")
-    words = np.frombuffer(data.ljust(-(-len(data) // 8) * 8, b"\0"), dtype="<u8")
-    sub = _first_fill_seeds(seeds, np.broadcast_to(words, (len(seeds), words.size)),
-                            _U64(len(data)))
-    return _box_muller(_fill(sub[:, None], n + (n & 1)), n)
+    Rng(seed, labels[r]).fill_u64(n) bit for bit."""
+    return Streams(seed, labels).fill_u64(n)

@@ -1,7 +1,18 @@
 """Helpers that only the tests read: views of program outputs that no
 program stage needs, and reference rules the program is compared against."""
 
+import hashlib
+import math
+from collections import defaultdict
+
 import numpy as np
+from scipy.special import ndtri
+
+from oculogate.data import (_LABEL_AMBIGUITY_STD, _MD_OBS_STD, _MD_PER_SEVERITY,
+                            _SEVERITY_PER_Z, _STRUCTURE_STD, CohortTable, _structure)
+from oculogate.metrics import eligibility_filter, ols_slope
+import oculogate.rng as rng_module
+from oculogate.rng import Rng
 
 AGE_BANDS = ((30.0, 50.0), (50.0, 70.0), (70.0, 90.0))
 
@@ -69,3 +80,161 @@ def grad_check(model_fn, store, h: float = 1e-5,
             denom = max(abs(ga[i]), abs(gn), 1e-8)
             worst = max(worst, abs(ga[i] - gn) / denom)
     return worst
+
+
+def table_digest(table, extra: str = "") -> str:
+    """sha256 over the fields the benchmark's cohort digest hashes (sample
+    ids, sex, race, and the numeric columns), then extra."""
+    h = hashlib.sha256()
+    h.update("\n".join(table.sample_ids() + table.sex + table.race).encode())
+    for col in (table.visit_time, table.age, table.rnflt, table.iop, table.cdr,
+                table.md, table.label, table.slope_target, table.img_severity,
+                table.image_seed):
+        h.update(np.ascontiguousarray(col).tobytes())
+    h.update(extra.encode())
+    return h.hexdigest()
+
+
+def spy_on_streams(monkeypatch) -> dict:
+    """Counters, from now on, of Rng constructions ("rng") and of sponge
+    passes ("sponge": the shape of the label words of each pass)."""
+    counts = {"rng": 0, "sponge": []}
+    rng_init, sponge = rng_module.Rng.__init__, rng_module._sponge
+
+    def counting_init(self, *args, **kwargs):
+        counts["rng"] += 1
+        rng_init(self, *args, **kwargs)
+
+    def counting_sponge(seeds, words, lengths):
+        counts["sponge"].append(words.shape)
+        return sponge(seeds, words, lengths)
+
+    monkeypatch.setattr(rng_module.Rng, "__init__", counting_init)
+    monkeypatch.setattr(rng_module, "_sponge", counting_sponge)
+    return counts
+
+
+# ---------------------------------------------------------------------------
+# reference streams: xoshiro256** in Python ints
+# ---------------------------------------------------------------------------
+
+_M64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _rotl(x: int, k: int) -> int:
+    return ((x << k) | (x >> (64 - k))) & _M64
+
+
+def _starstar(s1: int) -> int:
+    return (_rotl((s1 * 5) & _M64, 7) * 9) & _M64
+
+
+def reference_draws(seed: int, label: str, n: int) -> list[int]:
+    """The first n next_u64 outputs of the stream (seed, label): the seed,
+    each zero-padded little-endian 8-byte chunk of the label and then its
+    byte length folded through splitmix64, the state words read off the
+    splitmix chain, then the reference xoshiro256** update."""
+    data = label.encode("utf-8")
+    s = _mix64((seed + _GOLDEN) & _M64)
+    for i in range(0, len(data), 8):
+        s = _mix64(((s ^ int.from_bytes(data[i : i + 8], "little")) + _GOLDEN) & _M64)
+    s = _mix64(((s ^ len(data)) + _GOLDEN) & _M64)
+    state = [_mix64((s + k * _GOLDEN) & _M64) for k in range(1, 5)]
+    out = []
+    for _ in range(n):
+        s0, s1, s2, s3 = state
+        out.append(_starstar(s1))
+        t = (s1 << 17) & _M64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        state = [s0, s1, s2, _rotl(s3, 45)]
+    return out
+
+
+def reference_fill(sub: int, n: int) -> list[int]:
+    """The n lanes of a fill with sub-seed sub: lane j is the starstar
+    output of the splitmix chain's output 2(j + 1)."""
+    return [_starstar(_mix64((sub + 2 * (j + 1) * _GOLDEN) & _M64)) for j in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# reference generators: one patient and one visit at a time
+# ---------------------------------------------------------------------------
+
+def reference_slope_targets(table) -> None:
+    """Per-patient OLS slope of md on time for eligible patients, in place,
+    one patient at a time."""
+    for pid, idx in table.patients().items():
+        idx = sorted(idx, key=lambda i: table.visit_time[i])
+        times = table.visit_time[idx]
+        mds = table.md[idx]
+        ok = ~np.isnan(mds)
+        if eligibility_filter(times[ok]):
+            table.slope_target[idx] = ols_slope(times[ok], mds[ok])
+        else:
+            table.slope_target[idx] = np.nan
+
+
+def reference_cohort(spec):
+    """Synthetic multi-visit cohort, one Rng per patient and per visit, with
+    the slope targets of reference_slope_targets."""
+    spec.validate()
+    groups = sorted(spec.group_mix)
+    mix = np.array([spec.group_mix[g] for g in groups])
+    mean_shift = float(sum(spec.group_mix[g] * spec.group_shift.get(g, 0.0)
+                           for g in groups))
+    # age ~ U(30, 90) contributes variance 3 * age_effect^2 to the risk logit
+    sigma_eff = math.sqrt(1.0 + 3.0 * spec.age_effect ** 2)
+    z0 = sigma_eff * float(ndtri(spec.prevalence)) - mean_shift
+
+    cols: dict[str, list] = defaultdict(list)
+    vmin, vmax = spec.visits_per_patient
+    for i in range(spec.n_patients):
+        pid = f"P{i:05d}"
+        rp = Rng(spec.seed, f"patient/{i}")
+        group = groups[rp.choice(mix)]
+        age0 = 30.0 + 60.0 * rp.uniform()
+        eta = rp.normal()
+        omega = rp.normal() * _LABEL_AMBIGUITY_STD
+        sex = "F" if rp.uniform() < 0.5 else "M"
+        n_visits = rp.integers(vmin, vmax + 1)
+        gaps = 0.4 + 0.4 * rp.uniform(max(n_visits - 1, 1))
+        times = np.concatenate([[0.0], np.cumsum(gaps[: n_visits - 1])])
+
+        z = z0 + spec.age_effect * (age0 - 60.0) / 10.0 \
+            + spec.group_shift.get(group, 0.0) + eta
+        s0 = _SEVERITY_PER_Z * z
+        md0 = -2.0 - _MD_PER_SEVERITY * s0
+        slope = -(0.05 + 0.25 * max(s0, 0.0)) + rp.normal() * 0.08
+        slope = float(np.clip(slope, -2.0, 0.3))
+
+        # each visit's stream draws its noise, its label flip, its image seed
+        visits = [Rng(spec.seed, f"visit/{i}/{v}") for v in range(n_visits)]
+        eps = np.array([rv.normal(4) for rv in visits])
+        flip = np.array([rv.uniform() for rv in visits]) < spec.label_noise
+        md_lat = md0 + slope * times
+        s = (-2.0 - md_lat) / _MD_PER_SEVERITY
+        for name, values in {
+            "patient_id": [pid] * n_visits, "visit_index": range(n_visits),
+            "visit_time": times, "age": age0 + times,
+            "sex": [sex] * n_visits, "race": [group] * n_visits,
+            **_structure(s, eps, _STRUCTURE_STD),
+            "md": np.clip(md_lat + eps[:, 3] * _MD_OBS_STD, -30.0, 5.0),
+            "label": (s / _SEVERITY_PER_Z + omega > 0.0) ^ flip,
+            "img_severity": s,
+            "image_seed": [rv.next_u64() for rv in visits],
+        }.items():
+            cols[name].extend(values)
+    table = CohortTable({**cols, "slope_target": np.full(len(cols["md"]), np.nan)})
+    reference_slope_targets(table)
+    return table

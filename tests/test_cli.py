@@ -473,6 +473,24 @@ def test_refused_config_value_exits_two_before_any_read(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cfg", [
+    {"group_mix": {"Asian": 1.5, "Black": -0.5, "White": 0.0}},
+    {"age_effect": float("nan")},
+    {"group_mix": {"Asian": float("nan"), "Black": 0.5, "White": 0.5}},
+], ids=["negative-mix", "nan-age-effect", "nan-mix"])
+def test_gen_data_refuses_a_cohort_spec_it_cannot_draw(tmp_path, capsys, cfg):
+    """JSON's NaN literal and a negative fraction that keeps the sum at 1
+    pass the type check; the cohort spec refuses them by name, with exit 2
+    and one line, before cohort.csv is written."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and f"'{next(iter(cfg))}'" in err[0]
+    assert not (tmp_path / "out" / "cohort.csv").exists()
+
+
 def test_coverage_with_every_visit_blurred_exits_one(run_dir, tmp_path, capsys):
     """No visit passes the firewall, so there is no curve to draw: one line
     and exit 1, not an IndexError traceback."""

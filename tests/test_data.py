@@ -7,17 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oculogate.data as data_module
 from oculogate.data import (_RECORD, COLUMNS, CohortSpec, CohortTable,
                             apply_preprocess_table, assign_slope_targets,
                             default_cohort_spec, fit_preprocess, generate_cohort,
-                            generate_image, generate_images, generate_trajectory,
-                            inject_blur,
+                            generate_image, generate_images, generate_trajectories,
+                            generate_trajectory, inject_blur,
                             load_cohort_csv, load_image_pgm, write_cohort,
                             write_image_pgm, PreprocessStats)
 from oculogate.errors import ConfigError, DataError, SchemaError
 from oculogate.gate import laplacian_variance
 from oculogate.metrics import ols_slope
 from oculogate.rng import Rng
+
+from helpers import (reference_cohort, reference_slope_targets, spy_on_streams,
+                     table_digest)
 
 
 def same_records(a, b, float_rtol=0.0):
@@ -572,3 +576,175 @@ class TestTrajectories:
         md = traj.table.md
         rnflt = traj.table.rnflt
         assert np.corrcoef(md, rnflt)[0, 1] > 0.9
+
+
+# sha256 (helpers.table_digest) of generated tables, recorded when each
+# patient and visit still drew from its own Rng: the column-wise generator
+# must reproduce them bit for bit
+COHORT_SHA256 = {
+    (600, 31, (4, 8)): "956939b95f56cad07f3a343b2fcd9e01b458ee09d7abae01abe0e45c3c0312d2",
+    (600, 37, (4, 8)): "92c5f3aaa72fb9a51e6593b1a89527d4dace3f2659057fa9ff57d1dbd801df83",
+    (2000, 5, (4, 8)): "60e509003f0520575b99b6062f3f6371f3becc7feb6cc0d48f785b05a17377a0",
+    (1, 9, (4, 8)): "e56a0f0b6447fcf28e7aaafa1df9be8d8e459340e2966729db409a7828092d80",
+    (200, 11, (1, 1)): "06695a5dc402a0234c549f81dd37a5897aed8fe43c7ef798c731dd9ce5d1224a",
+    (200, 12, (2, 12)): "d5d50bf2d7880da28de86810f22d58e065f6ab193d94ef5c9ba71a87b18576c7",
+    (150, -7, (4, 8)): "608d8099590cbd1539d84cc31936ce02df44bb3b4c4c0138cdc366cf0fe1339c",
+    (150, 2**70, (4, 8)): "ba2c70d5d448c049895801c08c4b0565ecd3ee9941c41b85243eac35d9bdc9a6",
+}
+# more patients than one generation block, in an uneven group mix
+BLOCKS_SPEC = dict(n_patients=5000, seed=3, visits_per_patient=(1, 3),
+                   group_mix={"Asian": 0.2, "Black": 0.3, "White": 0.5})
+BLOCKS_SHA256 = "b3506e4c3875c70447d8960724e0688d918f223051f4c6a121e203cbf158381a"
+# (kind, n_visits, seed): table_digest of the table, then repr(onset_time);
+# at 50 visits the rapid decline reaches the md clip
+TRAJECTORY_SHA256 = {
+    ("stable", 4, 3): "07acc53062bfe0bab1f48c329e3ec6a8a7ab224d5b8017724207e7bca92c20bc",
+    ("stable", 8, 3): "844f3c44d1564faba830e19d7bededc9afc730943f3465891431d58ffa83ebc6",
+    ("stable", 50, 3): "e7749a58364b72a60923fe0ea1e6a64dd2defdc026fc27133080d13b12917d49",
+    ("slow", 4, 3): "161eaad9bc83da0a960cbf29d4cc4a302766d5457f267a46c907f9b6bf9edbff",
+    ("slow", 8, 3): "d2d4492b06de65842f7e95e63449caaccf21f17f6e711cb285e212a99f7d66fc",
+    ("slow", 50, 3): "af051db55898d6cb48da6f8b75462887d04b49126cf9fc07c9125c48e67cd304",
+    ("rapid", 4, 3): "7ee22d9827ffaacc8a7c8873367aadef05839969183d1f6a8a22d258279187e3",
+    ("rapid", 8, 3): "56bf1853fd6afd0bade41c4d7aa4626d94468e4e96bbec7d6ceb214b575a47ba",
+    ("rapid", 50, 3): "96d9489513a370dcc73a538c29babd72e4ece79167e4bb534f1a5eff3e3df732",
+    ("stable", 8, -5): "c93d672d990338690a9f14d9c8d1a8dc9226a489845040318119215570513409",
+    ("slow", 8, -5): "b1fae0c5cf669c78dcd18f54021758444cd60b5ad099d04a0863dc1630ae6255",
+    ("rapid", 8, -5): "eef4adc2c0f298b6c05d622c0d58bd13374a5e73a73f994649e52a5ef24cc177",
+    ("stable", 8, 2**64 + 9): "f62e6ac8d83305c8fa66809ba45023643f1bf9f9f871a77e4cd843216404a7e9",
+    ("slow", 8, 2**64 + 9): "79ef07cb5739eaf184bf4082406fb6f48401ff0ec28766674cbf6b555bb78754",
+    ("rapid", 8, 2**64 + 9): "594f36e752a96778d2e1e88cac17767375c821dc590b4610ec072e94dd03c462",
+}
+
+
+@pytest.mark.parametrize("n_patients,seed,visits", sorted(COHORT_SHA256, key=repr))
+def test_generated_cohort_bytes_are_pinned(n_patients, seed, visits):
+    table = generate_cohort(default_cohort_spec(n_patients=n_patients, seed=seed,
+                                                visits_per_patient=visits))
+    assert table_digest(table) == COHORT_SHA256[(n_patients, seed, visits)]
+
+
+def test_cohort_of_several_blocks_is_pinned():
+    assert BLOCKS_SPEC["n_patients"] > data_module._PATIENT_BLOCK
+    assert table_digest(generate_cohort(default_cohort_spec(**BLOCKS_SPEC))) == \
+        BLOCKS_SHA256
+
+
+@pytest.mark.parametrize("kind,n_visits,seed", sorted(TRAJECTORY_SHA256, key=repr))
+def test_trajectory_bytes_are_pinned(kind, n_visits, seed):
+    traj = generate_trajectory(kind, n_visits, seed)
+    assert table_digest(traj.table, repr(traj.onset_time)) == \
+        TRAJECTORY_SHA256[(kind, n_visits, seed)]
+
+
+SPECS = st.builds(
+    dict,
+    n_patients=st.integers(1, 12),
+    seed=st.one_of(st.sampled_from([0, -1, 2**64 - 1, 2**70]), st.integers(-2**66, 2**66)),
+    visits_per_patient=st.tuples(st.integers(1, 5), st.integers(0, 6))
+    .map(lambda t: (t[0], t[0] + t[1])),
+    group_mix=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)
+    .filter(lambda w: sum(w) > 0.1)
+    .map(lambda w: {f"G{i}": x / math.fsum(w) for i, x in enumerate(w)})
+    .filter(lambda mix: abs(sum(mix.values()) - 1.0) <= 1e-9),
+    group_shift=st.floats(-1.0, 1.0),
+    prevalence=st.floats(0.01, 0.99),
+    age_effect=st.floats(-1.0, 1.0),
+    label_noise=st.floats(0.0, 0.49),
+)
+
+
+@given(SPECS, st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_cohort_equals_the_per_patient_reference(spec, block):
+    """Column-wise generation, in blocks of any size, draws what one Rng per
+    patient and per visit draws."""
+    spec = CohortSpec(**{**spec, "group_shift": {
+        g: spec["group_shift"] * i for i, g in enumerate(spec["group_mix"])}})
+    want = reference_cohort(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "_PATIENT_BLOCK", block)
+        got = generate_cohort(spec)
+    assert table_digest(got) == table_digest(want)
+
+
+@st.composite
+def slope_tables(draw):
+    """Tables of 1-8 patients with 1-20 visits each, rows shuffled across
+    patients: visit times often from a coarse grid (so ties and spans under
+    a year occur), and md sometimes NaN."""
+    times = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0, 1.5, 2.75]),
+                      st.floats(0.0, 5.0))
+    md = st.floats(-30.0, 5.0).map(lambda x: math.nan if x > 3.0 else x)
+    visits = [(f"P{p}", draw(times), draw(md))
+              for p in range(draw(st.integers(1, 8)))
+              for _ in range(draw(st.integers(1, 20)))]
+    order = draw(st.permutations(range(len(visits))))
+    pid, t, m = zip(*(visits[i] for i in order))
+    n = len(pid)
+    return CohortTable({
+        "patient_id": list(pid), "visit_index": np.arange(n),
+        "visit_time": np.array(t), "age": np.full(n, 60.0), "sex": ["F"] * n,
+        "race": ["White"] * n, "rnflt": np.full(n, 90.0), "iop": np.full(n, 15.0),
+        "cdr": np.full(n, 0.4), "md": np.array(m), "label": np.zeros(n, dtype=np.int64),
+        "slope_target": np.full(n, np.nan)})
+
+
+@given(slope_tables())
+@settings(max_examples=60, deadline=None)
+def test_slope_targets_equal_the_per_patient_rule(table):
+    want = table.subset(range(len(table)))
+    reference_slope_targets(want)
+    assign_slope_targets(table)
+    assert table.slope_target.tobytes() == want.slope_target.tobytes()
+
+
+@given(st.sampled_from(["stable", "slow", "rapid"]), st.integers(4, 12),
+       st.lists(st.integers(-2**65, 2**65), min_size=1, max_size=5, unique=True))
+@settings(max_examples=30, deadline=None)
+def test_trajectories_equal_the_per_seed_series(kind, n_visits, seeds):
+    table, onsets = generate_trajectories(kind, n_visits, seeds)
+    for j, seed in enumerate(seeds):
+        one = generate_trajectory(kind, n_visits, seed)
+        rows = table.subset(range(j * n_visits, (j + 1) * n_visits))
+        assert onsets[j] == one.onset_time
+        assert table_digest(rows) == table_digest(one.table)
+
+
+def test_cohort_is_drawn_column_wise(monkeypatch):
+    """200 patients in blocks of 64: no per-patient or per-visit Rng, and
+    one sponge pass per block for the patients' streams and one for their
+    visits' (every label here is 2 words long)."""
+    counts = spy_on_streams(monkeypatch)
+    monkeypatch.setattr(data_module, "_PATIENT_BLOCK", 64)
+    table = generate_cohort(default_cohort_spec(n_patients=200, seed=8))
+    assert counts["rng"] == 0
+    blocks = [64, 64, 64, 8]
+    visits = np.bincount(np.unique(table.patient_id, return_inverse=True)[1])
+    per_block = np.add.reduceat(visits, np.cumsum([0] + blocks[:-1]))
+    assert counts["sponge"] == [shape for b, v in zip(blocks, per_block)
+                                for shape in ((b, 2), (v, 2))]
+
+
+def test_slope_targets_take_one_ols_pass_per_visit_count(monkeypatch):
+    """The per-patient rule costs one batched ols_slope call per count of
+    usable visits, not one per patient."""
+    table = generate_cohort(default_cohort_spec(n_patients=200, seed=8))
+    calls = []
+    monkeypatch.setattr(data_module, "ols_slope",
+                        lambda t, v: calls.append(t.shape) or ols_slope(t, v))
+    assign_slope_targets(table)
+    assert sorted(k for _, k in calls) == [4, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("override,name", [
+    ({"group_mix": {"Asian": 1.5, "Black": -0.5, "White": 0.0}}, "group_mix"),
+    ({"age_effect": math.nan}, "age_effect"),
+    ({"group_mix": {"Asian": math.nan, "Black": 0.5, "White": 0.5}}, "group_mix"),
+    ({"group_shift": {"Asian": math.inf, "Black": 0.0, "White": 0.0}}, "group_shift"),
+    ({"prevalence": math.nan}, "prevalence"),
+    ({"label_noise": math.nan}, "label_noise"),
+], ids=["negative-mix", "nan-age-effect", "nan-mix", "inf-shift", "nan-prevalence",
+        "nan-label-noise"])
+def test_spec_refuses_non_finite_and_negative_numbers_by_name(override, name):
+    with pytest.raises(ConfigError, match=f"'{name}'"):
+        generate_cohort(default_cohort_spec(n_patients=5, **override))

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oculogate.rng import Rng, substream_u64
+from oculogate.rng import Rng, Streams, substream_u64
+
+from helpers import reference_draws, reference_fill
 
 GOLDEN = {
     # (seed, label, n): sha256 of fill_u64(n), uniform(n), normal(n)
@@ -184,3 +186,79 @@ def test_substream_u64_groups_labels_by_word_count(monkeypatch):
     assert calls == [(15, 2)]
     for row, label in zip(got, labels):
         assert row.tobytes() == Rng(7, label).fill_u64(5).tobytes()
+
+
+ANY_SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1, -1, -7, 2**70 + 3]),
+                      st.integers(-2**70, 2**70))
+LABELS = st.one_of(st.sampled_from(EDGE_LABELS), st.text(max_size=20))
+
+
+@given(ANY_SEEDS, LABELS, st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_rng_follows_the_reference_xoshiro(seed, label, n):
+    """Rng is checked against xoshiro256** in Python ints: the draws of the
+    stream, and the lanes of a fill seeded by its next draw."""
+    rng = Rng(seed, label)
+    draws = reference_draws(seed, label, 4)
+    assert [int(rng.next_u64()) for _ in range(3)] == draws[:3]
+    assert rng.fill_u64(n).tolist() == reference_fill(draws[3], n)
+
+
+# a draw program: (method, argument) steps applied to every stream
+STEPS = st.one_of(
+    st.tuples(st.just("next_u64"), st.none()),
+    st.tuples(st.sampled_from(["uniform", "normal"]),
+              st.one_of(st.none(), st.integers(0, 9))),
+    st.tuples(st.just("fill_u64"), st.integers(0, 9)),
+    st.tuples(st.just("integers"), st.one_of(st.none(), st.integers(0, 5))),
+    st.tuples(st.just("ragged"), st.integers(0, 2**32)),
+)
+
+
+def _step(streams, method: str, arg):
+    """One step of a draw program on a Streams or an Rng."""
+    if method == "next_u64":
+        return streams.next_u64()
+    if method == "integers":
+        return streams.integers(-3, 40, arg)
+    return getattr(streams, method)(arg)
+
+
+@given(st.one_of(ANY_SEEDS, st.lists(ANY_SEEDS, min_size=1, max_size=8)),
+       st.lists(LABELS, min_size=1, max_size=8), st.lists(STEPS, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_streams_rows_equal_per_label_rng(seeds, labels, program):
+    """Row r of Streams(seeds, labels) draws what Rng(seeds[r], labels[r])
+    draws, step for step, through any program of column draws; a ragged
+    fill gives each row the head of the fill its Rng would make."""
+    if isinstance(seeds, list):
+        labels = (labels * len(seeds))[: len(seeds)]
+        row_seeds = seeds
+    else:
+        row_seeds = [seeds] * len(labels)
+    streams = Streams(seeds, labels)
+    rows = [Rng(seed, label) for seed, label in zip(row_seeds, labels)]
+    assert streams.size == len(labels)
+    for method, arg in program:
+        if method == "ragged":
+            counts = np.array([(arg >> (4 * r)) % 4 for r in range(len(rows))])
+            got = np.split(streams.fill_u64(counts), np.cumsum(counts)[:-1])
+            want = [rng.fill_u64(max(c, 1))[:c] for rng, c in zip(rows, counts)]
+        else:
+            got = _step(streams, method, arg)
+            want = [_step(rng, method, arg) for rng in rows]
+        for r, w in enumerate(want):
+            g = np.asarray(got[r])
+            assert g.tobytes() == np.asarray(w, dtype=g.dtype).tobytes(), (method, arg, r)
+
+
+@given(st.lists(ANY_SEEDS, max_size=6), LABELS, st.integers(0, 9))
+@settings(max_examples=40, deadline=None)
+def test_one_label_streams_follow_each_seed(seeds, label, n):
+    """One label for every seed, as the raster noise and the trajectories
+    draw it."""
+    streams = Streams(seeds, label)
+    got = streams.normal(n)
+    assert got.shape == (len(seeds), n)
+    for row, seed in zip(got, seeds):
+        assert row.tobytes() == Rng(seed, label).normal(n).tobytes()

@@ -6,8 +6,13 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+from dataclasses import asdict
+
+import numpy as np
 
 import oculogate
+
+from helpers import spy_on_streams
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -129,3 +134,35 @@ def test_training_counters_follow_the_step_and_the_diagnostic():
     assert m["numerics.adamw_steps"] == steps
     assert m["numerics.adamw_params_per_step"] == tp.model.params.value.size
     assert m["model.backward_calls_per_step"] == (steps + diagnostic) / steps
+
+
+def test_warning_report_draws_its_trajectories_column_wise(small_pipeline,
+                                                            monkeypatch):
+    """No per-trajectory Rng: one sponge pass per trajectory kind (every
+    label "traj/<kind>" is 2 words long), then one per raster block; the
+    risks are those of the per-trajectory tables, scored seed-major and
+    kind-minor as one table."""
+    from oculogate import data, pipeline
+    from oculogate.metrics import dynamic_warning
+
+    seeds, n_visits = [4, -2, 2**64 + 1], 8
+    kinds = ("stable", "slow", "rapid")
+    trajs = [data.generate_trajectory(kind, n_visits, seed)
+             for seed in seeds for kind in kinds]
+    risks = pipeline.deterministic_scores(
+        small_pipeline, data.CohortTable.concat([t.table for t in trajs]),
+        regression=False)["p_final"].reshape(len(seeds), len(kinds), n_visits)
+    counts = spy_on_streams(monkeypatch)
+    report = pipeline.warning_report(small_pipeline, seeds, n_visits)
+    assert counts["rng"] == 0
+    rasters = len(trajs) * n_visits
+    blocks = [min(data._RASTER_BLOCK, rasters - start)
+              for start in range(0, rasters, data._RASTER_BLOCK)]
+    assert counts["sponge"] == [(len(seeds), 2)] * len(kinds) + [(b, 1) for b in blocks]
+    for k, kind in enumerate(kinds):
+        for j, row in enumerate(report["per_kind"][kind]):
+            traj = trajs[j * len(kinds) + k]
+            warning = dynamic_warning(traj.table.visit_time, risks[j, k],
+                                      traj.onset_time)
+            assert row == {"seed": seeds[j], **asdict(warning),
+                           "mean_risk": float(np.mean(risks[j, k]))}

@@ -156,10 +156,17 @@ def default_cohort_spec(**overrides) -> CohortSpec:
     return spec
 
 
+RASTER_READ = 32   # rasters per table read: 1 MB of 64x64 float64
+
+
+def _dims(shape) -> str:
+    return "x".join(str(d) for d in shape)
+
+
 class CohortTable:
     """Columnar visits table. A row's raster resolves from storage, file
     path, or the generator latents, in that order; raster_stack reads many
-    rows at once."""
+    rows at once, and raster_blocks reads the whole table a block at a time."""
 
     def __init__(self, columns: dict):
         """columns maps names of COLUMNS to one value per row."""
@@ -184,16 +191,18 @@ class CohortTable:
     def raster(self, i: int) -> np.ndarray:
         return self.raster_stack([i])[0]
 
-    def raster_stack(self, indices) -> np.ndarray:
+    def raster_stack(self, indices, shape=None) -> np.ndarray:
         """(len(indices), H, W) rasters of the given rows: attached rasters
         as they are, PGM files one by one, and generated rows through one
-        generate_images call."""
+        generate_images call. Every raster must have the given shape, or
+        without one the first raster's: a raster of another shape raises a
+        DataError naming its source and both shapes."""
         idx = np.asarray(indices, dtype=np.int64).reshape(-1)
         stack: list[np.ndarray | None] = [None] * idx.size
         generated = []
         for j, i in enumerate(idx):
             if self.rasters[i] is not None:
-                stack[j] = self.rasters[i]
+                stack[j] = np.asarray(self.rasters[i])
             elif self.image_path[i]:
                 stack[j] = load_image_pgm(self.image_path[i])
             elif np.isnan(self.img_severity[i]):
@@ -202,14 +211,31 @@ class CohortTable:
                 generated.append(j)
         rows = idx[generated]
         images = generate_images(self.img_severity[rows], self.image_seed[rows])
-        if len(generated) == idx.size:
-            return images
         for j, image in zip(generated, images):
             stack[j] = image
-        return np.stack(stack)
+        want = tuple(shape) if shape is not None else stack[0].shape if stack else None
+        for j, raster in enumerate(stack):
+            if raster.shape != want:
+                i = idx[j]
+                source = self.image_path[i] if self.rasters[i] is None \
+                    and self.image_path[i] else f"the raster of sample {i}"
+                raise DataError(f"{source}: raster is {_dims(raster.shape)}, but "
+                                f"the first raster read is {_dims(want)}")
+        return images if len(generated) == idx.size else np.stack(stack)
+
+    def raster_blocks(self):
+        """(start, rasters) for the table's rows in order, RASTER_READ rows
+        per raster_stack read, so a reader holds at most RASTER_READ rasters;
+        every raster must have the first raster's shape."""
+        shape = None
+        for start in range(0, len(self), RASTER_READ):
+            rasters = self.raster_stack(range(start, min(start + RASTER_READ, len(self))),
+                                        shape)
+            shape = rasters.shape[1:]
+            yield start, rasters
 
     def subset(self, indices) -> "CohortTable":
-        idx = np.asarray(indices)
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
         columns = {}
         for name, column in COLUMNS.items():
             values = getattr(self, name)
@@ -724,9 +750,8 @@ def write_cohort(table: CohortTable, out_dir, with_images: bool = True) -> None:
     if with_images:
         img_dir = os.path.join(out_dir, "images")
         os.makedirs(img_dir, exist_ok=True)
-        for start in range(0, len(table), 512):   # 16 MB of rasters at a time
-            rows = range(start, min(start + 512, len(table)))
-            for i, raster in zip(rows, table.raster_stack(rows)):
+        for start, rasters in table.raster_blocks():
+            for i, raster in enumerate(rasters, start):
                 name = f"{table.patient_id[i]}_{int(table.visit_index[i])}.pgm"
                 write_image_pgm(raster, os.path.join(img_dir, name))
                 image_paths[i] = os.path.join("images", name)

@@ -9,9 +9,12 @@ all its passes as one call of the trunk and the two diagnostic heads over the
 pass-major stack of (pass, sample) rows: each distinct transform is
 featurised once, and the substreams of all rows are derived in one vectorised
 call, drawing only the diagnostic sites' prefix of each stream. The draw
-stays in raw uint64 words: the masks compare them against the dropout rate
-directly, with no conversion to uniforms. The regression head is not run;
-MTS comes from predict's deterministic md_hat.
+stays in raw uint64 words: the keep bits compare them against the dropout
+rate directly, with no conversion to uniforms. The visual features of each
+distinct transform are scaled once, gathered into the pass-major stack and
+selected by their keep bits (model.dropout), so the visual site never gets a
+float mask. The regression head is not run; MTS comes from predict's
+deterministic md_hat.
 Without dropout, passes that share a transform are one pass, computed once
 and copied, so they are bitwise equal.
 """
@@ -24,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import (DualStreamModel, FusionConfig, check_dropout, fuse,
-                    visual_features_batch)
+from .model import (DualStreamModel, FusionConfig, check_dropout, dropout, fuse,
+                    keep_bits, visual_features_batch)
 from .rng import substream_u64
 
 TTA_DEFAULT = (
@@ -121,26 +124,32 @@ def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
     n = x_clin.shape[0]
     names = [cfg.tta_set[i % len(cfg.tta_set)] for i in range(cfg.n_passes)]
     distinct = list(dict.fromkeys(names))
-    v = visual_features_batch(
-        model.visual, np.concatenate([apply_tta(t, rasters) for t in distinct]))
+    # block k of the stack is transform k of every raster
+    stack = np.empty((len(distinct) * n, *rasters.shape[1:]))
+    for k, name in enumerate(distinct):
+        stack[k * n : (k + 1) * n] = apply_tta(name, rasters)
+    v = visual_features_batch(model.visual, stack)
+    del stack   # before the pass-major stack is built
     transform_of = [distinct.index(name) for name in names]
     if cfg.dropout_p > 0.0:
-        # one row block per pass: row i*n + k is pass i of sample k
-        blocks, cols = transform_of, list(range(cfg.n_passes))
         labels = [f"mc/{sid}/{i}" for i in range(cfg.n_passes) for sid in sample_ids]
         # the diagnostic sites lead mask_segments, so their columns are a
         # prefix of each label's full-width stream
         width = sum(w for _, w in model.diagnostic_segments())
-        masks = model.masks_from_uniform(substream_u64(seed, labels, width),
-                                         cfg.dropout_p)
+        words = substream_u64(seed, labels, width)
+        masks = model.masks_from_uniform(words, cfg.dropout_p, visual=False)
+        # row i*n + k of the pass-major stack is pass i of sample k
+        rows = (np.asarray(transform_of)[:, None] * n + np.arange(n)).ravel()
+        v = dropout(v, keep_bits(words[:, : model.visual.proj_dim], cfg.dropout_p),
+                    cfg.dropout_p, rows)
+        n_blocks, cols = cfg.n_passes, list(range(cfg.n_passes))
     else:
         # without dropout, passes that share a transform are the same pass:
         # run it once and copy it, so those passes stay bitwise equal (a row's
         # rounding in the one-column heads depends on its place in the stack)
-        blocks, cols = list(range(len(distinct))), transform_of
+        n_blocks, cols = len(distinct), transform_of
         masks = None
-    rows = (np.asarray(blocks)[:, None] * n + np.arange(n)).ravel()
-    out, _ = model.diagnose(np.tile(x_clin, (len(blocks), 1)), v[rows], masks)
+    out, _ = model.diagnose(np.tile(x_clin, (n_blocks, 1)), v, masks)
     p = fuse(fusion, out["logit_vis"], out["logit_clin"]).reshape(-1, n).T
     return p[:, cols]
 
@@ -169,7 +178,6 @@ def gate_decide(mu: float, u: float, cfg: GateConfig) -> GateDecision:
 # table-level gating
 # ---------------------------------------------------------------------------
 
-_LAP_BLOCK = 32   # rasters per laplacian_variance call: ~1 MB of 64x64 temporaries
 _ENSEMBLE_BATCH = 32   # sharp samples per ensemble_passes call
 
 
@@ -208,28 +216,40 @@ def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
     """Firewall plus ensemble statistics for every sample of a table,
     without the accept/reject call (tau_unc may still be unset, and
     decisions stay empty). Blur rejects never reach the model; their mu
-    and u stay NaN."""
+    and u stay NaN. The table is read RASTER_READ rasters at a time, so
+    at most one read block plus one ensemble batch of rasters is held."""
     from .data import apply_preprocess_table
 
     cfg.validate()
     n = len(table)
     sample_ids = table.sample_ids()
+    x_all = apply_preprocess_table(stats, table)
     lap = np.empty(n)
-    rasters = table.raster_stack(range(n))
-    for start in range(0, n, _LAP_BLOCK):
-        lap[start : start + _LAP_BLOCK] = laplacian_variance(
-            rasters[start : start + _LAP_BLOCK])
-    sharp = np.flatnonzero(lap >= cfg.tau_blur)
-
     mu = np.full(n, np.nan)
     u = np.full(n, np.nan)
-    x_all = apply_preprocess_table(stats, table)
-    for start in range(0, sharp.size, _ENSEMBLE_BATCH):
-        idx = sharp[start : start + _ENSEMBLE_BATCH]
-        x = x_all[idx]
-        sids = [sample_ids[i] for i in idx]
-        mu[idx], u[idx] = summarize_passes(
-            ensemble_passes(model, fusion, x, rasters[idx], sids, cfg, seed))
+
+    def ensemble(idx, rasters):
+        mu[idx], u[idx] = summarize_passes(ensemble_passes(
+            model, fusion, x_all[idx], rasters, [sample_ids[i] for i in idx],
+            cfg, seed))
+
+    # a row's bytes depend on the rows that share its batch, so sharp rows
+    # wait here until they fill one: the batches are those of the table's
+    # sharp rows in order, whatever the read blocks
+    idx = np.empty(0, dtype=np.int64)
+    sharp = None
+    for start, rasters in table.raster_blocks():
+        block = slice(start, start + len(rasters))
+        lap[block] = laplacian_variance(rasters)
+        passed = np.flatnonzero(lap[block] >= cfg.tau_blur)
+        idx = np.concatenate([idx, start + passed])
+        sharp = rasters[passed] if sharp is None \
+            else np.concatenate([sharp, rasters[passed]])
+        while idx.size >= _ENSEMBLE_BATCH:
+            ensemble(idx[:_ENSEMBLE_BATCH], sharp[:_ENSEMBLE_BATCH])
+            idx, sharp = idx[_ENSEMBLE_BATCH:], sharp[_ENSEMBLE_BATCH:]
+    if idx.size:
+        ensemble(idx, sharp)
     return GateRun(sample_ids=sample_ids, groups=list(table.race), lap_var=lap,
                    mu=mu, u=u)
 

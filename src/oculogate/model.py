@@ -37,6 +37,27 @@ def check_dropout(p: float) -> None:
         raise ConfigError(f"dropout_p must {rule}, got {p}")
 
 
+def keep_bits(words: np.ndarray, p: float) -> np.ndarray:
+    """Dropout keep bits from raw uint64 words (as fill_u64 returns them): a
+    unit is kept where its uniform (word >> 11)·2^-53 is >= p, which is word
+    >= ceil(p·2^53) << 11, as p·2^53 is exact."""
+    return words >= np.uint64(math.ceil(p * 2.0 ** 53) << 11)
+
+
+def dropout(x: np.ndarray, keep: np.ndarray, p: float, rows) -> np.ndarray:
+    """Inverted dropout of the gathered rows x[rows]: a kept unit is scaled
+    by 1/(1 - p), a dropped one becomes a zero of its sign. keep holds the
+    output's keep bits (keep_bits). The scale goes on x before the gather
+    and the keep bits select after it, so a repeated row is scaled once and
+    no float mask is built. Where x·(1/(1 - p)) does not overflow (the tanh
+    features lie in [-1, 1]) the bytes are those of the float mask rule
+    x[rows] * (keep / (1 - p)) that masks_from_uniform builds: (x·s)·1 =
+    x·(1·s), and (x·s)·0 is a zero of the sign of x·0."""
+    out = (x * (1.0 / (1.0 - p))).take(rows, axis=0)
+    out *= keep
+    return out
+
+
 @dataclass
 class DCCEConfig:
     input_dim: int
@@ -137,6 +158,7 @@ def patch_stats(rasters: np.ndarray, grid: int) -> np.ndarray:
     patch row. For grid >= 2 that is the order of tiles.mean/std(axis=(2, 4)),
     so the result equals theirs bit for bit. With grid == 1 numpy reduces
     the whole raster as one pairwise run, so that case keeps that reduction."""
+    rasters = np.asarray(rasters, dtype=np.float64)
     n, h, w = rasters.shape
     if h < grid or w < grid or h % grid or w % grid:
         raise ConfigError(f"raster {h}x{w} does not tile into a {grid}x{grid} grid")
@@ -159,10 +181,15 @@ def patch_stats(rasters: np.ndarray, grid: int) -> np.ndarray:
     return out.reshape(n, -1)
 
 
-def visual_features_batch(cfg: VisualFeatConfig, rasters: np.ndarray) -> np.ndarray:
-    """(n, proj_dim) features for a stack of rasters in [0, 1], (n, H, W)."""
-    return np.tanh(patch_stats(np.asarray(rasters, dtype=np.float64),
-                               cfg.patch_grid) @ projection_matrix(cfg))
+def visual_features_batch(cfg: VisualFeatConfig, rasters: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """(n, proj_dim) features tanh(patch_stats @ projection) for a stack of
+    rasters in [0, 1], (n, H, W), or for the (n, 2·grid²) patch_stats rows
+    of one, so a caller can read rasters in smaller blocks than it projects;
+    written into out when given."""
+    stats = rasters if np.ndim(rasters) == 2 else patch_stats(rasters, cfg.patch_grid)
+    out = np.matmul(stats, projection_matrix(cfg), out=out)
+    return np.tanh(out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -258,35 +285,40 @@ class DualStreamModel:
         return self.diagnostic_segments() + [("reg.h0", REG_HIDDEN[0]),
                                              ("reg.h1", REG_HIDDEN[1])]
 
-    def masks_from_uniform(self, words: np.ndarray, p: float) -> dict | None:
-        """Inverted-dropout masks from one (n, width) draw of raw uint64 words
-        (as fill_u64 returns them); the draw's columns fill the sites of
-        mask_segments in order, and a narrower draw masks only the sites it
-        covers. A unit is kept where (word >> 11)·2^-53 >= p, which is word >=
-        ceil(p·2^53) << 11 as p·2^53 is exact: the bytes of (u >= p)/(1 - p)."""
+    def masks_from_uniform(self, words: np.ndarray, p: float,
+                           visual: bool = True) -> dict | None:
+        """Inverted-dropout masks keep_bits(words, p) / (1 - p) from one
+        (n, width) draw of raw uint64 words (as fill_u64 returns them); the
+        draw's columns fill the sites of mask_segments in order, and a
+        narrower draw masks only the sites it covers. With visual=False the
+        leading visual site's columns get no mask: its caller applies
+        dropout() to the features itself and passes them to diagnose
+        already dropped."""
         if p <= 0.0:
             return None
-        keep = words >= np.uint64(math.ceil(p * 2.0 ** 53) << 11)
-        scaled = keep * (1.0 / (1.0 - p))
-        masks = {}
-        offset = 0
+        sites, offset = [], 0
         for name, width in self.mask_segments():
             if offset + width > words.shape[1]:
                 break
-            masks[name] = scaled[:, offset : offset + width]
+            sites.append((name, offset, width))
             offset += width
-        return masks
+        skip = 0 if visual else self.visual.proj_dim
+        scaled = keep_bits(words[:, skip:offset], p) * (1.0 / (1.0 - p))
+        return {name: scaled[:, start - skip : start - skip + width]
+                for name, start, width in sites if visual or name != "vis"}
 
     def diagnose(self, x_clin: np.ndarray, v_feats: np.ndarray,
                  masks: dict | None = None) -> tuple[dict, dict]:
         """The clinical trunk and the two diagnostic heads: (outputs, cache)
         with logit_vis, logit_clin and embedding. x_clin (n, d), v_feats
-        (n, proj_dim); masks need only the diagnostic sites."""
+        (n, proj_dim); masks need only the diagnostic sites, and without a
+        "vis" mask v_feats is read as given."""
         if x_clin.shape[1] != self.dcce.input_dim:
             raise SchemaError(
                 f"clinical width {x_clin.shape[1]} != input_dim {self.dcce.input_dim}")
         p = self.params
-        v_used = v_feats if masks is None else v_feats * masks["vis"]
+        v_used = v_feats if masks is None or "vis" not in masks \
+            else v_feats * masks["vis"]
 
         z_ins: dict[tuple[int, int], np.ndarray] = {}
         pres: dict[tuple[int, int], np.ndarray] = {}

@@ -16,7 +16,7 @@ from .metrics import (coverage_accuracy_curve, dynamic_warning,
                       mean_absolute_error, metrics_at_threshold, retained,
                       roc_auc)
 from .model import (DCCEConfig, DualStreamModel, FusionConfig, VisualFeatConfig,
-                    predict_arrays, visual_features_batch)
+                    patch_stats, predict_arrays, visual_features_batch)
 from .rng import Rng
 from .train import (SplitResult, TauSearchResult, TrainConfig, TrainHistory,
                     grid_search_alpha, grid_search_tau_unc, split_dataset,
@@ -40,19 +40,27 @@ class AblationFlags:
         return fusion, gate_cfg
 
 
-_FEATURE_BATCH = 512   # rasters read and featurised at a time: 16 MB of 64x64
+_FEATURE_BATCH = 512   # rows per projection product; a multiple of RASTER_READ
 
 
 def feature_matrices(table: CohortTable, stats: PreprocessStats,
                      model: DualStreamModel) -> tuple[np.ndarray, np.ndarray]:
-    """Clinical matrix and visual feature matrix for a table; rasters are
-    read and consumed _FEATURE_BATCH rows at a time to bound memory."""
+    """Clinical matrix and visual feature matrix for a table. Rasters are
+    read RASTER_READ at a time into patch statistics, and every
+    _FEATURE_BATCH rows of statistics are projected straight into their
+    rows of the feature matrix."""
     x = apply_preprocess_table(stats, table)
     n = len(table)
     v = np.empty((n, model.visual.proj_dim))
-    for start in range(0, n, _FEATURE_BATCH):
-        rasters = table.raster_stack(range(start, min(start + _FEATURE_BATCH, n)))
-        v[start : start + len(rasters)] = visual_features_batch(model.visual, rasters)
+    grid = model.visual.patch_grid
+    block_stats = np.empty((min(n, _FEATURE_BATCH), 2 * grid * grid))
+    for start, rasters in table.raster_blocks():
+        stop = start + len(rasters)
+        first = start - start % _FEATURE_BATCH   # the projection block's first row
+        block_stats[start - first : stop - first] = patch_stats(rasters, grid)
+        if stop % _FEATURE_BATCH == 0 or stop == n:
+            visual_features_batch(model.visual, block_stats[: stop - first],
+                                  out=v[first:stop])
     return x, v
 
 

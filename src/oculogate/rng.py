@@ -190,13 +190,12 @@ class Streams:
         if n == 0:
             return out
         sub = self.next_u64()[:, None]
+        lanes = np.arange(1, n + 1, dtype=np.uint64)
+        lanes *= _LANE_STEP
         # fill a block of rows at a time so the uint64 temporaries stay in cache
         step = max(1, _BLOCK_VALUES // n)
         for r in range(0, self.size, step):
-            z = out[r : r + step]
-            np.multiply(np.arange(1, n + 1, dtype=np.uint64), _LANE_STEP, out=z)
-            z += sub[r : r + step]
-            _fill(z)
+            _fill(np.add(lanes, sub[r : r + step], out=out[r : r + step]))
         return out
 
     def uniform(self, n=None) -> np.ndarray:

@@ -3,14 +3,18 @@ program stage needs, and reference rules the program is compared against."""
 
 import hashlib
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
 from scipy.special import ndtri
 
 from oculogate.data import (_LABEL_AMBIGUITY_STD, _MD_OBS_STD, _MD_PER_SEVERITY,
-                            _SEVERITY_PER_Z, _STRUCTURE_STD, CohortTable, _structure)
+                            _SEVERITY_PER_Z, _STRUCTURE_STD, CohortTable, _structure,
+                            apply_preprocess_table)
+from oculogate.gate import GateRun, ensemble_passes, laplacian_variance, summarize_passes
 from oculogate.metrics import eligibility_filter, ols_slope
+from oculogate.model import patch_stats, projection_matrix
 import oculogate.rng as rng_module
 from oculogate.rng import Rng
 
@@ -44,6 +48,56 @@ def float_rule_masks(model, u, p):
         masks[name] = (u[:, offset : offset + width] >= p) / (1.0 - p)
         offset += width
     return masks
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that fn(*args) holds under tracemalloc, above what was
+    held when the call began."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def reference_ensemble_over_table(model, table, stats, cfg, seed, fusion):
+    """The gate's table pass from one read of every raster: the blur
+    firewall over the whole stack, then the sharp rows in ensemble batches
+    of 32, in table order."""
+    cfg.validate()
+    n = len(table)
+    sample_ids = table.sample_ids()
+    rasters = table.raster_stack(range(n))
+    lap = np.empty(n)
+    for start in range(0, n, 32):
+        lap[start : start + 32] = laplacian_variance(rasters[start : start + 32])
+    sharp = np.flatnonzero(lap >= cfg.tau_blur)
+    mu = np.full(n, np.nan)
+    u = np.full(n, np.nan)
+    x_all = apply_preprocess_table(stats, table)
+    for start in range(0, sharp.size, 32):
+        idx = sharp[start : start + 32]
+        mu[idx], u[idx] = summarize_passes(ensemble_passes(
+            model, fusion, x_all[idx], rasters[idx], [sample_ids[i] for i in idx],
+            cfg, seed))
+    return GateRun(sample_ids=sample_ids, groups=list(table.race), lap_var=lap,
+                   mu=mu, u=u)
+
+
+def reference_feature_matrices(table, stats, model):
+    """Clinical and visual feature matrices from reads of 512 rasters, each
+    featurised as tanh(patch_stats @ projection) in one product."""
+    n = len(table)
+    v = np.empty((n, model.visual.proj_dim))
+    for start in range(0, n, 512):
+        rasters = table.raster_stack(range(start, min(start + 512, n)))
+        v[start : start + len(rasters)] = np.tanh(
+            patch_stats(rasters, model.visual.patch_grid)
+            @ projection_matrix(model.visual))
+    return apply_preprocess_table(stats, table), v
 
 
 def grad_check(model_fn, store, h: float = 1e-5,

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from oculogate.cli import build_parser, dump_json, main, resolve_config
@@ -238,6 +239,28 @@ def test_manifest_shape_mismatch_exits_one(run_dir, tmp_path, capsys):
     code, err = _predict_with_broken_model(run_dir, tmp_path, capsys, reshape_bias)
     assert code == 1
     assert len(err) == 1 and "vis_head.b" in err[0]
+
+
+@pytest.mark.parametrize("command", ["gate", "predict"])
+def test_test_pgm_of_another_shape_exits_one(run_dir, tmp_path, capsys, command):
+    """One 32x32 test PGM among 64x64 ones: one stderr line naming the PGM
+    and both shapes, exit 1, no traceback."""
+    from oculogate.data import load_cohort_csv, read_json_object, write_image_pgm
+    from oculogate.train import SplitResult
+
+    cohort = tmp_path / "cohort"
+    shutil.copytree(run_dir / "cohort", cohort)
+    table = load_cohort_csv(cohort / "cohort.csv")
+    test = SplitResult.of(table, read_json_object(
+        run_dir / "model" / "splits.json")).test
+    small = test.image_path[len(test) // 2]
+    write_image_pgm(np.full((32, 32), 0.5), small)
+    code = main([command, "--cohort", str(cohort), "--model", str(run_dir / "model"),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"{small}: raster is 32x32, but the first raster read is 64x64" in err[0]
 
 
 @pytest.mark.parametrize("kind,name", [("continuous", "cdr"),

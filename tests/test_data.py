@@ -279,6 +279,67 @@ def test_raster_stack_names_a_row_without_source():
         table.raster_stack([0, 1])
 
 
+def test_raster_stack_refuses_a_raster_of_another_shape(tmp_path):
+    """A PGM of another shape than the read's first raster is named with
+    both shapes; so is an attached raster, and a read given a shape holds
+    its first raster to it."""
+    table = tiny_table()
+    pgm = tmp_path / "small.pgm"
+    write_image_pgm(np.full((32, 32), 0.5), pgm)
+    table.image_path[2] = str(pgm)
+    with pytest.raises(DataError, match=r"small\.pgm: raster is 32x32, but the "
+                                        r"first raster read is 64x64"):
+        table.raster_stack([0, 1, 2])
+    table.rasters[4] = np.zeros((64, 48))
+    with pytest.raises(DataError, match="sample 4: raster is 64x48"):
+        table.raster_stack([3, 4])
+    with pytest.raises(DataError, match="sample 0: raster is 64x64, but the "
+                                        "first raster read is 32x32"):
+        table.raster_stack([0], (32, 32))
+    assert table.raster_stack([2]).shape == (1, 32, 32)
+
+
+def test_raster_blocks_hold_every_block_to_the_first_raster(tmp_path):
+    table = generate_cohort(default_cohort_spec(n_patients=12, seed=29))
+    assert len(table) > 2 * data_module.RASTER_READ
+    blocks = list(table.raster_blocks())
+    assert [start for start, _ in blocks] == \
+        list(range(0, len(table), data_module.RASTER_READ))
+    assert np.array_equal(np.concatenate([r for _, r in blocks]),
+                          table.raster_stack(range(len(table))))
+    pgm = tmp_path / "late.pgm"
+    write_image_pgm(np.full((32, 32), 0.5), pgm)
+    late = len(table) - 1
+    table.image_path[late] = str(pgm)
+    with pytest.raises(DataError, match=r"late\.pgm: raster is 32x32"):
+        list(table.raster_blocks())
+
+
+def test_write_cohort_bytes_are_pinned_and_read_a_block_at_a_time(tmp_path,
+                                                                   monkeypatch):
+    """cohort.csv and the PGMs of a 75-visit cohort keep their bytes, read
+    RASTER_READ rasters at a time."""
+    reads = []
+    raster_stack = CohortTable.raster_stack
+
+    def recording(table, indices, shape=None):
+        reads.append(len(indices))
+        return raster_stack(table, indices, shape)
+
+    monkeypatch.setattr(CohortTable, "raster_stack", recording)
+    table = generate_cohort(default_cohort_spec(n_patients=12, seed=29))
+    write_cohort(table, tmp_path)
+    assert len(table) == 75 and reads == [32, 32, 11]
+    h = hashlib.sha256()
+    for folder in (tmp_path, tmp_path / "images"):
+        for path in sorted(folder.iterdir()):
+            if path.is_file():
+                h.update(path.name.encode())
+                h.update(path.read_bytes())
+    assert h.hexdigest() == \
+        "2ed0a0528dedb4221cb25e55e557b6e2ac7b63bfe22d61dd23a33b6925204133"
+
+
 class TestInjectBlur:
     def test_radius_zero_identity(self):
         img = generate_image(0.4, 31)

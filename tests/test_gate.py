@@ -17,7 +17,8 @@ from oculogate.model import DualStreamModel, fuse, visual_features_batch
 from oculogate.numerics import ParamStore
 from oculogate.rng import Rng, substream_u64
 
-from helpers import float_rule_masks, y_hat
+from helpers import (float_rule_masks, reference_ensemble_over_table, traced_peak,
+                     y_hat)
 
 
 def naive_laplacian_variance(raster):
@@ -329,6 +330,72 @@ class TestEnsembleReadsOnlyDiagnostics:
         diagnostic = sum(w for name, w in tp.model.mask_segments()
                          if name == "vis" or name.startswith("dcce."))
         assert widths == [diagnostic]
+
+
+def _same_run(got, want):
+    """Every GateRun field equal, the float arrays bit for bit."""
+    assert got.sample_ids == want.sample_ids and got.groups == want.groups
+    for name in ("lap_var", "mu", "u"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.decisions == want.decisions
+
+
+class TestBlockedTableRead:
+    """ensemble_over_table reads RASTER_READ rasters at a time and carries
+    sharp rows across reads, so its run is the one-read run bit for bit."""
+
+    @pytest.mark.parametrize("n, blurred", [
+        *((n, b) for n in (0, 1, 31, 32, 33, 95) for b in ("none", "boundaries")),
+        (33, "all"), (95, "all")])
+    def test_equals_the_whole_stack_run(self, small_pipeline, n, blurred):
+        tp = small_pipeline
+        table = tp.split.test.subset(range(n))
+        if blurred != "none":
+            table.rasters = [table.raster(i) for i in range(n)]
+            rows = range(n) if blurred == "all" else \
+                [i for i in (0, 30, 31, 32, 33, 63, 64, 94) if i < n]
+            for i in rows:
+                table.rasters[i] = inject_blur(table.rasters[i], 4)
+        args = (tp.model, table, tp.stats, GateConfig(), 19, tp.fusion)
+        run = ensemble_over_table(*args)
+        _same_run(run, reference_ensemble_over_table(*args))
+        if blurred == "all":
+            assert np.isnan(run.u).all()
+
+    def test_no_mc_dropout_equals_the_whole_stack_run(self, small_pipeline):
+        tp = small_pipeline
+        args = (tp.model, tp.split.test.subset(range(70)), tp.stats,
+                GateConfig(dropout_p=0.0), 19, tp.fusion)
+        _same_run(ensemble_over_table(*args), reference_ensemble_over_table(*args))
+
+    def test_reads_at_most_one_block_at_a_time(self, small_pipeline, monkeypatch):
+        from oculogate.data import RASTER_READ, CohortTable
+
+        reads = []
+        raster_stack = CohortTable.raster_stack
+
+        def recording(table, indices, shape=None):
+            reads.append(len(indices))
+            return raster_stack(table, indices, shape)
+
+        monkeypatch.setattr(CohortTable, "raster_stack", recording)
+        tp = small_pipeline
+        ensemble_over_table(tp.model, tp.split.test.subset(range(70)), tp.stats,
+                            GateConfig(n_passes=2), 19, tp.fusion)
+        assert reads == [RASTER_READ, RASTER_READ, 70 - 2 * RASTER_READ]
+
+    def test_peak_memory_does_not_grow_with_the_table(self, small_pipeline,
+                                                      small_cohort):
+        tp = small_pipeline
+        gate = (tp.model, tp.stats, GateConfig(), 19, tp.fusion)
+
+        def run(table):
+            ensemble_over_table(gate[0], table, *gate[1:])
+
+        run(small_cohort.subset([0]))   # warm every cache first
+        small = traced_peak(run, small_cohort.subset(range(64)))
+        large = traced_peak(run, small_cohort.subset(range(640)))
+        assert abs(large - small) <= 0.1 * small, (small, large)
 
 
 @pytest.mark.parametrize("dropout_p, digest", [

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 
 from oculogate.errors import ConfigError, SchemaError
 from oculogate.model import (DCCEConfig, DualStreamModel, FusionConfig,
-                             VisualFeatConfig, fuse, load_checkpoint,
-                             patch_stats, predict_arrays, projection_matrix,
-                             save_checkpoint, trunk_columns, visual_features_batch)
+                             VisualFeatConfig, dropout, fuse, keep_bits,
+                             load_checkpoint, patch_stats, predict_arrays,
+                             projection_matrix, save_checkpoint, trunk_columns,
+                             visual_features_batch)
 from oculogate.numerics import sigmoid
 from oculogate.rng import Rng, _unit
 from oculogate.train import TrainConfig, multitask_loss
 
-from helpers import float_rule_masks, grad_check
+from helpers import (float_rule_masks, grad_check, reference_feature_matrices,
+                     traced_peak)
 
 
 def features_of_one(cfg, raster):
@@ -205,6 +207,85 @@ class TestMasksFromWords:
             assert got[name].tobytes() == want[name].tobytes(), name
         kept = 1.0 / (1.0 - p)
         assert got["vis"][0, :5].tolist() == [0.0, kept, kept, 0.0, kept]
+
+
+DROPOUT_RATES = st.one_of(
+    st.sampled_from([0.3, 0.5, 0.9, 2**-53, 5 / 2**53, (2**53 - 1) / 2**53]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+FEATURES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]),
+                     st.floats(-1e6, 1e6))
+
+
+class TestDropoutRule:
+    """dropout scales, gathers, then selects: the bytes of the float mask
+    rule x[rows] * ((u >= p) / (1 - p)), a dropped unit's zero sign included."""
+
+    @given(DROPOUT_RATES, st.lists(FEATURES, min_size=12, max_size=12),
+           st.lists(st.integers(0, 3), min_size=1, max_size=9),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_float_mask_rule_bitwise(self, p, values, rows, seed):
+        x = np.array(values).reshape(4, 3)
+        words = Rng(seed, "dropout-words").fill_u64(len(rows) * 3) \
+            .reshape(len(rows), 3)
+        cut = int(np.ceil(p * 2.0**53)) << 11
+        words[0] = [cut - 1, cut, cut + 1]
+        want = x[rows] * ((_unit(words) >= p) / (1.0 - p))
+        got = dropout(x, keep_bits(words, p), p, rows)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_a_dropped_negative_is_a_negative_zero(self):
+        got = dropout(np.array([[-0.5, 0.5, -0.0]]),
+                      np.zeros((1, 3), dtype=bool), 0.3, [0])
+        assert np.signbit(got).tolist() == [[True, False, True]]
+        assert not got.any()
+
+    @pytest.mark.parametrize("n, passes", [(1, 1), (3, 4), (5, 15)])
+    def test_diagnose_of_dropped_features_equals_the_float_masks(self, n, passes):
+        """The gate's form (features dropped before diagnose, masks without
+        the visual site) gives diagnose's outputs bit for bit."""
+        m = small_model(dropout_p=0.3)
+        rng = Rng(29, "dropout-diagnose")
+        x = rng.normal((n, 5))
+        v = np.tanh(rng.normal((2 * n, 6)))
+        rows = (np.arange(passes)[:, None] % 2 * n + np.arange(n)).ravel()
+        width = sum(w for _, w in m.diagnostic_segments())
+        words = rng.fill_u64(passes * n * width).reshape(passes * n, width)
+        x_all = np.tile(x, (passes, 1))
+        want, _ = m.diagnose(x_all, v[rows], m.masks_from_uniform(words, 0.3))
+        masks = m.masks_from_uniform(words, 0.3, visual=False)
+        assert "vis" not in masks
+        got, _ = m.diagnose(x_all, dropout(v, keep_bits(words[:, :6], 0.3), 0.3, rows),
+                            masks)
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), key
+
+
+class TestFeatureMatrices:
+    @pytest.mark.parametrize("n", [1, 31, 33, 511, 512, 513, 1025])
+    def test_equals_reads_of_512_rasters(self, small_pipeline, small_cohort, n):
+        from oculogate.pipeline import feature_matrices
+
+        tp = small_pipeline
+        table = small_cohort.subset(range(n))
+        x, v = feature_matrices(table, tp.stats, tp.model)
+        x_ref, v_ref = reference_feature_matrices(table, tp.stats, tp.model)
+        assert x.tobytes() == x_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+
+    def test_peak_memory_beyond_the_output_is_bounded(self, small_pipeline,
+                                                      small_cohort):
+        """Reads of 32 rasters and one 512-row block of statistics: a few MB
+        beyond the two output matrices, where one read of 512 rasters alone
+        is 16 MB."""
+        from oculogate.pipeline import feature_matrices
+
+        tp = small_pipeline
+        table = small_cohort.subset(range(1025))
+        x, v = feature_matrices(table, tp.stats, tp.model)
+        peak = traced_peak(feature_matrices, table, tp.stats, tp.model)
+        assert peak - x.nbytes - v.nbytes < 8 * 2**20, peak
 
 
 class TestFusion:

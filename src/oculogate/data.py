@@ -733,6 +733,8 @@ def load_image_pgm(path) -> np.ndarray:
         w, h, maxval = (int(x) for x in fields)
     except ValueError:
         raise DataError(f"{path}: malformed PGM header")
+    if w <= 0 or h <= 0:
+        raise DataError(f"{path}: PGM size {w}x{h} is not positive")
     if maxval != 255:
         raise DataError(f"{path}: expected maxval 255, got {maxval}")
     body = data[pos : pos + w * h]

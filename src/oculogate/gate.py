@@ -9,12 +9,13 @@ all its passes as one call of the trunk and the two diagnostic heads over the
 pass-major stack of (pass, sample) rows: each distinct transform is
 featurised once, and the substreams of all rows are derived in one vectorised
 call, drawing only the diagnostic sites' prefix of each stream. The draw
-stays in raw uint64 words: the keep bits compare them against the dropout
-rate directly, with no conversion to uniforms. The visual features of each
-distinct transform are scaled once, gathered into the pass-major stack and
-selected by their keep bits (model.dropout), so the visual site never gets a
-float mask. The regression head is not run; MTS comes from predict's
-deterministic md_hat.
+stays in raw uint64 words, which masks_from_uniform turns into keep bits by
+comparing them against the dropout rate, with no conversion to uniforms; no
+word outlives that call. The visual features of the distinct transforms are
+gathered into the pass-major stack, scaled and selected by their keep bits
+(model.dropout), as training does with its batch rows, so the visual site
+never gets a float mask. The regression head is not run; MTS comes from
+predict's deterministic md_hat.
 Without dropout, passes that share a transform are one pass, computed once
 and copied, so they are bitwise equal.
 """
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import (DualStreamModel, FusionConfig, check_dropout, dropout, fuse,
-                    keep_bits, visual_features_batch)
+                    visual_features_batch)
 from .rng import substream_u64
 
 TTA_DEFAULT = (
@@ -136,12 +137,11 @@ def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
         # the diagnostic sites lead mask_segments, so their columns are a
         # prefix of each label's full-width stream
         width = sum(w for _, w in model.diagnostic_segments())
-        words = substream_u64(seed, labels, width)
-        masks = model.masks_from_uniform(words, cfg.dropout_p, visual=False)
+        keep, masks = model.masks_from_uniform(substream_u64(seed, labels, width),
+                                               cfg.dropout_p)
         # row i*n + k of the pass-major stack is pass i of sample k
         rows = (np.asarray(transform_of)[:, None] * n + np.arange(n)).ravel()
-        v = dropout(v, keep_bits(words[:, : model.visual.proj_dim], cfg.dropout_p),
-                    cfg.dropout_p, rows)
+        v = dropout(v, keep, cfg.dropout_p, rows)
         n_blocks, cols = cfg.n_passes, list(range(cfg.n_passes))
     else:
         # without dropout, passes that share a transform are the same pass:

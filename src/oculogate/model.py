@@ -47,13 +47,14 @@ def keep_bits(words: np.ndarray, p: float) -> np.ndarray:
 def dropout(x: np.ndarray, keep: np.ndarray, p: float, rows) -> np.ndarray:
     """Inverted dropout of the gathered rows x[rows]: a kept unit is scaled
     by 1/(1 - p), a dropped one becomes a zero of its sign. keep holds the
-    output's keep bits (keep_bits). The scale goes on x before the gather
-    and the keep bits select after it, so a repeated row is scaled once and
-    no float mask is built. Where x·(1/(1 - p)) does not overflow (the tanh
-    features lie in [-1, 1]) the bytes are those of the float mask rule
-    x[rows] * (keep / (1 - p)) that masks_from_uniform builds: (x·s)·1 =
-    x·(1·s), and (x·s)·0 is a zero of the sign of x·0."""
-    out = (x * (1.0 / (1.0 - p))).take(rows, axis=0)
+    output's keep bits (masks_from_uniform's first value). The rows are
+    gathered, scaled, then selected by the keep bits, so no float mask is
+    built. Where x·(1/(1 - p)) does not overflow (the tanh features lie in
+    [-1, 1]) the bytes are those of the float mask rule
+    x[rows] * (keep / (1 - p)): (x·s)·1 = x·(1·s), and (x·s)·0 is a zero of
+    the sign of x·0."""
+    out = x.take(rows, axis=0)
+    out *= 1.0 / (1.0 - p)
     out *= keep
     return out
 
@@ -285,40 +286,34 @@ class DualStreamModel:
         return self.diagnostic_segments() + [("reg.h0", REG_HIDDEN[0]),
                                              ("reg.h1", REG_HIDDEN[1])]
 
-    def masks_from_uniform(self, words: np.ndarray, p: float,
-                           visual: bool = True) -> dict | None:
-        """Inverted-dropout masks keep_bits(words, p) / (1 - p) from one
-        (n, width) draw of raw uint64 words (as fill_u64 returns them); the
-        draw's columns fill the sites of mask_segments in order, and a
-        narrower draw masks only the sites it covers. With visual=False the
-        leading visual site's columns get no mask: its caller applies
-        dropout() to the features itself and passes them to diagnose
-        already dropped."""
-        if p <= 0.0:
-            return None
-        sites, offset = [], 0
-        for name, width in self.mask_segments():
-            if offset + width > words.shape[1]:
+    def masks_from_uniform(self, words: np.ndarray, p: float) -> tuple[np.ndarray, dict]:
+        """Dropout at rate p > 0 from one (n, width) draw of raw uint64 words
+        (as fill_u64 returns them), whose columns fill the sites of
+        mask_segments in order: the visual site's keep bits, for the
+        caller's dropout() of the features, and the inverted-dropout masks
+        keep_bits / (1 - p) of the hidden sites, by name. A draw narrower
+        than every site masks only the hidden sites it covers."""
+        vis = self.visual.proj_dim
+        scaled = keep_bits(words[:, vis:], p) * (1.0 / (1.0 - p))
+        masks, offset = {}, 0
+        for name, width in self.mask_segments()[1:]:
+            if offset + width > scaled.shape[1]:
                 break
-            sites.append((name, offset, width))
+            masks[name] = scaled[:, offset : offset + width]
             offset += width
-        skip = 0 if visual else self.visual.proj_dim
-        scaled = keep_bits(words[:, skip:offset], p) * (1.0 / (1.0 - p))
-        return {name: scaled[:, start - skip : start - skip + width]
-                for name, start, width in sites if visual or name != "vis"}
+        return keep_bits(words[:, :vis], p), masks
 
     def diagnose(self, x_clin: np.ndarray, v_feats: np.ndarray,
                  masks: dict | None = None) -> tuple[dict, dict]:
         """The clinical trunk and the two diagnostic heads: (outputs, cache)
         with logit_vis, logit_clin and embedding. x_clin (n, d), v_feats
-        (n, proj_dim); masks need only the diagnostic sites, and without a
-        "vis" mask v_feats is read as given."""
+        (n, proj_dim), read as given: under dropout the caller has already
+        applied dropout() to them. masks (masks_from_uniform's second value)
+        need only the diagnostic hidden sites."""
         if x_clin.shape[1] != self.dcce.input_dim:
             raise SchemaError(
                 f"clinical width {x_clin.shape[1]} != input_dim {self.dcce.input_dim}")
         p = self.params
-        v_used = v_feats if masks is None or "vis" not in masks \
-            else v_feats * masks["vis"]
 
         z_ins: dict[tuple[int, int], np.ndarray] = {}
         pres: dict[tuple[int, int], np.ndarray] = {}
@@ -337,11 +332,11 @@ class DualStreamModel:
             block_in = np.concatenate(feats, axis=1)
         emb = block_in
 
-        logit_vis = (v_used @ p["vis_head.W"].value + p["vis_head.b"].value)[:, 0]
+        logit_vis = (v_feats @ p["vis_head.W"].value + p["vis_head.b"].value)[:, 0]
         logit_clin = (emb @ p["clin_head.W"].value + p["clin_head.b"].value)[:, 0]
 
         outputs = {"logit_vis": logit_vis, "logit_clin": logit_clin, "embedding": emb}
-        cache = {"x": x_clin, "v_used": v_used, "emb": emb, "masks": masks,
+        cache = {"x": x_clin, "v": v_feats, "emb": emb, "masks": masks,
                  "z_ins": z_ins, "pres": pres}
         return outputs, cache
 
@@ -351,7 +346,7 @@ class DualStreamModel:
         and slope_hat."""
         outputs, cache = self.diagnose(x_clin, v_feats, masks)
         p = self.params
-        r_in = np.concatenate([cache["v_used"], cache["emb"]], axis=1)
+        r_in = np.concatenate([cache["v"], cache["emb"]], axis=1)
         pre0 = r_in @ p["reg.W0"].value + p["reg.b0"].value
         h0 = relu(pre0)
         if masks is not None:
@@ -367,32 +362,29 @@ class DualStreamModel:
         return outputs, cache
 
     def backward(self, cache: dict, d_logit_vis=None, d_logit_clin=None,
-                 d_md=None, d_slope=None, trunk_only: bool = False) -> tuple[str, ...]:
+                 d_md=None, d_slope=None) -> tuple[str, ...]:
         """Write the gradients of a scalar loss, given upstream derivatives
         (each (n,) or None), into the store's grad vector, and return the
         name prefixes of the branches written. Each gradient it reaches gets
         exactly one contribution, written in place (matmul's or sum's out=);
         a branch the upstream does not reach is skipped and keeps what it
-        held, so call it through set_grads. With trunk_only the head and
-        regression parameters get nothing, and only the chain into the
-        clinical trunk (dcce.*) runs."""
+        held, so a training step calls it through set_grads."""
         p = self.params
         masks = cache["masks"]
         n = cache["x"].shape[0]
         reached = []
         d_emb = None
 
-        if d_logit_vis is not None and not trunk_only:
+        if d_logit_vis is not None:
             g = np.asarray(d_logit_vis).reshape(n, 1)
-            np.matmul(cache["v_used"].T, g, out=p["vis_head.W"].grad)
+            np.matmul(cache["v"].T, g, out=p["vis_head.W"].grad)
             np.sum(g, axis=0, out=p["vis_head.b"].grad)
             reached.append("vis_head.")
         if d_logit_clin is not None:
             g = np.asarray(d_logit_clin).reshape(n, 1)
-            if not trunk_only:
-                np.matmul(cache["emb"].T, g, out=p["clin_head.W"].grad)
-                np.sum(g, axis=0, out=p["clin_head.b"].grad)
-                reached.append("clin_head.")
+            np.matmul(cache["emb"].T, g, out=p["clin_head.W"].grad)
+            np.sum(g, axis=0, out=p["clin_head.b"].grad)
+            reached.append("clin_head.")
             d_emb = g @ p["clin_head.W"].value.T
 
         if d_md is not None or d_slope is not None:
@@ -402,23 +394,20 @@ class DualStreamModel:
             if d_slope is not None:
                 g2[:, 1] = d_slope
             dh1 = g2 @ p["reg.W2"].value.T
-            if not trunk_only:
-                np.matmul(cache["h1"].T, g2, out=p["reg.W2"].grad)
-                np.sum(g2, axis=0, out=p["reg.b2"].grad)
+            np.matmul(cache["h1"].T, g2, out=p["reg.W2"].grad)
+            np.sum(g2, axis=0, out=p["reg.b2"].grad)
             if masks is not None:
                 dh1 = dh1 * masks["reg.h1"]
             dpre1 = dh1 * (cache["pre1"] > 0)
             dh0 = dpre1 @ p["reg.W1"].value.T
-            if not trunk_only:
-                np.matmul(cache["h0"].T, dpre1, out=p["reg.W1"].grad)
-                np.sum(dpre1, axis=0, out=p["reg.b1"].grad)
+            np.matmul(cache["h0"].T, dpre1, out=p["reg.W1"].grad)
+            np.sum(dpre1, axis=0, out=p["reg.b1"].grad)
             if masks is not None:
                 dh0 = dh0 * masks["reg.h0"]
             dpre0 = dh0 * (cache["pre0"] > 0)
-            if not trunk_only:
-                np.matmul(cache["r_in"].T, dpre0, out=p["reg.W0"].grad)
-                np.sum(dpre0, axis=0, out=p["reg.b0"].grad)
-                reached.append("reg.")
+            np.matmul(cache["r_in"].T, dpre0, out=p["reg.W0"].grad)
+            np.sum(dpre0, axis=0, out=p["reg.b0"].grad)
+            reached.append("reg.")
             d_reg = trunk_columns(dpre0, p["reg.W0"].value, self.visual.proj_dim)
             if d_emb is None:
                 d_emb = d_reg
@@ -454,13 +443,13 @@ class DualStreamModel:
         reached.append("dcce.")
         return tuple(reached)
 
-    def set_grads(self, cache: dict, trunk_only: bool = False, **upstream) -> None:
+    def set_grads(self, cache: dict, **upstream) -> None:
         """Run one backward into the store, then zero the gradients of the
         branches it did not reach: a parameter the loss did not reach gets
-        zero, not the previous step's gradient. A full training step reaches
-        every branch and zeroes nothing. upstream holds backward's d_*
-        keywords."""
-        reached = self.backward(cache, trunk_only=trunk_only, **upstream)
+        zero, not what an earlier backward wrote. A full training step
+        reaches every branch and zeroes nothing. upstream holds backward's
+        d_* keywords."""
+        reached = self.backward(cache, **upstream)
         for name, param in self.params.entries.items():
             if not name.startswith(reached):
                 param.grad[...] = 0.0

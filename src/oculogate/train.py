@@ -17,7 +17,7 @@ import numpy as np
 from .data import CohortTable
 from .errors import ConfigError, NumericError
 from .metrics import mean_absolute_error, roc_auc
-from .model import DualStreamModel, FusionConfig, predict_arrays
+from .model import DualStreamModel, FusionConfig, dropout, predict_arrays
 from .numerics import (adamw_step, binary_cross_entropy, binary_cross_entropy_grad,
                        smooth_l1, smooth_l1_grad)
 from .rng import Rng
@@ -190,6 +190,7 @@ def train_multitask(
     y_val = val_table.label
     md_val = val_table.md
     total_mask_width = sum(w for _, w in model.mask_segments())
+    p_drop = model.dcce.dropout_p
 
     lam = cfg.lambda_weight
     history = TrainHistory()
@@ -205,23 +206,25 @@ def train_multitask(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             b = idx.size
-            masks = None
-            if model.dcce.dropout_p > 0:
-                masks = model.masks_from_uniform(
+            if p_drop > 0:
+                keep, masks = model.masks_from_uniform(
                     rng.fill_u64(b * total_mask_width).reshape(b, total_mask_width),
-                    model.dcce.dropout_p)
-            out, cache = model.forward(x_train[idx], v_train[idx], masks)
+                    p_drop)
+                v = dropout(v_train, keep, p_drop, idx)
+            else:
+                masks, v = None, v_train[idx]
+            out, cache = model.forward(x_train[idx], v, masks)
 
             l_scr, l_prog, d_scr, d_prog = multitask_loss(
                 out, y[idx], md_t[idx], m_t[idx], has_slope[idx], cfg)
             if n_batches % 8 == 0:
                 # per-term trunk norms on every 8th batch (epoch diagnostic),
-                # each from a trunk-only backward into the store; the step's
-                # own set_grads below overwrites them
-                model.set_grads(cache, trunk_only=True, **d_scr)
+                # each from a backward of that term alone; the step's own
+                # set_grads below overwrites every branch they write
+                model.backward(cache, **d_scr)
                 norm_scr += _dcce_norm(model)
                 if d_prog:
-                    model.set_grads(cache, trunk_only=True, **d_prog)
+                    model.backward(cache, **d_prog)
                     norm_prog += lam ** 2 * _dcce_norm(model)
 
             loss = l_scr + lam * l_prog

@@ -263,6 +263,30 @@ def test_test_pgm_of_another_shape_exits_one(run_dir, tmp_path, capsys, command)
     assert f"{small}: raster is 32x32, but the first raster read is 64x64" in err[0]
 
 
+@pytest.mark.parametrize("size", ["-64 -64", "0 0"])
+def test_test_pgm_of_no_size_exits_one(run_dir, tmp_path, capsys, size):
+    """The first test PGM with a header size that is not positive: one
+    stderr line naming that PGM, exit 1, no output directory."""
+    from oculogate.data import load_cohort_csv, read_json_object
+    from oculogate.train import SplitResult
+
+    cohort = tmp_path / "cohort"
+    shutil.copytree(run_dir / "cohort", cohort)
+    table = load_cohort_csv(cohort / "cohort.csv")
+    bad = SplitResult.of(table, read_json_object(
+        run_dir / "model" / "splits.json")).test.image_path[0]
+    with open(bad, "wb") as f:
+        f.write(f"P5\n{size}\n255\n".encode() + b"\x00" * 4096)
+    out = tmp_path / "out"
+    code = main(["predict", "--cohort", str(cohort), "--model", str(run_dir / "model"),
+                 "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"{bad}: PGM size {size.replace(' ', 'x')} is not positive" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind,name", [("continuous", "cdr"),
                                        ("categorical", "sex")])
 def test_preprocess_lacking_a_feature_exits_one(run_dir, tmp_path, capsys,

@@ -588,6 +588,13 @@ class TestPgm:
         with pytest.raises(DataError, match="truncated"):
             load_image_pgm(path)
 
+    @pytest.mark.parametrize("size", [b"-64 -64", b"0 0", b"64 0", b"-1 64"])
+    def test_size_that_is_not_positive_rejected(self, tmp_path, size):
+        path = tmp_path / "size.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n" + b"\x00" * 4096)
+        with pytest.raises(DataError, match=r"size\.pgm: PGM size .* is not positive"):
+            load_image_pgm(path)
+
     def test_wrong_maxval_rejected(self, tmp_path):
         path = tmp_path / "max.pgm"
         path.write_bytes(b"P5\n1 1\n127\n\x00")

@@ -12,7 +12,7 @@ from oculogate.model import (DCCEConfig, DualStreamModel, FusionConfig,
                              load_checkpoint, patch_stats, predict_arrays,
                              projection_matrix, save_checkpoint, trunk_columns,
                              visual_features_batch)
-from oculogate.numerics import sigmoid
+from oculogate.numerics import adamw_step, sigmoid
 from oculogate.rng import Rng, _unit
 from oculogate.train import TrainConfig, multitask_loss
 
@@ -200,13 +200,14 @@ class TestMasksFromWords:
         # words at the cut, one below and one above it, and the extremes
         cut = int(np.ceil(p * 2.0**53)) << 11
         words[0, :5] = [cut - 1, cut, cut + 1, 0, 2**64 - 1]
-        got = m.masks_from_uniform(words, p)
+        keep, got = m.masks_from_uniform(words, p)
         want = float_rule_masks(m, _unit(words), p)
+        assert keep.dtype == bool
+        assert np.array_equal(keep, want.pop("vis") > 0)
+        assert keep[0, :5].tolist() == [False, True, True, False, True]
         assert list(got) == list(want)
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
-        kept = 1.0 / (1.0 - p)
-        assert got["vis"][0, :5].tolist() == [0.0, kept, kept, 0.0, kept]
 
 
 DROPOUT_RATES = st.one_of(
@@ -217,7 +218,7 @@ FEATURES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]),
 
 
 class TestDropoutRule:
-    """dropout scales, gathers, then selects: the bytes of the float mask
+    """dropout gathers, scales, then selects: the bytes of the float mask
     rule x[rows] * ((u >= p) / (1 - p)), a dropped unit's zero sign included."""
 
     @given(DROPOUT_RATES, st.lists(FEATURES, min_size=12, max_size=12),
@@ -243,8 +244,9 @@ class TestDropoutRule:
 
     @pytest.mark.parametrize("n, passes", [(1, 1), (3, 4), (5, 15)])
     def test_diagnose_of_dropped_features_equals_the_float_masks(self, n, passes):
-        """The gate's form (features dropped before diagnose, masks without
-        the visual site) gives diagnose's outputs bit for bit."""
+        """The form of the gate and of training (features dropped before
+        diagnose, masks of the hidden sites only) gives the outputs of the
+        float masks bit for bit."""
         m = small_model(dropout_p=0.3)
         rng = Rng(29, "dropout-diagnose")
         x = rng.normal((n, 5))
@@ -253,11 +255,10 @@ class TestDropoutRule:
         width = sum(w for _, w in m.diagnostic_segments())
         words = rng.fill_u64(passes * n * width).reshape(passes * n, width)
         x_all = np.tile(x, (passes, 1))
-        want, _ = m.diagnose(x_all, v[rows], m.masks_from_uniform(words, 0.3))
-        masks = m.masks_from_uniform(words, 0.3, visual=False)
-        assert "vis" not in masks
-        got, _ = m.diagnose(x_all, dropout(v, keep_bits(words[:, :6], 0.3), 0.3, rows),
-                            masks)
+        float_masks = float_rule_masks(m, _unit(words), 0.3)
+        want, _ = m.diagnose(x_all, v[rows] * float_masks.pop("vis"), float_masks)
+        keep, masks = m.masks_from_uniform(words, 0.3)
+        got, _ = m.diagnose(x_all, dropout(v, keep, 0.3, rows), masks)
         for key in want:
             assert got[key].tobytes() == want[key].tobytes(), key
 
@@ -420,26 +421,45 @@ class TestGradients:
             assert got.shape == (n, 134)
             assert got.tobytes() == (dpre0 @ w0.T)[:, proj_dim:].tobytes(), n
 
-    def test_trunk_only_writes_the_full_pass_trunk_grads_and_nothing_else(self):
-        m = small_model(dropout_p=0.3)
-        rng = Rng(13, "trunk")
-        x = rng.normal((6, 5))
-        v = rng.normal((6, 6))
-        width = sum(w for _, w in m.mask_segments())
-        masks = m.masks_from_uniform(rng.fill_u64(6 * width).reshape(6, width), 0.3)
-        _, cache = m.forward(x, v, masks)
-        up = dict(d_logit_vis=rng.normal(6), d_logit_clin=rng.normal(6),
-                  d_md=rng.normal(6), d_slope=rng.normal(6))
-        m.set_grads(cache, **up)
-        full = {name: p.grad.copy() for name, p in m.params.entries.items()}
-        m.params.grad[...] = 1.0   # set_grads must zero what it skips
-        m.set_grads(cache, trunk_only=True, **up)
-        for name, p in m.params.entries.items():
-            if name.startswith("dcce."):
-                assert p.grad.any(), name
-                assert np.array_equal(p.grad, full[name]), name
-            else:
-                assert full[name].any() and not p.grad.any(), name
+    @pytest.mark.parametrize("case", ["both-terms", "lambda-0", "no-slope-label"])
+    def test_diagnostic_backwards_leave_the_step_unchanged(self, case):
+        """The every-8th-batch diagnostic of train_multitask runs a plain
+        backward per loss term before the step. The step's own set_grads
+        overwrites every branch those write, so the store after the step has
+        the bytes of a step without them; without a progression term the
+        regression grads still end at zero."""
+        lam = 0.0 if case == "lambda-0" else 1.0
+        labeled = np.array([case != "no-slope-label"] * 4 + [False] * 2)
+        cfg = TrainConfig(lambda_weight=lam)
+        stores = []
+        for diagnostic in (False, True):
+            m = small_model(dropout_p=0.3)
+            rng = Rng(13, "diagnostic")
+            x = rng.normal((6, 5))
+            v = np.tanh(rng.normal((6, 6)))
+            width = sum(w for _, w in m.mask_segments())
+            keep, masks = m.masks_from_uniform(
+                rng.fill_u64(6 * width).reshape(6, width), 0.3)
+            out, cache = m.forward(x, dropout(v, keep, 0.3, np.arange(6)), masks)
+            _, _, d_scr, d_prog = multitask_loss(
+                out, np.array([1.0, 0.0, 1.0, 0.0, 1.0, 1.0]), rng.normal(6),
+                rng.normal(6), labeled, cfg)
+            assert bool(d_prog) == (case == "both-terms")
+            m.params.grad[...] = 1.0   # the previous step's gradients
+            if diagnostic:
+                m.backward(cache, **d_scr)
+                if d_prog:
+                    m.backward(cache, **d_prog)
+            m.set_grads(cache, **d_scr, **{k: lam * d for k, d in d_prog.items()})
+            adamw_step(m.params, lr=1e-3, wd=1e-4)
+            stores.append(m.params)
+        without, after_diagnostic = stores
+        for vector in ("value", "grad", "m1", "m2"):
+            assert getattr(after_diagnostic, vector).tobytes() == \
+                getattr(without, vector).tobytes(), vector
+        for name, p in after_diagnostic.entries.items():
+            assert p.grad.any() == (case == "both-terms" or
+                                    not name.startswith("reg.")), name
 
 
 class TestPredict:

@@ -6,7 +6,7 @@ import pytest
 from oculogate.data import default_cohort_spec, generate_cohort
 from oculogate.errors import ConfigError
 from oculogate.metrics import roc_auc
-from oculogate.model import FusionConfig
+from oculogate.model import DCCEConfig, FusionConfig
 from oculogate.pipeline import run_training_pipeline
 from oculogate.rng import Rng
 from oculogate.train import (TrainConfig, grid_search_alpha,
@@ -240,3 +240,26 @@ def test_training_bytes_are_pinned():
         "0c408c98b7dfd063f9098b04bcfbb0e031efcbbc94ca71dd8ea546e7190dbe50"
     assert hashlib.sha256(tp.history.to_jsonl().encode()).hexdigest() == \
         "48cb32648e964428c4cd56c86c98cc5906e16ec95592e93f9a0c81d24039bd48"
+
+
+@pytest.mark.parametrize("train_cfg, dcce_cfg, digests", [
+    (TrainConfig(max_epochs=2, patience=2, batch_size=16, seed=5, lambda_weight=0.0),
+     None,
+     ("03cf1a57bb5badc8ea99839c63e877335e72e71509e0b33d0809695c36a22410",
+      "e5faa740b8142f82f751cf2cc8987d083d5ec9161da0b9ffa0a7d1f5f4a85200")),
+    (TrainConfig(max_epochs=2, patience=2, batch_size=16, seed=5),
+     DCCEConfig(input_dim=1, dropout_p=0.0),
+     ("a9b0b82250d8b2d3e515c68747a7dbe47a68b65ddb2fc945222aca782f8521bb",
+      "45f0bf11869fa5b3b0e84ec97bfd52889705d3af280bfe8d1f17a11959492a97")),
+], ids=["lambda-0", "no-dropout"])
+def test_training_bytes_without_a_term_are_pinned(train_cfg, dcce_cfg, digests):
+    """The cohort and schedule of test_training_bytes_are_pinned with one
+    part of the step switched off: without the progression term (no
+    diagnostic backward of it, regression grads zeroed by set_grads) and
+    without dropout (the batch rows read as given, no masks drawn). The
+    final parameters and the history keep their bytes."""
+    cohort = generate_cohort(default_cohort_spec(n_patients=60, seed=12,
+                                                 visits_per_patient=(2, 6)))
+    tp = run_training_pipeline(cohort, train_cfg, dcce_cfg)
+    assert (hashlib.sha256(tp.model.params.value.tobytes()).hexdigest(),
+            hashlib.sha256(tp.history.to_jsonl().encode()).hexdigest()) == digests

@@ -8,8 +8,8 @@ uncertainty, and samples at or above the calibrated threshold are referred
 to a human, ordered by the triage policy.
 """
 
+import math
 from collections import Counter
-
 
 from oculogate.data import default_cohort_spec, generate_cohort, inject_blur
 from oculogate.gate import GateConfig, run_gate, triage_queue
@@ -36,9 +36,8 @@ print("\ndecisions:", dict(Counter(d.kind for d in run.decisions)))
 queue = triage_queue(run, priority_groups=["Black", "Asian", "White"])
 print("\ntop of the review queue (priority group, then uncertainty):")
 for i in queue[:8]:
-    decision = run.decisions[i]
-    u = "-" if decision.u is None else f"{decision.u:.4f}"
-    print(f"  {run.sample_ids[i]:12s} {run.groups[i]:6s} {decision.kind:17s} U={u}")
+    u = "-" if math.isnan(run.u[i]) else f"{run.u[i]:.4f}"   # no U for blur rejects
+    print(f"  {run.sample_ids[i]:12s} {run.groups[i]:6s} {run.decisions[i].kind:17s} U={u}")
 
 cov = coverage_report(run, test.label)
 print("\ncoverage-accuracy over the sharp samples:")

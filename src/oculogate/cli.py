@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, fields, replace
@@ -136,7 +137,9 @@ def _has_type_of(value, default) -> bool:
 
 def resolve_config(command: str, args) -> dict:
     """The stage's defaults, overridden by the --config file and then by
-    flags; a value of the wrong JSON type or out of bounds is refused."""
+    flags; a value of the wrong JSON type, a non-finite number (JSON's NaN
+    and Infinity literals, also as a dict's value) or a value out of bounds
+    is refused."""
     defaults = _DEFAULTS[command]
     cfg = json.loads(json.dumps(defaults))  # deep copy
     config_path = getattr(args, "config", None)
@@ -158,6 +161,10 @@ def resolve_config(command: str, args) -> dict:
         if not _has_type_of(value, defaults[key]):
             raise ConfigError(f"config key '{key}' for {command} must have the "
                               f"JSON type of its default {json.dumps(defaults[key])}, "
+                              f"got {json.dumps(value)}")
+        numbers = value.values() if isinstance(value, dict) else [value]
+        if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
+            raise ConfigError(f"config key '{key}' for {command} must be finite, "
                               f"got {json.dumps(value)}")
         if key in _BOUNDS and not _BOUNDS[key][0](value):
             raise ConfigError(f"config key '{key}' for {command} must "

@@ -251,12 +251,6 @@ class CohortTable:
                     else np.concatenate([getattr(t, name) for t in tables])
                     for name, column in COLUMNS.items()})
 
-    def patients(self) -> dict[str, list[int]]:
-        out: dict[str, list[int]] = {}
-        for i, pid in enumerate(self.patient_id):
-            out.setdefault(pid, []).append(i)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # generators
@@ -299,8 +293,8 @@ def _cohort_block(spec: CohortSpec, groups: list[str], z0: float,
     female = rp.uniform() < 0.5
     vmin, vmax = spec.visits_per_patient
     n_visits = rp.integers(vmin, vmax + 1)
-    # the n - 1 gaps a patient uses of its fill of max(n - 1, 1)
-    gaps = 0.4 + 0.4 * rp.uniform(n_visits - 1)
+    # a patient's n - 1 gaps are the first lanes of one fill of max(vmax - 1, 1)
+    gaps = 0.4 + 0.4 * rp.uniform(max(vmax - 1, 1))
     slope_eps = rp.normal()
 
     shift = np.array([spec.group_shift.get(g, 0.0) for g in groups], dtype=np.float64)
@@ -313,10 +307,9 @@ def _cohort_block(spec: CohortSpec, groups: list[str], z0: float,
     # running sum of its gaps, in visit order
     patient = np.repeat(np.arange(len(ids)), n_visits)
     visit = np.arange(patient.size) - (np.cumsum(n_visits) - n_visits)[patient]
-    used = np.arange(n_visits.max()) < n_visits[:, None]
-    steps = np.zeros(used.shape)
-    steps[:, 1:][used[:, 1:]] = gaps
-    times = np.cumsum(steps, axis=1)[used]
+    times = np.zeros((len(ids), n_visits.max()))
+    np.cumsum(gaps[:, : times.shape[1] - 1], axis=1, out=times[:, 1:])
+    times = times[np.arange(times.shape[1]) < n_visits[:, None]]
 
     # each visit's stream draws its noise, its label flip, its image seed
     rv = Streams(spec.seed, [f"visit/{i}/{v}" for i, k in zip(ids, n_visits.tolist())
@@ -390,8 +383,6 @@ def inject_blur(raster: np.ndarray, radius: int) -> np.ndarray:
     """Box blur of side 2*radius + 1 with replicate padding."""
     if radius < 0:
         raise ConfigError("blur radius must be >= 0")
-    if radius == 0:
-        return raster.copy()
     return uniform_filter(raster, size=2 * radius + 1, mode="nearest")
 
 

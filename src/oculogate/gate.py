@@ -7,17 +7,20 @@ Every ensemble pass draws its dropout masks from the substream
 samples are batched. Pass i applies tta_set[i mod len(tta_set)]. A batch runs
 all its passes as one call of the trunk and the two diagnostic heads over the
 pass-major stack of (pass, sample) rows: each distinct transform is
-featurised once, and the substreams of all rows are derived in one vectorised
-call, drawing only the diagnostic sites' prefix of each stream. The draw
-stays in raw uint64 words, which masks_from_uniform turns into keep bits by
-comparing them against the dropout rate, with no conversion to uniforms; no
-word outlives that call. The visual features of the distinct transforms are
+featurised once, and the streams of all rows are derived together and drawn
+in one Streams.fill_u64 of the diagnostic sites' width, the prefix of each
+stream's full-width fill. The draw stays in raw uint64 words, which
+masks_from_uniform turns into keep bits by comparing them against the
+dropout rate, with no conversion to uniforms; no word outlives that call.
+The visual features of the distinct transforms are
 gathered into the pass-major stack, scaled and selected by their keep bits
 (model.dropout), as training does with its batch rows, so the visual site
 never gets a float mask. The regression head is not run; MTS comes from
 predict's deterministic md_hat.
 Without dropout, passes that share a transform are one pass, computed once
 and copied, so they are bitwise equal.
+A run's decisions come from its lap_var and u arrays at once (gate_decide);
+a decision holds only its kind, and mu and u stay in the run's arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import (DualStreamModel, FusionConfig, check_dropout, dropout, fuse,
                     visual_features_batch)
-from .rng import substream_u64
+from .rng import Streams
 
 TTA_DEFAULT = (
     "identity", "hflip", "vflip",
@@ -60,10 +63,8 @@ class GateConfig:
 
 @dataclass
 class GateDecision:
+    """One visit's outcome; its lap_var, mu and u are the run's arrays."""
     kind: str                       # accept | reject_blur | reject_uncertain
-    mu: float | None = None
-    u: float | None = None
-    lap_var: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
         # the diagnostic sites lead mask_segments, so their columns are a
         # prefix of each label's full-width stream
         width = sum(w for _, w in model.diagnostic_segments())
-        keep, masks = model.masks_from_uniform(substream_u64(seed, labels, width),
+        keep, masks = model.masks_from_uniform(Streams(seed, labels).fill_u64(width),
                                                cfg.dropout_p)
         # row i*n + k of the pass-major stack is pass i of sample k
         rows = (np.asarray(transform_of)[:, None] * n + np.arange(n)).ravel()
@@ -166,12 +167,17 @@ def summarize_passes(p_passes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, m2 / n_passes
 
 
-def gate_decide(mu: float, u: float, cfg: GateConfig) -> GateDecision:
-    """Accept iff U < tau_unc; the boundary U == tau_unc rejects."""
-    if cfg.tau_unc is None:
+def gate_decide(lap_var: np.ndarray, u: np.ndarray, cfg: GateConfig) -> list[GateDecision]:
+    """One decision per visit: a blur reject below tau_blur, else accept iff
+    U < tau_unc (the boundary U == tau_unc rejects). An unset tau_unc is
+    refused only when some visit passed the firewall."""
+    blur = np.asarray(lap_var) < cfg.tau_blur
+    if cfg.tau_unc is None and not blur.all():
         raise ConfigError("tau_unc is unset; calibrate it on validation first")
-    kind = "accept" if u < cfg.tau_unc else "reject_uncertain"
-    return GateDecision(kind=kind, mu=mu, u=u)
+    # tau_unc is unset only when every visit is a blur reject
+    accept = ~blur & (np.asarray(u) < (cfg.tau_unc or 0.0))
+    return [GateDecision("reject_blur" if b else "accept" if a else "reject_uncertain")
+            for b, a in zip(blur.tolist(), accept.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +265,7 @@ def run_gate(model: DualStreamModel, table, stats, cfg: GateConfig, seed: int,
     """Gate every sample of a table: firewall first (no model pass for blur
     rejects), then the ensemble and the uncertainty decision."""
     run = ensemble_over_table(model, table, stats, cfg, seed, fusion)
-    run.decisions = [
-        GateDecision(kind="reject_blur", lap_var=float(lv)) if lv < cfg.tau_blur
-        else gate_decide(float(m), float(u), cfg)
-        for lv, m, u in zip(run.lap_var, run.mu, run.u)]
+    run.decisions = gate_decide(run.lap_var, run.u, cfg)
     return run
 
 
@@ -278,8 +281,7 @@ def triage_queue(run: GateRun, priority_groups) -> list[int]:
     rank = {g: i for i, g in enumerate(priority_groups)}
 
     def key(i):
-        decision = run.decisions[i]
-        u_eff = decision.u if decision.kind == "reject_uncertain" else -math.inf
+        u_eff = run.u[i] if run.decisions[i].kind == "reject_uncertain" else -math.inf
         patient, _, visit = run.sample_ids[i].rpartition("#")
         return (rank.get(run.groups[i], len(priority_groups)), -u_eff,
                 patient, int(visit))

@@ -88,6 +88,8 @@ class FusionConfig:
     alpha_clin: float = 0.4
 
     def validate(self) -> None:
+        if not (math.isfinite(self.alpha_vis) and math.isfinite(self.alpha_clin)):
+            raise ConfigError("fusion weights must be finite")
         if self.alpha_vis < 0 or self.alpha_clin < 0:
             raise ConfigError("fusion weights must be non-negative")
         if abs(self.alpha_vis + self.alpha_clin - 1.0) > 1e-9:
@@ -247,7 +249,12 @@ class DualStreamModel:
                     else:
                         p.value[...] = init_rng.normal(p.value.shape) * np.sqrt(2.0 / d)
 
-    # layer input width for block b, layer l
+    def dense_layers(self) -> list[tuple[int, int]]:
+        """(block, layer) of every dense layer, in forward order."""
+        return [(b, l) for b in range(self.dcce.n_blocks)
+                for l in range(self.dcce.layers_per_block)]
+
+    # layer input width for block b, layer l: the embedding columns it reads
     def _in_dim(self, b: int, l: int) -> int:
         d = self.dcce.input_dim + b * self.dcce.layers_per_block * self.dcce.growth_k
         return d + l * self.dcce.growth_k
@@ -256,10 +263,9 @@ class DualStreamModel:
         """Every parameter's name and shape, in store and checkpoint order."""
         k = self.dcce.growth_k
         layout: dict[str, tuple[int, ...]] = {}
-        for b in range(self.dcce.n_blocks):
-            for l in range(self.dcce.layers_per_block):
-                layout[f"dcce.b{b}.l{l}.W"] = (self._in_dim(b, l), k)
-                layout[f"dcce.b{b}.l{l}.b"] = (k,)
+        for b, l in self.dense_layers():
+            layout[f"dcce.b{b}.l{l}.W"] = (self._in_dim(b, l), k)
+            layout[f"dcce.b{b}.l{l}.b"] = (k,)
         emb = self.dcce.output_dim
         h0, h1 = REG_HIDDEN
         layout.update({
@@ -274,11 +280,8 @@ class DualStreamModel:
     def diagnostic_segments(self) -> list[tuple[str, int]]:
         """Dropout sites the trunk and the two diagnostic heads read: visual
         features and every DCCE hidden layer."""
-        segs = [("vis", self.visual.proj_dim)]
-        for b in range(self.dcce.n_blocks):
-            for l in range(self.dcce.layers_per_block):
-                segs.append((f"dcce.b{b}.l{l}", self.dcce.growth_k))
-        return segs
+        return [("vis", self.visual.proj_dim)] + [
+            (f"dcce.b{b}.l{l}", self.dcce.growth_k) for b, l in self.dense_layers()]
 
     def mask_segments(self) -> list[tuple[str, int]]:
         """Every dropout site: the diagnostic ones, then both regression
@@ -309,35 +312,30 @@ class DualStreamModel:
         with logit_vis, logit_clin and embedding. x_clin (n, d), v_feats
         (n, proj_dim), read as given: under dropout the caller has already
         applied dropout() to them. masks (masks_from_uniform's second value)
-        need only the diagnostic hidden sites."""
+        need only the diagnostic hidden sites. Each dense layer appends its
+        growth_k columns to one embedding buffer."""
         if x_clin.shape[1] != self.dcce.input_dim:
             raise SchemaError(
                 f"clinical width {x_clin.shape[1]} != input_dim {self.dcce.input_dim}")
         p = self.params
-
-        z_ins: dict[tuple[int, int], np.ndarray] = {}
+        k = self.dcce.growth_k
+        emb = np.empty((len(x_clin), self.dcce.output_dim))
+        emb[:, : self.dcce.input_dim] = x_clin
         pres: dict[tuple[int, int], np.ndarray] = {}
-        block_in = x_clin
-        for b in range(self.dcce.n_blocks):
-            feats = [block_in]
-            for l in range(self.dcce.layers_per_block):
-                z_in = np.concatenate(feats, axis=1)
-                pre = z_in @ p[f"dcce.b{b}.l{l}.W"].value + p[f"dcce.b{b}.l{l}.b"].value
-                h = relu(pre)
-                if masks is not None:
-                    h = h * masks[f"dcce.b{b}.l{l}"]
-                z_ins[(b, l)] = z_in
-                pres[(b, l)] = pre
-                feats.append(h)
-            block_in = np.concatenate(feats, axis=1)
-        emb = block_in
+        for b, l in self.dense_layers():
+            d = self._in_dim(b, l)
+            pres[(b, l)] = pre = emb[:, :d] @ p[f"dcce.b{b}.l{l}.W"].value \
+                + p[f"dcce.b{b}.l{l}.b"].value
+            h = np.maximum(pre, 0.0, out=emb[:, d : d + k])
+            if masks is not None:
+                h *= masks[f"dcce.b{b}.l{l}"]
 
         logit_vis = (v_feats @ p["vis_head.W"].value + p["vis_head.b"].value)[:, 0]
         logit_clin = (emb @ p["clin_head.W"].value + p["clin_head.b"].value)[:, 0]
 
         outputs = {"logit_vis": logit_vis, "logit_clin": logit_clin, "embedding": emb}
         cache = {"x": x_clin, "v": v_feats, "emb": emb, "masks": masks,
-                 "z_ins": z_ins, "pres": pres}
+                 "pres": pres}
         return outputs, cache
 
     def forward(self, x_clin: np.ndarray, v_feats: np.ndarray,
@@ -368,7 +366,9 @@ class DualStreamModel:
         name prefixes of the branches written. Each gradient it reaches gets
         exactly one contribution, written in place (matmul's or sum's out=);
         a branch the upstream does not reach is skipped and keeps what it
-        held, so a training step calls it through set_grads."""
+        held, so a training step calls it through set_grads. The trunk's
+        layers run in reverse over one embedding gradient, each adding its
+        input gradient into the prefix it read."""
         p = self.params
         masks = cache["masks"]
         n = cache["x"].shape[0]
@@ -409,37 +409,23 @@ class DualStreamModel:
             np.sum(dpre0, axis=0, out=p["reg.b0"].grad)
             reached.append("reg.")
             d_reg = trunk_columns(dpre0, p["reg.W0"].value, self.visual.proj_dim)
-            if d_emb is None:
-                d_emb = d_reg
-            else:
-                d_emb += d_reg
+            d_emb = d_reg if d_emb is None else np.add(d_emb, d_reg, out=d_emb)
 
         if d_emb is None:
             return tuple(reached)
-        # back through the dense blocks
         k = self.dcce.growth_k
-        L = self.dcce.layers_per_block
-        g_out = d_emb
-        for b in reversed(range(self.dcce.n_blocks)):
-            d_block_in = self._in_dim(b, 0)
-            # split the block-output gradient into its concat segments
-            acc = [g_out[:, :d_block_in]]
-            for l in range(L):
-                acc.append(g_out[:, d_block_in + l * k : d_block_in + (l + 1) * k])
-            acc = [a.copy() for a in acc]
-            for l in reversed(range(L)):
-                g_h = acc[l + 1]
-                if masks is not None:
-                    g_h = g_h * masks[f"dcce.b{b}.l{l}"]
-                g_pre = g_h * (cache["pres"][(b, l)] > 0)
-                g_z = affine_backward(g_pre, cache["z_ins"][(b, l)],
-                                      p[f"dcce.b{b}.l{l}.W"].value,
-                                      p[f"dcce.b{b}.l{l}.W"].grad,
-                                      p[f"dcce.b{b}.l{l}.b"].grad)
-                acc[0] += g_z[:, :d_block_in]
-                for j in range(l):
-                    acc[j + 1] += g_z[:, d_block_in + j * k : d_block_in + (j + 1) * k]
-            g_out = acc[0]
+        for b, l in reversed(self.dense_layers()):
+            d = self._in_dim(b, l)
+            g_h = d_emb[:, d : d + k]
+            if masks is not None:
+                g_h = g_h * masks[f"dcce.b{b}.l{l}"]
+            g_pre = g_h * (cache["pres"][(b, l)] > 0)
+            # the weight gradient reads a contiguous copy of the prefix: with
+            # the strided view some OpenBLAS kernels round small batches apart
+            d_emb[:, :d] += affine_backward(g_pre, np.ascontiguousarray(cache["emb"][:, :d]),
+                                            p[f"dcce.b{b}.l{l}.W"].value,
+                                            p[f"dcce.b{b}.l{l}.W"].grad,
+                                            p[f"dcce.b{b}.l{l}.b"].grad)
         reached.append("dcce.")
         return tuple(reached)
 

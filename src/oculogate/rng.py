@@ -14,8 +14,9 @@ row folds its own byte length), and steps every row's xoshiro256** state
 (Blackman & Vigna, ACM TOMS 2021) with one numpy operation per state word.
 A draw program whose length does not depend on the drawn values, such as a
 synthetic patient's or visit's, so costs a few array operations however many
-rows it has. `Rng` is a Streams of one row with shaped draws, and
-`substream_u64` is the first fill of many labels' streams.
+rows it has. `Rng` is a Streams of one row with shaped draws. A fill's lane
+depends only on its sub-seed and its number, so a row that needs fewer
+values than its neighbours reads the prefix of a common-width fill.
 """
 
 from __future__ import annotations
@@ -173,19 +174,12 @@ class Streams:
         self._state = [s0, s1, s2, _rotl(s3, 45)]
         return result
 
-    def fill_u64(self, n) -> np.ndarray:
+    def fill_u64(self, n: int) -> np.ndarray:
         """(m, n) uint64s, one starstar output per splitmix-seeded lane; a
-        fill of 0 values leaves the streams as they are. Given an (m,)
-        array of counts instead, the first n[r] values of each row's fill,
-        concatenated: every stream advances once, as a fill of any count
-        >= 1 advances it."""
-        if isinstance(n, np.ndarray):
-            sub = self.next_u64()
-            z = np.arange(1, int(n.sum()) + 1, dtype=np.uint64)
-            z -= np.repeat(np.cumsum(n) - n, n).astype(np.uint64)
-            z *= _LANE_STEP
-            z += np.repeat(sub, n)
-            return _fill(z)
+        fill of 0 values leaves the streams as they are. Any fill of n >= 1
+        advances each stream once, and lane j depends only on the sub-seed
+        drawn and on j, so the first k lanes of a fill are a fill of k on
+        the same streams."""
         out = np.empty((self.size, n), dtype=np.uint64)
         if n == 0:
             return out
@@ -268,8 +262,3 @@ class Rng:
         """Index drawn proportionally to non-negative weights."""
         return int(self._row.choice(weights)[0])
 
-
-def substream_u64(seed: int, labels, n: int) -> np.ndarray:
-    """(len(labels), n) uint64 array whose row r equals
-    Rng(seed, labels[r]).fill_u64(n) bit for bit."""
-    return Streams(seed, labels).fill_u64(n)

@@ -122,11 +122,10 @@ def _dcce_norm(model: DualStreamModel) -> float:
     the order backward reaches them: blocks and layers last to first, the
     weight before the bias."""
     total = 0.0
-    for b in reversed(range(model.dcce.n_blocks)):
-        for l in reversed(range(model.dcce.layers_per_block)):
-            for part in ("W", "b"):
-                g = model.params[f"dcce.b{b}.l{l}.{part}"].grad
-                total += float((g * g).sum())
+    for b, l in reversed(model.dense_layers()):
+        for part in ("W", "b"):
+            g = model.params[f"dcce.b{b}.l{l}.{part}"].grad
+            total += float((g * g).sum())
     return total
 
 

@@ -14,7 +14,8 @@ from oculogate.data import (_LABEL_AMBIGUITY_STD, _MD_OBS_STD, _MD_PER_SEVERITY,
                             apply_preprocess_table)
 from oculogate.gate import GateRun, ensemble_passes, laplacian_variance, summarize_passes
 from oculogate.metrics import eligibility_filter, ols_slope
-from oculogate.model import patch_stats, projection_matrix
+from oculogate.model import DualStreamModel, patch_stats, projection_matrix, trunk_columns
+from oculogate.numerics import affine_backward, relu
 import oculogate.rng as rng_module
 from oculogate.rng import Rng
 
@@ -32,9 +33,17 @@ def risk_by_age_band(risks, ages, bands=AGE_BANDS) -> dict[str, float | None]:
     return out
 
 
-def y_hat(decision) -> float | None:
-    """A gate decision's prediction: its mu if accepted, else None."""
-    return decision.mu if decision.kind == "accept" else None
+def y_hat(run, i: int) -> float | None:
+    """The prediction of a gate run's visit i: its mu if accepted, else None."""
+    return float(run.mu[i]) if run.decisions[i].kind == "accept" else None
+
+
+def patients(table) -> dict[str, list[int]]:
+    """Row indices of a table's visits, by patient id, in table order."""
+    out: dict[str, list[int]] = {}
+    for i, pid in enumerate(table.patient_id):
+        out.setdefault(pid, []).append(i)
+    return out
 
 
 def float_rule_masks(model, u, p):
@@ -169,6 +178,112 @@ def spy_on_streams(monkeypatch) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# reference trunk: one concatenation per layer, a segment-wise backward
+# ---------------------------------------------------------------------------
+
+class ConcatTrunkModel(DualStreamModel):
+    """The dense trunk as concatenations: each layer reads a fresh
+    np.concatenate of the block input and the block's earlier outputs, and
+    the backward splits each block's output gradient into per-segment
+    copies. The regression head and every other method are the model's."""
+
+    def diagnose(self, x_clin, v_feats, masks=None):
+        p = self.params
+        z_ins, pres = {}, {}
+        block_in = x_clin
+        for b in range(self.dcce.n_blocks):
+            feats = [block_in]
+            for l in range(self.dcce.layers_per_block):
+                z_in = np.concatenate(feats, axis=1)
+                pre = z_in @ p[f"dcce.b{b}.l{l}.W"].value + p[f"dcce.b{b}.l{l}.b"].value
+                h = relu(pre)
+                if masks is not None:
+                    h = h * masks[f"dcce.b{b}.l{l}"]
+                z_ins[(b, l)] = z_in
+                pres[(b, l)] = pre
+                feats.append(h)
+            block_in = np.concatenate(feats, axis=1)
+        emb = block_in
+        logit_vis = (v_feats @ p["vis_head.W"].value + p["vis_head.b"].value)[:, 0]
+        logit_clin = (emb @ p["clin_head.W"].value + p["clin_head.b"].value)[:, 0]
+        outputs = {"logit_vis": logit_vis, "logit_clin": logit_clin, "embedding": emb}
+        cache = {"x": x_clin, "v": v_feats, "emb": emb, "masks": masks,
+                 "z_ins": z_ins, "pres": pres}
+        return outputs, cache
+
+    def backward(self, cache, d_logit_vis=None, d_logit_clin=None, d_md=None,
+                 d_slope=None):
+        p = self.params
+        masks = cache["masks"]
+        n = cache["x"].shape[0]
+        reached = []
+        d_emb = None
+        if d_logit_vis is not None:
+            g = np.asarray(d_logit_vis).reshape(n, 1)
+            np.matmul(cache["v"].T, g, out=p["vis_head.W"].grad)
+            np.sum(g, axis=0, out=p["vis_head.b"].grad)
+            reached.append("vis_head.")
+        if d_logit_clin is not None:
+            g = np.asarray(d_logit_clin).reshape(n, 1)
+            np.matmul(cache["emb"].T, g, out=p["clin_head.W"].grad)
+            np.sum(g, axis=0, out=p["clin_head.b"].grad)
+            reached.append("clin_head.")
+            d_emb = g @ p["clin_head.W"].value.T
+        if d_md is not None or d_slope is not None:
+            g2 = np.zeros((n, 2))
+            if d_md is not None:
+                g2[:, 0] = d_md
+            if d_slope is not None:
+                g2[:, 1] = d_slope
+            dh1 = g2 @ p["reg.W2"].value.T
+            np.matmul(cache["h1"].T, g2, out=p["reg.W2"].grad)
+            np.sum(g2, axis=0, out=p["reg.b2"].grad)
+            if masks is not None:
+                dh1 = dh1 * masks["reg.h1"]
+            dpre1 = dh1 * (cache["pre1"] > 0)
+            dh0 = dpre1 @ p["reg.W1"].value.T
+            np.matmul(cache["h0"].T, dpre1, out=p["reg.W1"].grad)
+            np.sum(dpre1, axis=0, out=p["reg.b1"].grad)
+            if masks is not None:
+                dh0 = dh0 * masks["reg.h0"]
+            dpre0 = dh0 * (cache["pre0"] > 0)
+            np.matmul(cache["r_in"].T, dpre0, out=p["reg.W0"].grad)
+            np.sum(dpre0, axis=0, out=p["reg.b0"].grad)
+            reached.append("reg.")
+            d_reg = trunk_columns(dpre0, p["reg.W0"].value, self.visual.proj_dim)
+            if d_emb is None:
+                d_emb = d_reg
+            else:
+                d_emb += d_reg
+        if d_emb is None:
+            return tuple(reached)
+        k = self.dcce.growth_k
+        L = self.dcce.layers_per_block
+        g_out = d_emb
+        for b in reversed(range(self.dcce.n_blocks)):
+            d_block_in = self.dcce.input_dim + b * L * k
+            acc = [g_out[:, :d_block_in]]
+            for l in range(L):
+                acc.append(g_out[:, d_block_in + l * k : d_block_in + (l + 1) * k])
+            acc = [a.copy() for a in acc]
+            for l in reversed(range(L)):
+                g_h = acc[l + 1]
+                if masks is not None:
+                    g_h = g_h * masks[f"dcce.b{b}.l{l}"]
+                g_pre = g_h * (cache["pres"][(b, l)] > 0)
+                g_z = affine_backward(g_pre, cache["z_ins"][(b, l)],
+                                      p[f"dcce.b{b}.l{l}.W"].value,
+                                      p[f"dcce.b{b}.l{l}.W"].grad,
+                                      p[f"dcce.b{b}.l{l}.b"].grad)
+                acc[0] += g_z[:, :d_block_in]
+                for j in range(l):
+                    acc[j + 1] += g_z[:, d_block_in + j * k : d_block_in + (j + 1) * k]
+            g_out = acc[0]
+        reached.append("dcce.")
+        return tuple(reached)
+
+
+# ---------------------------------------------------------------------------
 # reference streams: xoshiro256** in Python ints
 # ---------------------------------------------------------------------------
 
@@ -228,7 +343,7 @@ def reference_fill(sub: int, n: int) -> list[int]:
 def reference_slope_targets(table) -> None:
     """Per-patient OLS slope of md on time for eligible patients, in place,
     one patient at a time."""
-    for pid, idx in table.patients().items():
+    for pid, idx in patients(table).items():
         idx = sorted(idx, key=lambda i: table.visit_time[i])
         times = table.visit_time[idx]
         mds = table.md[idx]

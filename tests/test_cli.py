@@ -501,6 +501,12 @@ def _run_with_config(run_dir, tmp_path, command, cfg):
     ("evaluate", {"top_fraction": float("nan"), "ablation_table": True}),
     ("evaluate", {"top_fraction": 0.0, "ablation_table": True}),
     ("evaluate", {"top_fraction": 1.5, "ablation_table": True}),
+    # JSON's NaN and Infinity literals, also where the key has no bound
+    ("train", {"alpha_vis": float("nan")}),
+    ("train", {"lr": float("inf")}),
+    ("calibrate", {"threshold": float("inf")}),
+    ("gate", {"tau_blur": float("nan")}),
+    ("gen-data", {"group_shift": {"Asian": float("-inf")}}),
 ], ids=["str-for-int", "float-for-int", "null-for-float", "int-for-bool",
         "bool-for-float", "bool-for-int", "str-in-dict", "list-for-dict",
         "str-seed", "coverage-step-zero", "coverage-step-negative",
@@ -509,7 +515,8 @@ def _run_with_config(run_dir, tmp_path, command, cfg):
         "train-n-blocks-negative", "train-layers-per-block-negative",
         "train-growth-k-negative", "train-dropout-one", "train-dropout-negative",
         "gate-dropout-nan", "top-fraction-nan", "top-fraction-zero",
-        "top-fraction-above-one"])
+        "top-fraction-above-one", "alpha-vis-nan", "lr-infinity",
+        "threshold-infinity", "tau-blur-nan", "negative-infinity-in-dict"])
 def test_refused_config_value_exits_two_before_any_read(
         run_dir, tmp_path, capsys, monkeypatch, command, cfg):
     _refuse_reads(monkeypatch)
@@ -527,8 +534,9 @@ def test_refused_config_value_exits_two_before_any_read(
 ], ids=["negative-mix", "nan-age-effect", "nan-mix"])
 def test_gen_data_refuses_a_cohort_spec_it_cannot_draw(tmp_path, capsys, cfg):
     """JSON's NaN literal and a negative fraction that keeps the sum at 1
-    pass the type check; the cohort spec refuses them by name, with exit 2
-    and one line, before cohort.csv is written."""
+    pass the type check; the config (NaN) or the cohort spec (the negative
+    fraction) refuses them by name, with exit 2 and one line, before
+    cohort.csv is written."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     code = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")])

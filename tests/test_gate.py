@@ -15,7 +15,7 @@ from oculogate.gate import (TTA_DEFAULT, GateConfig, GateDecision, GateRun,
                             summarize_passes, triage_queue)
 from oculogate.model import DualStreamModel, fuse, visual_features_batch
 from oculogate.numerics import ParamStore
-from oculogate.rng import Rng, substream_u64
+from oculogate.rng import Rng, Streams
 
 from helpers import (float_rule_masks, reference_ensemble_over_table, traced_peak,
                      y_hat)
@@ -96,15 +96,13 @@ class TestQualityGate:
     def test_blurred_image_rejected(self, small_pipeline):
         cfg = GateConfig()
         run = self._gate_one(small_pipeline, inject_blur(generate_image(0.5, 99), 4))
-        decision = run.decisions[0]
-        assert decision.kind == "reject_blur"
-        assert decision.lap_var < cfg.tau_blur
+        assert run.decisions[0].kind == "reject_blur"
+        assert run.lap_var[0] < cfg.tau_blur
         assert np.isnan(run.mu[0]) and np.isnan(run.u[0])
 
     def test_constant_image_rejected(self, small_pipeline):
         run = self._gate_one(small_pipeline, np.full((64, 64), 0.5))
-        decision = run.decisions[0]
-        assert decision.kind == "reject_blur" and decision.lap_var == 0.0
+        assert run.decisions[0].kind == "reject_blur" and run.lap_var[0] == 0.0
 
 
 class TestTTA:
@@ -321,11 +319,12 @@ class TestEnsembleReadsOnlyDiagnostics:
 
         widths = []
 
-        def recording(seed, labels, n):
-            widths.append(n)
-            return substream_u64(seed, labels, n)
+        class Recording(Streams):
+            def fill_u64(self, n):
+                widths.append(n)
+                return super().fill_u64(n)
 
-        monkeypatch.setattr(gate, "substream_u64", recording)
+        monkeypatch.setattr(gate, "Streams", Recording)
         tp = small_pipeline
         self._passes(tp, GateConfig(n_passes=4))
         diagnostic = sum(w for name, w in tp.model.mask_segments()
@@ -428,38 +427,58 @@ def test_gate_audit_bytes_are_pinned(small_pipeline, dropout_p, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _decided(mu, u, cfg, lap_var=None):
+    """A GateRun of sharp visits (or of the given lap_var) with mu and u,
+    decided by gate_decide."""
+    mu, u = np.asarray(mu, dtype=float), np.asarray(u, dtype=float)
+    lap = np.full(u.size, 200.0) if lap_var is None else np.asarray(lap_var, dtype=float)
+    return GateRun(sample_ids=[f"P{i}#0" for i in range(u.size)],
+                   groups=["White"] * u.size, lap_var=lap, mu=mu, u=u,
+                   decisions=gate_decide(lap, u, cfg))
+
+
 class TestGateDecide:
     def test_zero_u_accepts(self):
-        d = gate_decide(0.7, 0.0, GateConfig(tau_unc=0.01))
-        assert d.kind == "accept" and y_hat(d) == 0.7
+        run = _decided([0.7], [0.0], GateConfig(tau_unc=0.01))
+        assert run.decisions[0].kind == "accept" and y_hat(run, 0) == 0.7
 
     def test_boundary_rejects(self):
-        d = gate_decide(0.7, 0.02, GateConfig(tau_unc=0.02))
-        assert d.kind == "reject_uncertain" and y_hat(d) is None
+        run = _decided([0.7], [0.02], GateConfig(tau_unc=0.02))
+        assert run.decisions[0].kind == "reject_uncertain" and y_hat(run, 0) is None
 
     def test_unset_tau_rejected(self):
         with pytest.raises(ConfigError):
-            gate_decide(0.7, 0.0, GateConfig())
+            gate_decide(np.array([200.0]), np.array([0.0]), GateConfig())
+
+    def test_all_blur_run_needs_no_tau(self):
+        """With every visit below tau_blur nothing is compared against
+        tau_unc, so an unset one is not refused; one sharp visit is."""
+        lap, u = np.array([5.0, 50.0]), np.full(2, np.nan)
+        assert [d.kind for d in gate_decide(lap, u, GateConfig())] == ["reject_blur"] * 2
+        with pytest.raises(ConfigError):
+            gate_decide(np.array([5.0, 200.0]), np.array([np.nan, 0.1]), GateConfig())
+
+    def test_blur_precedes_uncertainty(self):
+        run = _decided([0.5, 0.5], [0.0, 0.0], GateConfig(tau_unc=0.5),
+                       lap_var=[99.0, 100.0])
+        assert [d.kind for d in run.decisions] == ["reject_blur", "accept"]
+        assert y_hat(run, 0) is None
 
     def test_threshold_sweep_matches_rank(self):
         rng = Rng(65, "sweep")
         u = np.sort(np.unique(rng.uniform(40)))
         for k in range(len(u)):
-            cfg = GateConfig(tau_unc=float(u[k]))
-            retained = sum(
-                gate_decide(0.5, float(x), cfg).kind
-                == "accept" for x in u)
-            assert retained == k
+            run = _decided(np.full(u.size, 0.5), u, GateConfig(tau_unc=float(u[k])))
+            assert sum(d.kind == "accept" for d in run.decisions) == k
 
     def test_lowering_tau_never_accepts_previous_reject(self):
-        rng = Rng(66, "mono")
-        us = rng.uniform(30)
-        hi, lo = 0.6, 0.2
-        for x in us:
-            d_hi = gate_decide(0.5, float(x), GateConfig(tau_unc=hi))
-            d_lo = gate_decide(0.5, float(x), GateConfig(tau_unc=lo))
-            if d_hi.kind == "reject_uncertain":
-                assert d_lo.kind == "reject_uncertain"
+        us = Rng(66, "mono").uniform(30)
+        mu = np.full(us.size, 0.5)
+        d_hi = _decided(mu, us, GateConfig(tau_unc=0.6)).decisions
+        d_lo = _decided(mu, us, GateConfig(tau_unc=0.2)).decisions
+        for hi, lo in zip(d_hi, d_lo):
+            if hi.kind == "reject_uncertain":
+                assert lo.kind == "reject_uncertain"
 
 
 class TestBlurPrecedence:
@@ -495,15 +514,19 @@ class TestBlurPrecedence:
 
 
 def _gated(items):
-    """A GateRun over (group, sample id, decision) triples."""
+    """A GateRun over (group, sample id, (kind, u)) triples."""
     nan = np.full(len(items), np.nan)
     return GateRun(sample_ids=[sid for _, sid, _ in items],
-                   groups=[g for g, _, _ in items], lap_var=nan, mu=nan, u=nan,
-                   decisions=[d for _, _, d in items])
+                   groups=[g for g, _, _ in items], lap_var=nan, mu=nan,
+                   u=np.array([u for _, _, (_, u) in items]),
+                   decisions=[GateDecision(kind) for _, _, (kind, _) in items])
 
 
 def _uncertain(u):
-    return GateDecision(kind="reject_uncertain", mu=0.5, u=u)
+    return "reject_uncertain", u
+
+
+_BLUR = ("reject_blur", np.nan)
 
 
 def test_coverage_report_scores_at_its_threshold():
@@ -525,7 +548,7 @@ class TestTriage:
     def test_higher_uncertainty_first(self):
         run = _gated([("White", "P1#0", _uncertain(0.1)),
                       ("White", "P2#0", _uncertain(0.2)),
-                      ("White", "P3#0", GateDecision(kind="accept", mu=0.5, u=0.0))])
+                      ("White", "P3#0", ("accept", 0.0))])
         out = triage_queue(run, ["White"])
         assert out == [1, 0]  # accepts are not queued
 
@@ -537,8 +560,7 @@ class TestTriage:
         assert [run.groups[i] for i in out] == ["Black", "Asian", "White"]
 
     def test_blur_sorts_after_uncertain_within_group(self):
-        blur = GateDecision(kind="reject_blur", lap_var=5.0)
-        run = _gated([("White", "P1#0", blur), ("White", "P2#0", _uncertain(0.001))])
+        run = _gated([("White", "P1#0", _BLUR), ("White", "P2#0", _uncertain(0.001))])
         out = triage_queue(run, ["White"])
         assert run.decisions[out[0]].kind == "reject_uncertain"
 
@@ -549,7 +571,7 @@ class TestTriage:
             group = ["Asian", "Black", "White"][int(rng.integers(0, 3))]
             for v in range(2):  # blur rejects of one patient tie up to visit
                 if rng.uniform() < 0.3:
-                    d = GateDecision(kind="reject_blur", lap_var=float(rng.uniform()))
+                    d = _BLUR
                 else:
                     d = _uncertain(float(rng.uniform()))
                 items.append((group, f"P{p:03d}#{v}", d))

@@ -16,8 +16,8 @@ from oculogate.numerics import adamw_step, sigmoid
 from oculogate.rng import Rng, _unit
 from oculogate.train import TrainConfig, multitask_loss
 
-from helpers import (float_rule_masks, grad_check, reference_feature_matrices,
-                     traced_peak)
+from helpers import (ConcatTrunkModel, float_rule_masks, grad_check,
+                     reference_feature_matrices, traced_peak)
 
 
 def features_of_one(cfg, raster):
@@ -314,6 +314,13 @@ class TestFusion:
         with pytest.raises(ConfigError):
             fuse(FusionConfig(1.2, -0.2), 0.0, 0.0)
 
+    @pytest.mark.parametrize("weights", [(float("nan"), 0.4), (0.6, float("nan")),
+                                         (float("inf"), 0.0), (float("-inf"), float("inf"))])
+    def test_non_finite_weights_rejected(self, weights):
+        """NaN compares false against every bound, so it needs its own check."""
+        with pytest.raises(ConfigError, match="finite"):
+            FusionConfig(*weights).validate()
+
 
 class TestHeads:
     def test_zero_head_weights_give_half_probability(self):
@@ -460,6 +467,43 @@ class TestGradients:
         for name, p in after_diagnostic.entries.items():
             assert p.grad.any() == (case == "both-terms" or
                                     not name.startswith("reg.")), name
+
+
+_UPSTREAMS = {"all": ("d_logit_vis", "d_logit_clin", "d_md", "d_slope"),
+              "clin": ("d_logit_clin",), "reg": ("d_md", "d_slope")}
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(1, 40), st.integers(1, 8),
+       st.sampled_from([1, 2, 3, 7, 8, 9, 33, 64, 70]), st.booleans(),
+       st.sampled_from(sorted(_UPSTREAMS)), st.integers(0, 2**32))
+@settings(max_examples=120, deadline=None)
+def test_one_buffer_trunk_equals_concatenation(n_blocks, layers, k, input_dim, rows,
+                                                masked, upstream, seed):
+    """The trunk written into one embedding buffer, and its backward adding
+    into prefixes of one gradient, give the outputs and every gradient of
+    the per-layer concatenation and its segment-wise backward, bit for bit."""
+    dcce = DCCEConfig(input_dim=input_dim, n_blocks=n_blocks,
+                      layers_per_block=layers, growth_k=k)
+    vis = VisualFeatConfig(patch_grid=2, proj_dim=6, proj_seed=11)
+    model = DualStreamModel(dcce, vis, init_rng=Rng(seed, "trunk-model"))
+    ref = ConcatTrunkModel(dcce, vis)
+    ref.params.value[...] = model.params.value
+    rng = Rng(seed, "trunk-data")
+    x, v = rng.normal((rows, input_dim)), rng.normal((rows, 6))
+    masks = None
+    if masked:
+        width = sum(w for _, w in model.mask_segments())
+        masks = model.masks_from_uniform(rng.fill_u64(rows * width).reshape(rows, width),
+                                         0.3)[1]
+    up = {name: rng.normal(rows) for name in _UPSTREAMS[upstream]}
+    got, cache = model.forward(x, v, masks)
+    want, ref_cache = ref.forward(x, v, masks)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    model.set_grads(cache, **up)
+    ref.set_grads(ref_cache, **up)
+    for name, param in ref.params.entries.items():
+        assert model.params[name].grad.tobytes() == param.grad.tobytes(), name
 
 
 class TestPredict:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oculogate.rng import Rng, Streams, substream_u64
+from oculogate.rng import Rng, Streams
 
 from helpers import reference_draws, reference_fill
 
@@ -154,21 +154,21 @@ SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
                        min_size=1, max_size=12),
        st.integers(0, 40))
 @settings(max_examples=80, deadline=None)
-def test_substream_u64_equals_per_label_streams(seed, labels, n):
-    got = substream_u64(seed, labels, n)
+def test_streams_fill_equals_per_label_streams(seed, labels, n):
+    got = Streams(seed, labels).fill_u64(n)
     want = np.stack([Rng(seed, label).fill_u64(n) for label in labels])
     assert got.dtype == np.uint64 and got.shape == (len(labels), n)
     assert got.tobytes() == want.tobytes()
 
 
-def test_substream_u64_edge_labels_and_seeds():
+def test_streams_fill_edge_labels_and_seeds():
     for seed in (0, 2**64 - 1):
-        got = substream_u64(seed, EDGE_LABELS, 2560)
+        got = Streams(seed, EDGE_LABELS).fill_u64(2560)
         for row, label in zip(got, EDGE_LABELS):
             assert row.tobytes() == Rng(seed, label).fill_u64(2560).tobytes()
 
 
-def test_substream_u64_groups_labels_by_word_count(monkeypatch):
+def test_streams_group_labels_by_word_count(monkeypatch):
     """Gate labels mc/<sid>/<i> with i < 10 and i >= 10 differ in byte
     length but not in word count: one sponge pass serves them all."""
     import oculogate.rng as rng_module
@@ -182,10 +182,22 @@ def test_substream_u64_groups_labels_by_word_count(monkeypatch):
 
     monkeypatch.setattr(rng_module, "_sponge", recording)
     labels = [f"mc/P00012#3/{i}" for i in range(15)]
-    got = substream_u64(7, labels, 5)
+    got = Streams(7, labels).fill_u64(5)
     assert calls == [(15, 2)]
     for row, label in zip(got, labels):
         assert row.tobytes() == Rng(7, label).fill_u64(5).tobytes()
+
+
+@given(SEEDS, st.lists(st.one_of(st.sampled_from(EDGE_LABELS), st.text(max_size=20)),
+                       min_size=1, max_size=6),
+       st.integers(0, 40), st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_fill_prefix_is_a_shorter_fill(seed, labels, n, k):
+    """The first k lanes of a fill of n >= k are a fill of k on a fresh
+    stream: a lane depends only on the sub-seed and its number."""
+    k = min(k, n)
+    assert Streams(seed, labels).fill_u64(n)[:, :k].tobytes() == \
+        Streams(seed, labels).fill_u64(k).tobytes()
 
 
 ANY_SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1, -1, -7, 2**70 + 3]),
@@ -211,7 +223,7 @@ STEPS = st.one_of(
               st.one_of(st.none(), st.integers(0, 9))),
     st.tuples(st.just("fill_u64"), st.integers(0, 9)),
     st.tuples(st.just("integers"), st.one_of(st.none(), st.integers(0, 5))),
-    st.tuples(st.just("ragged"), st.integers(0, 2**32)),
+    st.tuples(st.just("prefix"), st.integers(0, 2**32)),
 )
 
 
@@ -229,8 +241,9 @@ def _step(streams, method: str, arg):
 @settings(max_examples=80, deadline=None)
 def test_streams_rows_equal_per_label_rng(seeds, labels, program):
     """Row r of Streams(seeds, labels) draws what Rng(seeds[r], labels[r])
-    draws, step for step, through any program of column draws; a ragged
-    fill gives each row the head of the fill its Rng would make."""
+    draws, step for step, through any program of column draws; the first
+    c lanes of a common-width fill are what its Rng draws with a fill of
+    max(c, 1), as the cohort's visit gaps rely on."""
     if isinstance(seeds, list):
         labels = (labels * len(seeds))[: len(seeds)]
         row_seeds = seeds
@@ -240,9 +253,10 @@ def test_streams_rows_equal_per_label_rng(seeds, labels, program):
     rows = [Rng(seed, label) for seed, label in zip(row_seeds, labels)]
     assert streams.size == len(labels)
     for method, arg in program:
-        if method == "ragged":
-            counts = np.array([(arg >> (4 * r)) % 4 for r in range(len(rows))])
-            got = np.split(streams.fill_u64(counts), np.cumsum(counts)[:-1])
+        if method == "prefix":
+            counts = [(arg >> (4 * r)) % 4 for r in range(len(rows))]
+            fill = streams.fill_u64(max(max(counts), 1))
+            got = [row[:c] for row, c in zip(fill, counts)]
             want = [rng.fill_u64(max(c, 1))[:c] for rng, c in zip(rows, counts)]
         else:
             got = _step(streams, method, arg)

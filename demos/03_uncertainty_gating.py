@@ -4,12 +4,21 @@ coverage-accuracy trade-off.
 Blurred rasters are rejected before any model inference. Sharp ones get 15
 stochastic passes (dropout in both streams, cycling through the 7-transform
 augmentation list); the variance of the fused probabilities is the
-uncertainty, and samples at or above the calibrated threshold are referred
-to a human, ordered by the triage policy.
+uncertainty, and samples at or above the threshold are referred to a human,
+ordered by the triage policy.
+
+On this model the gamma search refers no validation visit: dropping the
+most uncertain visits does not raise the retained accuracy by more than
+gamma times the referral rate. So the demo sets the threshold from a
+referral budget instead, the 90th percentile of the validation U, to show
+the queue's ordering by U.
 """
 
 import math
 from collections import Counter
+from dataclasses import replace
+
+import numpy as np
 
 from oculogate.data import default_cohort_spec, generate_cohort, inject_blur
 from oculogate.gate import GateConfig, run_gate, triage_queue
@@ -19,10 +28,14 @@ from oculogate.train import TrainConfig
 cohort = generate_cohort(default_cohort_spec(n_patients=500, seed=2))
 tp = run_training_pipeline(cohort, TrainConfig(max_epochs=12, seed=3))
 
-gate_cfg, tau_res, _ = calibrate_gate(tp, GateConfig(), gamma=0.15, seed=7)
+gate_cfg, tau_res, val_run = calibrate_gate(tp, GateConfig(), gamma=0.15, seed=7)
 print(f"calibrated tau_unc = {gate_cfg.tau_unc:.5f} "
       f"(validation referral rate {tau_res.referral_rate:.2f}, "
       f"retained accuracy {tau_res.retained_accuracy:.4f})")
+val_u = val_run.gated(tp.split.val.label)[0]
+gate_cfg = replace(gate_cfg, tau_unc=float(np.percentile(val_u, 90)))
+print(f"referral budget: tau_unc = {gate_cfg.tau_unc:.5f} "
+      f"(validation referral rate {np.mean(val_u >= gate_cfg.tau_unc):.2f})")
 
 # blur a handful of test rasters so the firewall has something to catch
 test = tp.split.test

@@ -36,7 +36,7 @@ from .errors import ConfigError, DataError, NumericError, SchemaError
 from .fairness import DEFAULT_ACC_TOLERANCE, calibrate_groups, fairness_report
 from .gate import GateConfig, ensemble_over_table, run_gate
 from .metrics import grade_md, moderate_severe_fraction
-from .model import (DROPOUT_BOUND, DCCEConfig, FusionConfig, VisualFeatConfig,
+from .model import (CONFIG_BOUNDS, DCCEConfig, FusionConfig, VisualFeatConfig,
                     checkpoint_files, load_checkpoint)
 from .pipeline import (AblationFlags, TrainedPipeline, ablation_report,
                        calibrate_gate, coverage_report, deterministic_scores,
@@ -113,12 +113,7 @@ _BOUNDS = {
     "coverage_step": (lambda v: v > 0.0, "be > 0"),
     "top_fraction": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "n_triples": (lambda v: v >= 1, "be >= 1"),
-    "patch_grid": (lambda v: v >= 1, "be >= 1"),
-    "proj_dim": (lambda v: v >= 0, "be >= 0"),
-    "n_blocks": (lambda v: v >= 0, "be >= 0"),
-    "layers_per_block": (lambda v: v >= 0, "be >= 0"),
-    "growth_k": (lambda v: v >= 0, "be >= 0"),
-    "dropout_p": DROPOUT_BOUND,
+    **CONFIG_BOUNDS,
 }
 
 

@@ -485,20 +485,51 @@ class PreprocessStats:
     @classmethod
     def from_dict(cls, d: dict) -> "PreprocessStats":
         """Inverse of to_dict; keys it does not know (such as the
-        image-normalisation block older files carry) are ignored."""
+        image-normalisation block older files carry) are ignored. A missing
+        key, a block that is not an object, a statistic that is not a
+        finite number, a global_std <= 0 and a name list that is not a list
+        of strings are refused."""
         try:
-            return cls(
-                continuous={
-                    name: {"global_mean": st["global_mean"],
-                           "global_std": st["global_std"],
-                           "group_means": dict(st["group_means"])}
-                    for name, st in d["continuous"].items()
-                },
-                dropped=list(d["dropped"]),
-                categorical={k: list(v) for k, v in d["categorical"].items()},
-            )
+            continuous = {}
+            for name, st in _json_object(d["continuous"], "continuous").items():
+                st = _json_object(st, f"continuous.{name}")
+                std = _finite_number(st["global_std"], f"{name}.global_std")
+                if std <= 0:   # fit_preprocess drops a constant feature
+                    raise SchemaError(f"preprocess stats: {name}.global_std must be "
+                                      f"> 0, got {json.dumps(std)}")
+                continuous[name] = {
+                    "global_mean": _finite_number(st["global_mean"], f"{name}.global_mean"),
+                    "global_std": std,
+                    "group_means": {
+                        g: _finite_number(m, f"{name}.group_means.{g}") for g, m in
+                        _json_object(st["group_means"], f"{name}.group_means").items()}}
+            return cls(continuous=continuous,
+                       dropped=_strings(d["dropped"], "dropped"),
+                       categorical={k: _strings(v, f"categorical.{k}") for k, v in
+                                    _json_object(d["categorical"], "categorical").items()})
         except KeyError as exc:
             raise SchemaError(f"preprocess stats lack key {exc}") from None
+
+
+def _json_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"preprocess stats: {where} must be an object, got "
+                          f"{type(value).__name__}")
+    return value
+
+
+def _finite_number(value, where: str):
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise SchemaError(f"preprocess stats: {where} must be a finite number, "
+                          f"got {json.dumps(value)}")
+    return value
+
+
+def _strings(value, where: str) -> list[str]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise SchemaError(f"preprocess stats: {where} must be a list of strings, "
+                          f"got {json.dumps(value)}")
+    return list(value)
 
 
 def fit_preprocess(train: CohortTable) -> PreprocessStats:

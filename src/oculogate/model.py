@@ -25,14 +25,23 @@ from .rng import Rng
 
 REG_HIDDEN = (256, 128)
 
-# inverted dropout scales each kept unit by 1/(1 - p); as a config bound
-# (whether a value is allowed, what it must be), shared by DCCEConfig,
-# GateConfig and the CLI
-DROPOUT_BOUND = (lambda p: 0.0 <= p < 1.0, "lie in [0, 1)")
+# key -> (whether a value is allowed, what the key must be), for the fields
+# of the model's configs; the CLI checks a stage's config against them,
+# load_checkpoint a manifest's config blocks, and DCCEConfig and GateConfig
+# their dropout_p (inverted dropout scales each kept unit by 1/(1 - p))
+CONFIG_BOUNDS = {
+    "input_dim": (lambda v: v >= 1, "be >= 1"),
+    "patch_grid": (lambda v: v >= 1, "be >= 1"),
+    "proj_dim": (lambda v: v >= 0, "be >= 0"),
+    "n_blocks": (lambda v: v >= 0, "be >= 0"),
+    "layers_per_block": (lambda v: v >= 0, "be >= 0"),
+    "growth_k": (lambda v: v >= 0, "be >= 0"),
+    "dropout_p": (lambda p: 0.0 <= p < 1.0, "lie in [0, 1)"),
+}
 
 
 def check_dropout(p: float) -> None:
-    allowed, rule = DROPOUT_BOUND
+    allowed, rule = CONFIG_BOUNDS["dropout_p"]
     if not allowed(p):
         raise ConfigError(f"dropout_p must {rule}, got {p}")
 
@@ -189,10 +198,45 @@ def visual_features_batch(cfg: VisualFeatConfig, rasters: np.ndarray,
     """(n, proj_dim) features tanh(patch_stats @ projection) for a stack of
     rasters in [0, 1], (n, H, W), or for the (n, 2·grid²) patch_stats rows
     of one, so a caller can read rasters in smaller blocks than it projects;
-    written into out when given."""
+    written into out when given. numpy sends a one-row product through gemv
+    and a product of two or more rows through gemm, and the two round
+    apart: gemm gives a row the same bytes at every row count (on OpenBLAS
+    0.3.31, test_projection_rows_equal_the_block_product_bitwise), so a
+    row's features depend only on whether it was projected alone."""
     stats = rasters if np.ndim(rasters) == 2 else patch_stats(rasters, cfg.patch_grid)
     out = np.matmul(stats, projection_matrix(cfg), out=out)
     return np.tanh(out, out=out)
+
+
+_PROJECTION_ROWS = 512   # rows of a table's patch statistics per projection product
+
+
+def visual_features_table(cfg: VisualFeatConfig, stats: np.ndarray) -> np.ndarray:
+    """(n, proj_dim) features of a table's (n, 2·grid²) patch statistics,
+    _PROJECTION_ROWS rows per product, each written in place into its rows.
+    By the one-row gemv rule of visual_features_batch, the last row of a
+    table of n ≡ 1 (mod _PROJECTION_ROWS) rows, projected alone, rounds
+    apart from the same row in a larger product."""
+    v = np.empty((len(stats), cfg.proj_dim))
+    for start in range(0, len(stats), _PROJECTION_ROWS):
+        stop = start + _PROJECTION_ROWS
+        visual_features_batch(cfg, stats[start:stop], out=v[start:stop])
+    return v
+
+
+def visual_features_rows(cfg: VisualFeatConfig, stats: np.ndarray,
+                         rows: np.ndarray) -> np.ndarray:
+    """Features of the gathered rows stats[rows] of a table's patch
+    statistics, with the bytes visual_features_table gives them: a one-row
+    gather is projected beside a copy of itself, to get gemm's bytes, and
+    the table's last row, when its block holds it alone, gets its own
+    one-row product."""
+    v = visual_features_batch(cfg, stats.take(rows if rows.size > 1 else
+                                              np.repeat(rows, 2), axis=0))[: rows.size]
+    lone = len(stats) - 1
+    if lone % _PROJECTION_ROWS == 0 and lone in rows:
+        v[rows == lone] = visual_features_batch(cfg, stats[lone:])
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +534,33 @@ def save_checkpoint(model: DualStreamModel, fusion: FusionConfig, out_dir,
         write_atomic(os.path.join(out_dir, name), payload)
 
 
+def _is_json_number(value, type_name: str) -> bool:
+    """Whether value is a JSON number of a field annotated type_name: an int
+    stands for a float, a bool is never a number, and a float is finite."""
+    if type(value) is int:
+        return True
+    return type_name == "float" and type(value) is float and math.isfinite(value)
+
+
 def _config_block(cls, manifest: dict, block: str):
     """cls from the manifest block save_checkpoint wrote, which names every
-    field exactly once."""
+    field exactly once, with a number of the field's type within the
+    field's CONFIG_BOUNDS."""
     entries = manifest.get(block, {})
     want = {f.name for f in fields(cls)}
     unknown, missing = sorted(set(entries) - want), sorted(want - set(entries))
     if unknown or missing:
         raise SchemaError(f"manifest block '{block}': unknown keys {unknown}, "
                           f"missing keys {missing}")
+    for f in fields(cls):
+        value = entries[f.name]
+        if not _is_json_number(value, f.type):
+            raise SchemaError(f"manifest block '{block}': key '{f.name}' must be "
+                              f"a finite {'number' if f.type == 'float' else 'integer'},"
+                              f" got {json.dumps(value)}")
+        if f.name in CONFIG_BOUNDS and not CONFIG_BOUNDS[f.name][0](value):
+            raise SchemaError(f"manifest block '{block}': key '{f.name}' must "
+                              f"{CONFIG_BOUNDS[f.name][1]}, got {json.dumps(value)}")
     return cls(**entries)
 
 
@@ -507,6 +569,11 @@ def load_checkpoint(in_dir) -> tuple[DualStreamModel, FusionConfig, dict]:
     dcce = _config_block(DCCEConfig, manifest, "dcce")
     visual = _config_block(VisualFeatConfig, manifest, "visual")
     fusion = _config_block(FusionConfig, manifest, "fusion")
+    try:
+        fusion.validate()
+    except ConfigError as exc:
+        raise SchemaError(f"manifest block 'fusion': {exc}, got "
+                          f"{json.dumps(asdict(fusion))}") from None
     model = DualStreamModel(dcce, visual)  # zero parameters, no init draws
     layout = model.param_layout()
     entries = manifest.get("params")

@@ -16,7 +16,7 @@ from .metrics import (coverage_accuracy_curve, dynamic_warning,
                       mean_absolute_error, metrics_at_threshold, retained,
                       roc_auc)
 from .model import (DCCEConfig, DualStreamModel, FusionConfig, VisualFeatConfig,
-                    patch_stats, predict_arrays, visual_features_batch)
+                    patch_stats, predict_arrays, visual_features_table)
 from .rng import Rng
 from .train import (SplitResult, TauSearchResult, TrainConfig, TrainHistory,
                     grid_search_alpha, grid_search_tau_unc, split_dataset,
@@ -40,28 +40,28 @@ class AblationFlags:
         return fusion, gate_cfg
 
 
-_FEATURE_BATCH = 512   # rows per projection product; a multiple of RASTER_READ
+def patch_stat_matrices(table: CohortTable, stats: PreprocessStats,
+                        model: DualStreamModel) -> tuple[np.ndarray, np.ndarray]:
+    """Clinical matrix and (n, 2·grid²) patch-statistics matrix for a table,
+    the rasters read RASTER_READ at a time: 1 KB per visit at the default
+    8x8 grid, where its features take 16 KB."""
+    grid = model.visual.patch_grid
+    s = np.empty((len(table), 2 * grid * grid))
+    for start, rasters in table.raster_blocks():
+        s[start : start + len(rasters)] = patch_stats(rasters, grid)
+    return apply_preprocess_table(stats, table), s
 
 
 def feature_matrices(table: CohortTable, stats: PreprocessStats,
                      model: DualStreamModel) -> tuple[np.ndarray, np.ndarray]:
-    """Clinical matrix and visual feature matrix for a table. Rasters are
-    read RASTER_READ at a time into patch statistics, and every
-    _FEATURE_BATCH rows of statistics are projected straight into their
-    rows of the feature matrix."""
-    x = apply_preprocess_table(stats, table)
-    n = len(table)
-    v = np.empty((n, model.visual.proj_dim))
-    grid = model.visual.patch_grid
-    block_stats = np.empty((min(n, _FEATURE_BATCH), 2 * grid * grid))
-    for start, rasters in table.raster_blocks():
-        stop = start + len(rasters)
-        first = start - start % _FEATURE_BATCH   # the projection block's first row
-        block_stats[start - first : stop - first] = patch_stats(rasters, grid)
-        if stop % _FEATURE_BATCH == 0 or stop == n:
-            visual_features_batch(model.visual, block_stats[: stop - first],
-                                  out=v[first:stop])
-    return x, v
+    """Clinical matrix and visual feature matrix for a table: the patch
+    statistics of patch_stat_matrices, every raster read before the
+    features are allocated, projected 512 rows per product by
+    visual_features_table. numpy projects a one-row block through gemv,
+    which rounds apart from gemm: the last row of a table of n ≡ 1
+    (mod 512) rows gets gemv's bytes, every other row gemm's."""
+    x, s = patch_stat_matrices(table, stats, model)
+    return x, visual_features_table(model.visual, s)
 
 
 @dataclass
@@ -97,9 +97,11 @@ def run_training_pipeline(
                             init_rng=Rng(train_cfg.seed, "model-init"))
     fusion = fusion or FusionConfig()
 
-    x_tr, v_tr = feature_matrices(split.train, stats, model)
+    # training projects each batch from the statistics; the per-epoch
+    # validation forward and the alpha search read the features
+    x_tr, s_tr = patch_stat_matrices(split.train, stats, model)
     x_va, v_va = feature_matrices(split.val, stats, model)
-    history = train_multitask(model, train_cfg, x_tr, v_tr, split.train,
+    history = train_multitask(model, train_cfg, x_tr, s_tr, split.train,
                               x_va, v_va, split.val, fusion)
     if search_alpha:
         arrs = predict_arrays(model, FusionConfig(0.5, 0.5), x_va, v_va,

@@ -17,7 +17,8 @@ import numpy as np
 from .data import CohortTable
 from .errors import ConfigError, NumericError
 from .metrics import mean_absolute_error, roc_auc
-from .model import DualStreamModel, FusionConfig, dropout, predict_arrays
+from .model import (DualStreamModel, FusionConfig, dropout, predict_arrays,
+                    visual_features_rows)
 from .numerics import (adamw_step, binary_cross_entropy, binary_cross_entropy_grad,
                        smooth_l1, smooth_l1_grad)
 from .rng import Rng
@@ -168,15 +169,20 @@ class TrainHistory:
 def train_multitask(
     model: DualStreamModel,
     cfg: TrainConfig,
-    x_train: np.ndarray, v_train: np.ndarray, train_table: CohortTable,
+    x_train: np.ndarray, s_train: np.ndarray, train_table: CohortTable,
     x_val: np.ndarray, v_val: np.ndarray, val_table: CohortTable,
     fusion: FusionConfig,
 ) -> TrainHistory:
     """AdamW on the multi-task loss with early stopping on validation AUC.
 
-    Feature matrices are precomputed by the caller (preprocessing must be
-    fitted on the training split only). Returns the history; the model is
-    left holding the best-validation-AUC parameters.
+    The caller precomputes the clinical matrices (preprocessing must be
+    fitted on the training split only), the validation features and the
+    training split's patch statistics, s_train, which take 1 KB per visit
+    where features take 16 KB. Each batch's features are projected from its
+    rows of s_train by visual_features_rows, with the bytes
+    pipeline.feature_matrices gives those rows: a one-row batch gets gemm's
+    bytes, not gemv's. Returns the history; the model is left holding the
+    best-validation-AUC parameters.
     """
     cfg.validate()
     rng = Rng(cfg.seed, "train")
@@ -205,13 +211,14 @@ def train_multitask(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             b = idx.size
+            v = visual_features_rows(model.visual, s_train, idx)
             if p_drop > 0:
                 keep, masks = model.masks_from_uniform(
                     rng.fill_u64(b * total_mask_width).reshape(b, total_mask_width),
                     p_drop)
-                v = dropout(v_train, keep, p_drop, idx)
+                v = dropout(v, keep, p_drop, np.arange(b))
             else:
-                masks, v = None, v_train[idx]
+                masks = None
             out, cache = model.forward(x_train[idx], v, masks)
 
             l_scr, l_prog, d_scr, d_prog = multitask_loss(

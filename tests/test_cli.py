@@ -341,6 +341,59 @@ def test_manifest_config_block_keys_exit_one(run_dir, tmp_path, capsys, block,
     assert len(err) == 1 and block in err[0] and next(iter(edit)) in err[0]
 
 
+@pytest.mark.parametrize("block,key,value", [
+    ("dcce", "growth_k", -3), ("visual", "patch_grid", 0), ("fusion", "alpha_vis", "a"),
+    ("dcce", "dropout_p", 1.0), ("dcce", "n_blocks", 2.0), ("visual", "proj_seed", True),
+    ("fusion", "alpha_vis", 0.9),
+], ids=["growth_k-negative", "patch_grid-zero", "alpha_vis-string", "dropout_p-one",
+        "n_blocks-float", "proj_seed-bool", "fusion-sum"])
+def test_manifest_config_block_values_exit_one(run_dir, tmp_path, capsys, block,
+                                               key, value):
+    """A manifest config value of the wrong JSON type or outside the bound
+    the CLI enforces at train (or fusion weights that do not sum to 1) is
+    refused by name, where it used to die in a reshape, a modulo by zero or
+    a float conversion."""
+    def edit_value(model):
+        file = model / "checkpoint" / "manifest.json"
+        manifest = json.loads(file.read_text())
+        manifest[block][key] = value
+        file.write_text(json.dumps(manifest))
+
+    code, err = _predict_with_broken_model(run_dir, tmp_path, capsys, edit_value)
+    assert code == 1
+    assert len(err) == 1 and f"'{block}'" in err[0] and key in err[0] \
+        and json.dumps(value) in err[0], err
+
+
+@pytest.mark.parametrize("path,value", [
+    (("continuous", "age", "global_mean"), "x"),
+    (("continuous", "age", "global_std"), None),
+    (("continuous", "age", "global_std"), 0),
+    (("continuous", "iop_mmhg", "group_means", "Black"), float("nan")),
+    (("categorical", "sex"), [0, 1]),
+    (("dropped",), "cdr"),
+], ids=["mean-string", "std-null", "std-zero", "group-mean-nan", "vocab-numbers",
+        "dropped-string"])
+def test_preprocess_value_of_the_wrong_type_exits_one(run_dir, tmp_path, capsys,
+                                                      path, value):
+    """A preprocess.json statistic that is not a finite number (or a zero
+    standard deviation, which made predict write NaN scores and exit 0) or
+    a name list that is not a list of strings is refused by name, where it
+    used to end in numpy's _UFuncNoLoopError traceback."""
+    def set_value(model):
+        file = model / "preprocess.json"
+        stats = json.loads(file.read_text())
+        node = stats
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        file.write_text(json.dumps(stats))
+
+    code, err = _predict_with_broken_model(run_dir, tmp_path, capsys, set_value)
+    assert code == 1
+    assert len(err) == 1 and path[-1] in err[0] and json.dumps(value) in err[0], err
+
+
 @pytest.mark.parametrize("split", ["bogus", "assignment"])
 @pytest.mark.parametrize("command", ["predict", "gate", "calibrate", "evaluate",
                                      "coverage"])

@@ -11,7 +11,7 @@ from oculogate.model import (DCCEConfig, DualStreamModel, FusionConfig,
                              VisualFeatConfig, dropout, fuse, keep_bits,
                              load_checkpoint, patch_stats, predict_arrays,
                              projection_matrix, save_checkpoint, trunk_columns,
-                             visual_features_batch)
+                             visual_features_batch, visual_features_rows)
 from oculogate.numerics import adamw_step, sigmoid
 from oculogate.rng import Rng, _unit
 from oculogate.train import TrainConfig, multitask_loss
@@ -287,6 +287,47 @@ class TestFeatureMatrices:
         x, v = feature_matrices(table, tp.stats, tp.model)
         peak = traced_peak(feature_matrices, table, tp.stats, tp.model)
         assert peak - x.nbytes - v.nbytes < 8 * 2**20, peak
+
+
+    @pytest.mark.parametrize("n", [1, 2, 33, 512, 513, 1025])
+    def test_gathered_rows_equal_the_blocked_projection(self, n):
+        """visual_features_rows gives gathered rows the bytes of projecting
+        the table's statistics 512 rows per product: single rows (gemm's
+        bytes, or gemv's for the lone last row of n ≡ 1 mod 512), the whole
+        table in order, and shuffled batches of 2 to 40 rows."""
+        cfg = VisualFeatConfig()
+        rng = Rng(16, f"stats/{n}")
+        stats = rng.uniform((n, 128))
+        want = np.concatenate([np.tanh(stats[i : i + 512] @ projection_matrix(cfg))
+                               for i in range(0, n, 512)])
+        batches = [[i] for i in {0, 1, n // 2, n - 2, n - 1} if 0 <= i < n]
+        batches.append(range(n))
+        order = rng.permutation(n)
+        start = 0
+        for size in range(2, 41):
+            batches.append(order[start : start + size])
+            start = (start + size) % n
+        for rows in batches:
+            rows = np.asarray(rows)
+            got = visual_features_rows(cfg, stats, rows)
+            assert got.tobytes() == want[rows].tobytes(), rows
+
+    def test_projection_rows_equal_the_block_product_bitwise(self):
+        """Every row of a product of 2 to 64 (and 512) gathered rows of a
+        512-row block of statistics equals that row of the block's own
+        product bit for bit; visual_features_rows and training rest on it.
+        A one-row product goes through gemv and rounds apart, so it is
+        excluded. This is a property of the BLAS build: on OpenBLAS 0.3.31
+        (SkylakeX dgemm kernel, one and two threads) it holds for every row
+        count from 2 to 512."""
+        proj = projection_matrix(VisualFeatConfig())
+        rng = Rng(17, "block-stats")
+        for trial in range(3):
+            stats = rng.uniform((512, proj.shape[0]))
+            block = stats @ proj
+            for n in [*range(2, 65), 512]:
+                rows = rng.permutation(512)[:n]
+                assert (stats[rows] @ proj).tobytes() == block[rows].tobytes(), n
 
 
 class TestFusion:

@@ -9,8 +9,11 @@ from oculogate.metrics import roc_auc
 from oculogate.model import DCCEConfig, FusionConfig
 from oculogate.pipeline import run_training_pipeline
 from oculogate.rng import Rng
+import oculogate.train as train_module
 from oculogate.train import (TrainConfig, grid_search_alpha,
                              grid_search_tau_unc, split_dataset)
+
+from helpers import reference_feature_matrices, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -263,3 +266,70 @@ def test_training_bytes_without_a_term_are_pinned(train_cfg, dcce_cfg, digests):
     tp = run_training_pipeline(cohort, train_cfg, dcce_cfg)
     assert (hashlib.sha256(tp.model.params.value.tobytes()).hexdigest(),
             hashlib.sha256(tp.history.to_jsonl().encode()).hexdigest()) == digests
+
+
+@pytest.fixture(scope="module", params=[
+    (41, 3, 32, "48f0b60408af34cf867186163fff3c4fd6fe920a1859a3864069f7fc9f7e7e33",
+     "19712c53ffa5ce3166432fbb3bafc458911db60073645a92eacc6f7769876f20"),
+    (132, 1, 512, "cc7f66158edd2b4a5ed75f41e374bca8447715a240a0d73f1154fc2ff8142140",
+     "5583972ce2458e90e264c8280bf966588be3f867f478f9189f28b251c58788a4"),
+], ids=["one-row-batch", "one-row-block"])
+def lone_row_run(request):
+    """Two epochs on a cohort whose training split has n ≡ 1 rows modulo
+    the modulus: 129 rows (mod 32), so each epoch's last batch holds one
+    row, and 513 rows (mod 512), so feature_matrices projects the last row
+    alone as well. The features of every training batch are recorded."""
+    n_patients, seed, modulus, *digests = request.param
+    batches = []
+
+    def recording(cfg, stats, rows):
+        v = rows_of(cfg, stats, rows)
+        batches.append((np.array(rows), v.copy()))
+        return v
+
+    rows_of = train_module.visual_features_rows
+    patch = pytest.MonkeyPatch()
+    patch.setattr(train_module, "visual_features_rows", recording)
+    try:
+        cohort = generate_cohort(default_cohort_spec(n_patients=n_patients, seed=seed))
+        tp = run_training_pipeline(cohort, TrainConfig(max_epochs=2, patience=2, seed=5))
+    finally:
+        patch.undo()
+    assert len(tp.split.train) % modulus == 1
+    return tp, batches, tuple(digests)
+
+
+def test_training_bytes_at_a_lone_row_are_pinned(lone_row_run):
+    """Projecting each batch from the patch statistics gives the bytes of
+    training on the projected feature matrix (digests recorded from it)."""
+    tp, _, digests = lone_row_run
+    assert (hashlib.sha256(tp.model.params.value.tobytes()).hexdigest(),
+            hashlib.sha256(tp.history.to_jsonl().encode()).hexdigest()) == digests
+
+
+def test_every_training_batch_has_the_feature_matrix_rows(lone_row_run):
+    """Each batch's projected rows equal the rows of the feature matrix of
+    reads of 512 rasters bit for bit, one-row batches and the lone last row
+    of a 513-row split included."""
+    tp, batches, _ = lone_row_run
+    _, v_ref = reference_feature_matrices(tp.split.train, tp.stats, tp.model)
+    n = len(tp.split.train)
+    assert sum(len(rows) for rows, _ in batches) == 2 * n
+    assert any(len(rows) == 1 for rows, _ in batches)
+    for rows, v in batches:
+        assert v.tobytes() == v_ref[rows].tobytes(), rows
+
+
+def test_training_peak_grows_by_a_few_kb_per_training_visit():
+    """run_training_pipeline holds the training split's patch statistics
+    (1 KB per visit), not its features (16 KB per visit); the rest of the
+    growth is the validation split's features and its per-epoch forward.
+    Holding the training features measured 24 KB per training visit."""
+    cfg = TrainConfig(max_epochs=1, patience=1, seed=5)
+    sizes, peaks = [], []
+    for n_patients in (150, 450):
+        cohort = generate_cohort(default_cohort_spec(n_patients=n_patients, seed=61))
+        sizes.append(len(split_dataset(cohort, cfg).train))
+        peaks.append(traced_peak(run_training_pipeline, cohort, cfg))
+    per_visit = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+    assert per_visit <= 12_000, (sizes, peaks)

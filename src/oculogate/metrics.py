@@ -179,8 +179,12 @@ def dynamic_warning(visit_times, risks,
 
 
 def mean_absolute_error(pred, target) -> float:
+    """Mean |pred - target| over the observed (non-NaN) targets."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ConfigError("mean_absolute_error: shape mismatch")
-    return float(np.abs(pred - target).mean())
+    observed = ~np.isnan(target)
+    if not observed.any():
+        raise DataError("mean_absolute_error: no observed target")
+    return float(np.abs(pred[observed] - target[observed]).mean())

@@ -193,50 +193,21 @@ def patch_stats(rasters: np.ndarray, grid: int) -> np.ndarray:
     return out.reshape(n, -1)
 
 
-def visual_features_batch(cfg: VisualFeatConfig, rasters: np.ndarray,
-                          out: np.ndarray | None = None) -> np.ndarray:
+def visual_features_batch(cfg: VisualFeatConfig, rasters: np.ndarray) -> np.ndarray:
     """(n, proj_dim) features tanh(patch_stats @ projection) for a stack of
     rasters in [0, 1], (n, H, W), or for the (n, 2·grid²) patch_stats rows
-    of one, so a caller can read rasters in smaller blocks than it projects;
-    written into out when given. numpy sends a one-row product through gemv
-    and a product of two or more rows through gemm, and the two round
-    apart: gemm gives a row the same bytes at every row count (on OpenBLAS
-    0.3.31, test_projection_rows_equal_the_block_product_bitwise), so a
-    row's features depend only on whether it was projected alone."""
+    of one, so a caller can read rasters in smaller blocks than it projects.
+    A row's features are the same bytes in any batch: numpy sends a product
+    of two or more rows through gemm, which gives a row the same bytes at
+    every row count (on OpenBLAS 0.3.31, test_rows_are_batch_invariant),
+    and a one-row product through gemv, which rounds apart, so one row is
+    projected beside a copy of itself."""
     stats = rasters if np.ndim(rasters) == 2 else patch_stats(rasters, cfg.patch_grid)
-    out = np.matmul(stats, projection_matrix(cfg), out=out)
-    return np.tanh(out, out=out)
-
-
-_PROJECTION_ROWS = 512   # rows of a table's patch statistics per projection product
-
-
-def visual_features_table(cfg: VisualFeatConfig, stats: np.ndarray) -> np.ndarray:
-    """(n, proj_dim) features of a table's (n, 2·grid²) patch statistics,
-    _PROJECTION_ROWS rows per product, each written in place into its rows.
-    By the one-row gemv rule of visual_features_batch, the last row of a
-    table of n ≡ 1 (mod _PROJECTION_ROWS) rows, projected alone, rounds
-    apart from the same row in a larger product."""
-    v = np.empty((len(stats), cfg.proj_dim))
-    for start in range(0, len(stats), _PROJECTION_ROWS):
-        stop = start + _PROJECTION_ROWS
-        visual_features_batch(cfg, stats[start:stop], out=v[start:stop])
-    return v
-
-
-def visual_features_rows(cfg: VisualFeatConfig, stats: np.ndarray,
-                         rows: np.ndarray) -> np.ndarray:
-    """Features of the gathered rows stats[rows] of a table's patch
-    statistics, with the bytes visual_features_table gives them: a one-row
-    gather is projected beside a copy of itself, to get gemm's bytes, and
-    the table's last row, when its block holds it alone, gets its own
-    one-row product."""
-    v = visual_features_batch(cfg, stats.take(rows if rows.size > 1 else
-                                              np.repeat(rows, 2), axis=0))[: rows.size]
-    lone = len(stats) - 1
-    if lone % _PROJECTION_ROWS == 0 and lone in rows:
-        v[rows == lone] = visual_features_batch(cfg, stats[lone:])
-    return v
+    n = len(stats)
+    if n == 1:
+        stats = np.repeat(stats, 2, axis=0)
+    out = stats @ projection_matrix(cfg)
+    return np.tanh(out, out=out)[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +226,8 @@ def trunk_columns(dpre0: np.ndarray, w0: np.ndarray, proj_dim: int) -> np.ndarra
     is a multiple of 64, so gemm reaches the trunk's columns at the same
     place in its unrolled kernels as the full product does; a product of
     the trunk's rows alone, or one starting off that grid, rounds apart.
-    Smaller batches keep the full product: one row goes through gemv, and
-    with two threads some OpenBLAS kernels round 2 or 3 rows apart. The
+    Smaller batches keep the full product: one row takes another BLAS
+    kernel, and with two threads some kernels round 2 or 3 rows apart. The
     equality is a property of the BLAS build: it was checked on OpenBLAS
     0.3.31 (the SkylakeX, Haswell, Sandybridge and Nehalem kernels, one and
     two threads) for batches up to 256 rows and proj_dim from 1 to 3,000."""
@@ -597,4 +568,8 @@ def load_checkpoint(in_dir) -> tuple[DualStreamModel, FusionConfig, dict]:
     if len(raw) != 8 * model.params.value.size:
         raise SchemaError("params.bin length does not match the manifest")
     model.params.value[...] = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(model.params.value).all():
+        name = next(k for k, p in model.params.entries.items()
+                    if not np.isfinite(p.value).all())
+        raise SchemaError(f"params.bin in {in_dir}: non-finite value in '{name}'")
     return model, fusion, manifest.get("extra", {})

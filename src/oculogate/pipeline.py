@@ -16,7 +16,7 @@ from .metrics import (coverage_accuracy_curve, dynamic_warning,
                       mean_absolute_error, metrics_at_threshold, retained,
                       roc_auc)
 from .model import (DCCEConfig, DualStreamModel, FusionConfig, VisualFeatConfig,
-                    patch_stats, predict_arrays, visual_features_table)
+                    patch_stats, predict_arrays, visual_features_batch)
 from .rng import Rng
 from .train import (SplitResult, TauSearchResult, TrainConfig, TrainHistory,
                     grid_search_alpha, grid_search_tau_unc, split_dataset,
@@ -56,12 +56,9 @@ def feature_matrices(table: CohortTable, stats: PreprocessStats,
                      model: DualStreamModel) -> tuple[np.ndarray, np.ndarray]:
     """Clinical matrix and visual feature matrix for a table: the patch
     statistics of patch_stat_matrices, every raster read before the
-    features are allocated, projected 512 rows per product by
-    visual_features_table. numpy projects a one-row block through gemv,
-    which rounds apart from gemm: the last row of a table of n ≡ 1
-    (mod 512) rows gets gemv's bytes, every other row gemm's."""
+    features are allocated, projected in one product."""
     x, s = patch_stat_matrices(table, stats, model)
-    return x, visual_features_table(model.visual, s)
+    return x, visual_features_batch(model.visual, s)
 
 
 @dataclass

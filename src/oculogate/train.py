@@ -18,7 +18,7 @@ from .data import CohortTable
 from .errors import ConfigError, NumericError
 from .metrics import mean_absolute_error, roc_auc
 from .model import (DualStreamModel, FusionConfig, dropout, predict_arrays,
-                    visual_features_rows)
+                    visual_features_batch)
 from .numerics import (adamw_step, binary_cross_entropy, binary_cross_entropy_grad,
                        smooth_l1, smooth_l1_grad)
 from .rng import Rng
@@ -136,7 +136,8 @@ def multitask_loss(out: dict, y, md_t, slope_t, labeled, cfg: TrainConfig
     screening loss, the progression loss, and the upstream derivatives
     (backward's d_* keywords) of each. The progression term and its
     upstream are before the lambda weight; with lambda 0 or no slope-labeled
-    row (labeled) it is 0.0 with no upstream."""
+    row (labeled) it is 0.0 with no upstream. A row whose MD is missing
+    (NaN) is its own MD target, so its MD term has zero loss and gradient."""
     b = y.size
     l_scr = 0.5 * (binary_cross_entropy(out["logit_vis"], y)
                    + binary_cross_entropy(out["logit_clin"], y)).mean()
@@ -147,6 +148,7 @@ def multitask_loss(out: dict, y, md_t, slope_t, labeled, cfg: TrainConfig
         return float(l_scr), 0.0, d_scr, {}
     w_md, w_sl = (0.5, 0.5) if cfg.include_md_in_regression else (0.0, 1.0)
     md_hat, md_t = out["md_hat"][labeled], md_t[labeled]
+    md_t = np.where(np.isnan(md_t), md_hat, md_t)
     sl_hat, slope_t = out["slope_hat"][labeled], slope_t[labeled]
     l_prog = float((w_md * smooth_l1(md_hat, md_t)
                     + w_sl * smooth_l1(sl_hat, slope_t)).mean())
@@ -179,9 +181,8 @@ def train_multitask(
     fitted on the training split only), the validation features and the
     training split's patch statistics, s_train, which take 1 KB per visit
     where features take 16 KB. Each batch's features are projected from its
-    rows of s_train by visual_features_rows, with the bytes
-    pipeline.feature_matrices gives those rows: a one-row batch gets gemm's
-    bytes, not gemv's. Returns the history; the model is left holding the
+    rows of s_train, with the bytes pipeline.feature_matrices gives those
+    rows. Returns the history; the model is left holding the
     best-validation-AUC parameters.
     """
     cfg.validate()
@@ -211,7 +212,7 @@ def train_multitask(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             b = idx.size
-            v = visual_features_rows(model.visual, s_train, idx)
+            v = visual_features_batch(model.visual, s_train[idx])
             if p_drop > 0:
                 keep, masks = model.masks_from_uniform(
                     rng.fill_u64(b * total_mask_width).reshape(b, total_mask_width),

@@ -96,16 +96,26 @@ def reference_ensemble_over_table(model, table, stats, cfg, seed, fusion):
                    mu=mu, u=u)
 
 
+def projected_rows(cfg, stats):
+    """The per-row oracle of visual_features_batch: each row of the patch
+    statistics projected beside a copy of itself, in a product of its own,
+    so no row's bytes depend on the others."""
+    proj = projection_matrix(cfg)
+    v = np.empty((len(stats), cfg.proj_dim))
+    for i, row in enumerate(stats):
+        v[i] = np.tanh(np.stack([row, row]) @ proj)[0]
+    return v
+
+
 def reference_feature_matrices(table, stats, model):
     """Clinical and visual feature matrices from reads of 512 rasters, each
-    featurised as tanh(patch_stats @ projection) in one product."""
+    row featurised by the per-row oracle projected_rows."""
     n = len(table)
     v = np.empty((n, model.visual.proj_dim))
     for start in range(0, n, 512):
         rasters = table.raster_stack(range(start, min(start + 512, n)))
-        v[start : start + len(rasters)] = np.tanh(
-            patch_stats(rasters, model.visual.patch_grid)
-            @ projection_matrix(model.visual))
+        v[start : start + len(rasters)] = projected_rows(
+            model.visual, patch_stats(rasters, model.visual.patch_grid))
     return apply_preprocess_table(stats, table), v
 
 

@@ -227,6 +227,68 @@ def test_truncated_params_bin_exits_one(run_dir, tmp_path, capsys):
     assert len(err) == 1 and "params.bin" in err[0]
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate", "gate"])
+def test_non_finite_params_bin_exits_one(run_dir, tmp_path, capsys, command):
+    """A NaN in dcce.b0.l0.W and +inf as the last value of params.bin: one
+    stderr line naming the first such parameter, exit 1, no output dir."""
+    model = tmp_path / "model"
+    shutil.copytree(run_dir / "model", model)
+    path = model / "checkpoint" / "params.bin"
+    values = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+    values[5], values[-1] = np.nan, np.inf
+    path.write_bytes(values.tobytes())
+    code = main([command, "--cohort", str(run_dir / "cohort"), "--model", str(model),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and "'dcce.b0.l0.W'" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+def _cohort_without_md(run_dir, tmp_path):
+    """A copy of the CLI cohort with the md_db cell of every patient's
+    visit 1 left blank."""
+    cohort = tmp_path / "cohort"
+    shutil.copytree(run_dir / "cohort", cohort)
+    lines = (cohort / "cohort.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    md, visit = header.index("md_db"), header.index("visit_index")
+    for i, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        if cells[visit] == "1":
+            cells[md] = ""
+            lines[i] = ",".join(cells)
+    (cohort / "cohort.csv").write_text("\n".join(lines) + "\n")
+    return cohort
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise AssertionError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_train_on_blank_md_cells(run_dir, tmp_path):
+    """Missing MD targets add nothing to the progression loss, so training
+    runs and its history holds a finite validation MAE."""
+    cohort = _cohort_without_md(run_dir, tmp_path)
+    (tmp_path / "train.json").write_text(json.dumps({"max_epochs": 1, "seed": 5}))
+    assert main(["train", "--config", str(tmp_path / "train.json"),
+                 "--cohort", str(cohort), "--out", str(tmp_path / "model")]) == 0
+    rec = _strict_json((tmp_path / "model" / "history.jsonl").read_text())
+    assert np.isfinite(rec["val_mae"])
+
+
+def test_evaluate_on_blank_md_cells(run_dir, tmp_path):
+    """md_mae averages over the visits with an MD, so metrics.json stays
+    valid JSON."""
+    cohort = _cohort_without_md(run_dir, tmp_path)
+    assert main(["evaluate", "--cohort", str(cohort), "--model", str(run_dir / "model"),
+                 "--out", str(tmp_path / "eval")]) == 0
+    metrics = _strict_json((tmp_path / "eval" / "metrics.json").read_text())
+    assert np.isfinite(metrics["md_mae"])
+
+
 def test_manifest_shape_mismatch_exits_one(run_dir, tmp_path, capsys):
     def reshape_bias(model):
         path = model / "checkpoint" / "manifest.json"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oculogate.errors import DataError
 from oculogate.metrics import (coverage_accuracy_curve, dynamic_warning,
                                eligibility_filter, grade_md,
-                               metrics_at_threshold, ols_slope,
+                               mean_absolute_error, metrics_at_threshold, ols_slope,
                                moderate_severe_fraction, retained, roc_auc)
 from oculogate.rng import Rng
 
@@ -148,6 +148,16 @@ class TestCoverageCurve:
         points = coverage_accuracy_curve(u, scores, labels, ids, coverages=[0.5])
         # retained = a, b -> one correct of two
         assert points[0][1] == 0.5
+
+
+class TestMeanAbsoluteError:
+    def test_averages_over_the_observed_targets(self):
+        got = mean_absolute_error([1.0, 2.0, 5.0, 0.0], [2.0, np.nan, 1.0, np.nan])
+        assert got == 2.5
+
+    def test_no_observed_target_is_a_data_error(self):
+        with pytest.raises(DataError, match="no observed target"):
+            mean_absolute_error([1.0, 2.0], [np.nan, np.nan])
 
 
 class TestOlsSlope:

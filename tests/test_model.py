@@ -1,5 +1,7 @@
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,13 +13,13 @@ from oculogate.model import (DCCEConfig, DualStreamModel, FusionConfig,
                              VisualFeatConfig, dropout, fuse, keep_bits,
                              load_checkpoint, patch_stats, predict_arrays,
                              projection_matrix, save_checkpoint, trunk_columns,
-                             visual_features_batch, visual_features_rows)
+                             visual_features_batch)
 from oculogate.numerics import adamw_step, sigmoid
 from oculogate.rng import Rng, _unit
 from oculogate.train import TrainConfig, multitask_loss
 
 from helpers import (ConcatTrunkModel, float_rule_masks, grad_check,
-                     reference_feature_matrices, traced_peak)
+                     projected_rows, reference_feature_matrices, traced_peak)
 
 
 def features_of_one(cfg, raster):
@@ -277,9 +279,9 @@ class TestFeatureMatrices:
 
     def test_peak_memory_beyond_the_output_is_bounded(self, small_pipeline,
                                                       small_cohort):
-        """Reads of 32 rasters and one 512-row block of statistics: a few MB
-        beyond the two output matrices, where one read of 512 rasters alone
-        is 16 MB."""
+        """Reads of 32 rasters and the table's patch statistics, 1 KB per
+        visit: a few MB beyond the two output matrices, where one read of
+        512 rasters alone is 16 MB."""
         from oculogate.pipeline import feature_matrices
 
         tp = small_pipeline
@@ -289,33 +291,27 @@ class TestFeatureMatrices:
         assert peak - x.nbytes - v.nbytes < 8 * 2**20, peak
 
 
-    @pytest.mark.parametrize("n", [1, 2, 33, 512, 513, 1025])
-    def test_gathered_rows_equal_the_blocked_projection(self, n):
-        """visual_features_rows gives gathered rows the bytes of projecting
-        the table's statistics 512 rows per product: single rows (gemm's
-        bytes, or gemv's for the lone last row of n ≡ 1 mod 512), the whole
-        table in order, and shuffled batches of 2 to 40 rows."""
+    def test_rows_are_batch_invariant(self):
+        """Each row of visual_features_batch equals the per-row oracle, the
+        row projected beside a copy of itself, bit for bit: in shuffled
+        gathers of 1 to 64 and of 512 rows, and in whole tables of 513 to
+        4,097 rows. So a row's features do not depend on its batch."""
         cfg = VisualFeatConfig()
-        rng = Rng(16, f"stats/{n}")
-        stats = rng.uniform((n, 128))
-        want = np.concatenate([np.tanh(stats[i : i + 512] @ projection_matrix(cfg))
-                               for i in range(0, n, 512)])
-        batches = [[i] for i in {0, 1, n // 2, n - 2, n - 1} if 0 <= i < n]
-        batches.append(range(n))
-        order = rng.permutation(n)
-        start = 0
-        for size in range(2, 41):
-            batches.append(order[start : start + size])
-            start = (start + size) % n
-        for rows in batches:
-            rows = np.asarray(rows)
-            got = visual_features_rows(cfg, stats, rows)
-            assert got.tobytes() == want[rows].tobytes(), rows
+        rng = Rng(16, "batch-invariance")
+        stats = rng.uniform((4097, 2 * cfg.patch_grid ** 2))
+        want = projected_rows(cfg, stats)
+        for n in (513, 1025, 1816, 4097):
+            assert visual_features_batch(cfg, stats[:n]).tobytes() == \
+                want[:n].tobytes(), n
+        for n in [*range(1, 65), 512]:
+            rows = rng.permutation(len(stats))[:n]
+            assert visual_features_batch(cfg, stats[rows]).tobytes() == \
+                want[rows].tobytes(), n
 
     def test_projection_rows_equal_the_block_product_bitwise(self):
         """Every row of a product of 2 to 64 (and 512) gathered rows of a
         512-row block of statistics equals that row of the block's own
-        product bit for bit; visual_features_rows and training rest on it.
+        product bit for bit; visual_features_batch's one rule rests on it.
         A one-row product goes through gemv and rounds apart, so it is
         excluded. This is a property of the BLAS build: on OpenBLAS 0.3.31
         (SkylakeX dgemm kernel, one and two threads) it holds for every row
@@ -411,6 +407,30 @@ class TestGradients:
         sl_t = rng.normal(4) * 0.5
         labeled = np.array([True, True, False, True])
         cfg = TrainConfig(lambda_weight=lam, include_md_in_regression=include_md)
+        fn = self._loss_fn(m, cfg, x, v, y, md_t, sl_t, labeled)
+        assert grad_check(fn, m.params, max_per_entry=24) <= 1e-4
+
+    def test_missing_md_target_has_zero_loss_and_gradient(self):
+        """A slope-labeled row whose MD is missing (NaN) adds no MD loss or
+        gradient: the objective equals that of the row's own md_hat as its
+        target, and the gradients still pass the gradient check."""
+        m = small_model()
+        rng = Rng(12, "missing-md")
+        x = rng.normal((4, 5))
+        v = rng.normal((4, 6)) * 0.5
+        y = np.array([1.0, 0.0, 1.0, 0.0])
+        md_t = rng.normal(4) * 2
+        md_t[[1, 2]] = np.nan
+        sl_t = rng.normal(4) * 0.5
+        labeled = np.array([True, True, True, False])
+        cfg = TrainConfig(lambda_weight=1.0)
+        out, _ = m.forward(x, v, None)
+        got = multitask_loss(out, y, md_t, sl_t, labeled, cfg)
+        own = np.where(np.isnan(md_t), out["md_hat"], md_t)
+        want = multitask_loss(out, y, own, sl_t, labeled, cfg)
+        assert np.isfinite(got[1]) and got[1] == want[1]
+        assert got[3]["d_md"].tobytes() == want[3]["d_md"].tobytes()
+        assert np.all(got[3]["d_md"][[1, 2]] == 0.0)
         fn = self._loss_fn(m, cfg, x, v, y, md_t, sl_t, labeled)
         assert grad_check(fn, m.params, max_per_entry=24) <= 1e-4
 
@@ -547,6 +567,30 @@ def test_one_buffer_trunk_equals_concatenation(n_blocks, layers, k, input_dim, r
         assert model.params[name].grad.tobytes() == param.grad.tobytes(), name
 
 
+_BLAS_GUARDS = [
+    "tests/test_model.py::TestFeatureMatrices::test_rows_are_batch_invariant",
+    "tests/test_model.py::TestFeatureMatrices::test_projection_rows_equal_the_block_product_bitwise",
+    "tests/test_model.py::TestGradients::test_trunk_columns_equal_the_full_product_bitwise",
+]
+
+
+def test_blas_guards_hold_at_one_and_two_threads():
+    """The bitwise BLAS guards hold with one BLAS thread, as the benchmark
+    runs, and with two. OpenBLAS reads its thread count when it loads, so
+    each count runs the guards in a fresh interpreter; the two run at once."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join([os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")])
+    runs = {threads: subprocess.Popen(
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                 *_BLAS_GUARDS], cwd=root, stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT, text=True,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path))
+            for threads in ("1", "2")}
+    for threads, proc in runs.items():
+        out, _ = proc.communicate(timeout=600)
+        assert proc.returncode == 0, f"OPENBLAS_NUM_THREADS={threads}\n{out[-3000:]}"
+
+
 class TestPredict:
     def test_eq1_identity_and_severity(self, small_pipeline):
         from oculogate.metrics import grade_md, moderate_severe_fraction
@@ -663,6 +707,16 @@ class TestCheckpoint:
         monkeypatch.setattr(model_module, "Rng", RecordingRng)
         load_checkpoint(tmp_path / "ck")
         assert "model-init" not in labels
+
+    def test_non_finite_value_is_refused_by_name(self, tmp_path):
+        """A NaN or infinity anywhere in params.bin is a SchemaError naming
+        the first parameter, in store order, that holds one."""
+        m = small_model(seed=25)
+        m.params["reg.W0"].value[3, 1] = np.nan
+        m.params["clin_head.W"].value[2, 0] = -np.inf
+        save_checkpoint(m, FusionConfig(), tmp_path / "ck")
+        with pytest.raises(SchemaError, match="'clin_head.W'"):
+            load_checkpoint(tmp_path / "ck")
 
     def test_second_save_is_refused_and_changes_nothing(self, tmp_path):
         out = tmp_path / "ck"

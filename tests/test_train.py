@@ -7,7 +7,7 @@ from oculogate.data import default_cohort_spec, generate_cohort
 from oculogate.errors import ConfigError
 from oculogate.metrics import roc_auc
 from oculogate.model import DCCEConfig, FusionConfig
-from oculogate.pipeline import run_training_pipeline
+from oculogate.pipeline import patch_stat_matrices, run_training_pipeline
 from oculogate.rng import Rng
 import oculogate.train as train_module
 from oculogate.train import (TrainConfig, grid_search_alpha,
@@ -271,25 +271,26 @@ def test_training_bytes_without_a_term_are_pinned(train_cfg, dcce_cfg, digests):
 @pytest.fixture(scope="module", params=[
     (41, 3, 32, "48f0b60408af34cf867186163fff3c4fd6fe920a1859a3864069f7fc9f7e7e33",
      "19712c53ffa5ce3166432fbb3bafc458911db60073645a92eacc6f7769876f20"),
-    (132, 1, 512, "cc7f66158edd2b4a5ed75f41e374bca8447715a240a0d73f1154fc2ff8142140",
-     "5583972ce2458e90e264c8280bf966588be3f867f478f9189f28b251c58788a4"),
+    (132, 1, 512, "1efa2bce62cb424b7521b075a5cda06cd18d6beaee330ccc4bab2c485e57dc4c",
+     "077296a1ffd43d544112c113d8808fe96f36182546eefcbe3f768dd326186306"),
 ], ids=["one-row-batch", "one-row-block"])
 def lone_row_run(request):
     """Two epochs on a cohort whose training split has n ≡ 1 rows modulo
     the modulus: 129 rows (mod 32), so each epoch's last batch holds one
-    row, and 513 rows (mod 512), so feature_matrices projects the last row
-    alone as well. The features of every training batch are recorded."""
+    row, and 513 rows (mod 512), whose last row a 512-row blocked
+    projection would hold alone. The patch statistics and features of
+    every training batch are recorded."""
     n_patients, seed, modulus, *digests = request.param
     batches = []
 
-    def recording(cfg, stats, rows):
-        v = rows_of(cfg, stats, rows)
-        batches.append((np.array(rows), v.copy()))
+    def recording(cfg, stats):
+        v = batch_of(cfg, stats)
+        batches.append((stats.copy(), v.copy()))
         return v
 
-    rows_of = train_module.visual_features_rows
+    batch_of = train_module.visual_features_batch
     patch = pytest.MonkeyPatch()
-    patch.setattr(train_module, "visual_features_rows", recording)
+    patch.setattr(train_module, "visual_features_batch", recording)
     try:
         cohort = generate_cohort(default_cohort_spec(n_patients=n_patients, seed=seed))
         tp = run_training_pipeline(cohort, TrainConfig(max_epochs=2, patience=2, seed=5))
@@ -308,15 +309,18 @@ def test_training_bytes_at_a_lone_row_are_pinned(lone_row_run):
 
 
 def test_every_training_batch_has_the_feature_matrix_rows(lone_row_run):
-    """Each batch's projected rows equal the rows of the feature matrix of
-    reads of 512 rasters bit for bit, one-row batches and the lone last row
-    of a 513-row split included."""
+    """Each batch's projected rows equal the rows of the per-row oracle's
+    feature matrix bit for bit, one-row batches and the last row of a
+    513-row split included. A batch row is found by its patch statistics."""
     tp, batches, _ = lone_row_run
+    _, s = patch_stat_matrices(tp.split.train, tp.stats, tp.model)
     _, v_ref = reference_feature_matrices(tp.split.train, tp.stats, tp.model)
-    n = len(tp.split.train)
-    assert sum(len(rows) for rows, _ in batches) == 2 * n
-    assert any(len(rows) == 1 for rows, _ in batches)
-    for rows, v in batches:
+    row_of = {row.tobytes(): i for i, row in enumerate(s)}
+    assert len(row_of) == len(s)
+    assert sum(len(stats) for stats, _ in batches) == 2 * len(s)
+    assert any(len(stats) == 1 for stats, _ in batches)
+    for stats, v in batches:
+        rows = [row_of[row.tobytes()] for row in stats]
         assert v.tobytes() == v_ref[rows].tobytes(), rows
 
 

@@ -327,12 +327,21 @@ def cmd_evaluate(cfg, args):
             f"MD MAE {report['md_mae']:.3f} -> {args.out}")
 
 
+_COVERAGE_POINTS = 10_001   # most points a coverage curve may have
+
+
 def cmd_coverage(cfg, args):
+    lo, step = cfg["coverage_min"], cfg["coverage_step"]
+    # compared as a float: a subnormal step makes the quotient inf
+    if (1.0 - lo) / step > _COVERAGE_POINTS - 1:
+        raise ConfigError(
+            f"config key 'coverage_step' for coverage must leave at most "
+            f"{_COVERAGE_POINTS} points from coverage_min {lo!r} to 1, "
+            f"got {json.dumps(step)}")
     tp, table = _load(args, cfg["split"])
     _, fusion, gate_cfg = _gate_setup(cfg, tp)
     run = ensemble_over_table(tp.model, table, tp.stats, gate_cfg,
                               cfg["seed"], fusion)
-    lo, step = cfg["coverage_min"], cfg["coverage_step"]
     # lo, lo + step, ... up to the last point at or below full coverage
     grid = [round(lo + i * step, 10) for i in range(int(round((1.0 - lo) / step)) + 1)]
     coverages = [c for c in grid if c <= 1.0]

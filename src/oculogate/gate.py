@@ -6,17 +6,20 @@ Every ensemble pass draws its dropout masks from the substream
 (seed, "mc/<sample_id>/<pass_index>"), so the masks do not depend on how
 samples are batched. Pass i applies tta_set[i mod len(tta_set)]. A batch runs
 all its passes as one call of the trunk and the two diagnostic heads over the
-pass-major stack of (pass, sample) rows: each distinct transform is
-featurised once, and the streams of all rows are derived together and drawn
-in one Streams.fill_u64 of the diagnostic sites' width, the prefix of each
-stream's full-width fill. The draw stays in raw uint64 words, which
-masks_from_uniform turns into keep bits by comparing them against the
-dropout rate, with no conversion to uniforms; no word outlives that call.
-The visual features of the distinct transforms are
-gathered into the pass-major stack, scaled and selected by their keep bits
-(model.dropout), as training does with its batch rows, so the visual site
-never gets a float mask. The regression head is not run; MTS comes from
-predict's deterministic md_hat.
+pass-major stack of (pass, sample) rows. Each distinct transform is
+featurised once, and the transformed rasters never exist as a stack: they
+are written STATS_BLOCK at a time into one reused buffer, in the order of
+the statistics rows, and each full buffer is reduced to patch statistics,
+all of which are projected together. The streams of all rows are derived
+together and drawn in one Streams.fill_u64 of the diagnostic sites' width,
+the prefix of each stream's full-width fill. The draw stays in raw uint64
+words, which masks_from_uniform turns into keep bits by comparing them
+against the dropout rate, with no conversion to uniforms; no word outlives
+that call. model.dropout, the rule training uses too, scales the features
+of the distinct transforms once and writes each pass's block of the stack
+as one multiply of its transform's features by its keep bits, so the
+visual site never gets a float mask and no feature row is gathered. The
+regression head is not run; MTS comes from predict's deterministic md_hat.
 Without dropout, passes that share a transform are one pass, computed once
 and copied, so they are bitwise equal.
 A run's decisions come from its lap_var and u arrays at once (gate_decide);
@@ -31,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import (DualStreamModel, FusionConfig, check_dropout, dropout, fuse,
-                    visual_features_batch)
+from .model import (STATS_BLOCK, DualStreamModel, FusionConfig, check_dropout,
+                    dropout, fuse, patch_stats, visual_features_batch)
 from .rng import Streams
 
 TTA_DEFAULT = (
@@ -54,6 +57,8 @@ class GateConfig:
         if self.n_passes < 2:
             raise ConfigError("n_passes must be >= 2")
         check_dropout(self.dropout_p)
+        if not self.tta_set:
+            raise ConfigError("tta_set must name at least one TTA transform")
         if self.tau_blur <= 0:
             raise ConfigError("tau_blur must be positive")
         for name in self.tta_set:
@@ -90,32 +95,62 @@ def laplacian_variance(rasters: np.ndarray):
 # test-time augmentation
 # ---------------------------------------------------------------------------
 
-def _brightness(r, delta):
-    return np.clip(r + delta, 0.0, 1.0)
+def _brightness(r, delta, out):
+    np.add(r, delta, out=out)
+    np.clip(out, 0.0, 1.0, out=out)
 
 
-def _contrast(r, delta):
-    return np.clip((r - 0.5) * (1.0 + delta) + 0.5, 0.0, 1.0)
+def _contrast(r, delta, out):
+    np.subtract(r, 0.5, out=out)
+    out *= 1.0 + delta
+    out += 0.5
+    np.clip(out, 0.0, 1.0, out=out)
 
 
+# name -> transform(rasters, out), writing into out
 TTA_TRANSFORMS = {
-    "identity": lambda r: r,
-    "hflip": lambda r: r[..., :, ::-1],
-    "vflip": lambda r: r[..., ::-1, :],
-    "brightness+0.2": lambda r: _brightness(r, 0.2),
-    "brightness-0.2": lambda r: _brightness(r, -0.2),
-    "contrast+0.2": lambda r: _contrast(r, 0.2),
-    "contrast-0.2": lambda r: _contrast(r, -0.2),
+    "identity": lambda r, out: np.copyto(out, r),
+    "hflip": lambda r, out: np.copyto(out, r[..., :, ::-1]),
+    "vflip": lambda r, out: np.copyto(out, r[..., ::-1, :]),
+    "brightness+0.2": lambda r, out: _brightness(r, 0.2, out),
+    "brightness-0.2": lambda r, out: _brightness(r, -0.2, out),
+    "contrast+0.2": lambda r, out: _contrast(r, 0.2, out),
+    "contrast-0.2": lambda r, out: _contrast(r, -0.2, out),
 }
 
 
-def apply_tta(name: str, raster: np.ndarray) -> np.ndarray:
-    return TTA_TRANSFORMS[name](raster)
+def apply_tta(name: str, rasters: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Transform `name` of a raster or a stack of rasters, written into out
+    (of their shape), which is returned."""
+    TTA_TRANSFORMS[name](rasters, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # stochastic ensemble
 # ---------------------------------------------------------------------------
+
+def _tta_stats(names, rasters: np.ndarray, grid: int) -> np.ndarray:
+    """Patch statistics of each named transform of every raster: row
+    k·n + j is transform k of raster j. The transformed rasters fill one
+    buffer of STATS_BLOCK rasters in row order, and each full buffer is one
+    patch_stats call; a row's statistics do not depend on its neighbours."""
+    n = len(rasters)
+    total = len(names) * n
+    stats = np.empty((total, 2 * grid * grid))
+    buf = np.empty((min(STATS_BLOCK, total), *rasters.shape[1:]))
+    for start in range(0, total, len(buf)):
+        stop = min(start + len(buf), total)
+        row = start
+        while row < stop:   # the run of transform k that falls in this buffer
+            k, j = divmod(row, n)
+            end = min(stop, (k + 1) * n)
+            apply_tta(names[k], rasters[j : j + end - row],
+                      buf[row - start : end - start])
+            row = end
+        stats[start:stop] = patch_stats(buf[: stop - start], grid)
+    return stats
+
 
 def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
                     x_clin: np.ndarray, rasters: np.ndarray, sample_ids,
@@ -126,12 +161,9 @@ def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
     n = x_clin.shape[0]
     names = [cfg.tta_set[i % len(cfg.tta_set)] for i in range(cfg.n_passes)]
     distinct = list(dict.fromkeys(names))
-    # block k of the stack is transform k of every raster
-    stack = np.empty((len(distinct) * n, *rasters.shape[1:]))
-    for k, name in enumerate(distinct):
-        stack[k * n : (k + 1) * n] = apply_tta(name, rasters)
-    v = visual_features_batch(model.visual, stack)
-    del stack   # before the pass-major stack is built
+    # block k of the features is transform k of every raster
+    v = visual_features_batch(model.visual,
+                              _tta_stats(distinct, rasters, model.visual.patch_grid))
     transform_of = [distinct.index(name) for name in names]
     if cfg.dropout_p > 0.0:
         labels = [f"mc/{sid}/{i}" for i in range(cfg.n_passes) for sid in sample_ids]
@@ -140,9 +172,8 @@ def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
         width = sum(w for _, w in model.diagnostic_segments())
         keep, masks = model.masks_from_uniform(Streams(seed, labels).fill_u64(width),
                                                cfg.dropout_p)
-        # row i*n + k of the pass-major stack is pass i of sample k
-        rows = (np.asarray(transform_of)[:, None] * n + np.arange(n)).ravel()
-        v = dropout(v, keep, cfg.dropout_p, rows)
+        # block i of the pass-major stack, rows i*n .. i*n + n - 1, is pass i
+        v = dropout(v, keep, cfg.dropout_p, transform_of)
         n_blocks, cols = cfg.n_passes, list(range(cfg.n_passes))
     else:
         # without dropout, passes that share a transform are the same pass:

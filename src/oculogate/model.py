@@ -53,18 +53,35 @@ def keep_bits(words: np.ndarray, p: float) -> np.ndarray:
     return words >= np.uint64(math.ceil(p * 2.0 ** 53) << 11)
 
 
-def dropout(x: np.ndarray, keep: np.ndarray, p: float, rows) -> np.ndarray:
-    """Inverted dropout of the gathered rows x[rows]: a kept unit is scaled
-    by 1/(1 - p), a dropped one becomes a zero of its sign. keep holds the
-    output's keep bits (masks_from_uniform's first value). The rows are
-    gathered, scaled, then selected by the keep bits, so no float mask is
-    built. Where x·(1/(1 - p)) does not overflow (the tanh features lie in
-    [-1, 1]) the bytes are those of the float mask rule
-    x[rows] * (keep / (1 - p)): (x·s)·1 = x·(1·s), and (x·s)·0 is a zero of
-    the sign of x·0."""
-    out = x.take(rows, axis=0)
-    out *= 1.0 / (1.0 - p)
-    out *= keep
+def dropout(x: np.ndarray, keep: np.ndarray, p: float, blocks=None) -> np.ndarray:
+    """Inverted dropout: a kept unit is scaled by 1/(1 - p), a dropped one
+    becomes a zero of its sign. keep holds the output's keep bits
+    (masks_from_uniform's first value). x is scaled by 1/(1 - p) once, in
+    place, then multiplied by the keep bits into the output, one multiply
+    per run of consecutive blocks of x, so neither a float mask nor a
+    gather of x is built. Without blocks the
+    output is x itself (training's rows are its batch). With blocks, x is
+    a stack of row blocks of len(keep) // len(blocks) rows, and block i of
+    a new output is x's block blocks[i] under keep's block i (the gate's
+    pass-major stack over the features of its distinct transforms). Where
+    x·(1/(1 - p)) does not overflow (the tanh features lie in [-1, 1]) the
+    bytes are those of the float mask rule x * (keep / (1 - p)):
+    (x·s)·1 = x·(1·s), and (x·s)·0 is a zero of the sign of x·0."""
+    x *= 1.0 / (1.0 - p)
+    if blocks is None:
+        x *= keep
+        return x
+    h = len(keep) // len(blocks)
+    out = np.empty(keep.shape)
+    i = 0
+    while i < len(blocks):
+        j = i + 1
+        while j < len(blocks) and blocks[j] == blocks[j - 1] + 1:
+            j += 1
+        b = blocks[i]
+        np.multiply(x[b * h : (b + j - i) * h], keep[i * h : j * h],
+                    out=out[i * h : j * h])
+        i = j
     return out
 
 
@@ -126,7 +143,7 @@ def projection_matrix(cfg: VisualFeatConfig) -> np.ndarray:
     return proj
 
 
-_STATS_BLOCK = 32   # rasters per patch_stats block: 1 MB of 64x64 float64
+STATS_BLOCK = 32   # rasters per patch_stats block: 1 MB of 64x64 float64
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -178,8 +195,8 @@ def patch_stats(rasters: np.ndarray, grid: int) -> np.ndarray:
         return np.stack([rasters.mean(axis=(1, 2)), rasters.std(axis=(1, 2))], axis=1)
     ph, pw = h // grid, w // grid
     out = np.empty((n, 2, grid, grid))
-    for start in range(0, n, _STATS_BLOCK):
-        rows = np.ascontiguousarray(rasters[start : start + _STATS_BLOCK])
+    for start in range(0, n, STATS_BLOCK):
+        rows = np.ascontiguousarray(rasters[start : start + STATS_BLOCK])
         b = len(rows)
         rows = rows.reshape(b, grid, ph, w)
         mean, std = out[start : start + b].swapaxes(0, 1)

@@ -217,7 +217,7 @@ def train_multitask(
                 keep, masks = model.masks_from_uniform(
                     rng.fill_u64(b * total_mask_width).reshape(b, total_mask_width),
                     p_drop)
-                v = dropout(v, keep, p_drop, np.arange(b))
+                v = dropout(v, keep, p_drop)
             else:
                 masks = None
             out, cache = model.forward(x_train[idx], v, masks)

@@ -1,3 +1,16 @@
+import os
+import sys
+
+# The pinned digests (training, gate audit) were recorded at two BLAS
+# threads, and some products round apart at one: the regression head's
+# (n, 2,182) @ (2,182, 256) does with OpenBLAS 0.3.31. The pool's size is
+# read once, when numpy loads, so it is fixed here, before the first import.
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was imported before tests/conftest.py could fix "
+                       "the BLAS thread count")
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "2"
+
 import numpy as np
 import pytest
 

@@ -59,6 +59,27 @@ def float_rule_masks(model, u, p):
     return masks
 
 
+def _brightness(r, delta):
+    return np.clip(r + delta, 0.0, 1.0)
+
+
+def _contrast(r, delta):
+    return np.clip((r - 0.5) * (1.0 + delta) + 0.5, 0.0, 1.0)
+
+
+# the TTA transforms as plain expressions that return a new array (or a
+# view): the oracle of gate.apply_tta, which writes into a buffer
+TTA_REFERENCE = {
+    "identity": lambda r: r,
+    "hflip": lambda r: r[..., :, ::-1],
+    "vflip": lambda r: r[..., ::-1, :],
+    "brightness+0.2": lambda r: _brightness(r, 0.2),
+    "brightness-0.2": lambda r: _brightness(r, -0.2),
+    "contrast+0.2": lambda r: _contrast(r, 0.2),
+    "contrast-0.2": lambda r: _contrast(r, -0.2),
+}
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes that fn(*args) holds under tracemalloc, above what was
     held when the call began."""

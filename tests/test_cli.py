@@ -604,6 +604,9 @@ def _run_with_config(run_dir, tmp_path, command, cfg):
     ("coverage", {"coverage_step": -0.05}),
     ("coverage", {"coverage_min": 1.5}),
     ("coverage", {"coverage_min": 0.0}),
+    ("coverage", {"coverage_step": 1e-12}),
+    ("coverage", {"coverage_step": 5e-324}),
+    ("coverage", {"coverage_step": 4.9999e-05, "coverage_min": 0.5}),
     ("warn", {"n_triples": 0}),
     ("train", {"patch_grid": 0}),
     ("train", {"proj_dim": -1}),
@@ -625,7 +628,9 @@ def _run_with_config(run_dir, tmp_path, command, cfg):
 ], ids=["str-for-int", "float-for-int", "null-for-float", "int-for-bool",
         "bool-for-float", "bool-for-int", "str-in-dict", "list-for-dict",
         "str-seed", "coverage-step-zero", "coverage-step-negative",
-        "coverage-min-above-one", "coverage-min-zero", "warn-no-triples",
+        "coverage-min-above-one", "coverage-min-zero",
+        "coverage-grid-too-fine", "coverage-step-subnormal",
+        "coverage-grid-one-point-past-the-bound", "warn-no-triples",
         "train-patch-grid-zero", "train-proj-dim-negative",
         "train-n-blocks-negative", "train-layers-per-block-negative",
         "train-growth-k-negative", "train-dropout-one", "train-dropout-negative",
@@ -669,6 +674,16 @@ def test_coverage_with_every_visit_blurred_exits_one(run_dir, tmp_path, capsys):
     assert code == 1
     assert len(err) == 1 and "at least one sample" in err[0]
     assert not (tmp_path / "out").exists()
+
+
+def test_coverage_grid_at_the_point_bound_is_drawn(run_dir, tmp_path):
+    """coverage_min 0.5 and coverage_step 5e-05 ask for exactly the bound's
+    10,001 points, which the stage draws, one CSV row each."""
+    code = _run_with_config(run_dir, tmp_path, "coverage",
+                            {"coverage_min": 0.5, "coverage_step": 5e-05})
+    assert code == 0
+    rows = (tmp_path / "out" / "coverage.csv").read_text().splitlines()
+    assert len(rows) == 1 + 10_001 and rows[-1].startswith("1,")
 
 
 # sha256 of each stage's default resolved config as the stage echoes it: a

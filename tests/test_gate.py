@@ -10,15 +10,15 @@ from oculogate.data import (apply_preprocess_table, generate_image, generate_ima
                             inject_blur)
 from oculogate.errors import ConfigError
 from oculogate.gate import (TTA_DEFAULT, GateConfig, GateDecision, GateRun,
-                            apply_tta, ensemble_over_table, ensemble_passes,
-                            gate_decide, laplacian_variance, run_gate,
-                            summarize_passes, triage_queue)
-from oculogate.model import DualStreamModel, fuse, visual_features_batch
+                            _tta_stats, apply_tta, ensemble_over_table,
+                            ensemble_passes, gate_decide, laplacian_variance,
+                            run_gate, summarize_passes, triage_queue)
+from oculogate.model import DualStreamModel, fuse, patch_stats, visual_features_batch
 from oculogate.numerics import ParamStore
 from oculogate.rng import Rng, Streams
 
-from helpers import (float_rule_masks, reference_ensemble_over_table, traced_peak,
-                     y_hat)
+from helpers import (TTA_REFERENCE, float_rule_masks, reference_ensemble_over_table,
+                     traced_peak, y_hat)
 
 
 def naive_laplacian_variance(raster):
@@ -108,16 +108,23 @@ class TestQualityGate:
 class TestTTA:
     def test_flips(self):
         r = Rng(1, "t").uniform((8, 8))
-        assert np.array_equal(apply_tta("hflip", r), r[:, ::-1])
-        assert np.array_equal(apply_tta("vflip", r), r[::-1, :])
+        assert np.array_equal(apply_tta("hflip", r, np.empty_like(r)), r[:, ::-1])
+        assert np.array_equal(apply_tta("vflip", r, np.empty_like(r)), r[::-1, :])
 
     def test_brightness_contrast_clip(self):
         r = Rng(2, "t").uniform((8, 8))
-        b = apply_tta("brightness+0.2", r)
+        b = apply_tta("brightness+0.2", r, np.empty_like(r))
         assert b.min() >= 0.0 and b.max() <= 1.0
         assert np.allclose(np.clip(r + 0.2, 0, 1), b)
-        c = apply_tta("contrast-0.2", r)
+        c = apply_tta("contrast-0.2", r, np.empty_like(r))
         assert np.allclose(np.clip((r - 0.5) * 0.8 + 0.5, 0, 1), c)
+
+    @pytest.mark.parametrize("name", TTA_DEFAULT)
+    def test_written_into_out_equals_the_plain_expression(self, name):
+        r = Rng(3, "t").uniform((4, 8, 8))
+        out = np.empty_like(r)
+        assert apply_tta(name, r, out) is out
+        assert out.tobytes() == np.ascontiguousarray(TTA_REFERENCE[name](r)).tobytes()
 
     def test_default_set_has_seven(self):
         assert len(GateConfig().tta_set) == 7
@@ -125,6 +132,40 @@ class TestTTA:
     def test_unknown_transform_rejected(self):
         with pytest.raises(ConfigError):
             GateConfig(tta_set=("identity", "rot90")).validate()
+
+    def test_empty_set_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="tta_set"):
+            GateConfig(tta_set=()).validate()
+
+
+class TestTTAStats:
+    """The ensemble's patch statistics come from one buffer of STATS_BLOCK
+    transformed rasters at a time, never from the stack of all of them."""
+
+    NAMES = ("hflip", "identity", "contrast+0.2", "vflip", "brightness-0.2")
+
+    @pytest.mark.parametrize("n", [1, 5, 6, 7, 31, 32, 33])
+    @pytest.mark.parametrize("grid", [1, 4])
+    def test_equals_the_stats_of_the_whole_stack(self, n, grid):
+        rasters = Rng(71, "tta-stats").uniform((n, 16, 16))
+        stack = np.concatenate([TTA_REFERENCE[name](rasters) for name in self.NAMES])
+        assert _tta_stats(self.NAMES, rasters, grid).tobytes() == \
+            patch_stats(stack, grid).tobytes()
+
+    @pytest.mark.parametrize("n, sizes", [(1, [5]), (6, [30]), (7, [32, 3]),
+                                          (32, [32] * 5)])
+    def test_patch_stats_reads_one_buffer_at_a_time(self, monkeypatch, n, sizes):
+        import oculogate.gate as gate
+
+        seen = []
+
+        def recording(rasters, grid):
+            seen.append(len(rasters))
+            return patch_stats(rasters, grid)
+
+        monkeypatch.setattr(gate, "patch_stats", recording)
+        _tta_stats(self.NAMES, Rng(72, "tta-stats").uniform((n, 8, 8)), 2)
+        assert seen == sizes
 
 
 class TestSummarize:
@@ -222,7 +263,7 @@ def per_pass_reference(model, fusion, x_clin, rasters, sample_ids, cfg, seed):
     md_passes = np.empty((n, cfg.n_passes))
     for i in range(cfg.n_passes):
         aug = cfg.tta_set[i % len(cfg.tta_set)]
-        v = visual_features_batch(model.visual, apply_tta(aug, rasters))
+        v = visual_features_batch(model.visual, TTA_REFERENCE[aug](rasters))
         masks = None
         if cfg.dropout_p > 0.0:
             # the float rule on each stream's uniforms, not the word compare
@@ -425,6 +466,51 @@ def test_gate_audit_bytes_are_pinned(small_pipeline, dropout_p, digest):
     text = "\n".join(json.dumps(r, sort_keys=True)
                      for r in run.audit_records()) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# extra GateConfig fields of each pinned edge case
+_EDGE_CASES = {
+    "tta": {},
+    "repeated-name": {"tta_set": ("identity", "hflip", "identity")},
+    "fewer-passes": {"n_passes": 3},
+}
+
+
+@pytest.mark.parametrize("case, dropout_p, digest", [
+    ("tta", 0.3,
+     "cbf7ee5217ce2c5739f1f6a917a2139844faaab6175f31049040ad161be93114"),
+    ("tta", 0.0,
+     "494e2f72e76f280210113ef04433ad91b5f1cd80cdf7d0a666bace510a936ecf"),
+    ("repeated-name", 0.3,
+     "b08888b4eef7772bb3c4863b1344b1e04de5e747442c323824910e9f09160b1a"),
+    ("repeated-name", 0.0,
+     "7239b72532ed03fa5789ac080cb272339bbe6901d3dd5246914217e8632dec97"),
+    ("fewer-passes", 0.3,
+     "95061325f7d2d932479f193d8d31e83fc3251f175acd9f9232caf2b4b6e3e595"),
+    ("fewer-passes", 0.0,
+     "1a250e626c5440afb4611a0d1cb97b025ebf7c945350e4984f362ed6d1bac39d"),
+], ids=["tta-mc", "tta-no-mc", "repeated-name-mc", "repeated-name-no-mc",
+        "fewer-passes-mc", "fewer-passes-no-mc"])
+def test_ensemble_bytes_at_the_buffer_edges_are_pinned(small_pipeline, case,
+                                                       dropout_p, digest):
+    """ensemble_passes of 1, 5, 31 and 32 sharp visits keeps its bytes: the
+    transformed rasters of those batches cross the 32-raster statistics
+    buffer at and between transform boundaries. A repeated transform name
+    and fewer passes than transforms pin how a pass finds the features of
+    its transform."""
+    tp = small_pipeline
+    table = tp.split.test.subset(range(40))
+    rasters = table.raster_stack(range(40))
+    sharp = np.flatnonzero(laplacian_variance(rasters) >= GateConfig().tau_blur)[:32]
+    assert sharp.size == 32
+    x, ids = apply_preprocess_table(tp.stats, table), table.sample_ids()
+    cfg = GateConfig(dropout_p=dropout_p, **_EDGE_CASES[case])
+    h = hashlib.sha256()
+    for n in (1, 5, 31, 32):
+        idx = sharp[:n]
+        h.update(ensemble_passes(tp.model, tp.fusion, x[idx], rasters[idx],
+                                 [ids[i] for i in idx], cfg, 29).tobytes())
+    assert h.hexdigest() == digest
 
 
 def _decided(mu, u, cfg, lap_var=None):

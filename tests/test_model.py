@@ -138,8 +138,8 @@ class TestPatchStats:
            st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_equals_numpy_reduction_bitwise(self, grid, n, tta, seed):
-        """Generated rasters, raw or TTA'd as the gate stacks them
-        (contiguous), and uniform noise."""
+        """Generated rasters, raw or TTA'd as the gate buffers them, and
+        uniform noise."""
         from oculogate.data import generate_images
         from oculogate.gate import apply_tta
 
@@ -149,7 +149,7 @@ class TestPatchStats:
         else:
             rasters = generate_images(rng.uniform(n), rng.fill_u64(n))
             if tta is not None:
-                rasters = np.ascontiguousarray(apply_tta(tta, rasters))
+                rasters = apply_tta(tta, rasters, np.empty(rasters.shape))
         got = patch_stats(rasters, grid)
         assert got.shape == (n, 2 * grid * grid)
         assert got.tobytes() == reference_patch_stats(rasters, grid).tobytes()
@@ -220,8 +220,9 @@ FEATURES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]),
 
 
 class TestDropoutRule:
-    """dropout gathers, scales, then selects: the bytes of the float mask
-    rule x[rows] * ((u >= p) / (1 - p)), a dropped unit's zero sign included."""
+    """dropout scales x once, then writes each block as x's block under its
+    keep bits: the bytes of the float mask rule x[rows] * ((u >= p) / (1 - p))
+    over the blocks' rows, a dropped unit's zero sign included."""
 
     @given(DROPOUT_RATES, st.lists(FEATURES, min_size=12, max_size=12),
            st.lists(st.integers(0, 3), min_size=1, max_size=9),
@@ -234,13 +235,20 @@ class TestDropoutRule:
         cut = int(np.ceil(p * 2.0**53)) << 11
         words[0] = [cut - 1, cut, cut + 1]
         want = x[rows] * ((_unit(words) >= p) / (1.0 - p))
-        got = dropout(x, keep_bits(words, p), p, rows)
+        got = dropout(x, keep_bits(words, p), p, rows)   # blocks of one row
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    def test_without_blocks_x_is_dropped_in_place(self):
+        x = np.tanh(Rng(3, "dropout-x").normal((5, 4)))
+        keep = keep_bits(Rng(3, "dropout-keep").fill_u64(20).reshape(5, 4), 0.3)
+        want = x * (keep / (1.0 - 0.3))
+        got = dropout(x, keep, 0.3)
+        assert got is x and got.tobytes() == want.tobytes()
+
     def test_a_dropped_negative_is_a_negative_zero(self):
         got = dropout(np.array([[-0.5, 0.5, -0.0]]),
-                      np.zeros((1, 3), dtype=bool), 0.3, [0])
+                      np.zeros((1, 3), dtype=bool), 0.3)
         assert np.signbit(got).tolist() == [[True, False, True]]
         assert not got.any()
 
@@ -253,14 +261,15 @@ class TestDropoutRule:
         rng = Rng(29, "dropout-diagnose")
         x = rng.normal((n, 5))
         v = np.tanh(rng.normal((2 * n, 6)))
-        rows = (np.arange(passes)[:, None] % 2 * n + np.arange(n)).ravel()
+        blocks = np.arange(passes) % 2   # pass i reads transform i mod 2
+        rows = (blocks[:, None] * n + np.arange(n)).ravel()
         width = sum(w for _, w in m.diagnostic_segments())
         words = rng.fill_u64(passes * n * width).reshape(passes * n, width)
         x_all = np.tile(x, (passes, 1))
         float_masks = float_rule_masks(m, _unit(words), 0.3)
         want, _ = m.diagnose(x_all, v[rows] * float_masks.pop("vis"), float_masks)
         keep, masks = m.masks_from_uniform(words, 0.3)
-        got, _ = m.diagnose(x_all, dropout(v, keep, 0.3, rows), masks)
+        got, _ = m.diagnose(x_all, dropout(v, keep, 0.3, blocks), masks)
         for key in want:
             assert got[key].tobytes() == want[key].tobytes(), key
 
@@ -508,7 +517,7 @@ class TestGradients:
             width = sum(w for _, w in m.mask_segments())
             keep, masks = m.masks_from_uniform(
                 rng.fill_u64(6 * width).reshape(6, width), 0.3)
-            out, cache = m.forward(x, dropout(v, keep, 0.3, np.arange(6)), masks)
+            out, cache = m.forward(x, dropout(v, keep, 0.3), masks)
             _, _, d_scr, d_prog = multitask_loss(
                 out, np.array([1.0, 0.0, 1.0, 0.0, 1.0, 1.0]), rng.normal(6),
                 rng.normal(6), labeled, cfg)

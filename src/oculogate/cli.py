@@ -332,8 +332,10 @@ _COVERAGE_POINTS = 10_001   # most points a coverage curve may have
 
 def cmd_coverage(cfg, args):
     lo, step = cfg["coverage_min"], cfg["coverage_step"]
-    # compared as a float: a subnormal step makes the quotient inf
-    if (1.0 - lo) / step > _COVERAGE_POINTS - 1:
+    # the grid has round(q) + 1 points, q = (1 - lo)/step, and round halves
+    # to even, so q <= 10,000.5 leaves 10,001; an inf q (a subnormal step)
+    # fails the comparison too
+    if not (1.0 - lo) / step <= _COVERAGE_POINTS - 0.5:
         raise ConfigError(
             f"config key 'coverage_step' for coverage must leave at most "
             f"{_COVERAGE_POINTS} points from coverage_min {lo!r} to 1, "

@@ -7,12 +7,12 @@ Every ensemble pass draws its dropout masks from the substream
 samples are batched. Pass i applies tta_set[i mod len(tta_set)]. A batch runs
 all its passes as one call of the trunk and the two diagnostic heads over the
 pass-major stack of (pass, sample) rows. Each distinct transform is
-featurised once, and the transformed rasters never exist as a stack: they
-are written STATS_BLOCK at a time into one reused buffer, in the order of
-the statistics rows, and each full buffer is reduced to patch statistics,
-all of which are projected together. The streams of all rows are derived
-together and drawn in one Streams.fill_u64 of the diagnostic sites' width,
-the prefix of each stream's full-width fill. The draw stays in raw uint64
+featurised once, and the transformed rasters never exist as a stack:
+model.filled_patch_stats has them written into one reused buffer, in the
+order of the statistics rows, and reduces each full buffer to patch
+statistics, all of which are projected together. The streams of all rows
+are derived together and drawn in one Streams.fill_u64 of the diagnostic
+sites' width, the prefix of each stream's full-width fill. The draw stays in raw uint64
 words, which masks_from_uniform turns into keep bits by comparing them
 against the dropout rate, with no conversion to uniforms; no word outlives
 that call. model.dropout, the rule training uses too, scales the features
@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import (STATS_BLOCK, DualStreamModel, FusionConfig, check_dropout,
-                    dropout, fuse, patch_stats, visual_features_batch)
+from .model import (DualStreamModel, FusionConfig, check_dropout, dropout,
+                    filled_patch_stats, fuse, visual_features_batch)
 from .rng import Streams
 
 TTA_DEFAULT = (
@@ -132,24 +132,21 @@ def apply_tta(name: str, rasters: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _tta_stats(names, rasters: np.ndarray, grid: int) -> np.ndarray:
     """Patch statistics of each named transform of every raster: row
-    k·n + j is transform k of raster j. The transformed rasters fill one
-    buffer of STATS_BLOCK rasters in row order, and each full buffer is one
-    patch_stats call; a row's statistics do not depend on its neighbours."""
+    k·n + j is transform k of raster j. filled_patch_stats asks for them a
+    buffer at a time, and each run of one transform in a buffer is one
+    apply_tta call."""
     n = len(rasters)
-    total = len(names) * n
-    stats = np.empty((total, 2 * grid * grid))
-    buf = np.empty((min(STATS_BLOCK, total), *rasters.shape[1:]))
-    for start in range(0, total, len(buf)):
-        stop = min(start + len(buf), total)
-        row = start
-        while row < stop:   # the run of transform k that falls in this buffer
+
+    def fill(start, out):
+        row, stop = start, start + len(out)
+        while row < stop:   # the run of transform k that falls in out
             k, j = divmod(row, n)
             end = min(stop, (k + 1) * n)
             apply_tta(names[k], rasters[j : j + end - row],
-                      buf[row - start : end - start])
+                      out[row - start : end - start])
             row = end
-        stats[start:stop] = patch_stats(buf[: stop - start], grid)
-    return stats
+
+    return filled_patch_stats(fill, len(names) * n, rasters.shape[1:], grid)
 
 
 def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,

@@ -57,31 +57,25 @@ def dropout(x: np.ndarray, keep: np.ndarray, p: float, blocks=None) -> np.ndarra
     """Inverted dropout: a kept unit is scaled by 1/(1 - p), a dropped one
     becomes a zero of its sign. keep holds the output's keep bits
     (masks_from_uniform's first value). x is scaled by 1/(1 - p) once, in
-    place, then multiplied by the keep bits into the output, one multiply
-    per run of consecutive blocks of x, so neither a float mask nor a
-    gather of x is built. Without blocks the
-    output is x itself (training's rows are its batch). With blocks, x is
-    a stack of row blocks of len(keep) // len(blocks) rows, and block i of
-    a new output is x's block blocks[i] under keep's block i (the gate's
-    pass-major stack over the features of its distinct transforms). Where
-    x·(1/(1 - p)) does not overflow (the tanh features lie in [-1, 1]) the
-    bytes are those of the float mask rule x * (keep / (1 - p)):
-    (x·s)·1 = x·(1·s), and (x·s)·0 is a zero of the sign of x·0."""
+    place, then multiplied by the keep bits into the output, so neither a
+    float mask nor a gather of x is built. Without blocks the output is x
+    itself (training's rows are its batch). With blocks, x is a stack of
+    row blocks of len(keep) // len(blocks) rows, and block i of a new
+    output is x's block blocks[i] under keep's block i, one multiply each
+    (the gate's pass-major stack over the features of its distinct
+    transforms). Where x·(1/(1 - p)) does not overflow (the tanh features
+    lie in [-1, 1]) the bytes are those of the float mask rule
+    x * (keep / (1 - p)): (x·s)·1 = x·(1·s), and (x·s)·0 is a zero of the
+    sign of x·0."""
     x *= 1.0 / (1.0 - p)
     if blocks is None:
         x *= keep
         return x
     h = len(keep) // len(blocks)
     out = np.empty(keep.shape)
-    i = 0
-    while i < len(blocks):
-        j = i + 1
-        while j < len(blocks) and blocks[j] == blocks[j - 1] + 1:
-            j += 1
-        b = blocks[i]
-        np.multiply(x[b * h : (b + j - i) * h], keep[i * h : j * h],
-                    out=out[i * h : j * h])
-        i = j
+    for i, b in enumerate(blocks):
+        np.multiply(x[b * h : (b + 1) * h], keep[i * h : (i + 1) * h],
+                    out=out[i * h : (i + 1) * h])
     return out
 
 
@@ -143,7 +137,7 @@ def projection_matrix(cfg: VisualFeatConfig) -> np.ndarray:
     return proj
 
 
-STATS_BLOCK = 32   # rasters per patch_stats block: 1 MB of 64x64 float64
+_STATS_BLOCK = 32   # rasters per patch_stats block: 1 MB of 64x64 float64
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -195,8 +189,8 @@ def patch_stats(rasters: np.ndarray, grid: int) -> np.ndarray:
         return np.stack([rasters.mean(axis=(1, 2)), rasters.std(axis=(1, 2))], axis=1)
     ph, pw = h // grid, w // grid
     out = np.empty((n, 2, grid, grid))
-    for start in range(0, n, STATS_BLOCK):
-        rows = np.ascontiguousarray(rasters[start : start + STATS_BLOCK])
+    for start in range(0, n, _STATS_BLOCK):
+        rows = np.ascontiguousarray(rasters[start : start + _STATS_BLOCK])
         b = len(rows)
         rows = rows.reshape(b, grid, ph, w)
         mean, std = out[start : start + b].swapaxes(0, 1)
@@ -208,6 +202,21 @@ def patch_stats(rasters: np.ndarray, grid: int) -> np.ndarray:
         std /= ph * pw
         np.sqrt(std, out=std)
     return out.reshape(n, -1)
+
+
+def filled_patch_stats(fill, n: int, shape, grid: int) -> np.ndarray:
+    """patch_stats of n rasters of `shape` that never exist as one stack:
+    fill(start, out) writes rasters start .. start + len(out) - 1 into out,
+    one reused buffer of _STATS_BLOCK rasters, and each filled buffer is
+    one patch_stats call. A row's statistics do not depend on its
+    neighbours, so they equal those of the whole stack."""
+    stats = np.empty((n, 2 * grid * grid))
+    buf = np.empty((min(_STATS_BLOCK, n), *shape))
+    for start in range(0, n, _STATS_BLOCK):
+        rows = buf[: min(_STATS_BLOCK, n - start)]
+        fill(start, rows)
+        stats[start : start + len(rows)] = patch_stats(rows, grid)
+    return stats
 
 
 def visual_features_batch(cfg: VisualFeatConfig, rasters: np.ndarray) -> np.ndarray:

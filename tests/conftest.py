@@ -4,12 +4,15 @@ import sys
 # The pinned digests (training, gate audit) were recorded at two BLAS
 # threads, and some products round apart at one: the regression head's
 # (n, 2,182) @ (2,182, 256) does with OpenBLAS 0.3.31. The pool's size is
-# read once, when numpy loads, so it is fixed here, before the first import.
+# read once, when numpy loads, so it is fixed here, before the first import:
+# at OCULOGATE_TEST_BLAS_THREADS, 2 unless a test that runs the suite in a
+# fresh interpreter asks for another count.
 if "numpy" in sys.modules:
     raise RuntimeError("numpy was imported before tests/conftest.py could fix "
                        "the BLAS thread count")
+BLAS_THREADS = os.environ.setdefault("OCULOGATE_TEST_BLAS_THREADS", "2")
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "2"
+    os.environ[_var] = BLAS_THREADS
 
 import numpy as np
 import pytest

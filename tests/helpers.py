@@ -1,8 +1,11 @@
 """Helpers that only the tests read: views of program outputs that no
 program stage needs, and reference rules the program is compared against."""
 
+import ctypes
+import glob
 import hashlib
 import math
+import os
 import tracemalloc
 from collections import defaultdict
 
@@ -20,6 +23,19 @@ import oculogate.rng as rng_module
 from oculogate.rng import Rng
 
 AGE_BANDS = ((30.0, 50.0), (50.0, 70.0), (70.0, 90.0))
+
+
+def blas_pool_threads() -> int | None:
+    """The thread count of the OpenBLAS that numpy's wheel bundles, as the
+    library reports it, or None where numpy brings no such library."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return getattr(lib, name)()
+    return None
 
 
 def risk_by_age_band(risks, ages, bands=AGE_BANDS) -> dict[str, float | None]:

@@ -606,7 +606,7 @@ def _run_with_config(run_dir, tmp_path, command, cfg):
     ("coverage", {"coverage_min": 0.0}),
     ("coverage", {"coverage_step": 1e-12}),
     ("coverage", {"coverage_step": 5e-324}),
-    ("coverage", {"coverage_step": 4.9999e-05, "coverage_min": 0.5}),
+    ("coverage", {"coverage_step": 4.9995e-05, "coverage_min": 0.5}),
     ("warn", {"n_triples": 0}),
     ("train", {"patch_grid": 0}),
     ("train", {"proj_dim": -1}),
@@ -676,14 +676,18 @@ def test_coverage_with_every_visit_blurred_exits_one(run_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_coverage_grid_at_the_point_bound_is_drawn(run_dir, tmp_path):
-    """coverage_min 0.5 and coverage_step 5e-05 ask for exactly the bound's
-    10,001 points, which the stage draws, one CSV row each."""
+@pytest.mark.parametrize("step, last", [(5e-05, "1,"), (4.9999e-05, "0.99999,")],
+                         ids=["ends-at-one", "ends-below-one"])
+def test_coverage_grid_at_the_point_bound_is_drawn(run_dir, tmp_path, step, last):
+    """From coverage_min 0.5, a step of 5e-05 (quotient 10,000) and one of
+    4.9999e-05 (quotient 10,000.2) both ask for exactly the bound's 10,001
+    points, which the stage draws, one CSV row each; 4.9995e-05 (quotient
+    10,001.0, 10,002 points) is refused above."""
     code = _run_with_config(run_dir, tmp_path, "coverage",
-                            {"coverage_min": 0.5, "coverage_step": 5e-05})
+                            {"coverage_min": 0.5, "coverage_step": step})
     assert code == 0
     rows = (tmp_path / "out" / "coverage.csv").read_text().splitlines()
-    assert len(rows) == 1 + 10_001 and rows[-1].startswith("1,")
+    assert len(rows) == 1 + 10_001 and rows[-1].startswith(last)
 
 
 # sha256 of each stage's default resolved config as the stage echoes it: a

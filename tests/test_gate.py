@@ -139,7 +139,7 @@ class TestTTA:
 
 
 class TestTTAStats:
-    """The ensemble's patch statistics come from one buffer of STATS_BLOCK
+    """The ensemble's patch statistics come from one buffer of 32
     transformed rasters at a time, never from the stack of all of them."""
 
     NAMES = ("hflip", "identity", "contrast+0.2", "vflip", "brightness-0.2")
@@ -155,7 +155,7 @@ class TestTTAStats:
     @pytest.mark.parametrize("n, sizes", [(1, [5]), (6, [30]), (7, [32, 3]),
                                           (32, [32] * 5)])
     def test_patch_stats_reads_one_buffer_at_a_time(self, monkeypatch, n, sizes):
-        import oculogate.gate as gate
+        import oculogate.model as model
 
         seen = []
 
@@ -163,7 +163,7 @@ class TestTTAStats:
             seen.append(len(rasters))
             return patch_stats(rasters, grid)
 
-        monkeypatch.setattr(gate, "patch_stats", recording)
+        monkeypatch.setattr(model, "patch_stats", recording)
         _tta_stats(self.NAMES, Rng(72, "tta-stats").uniform((n, 8, 8)), 2)
         assert seen == sizes
 

@@ -18,8 +18,9 @@ from oculogate.numerics import adamw_step, sigmoid
 from oculogate.rng import Rng, _unit
 from oculogate.train import TrainConfig, multitask_loss
 
-from helpers import (ConcatTrunkModel, float_rule_masks, grad_check,
-                     projected_rows, reference_feature_matrices, traced_peak)
+from helpers import (ConcatTrunkModel, blas_pool_threads, float_rule_masks,
+                     grad_check, projected_rows, reference_feature_matrices,
+                     traced_peak)
 
 
 def features_of_one(cfg, raster):
@@ -577,27 +578,41 @@ def test_one_buffer_trunk_equals_concatenation(n_blocks, layers, k, input_dim, r
 
 
 _BLAS_GUARDS = [
+    "tests/test_model.py::test_blas_pool_has_the_requested_threads",
     "tests/test_model.py::TestFeatureMatrices::test_rows_are_batch_invariant",
     "tests/test_model.py::TestFeatureMatrices::test_projection_rows_equal_the_block_product_bitwise",
     "tests/test_model.py::TestGradients::test_trunk_columns_equal_the_full_product_bitwise",
 ]
 
 
+def test_blas_pool_has_the_requested_threads():
+    """tests/conftest.py sizes the BLAS pool from OCULOGATE_TEST_BLAS_THREADS,
+    and the pool numpy loaded has that many threads."""
+    threads = blas_pool_threads()
+    if threads is None:
+        pytest.skip("numpy bundles no OpenBLAS to ask")
+    assert threads == int(os.environ["OCULOGATE_TEST_BLAS_THREADS"])
+
+
 def test_blas_guards_hold_at_one_and_two_threads():
     """The bitwise BLAS guards hold with one BLAS thread, as the benchmark
     runs, and with two. OpenBLAS reads its thread count when it loads, so
-    each count runs the guards in a fresh interpreter; the two run at once."""
+    each count runs the guards in a fresh interpreter; the two run at once.
+    Each run first checks that its pool has the count it asked for, and no
+    guard may skip."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join([os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")])
     runs = {threads: subprocess.Popen(
                 [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                  *_BLAS_GUARDS], cwd=root, stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT, text=True,
-                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path))
+                env=dict(os.environ, OCULOGATE_TEST_BLAS_THREADS=threads,
+                         PYTHONPATH=path))
             for threads in ("1", "2")}
     for threads, proc in runs.items():
         out, _ = proc.communicate(timeout=600)
-        assert proc.returncode == 0, f"OPENBLAS_NUM_THREADS={threads}\n{out[-3000:]}"
+        assert proc.returncode == 0, f"{threads} BLAS threads\n{out[-3000:]}"
+        assert "skipped" not in out, out
 
 
 class TestPredict:

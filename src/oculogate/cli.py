@@ -141,8 +141,8 @@ def resolve_config(command: str, args) -> dict:
     if config_path:
         try:
             loaded = read_json_object(config_path)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {config_path}")
+        except OSError as e:   # missing, a directory, unreadable
+            raise ConfigError(f"config file {config_path}: {e.strerror or e}") from None
         except SchemaError as e:
             raise ConfigError(f"config file {e}") from None
         for key, value in loaded.items():
@@ -376,13 +376,20 @@ def cmd_report(cfg, args):
     # sources are recorded by piece name, not path, so identical runs merge
     # to byte-identical reports regardless of where their dirs live
     merged: dict = {"sources": []}
+    found_in: dict[str, str] = {}
     for d in args.inputs:
+        if not os.path.isdir(d):
+            raise DataError(f"report input is not a directory: {d}")
         for name in _REPORT_PIECES:
             path = os.path.join(d, name)
-            if os.path.exists(path):
-                merged[name.replace(".json", "").replace("-", "_")] = \
-                    read_json_object(path)
-                merged["sources"].append(name)
+            if not os.path.exists(path):
+                continue
+            if name in found_in:
+                raise DataError(f"{name} is in two report inputs: "
+                                f"{found_in[name]} and {d}")
+            found_in[name] = d
+            merged[name.replace(".json", "").replace("-", "_")] = read_json_object(path)
+            merged["sources"].append(name)
     if len(merged["sources"]) == 0:
         raise DataError("no report pieces found in the given directories")
     return ({"report.json": dump_json(merged)},

@@ -10,7 +10,9 @@ patients, then one over their visits. Trajectories are drawn the same way,
 one stream per seed. The latent model ties everything together: a risk
 score z drives severity s = 0.8*z, field loss md = -2 - 8*s, structural features track s,
 and the screening label is 1 iff z (plus a per-patient ambiguity term) is
-positive, then flipped with probability label_noise.
+positive, then flipped with probability label_noise. Tables are read
+RASTER_READ rasters at a time, and no call that makes or reduces rasters
+(generate_images, model.patch_stats) is handed more: that is the one bound.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def default_cohort_spec(**overrides) -> CohortSpec:
     return spec
 
 
-RASTER_READ = 32   # rasters per table read: 1 MB of 64x64 float64
+RASTER_READ = 32   # rasters per table read and per call: 1 MB of 64x64 float64
 
 
 def _dims(shape) -> str:
@@ -333,9 +335,6 @@ def _cohort_block(spec: CohortSpec, groups: list[str], z0: float,
     })
 
 
-_RASTER_BLOCK = 32   # rasters per noise block: 1 MB of uint64 draws
-
-
 @functools.cache
 def _disc_geometry() -> tuple[float, np.ndarray, np.ndarray]:
     """The seed-free part of every raster: the disc radius, each pixel's
@@ -359,19 +358,17 @@ def generate_images(severities, seeds) -> np.ndarray:
     severities = np.asarray(severities, dtype=np.float64)
     seeds = np.asarray(seeds, dtype=np.uint64)
     disc_r, r2, base = _disc_geometry()
+    if not severities.size:   # no streams: Streams costs ~0.1 ms even for none
+        return np.empty((0, *base.shape))
     cdr = np.clip(0.3 + 0.25 * severities, 0.1, 0.95)
     # Python's float power (libm pow), as one raster at a time computed it;
     # numpy's x*x rounds about 1 in 1,000 radii differently
     cup_r2 = np.array([(disc_r * c) ** 2 for c in cdr.tolist()])
-    out = np.empty((severities.size, *base.shape))
-    for start in range(0, severities.size, _RASTER_BLOCK):
-        block = slice(start, start + _RASTER_BLOCK)
-        img = np.where(r2 <= cup_r2[block, None, None], 0.95, base)
-        noise = Streams(seeds[block], "image").normal(base.size)
-        noise *= 0.02
-        img += noise.reshape(-1, *base.shape)
-        np.clip(img, 0.0, 1.0, out=out[block])
-    return out
+    img = np.where(r2 <= cup_r2[:, None, None], 0.95, base)
+    noise = Streams(seeds, "image").normal(base.size)
+    noise *= 0.02
+    img += noise.reshape(img.shape)
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 def generate_image(severity: float, seed: int) -> np.ndarray:

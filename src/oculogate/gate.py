@@ -8,8 +8,8 @@ samples are batched. Pass i applies tta_set[i mod len(tta_set)]. A batch runs
 all its passes as one call of the trunk and the two diagnostic heads over the
 pass-major stack of (pass, sample) rows. Each distinct transform is
 featurised once, and the transformed rasters never exist as a stack:
-model.filled_patch_stats has them written into one reused buffer, in the
-order of the statistics rows, and reduces each full buffer to patch
+_tta_stats writes them into one reused buffer of data.RASTER_READ rasters,
+in the order of the statistics rows, and reduces each full buffer to patch
 statistics, all of which are projected together. The streams of all rows
 are derived together and drawn in one Streams.fill_u64 of the diagnostic
 sites' width, the prefix of each stream's full-width fill. The draw stays in raw uint64
@@ -33,9 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import RASTER_READ, apply_preprocess_table
 from .errors import ConfigError
 from .model import (DualStreamModel, FusionConfig, check_dropout, dropout,
-                    filled_patch_stats, fuse, visual_features_batch)
+                    fuse, patch_stats, visual_features_batch)
 from .rng import Streams
 
 TTA_DEFAULT = (
@@ -132,21 +133,23 @@ def apply_tta(name: str, rasters: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _tta_stats(names, rasters: np.ndarray, grid: int) -> np.ndarray:
     """Patch statistics of each named transform of every raster: row
-    k·n + j is transform k of raster j. filled_patch_stats asks for them a
-    buffer at a time, and each run of one transform in a buffer is one
-    apply_tta call."""
-    n = len(rasters)
-
-    def fill(start, out):
-        row, stop = start, start + len(out)
-        while row < stop:   # the run of transform k that falls in out
+    k·n + j is transform k of raster j. The rows are written RASTER_READ at a
+    time into one reused buffer, a run of one transform per apply_tta call,
+    and each full buffer is one patch_stats call; a row's statistics do not
+    depend on its neighbours, so they equal those of the whole stack."""
+    n, total = len(rasters), len(names) * len(rasters)
+    stats = np.empty((total, 2 * grid * grid))
+    buf = np.empty((min(RASTER_READ, total), *rasters.shape[1:]))
+    for start in range(0, total, RASTER_READ):
+        row, stop = start, min(start + RASTER_READ, total)
+        while row < stop:   # the run of transform k that falls in the buffer
             k, j = divmod(row, n)
             end = min(stop, (k + 1) * n)
             apply_tta(names[k], rasters[j : j + end - row],
-                      out[row - start : end - start])
+                      buf[row - start : end - start])
             row = end
-
-    return filled_patch_stats(fill, len(names) * n, rasters.shape[1:], grid)
+        stats[start:stop] = patch_stats(buf[: stop - start], grid)
+    return stats
 
 
 def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
@@ -212,7 +215,9 @@ def gate_decide(lap_var: np.ndarray, u: np.ndarray, cfg: GateConfig) -> list[Gat
 # table-level gating
 # ---------------------------------------------------------------------------
 
-_ENSEMBLE_BATCH = 32   # sharp samples per ensemble_passes call
+# sharp samples per ensemble_passes call: it fixes output bytes, not memory,
+# as a row's head logits depend on the rows that share its batch
+_ENSEMBLE_BATCH = 32
 
 
 @dataclass
@@ -252,8 +257,6 @@ def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
     decisions stay empty). Blur rejects never reach the model; their mu
     and u stay NaN. The table is read RASTER_READ rasters at a time, so
     at most one read block plus one ensemble batch of rasters is held."""
-    from .data import apply_preprocess_table
-
     cfg.validate()
     n = len(table)
     sample_ids = table.sample_ids()

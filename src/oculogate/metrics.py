@@ -19,6 +19,9 @@ SEVERITY_BANDS = (
 
 WARN_ABS_THRESHOLD = 0.5    # fire when risk reaches this level
 WARN_RISE_THRESHOLD = 0.10  # or when risk rises this much over two visits
+# a rise is a difference of two rounded risks: 0.35 - 0.25 is 0.0999...98, so a
+# rise that equals the threshold up to rounding must clear it by this much less
+WARN_RISE_ROUNDING = 1e-9
 
 
 def roc_auc(scores, labels) -> float:
@@ -150,8 +153,8 @@ class WarningResult:
 def dynamic_warning(visit_times, risks,
                     onset_time: float | None = None) -> WarningResult:
     """First-visit warning: risk >= WARN_ABS_THRESHOLD OR a two-visit rise
-    >= WARN_RISE_THRESHOLD. Lead time is (onset - first warning) in months;
-    negative means the warning came after onset.
+    >= WARN_RISE_THRESHOLD, up to rounding. Lead time is (onset - first
+    warning) in months; negative means the warning came after onset.
     """
     t = np.asarray(visit_times, dtype=np.float64)
     p = np.asarray(risks, dtype=np.float64)
@@ -160,9 +163,9 @@ def dynamic_warning(visit_times, risks,
     if np.any(np.diff(t) <= 0):
         raise DataError("dynamic_warning: visit times must be strictly increasing")
     fired_at = None
+    rise = WARN_RISE_THRESHOLD - WARN_RISE_ROUNDING
     for i in range(t.size):
-        if p[i] >= WARN_ABS_THRESHOLD or \
-                (i >= 2 and p[i] - p[i - 2] >= WARN_RISE_THRESHOLD):
+        if p[i] >= WARN_ABS_THRESHOLD or (i >= 2 and p[i] - p[i - 2] >= rise):
             fired_at = i
             break
     lead = None

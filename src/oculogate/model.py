@@ -5,7 +5,8 @@ fusion.
 
 The visual extractor is a deterministic stand-in: per-patch mean/std over an
 8x8 tiling, a fixed seeded linear projection to proj_dim, then tanh. A real
-convolutional backbone can replace it behind the same interface.
+convolutional backbone can replace it behind the same interface; its
+callers hand patch_stats one raster read (data.RASTER_READ) at a time.
 """
 
 from __future__ import annotations
@@ -137,9 +138,6 @@ def projection_matrix(cfg: VisualFeatConfig) -> np.ndarray:
     return proj
 
 
-_STATS_BLOCK = 32   # rasters per patch_stats block: 1 MB of 64x64 float64
-
-
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """Sums over x's last axis in the order of numpy's pairwise summation,
     as whole-array strided adds: below 8 values one running sum; up to 128
@@ -175,12 +173,12 @@ def patch_stats(rasters: np.ndarray, grid: int) -> np.ndarray:
     """Per-patch mean then population std over a grid x grid tiling, as
     (n, 2·grid²) rows of means followed by stds. rasters (n, H, W).
 
-    It works 32 rasters at a time. Each patch row of pw values is summed in
-    numpy's own pairwise order (_row_sums), then the ph row partials are
-    added in order; the deviations subtract the means repeated along each
-    patch row. For grid >= 2 that is the order of tiles.mean/std(axis=(2, 4)),
-    so the result equals theirs bit for bit. With grid == 1 numpy reduces
-    the whole raster as one pairwise run, so that case keeps that reduction."""
+    Each patch row of pw values is summed in numpy's own pairwise order
+    (_row_sums), then the ph row partials are added in order; the deviations
+    subtract the means repeated along each patch row. For grid >= 2 that is
+    the order of tiles.mean/std(axis=(2, 4)), so the result equals theirs bit
+    for bit. With grid == 1 numpy reduces the whole raster as one pairwise
+    run, so that case keeps that reduction."""
     rasters = np.asarray(rasters, dtype=np.float64)
     n, h, w = rasters.shape
     if h < grid or w < grid or h % grid or w % grid:
@@ -189,46 +187,27 @@ def patch_stats(rasters: np.ndarray, grid: int) -> np.ndarray:
         return np.stack([rasters.mean(axis=(1, 2)), rasters.std(axis=(1, 2))], axis=1)
     ph, pw = h // grid, w // grid
     out = np.empty((n, 2, grid, grid))
-    for start in range(0, n, _STATS_BLOCK):
-        rows = np.ascontiguousarray(rasters[start : start + _STATS_BLOCK])
-        b = len(rows)
-        rows = rows.reshape(b, grid, ph, w)
-        mean, std = out[start : start + b].swapaxes(0, 1)
-        np.sum(_row_sums(rows.reshape(b, grid, ph, grid, pw)), axis=2, out=mean)
-        mean /= ph * pw
-        dev = rows - np.repeat(mean, pw, axis=2)[:, :, None, :]
-        dev *= dev
-        np.sum(_row_sums(dev.reshape(b, grid, ph, grid, pw)), axis=2, out=std)
-        std /= ph * pw
-        np.sqrt(std, out=std)
+    rows = np.ascontiguousarray(rasters).reshape(n, grid, ph, w)
+    mean, std = out.swapaxes(0, 1)
+    np.sum(_row_sums(rows.reshape(n, grid, ph, grid, pw)), axis=2, out=mean)
+    mean /= ph * pw
+    dev = rows - np.repeat(mean, pw, axis=2)[:, :, None, :]
+    dev *= dev
+    np.sum(_row_sums(dev.reshape(n, grid, ph, grid, pw)), axis=2, out=std)
+    std /= ph * pw
+    np.sqrt(std, out=std)
     return out.reshape(n, -1)
 
 
-def filled_patch_stats(fill, n: int, shape, grid: int) -> np.ndarray:
-    """patch_stats of n rasters of `shape` that never exist as one stack:
-    fill(start, out) writes rasters start .. start + len(out) - 1 into out,
-    one reused buffer of _STATS_BLOCK rasters, and each filled buffer is
-    one patch_stats call. A row's statistics do not depend on its
-    neighbours, so they equal those of the whole stack."""
-    stats = np.empty((n, 2 * grid * grid))
-    buf = np.empty((min(_STATS_BLOCK, n), *shape))
-    for start in range(0, n, _STATS_BLOCK):
-        rows = buf[: min(_STATS_BLOCK, n - start)]
-        fill(start, rows)
-        stats[start : start + len(rows)] = patch_stats(rows, grid)
-    return stats
-
-
-def visual_features_batch(cfg: VisualFeatConfig, rasters: np.ndarray) -> np.ndarray:
-    """(n, proj_dim) features tanh(patch_stats @ projection) for a stack of
-    rasters in [0, 1], (n, H, W), or for the (n, 2·grid²) patch_stats rows
-    of one, so a caller can read rasters in smaller blocks than it projects.
+def visual_features_batch(cfg: VisualFeatConfig, stats: np.ndarray) -> np.ndarray:
+    """(n, proj_dim) features tanh(stats @ projection) for the (n, 2·grid²)
+    patch_stats rows of n rasters, so a caller reads rasters in smaller
+    blocks than it projects.
     A row's features are the same bytes in any batch: numpy sends a product
     of two or more rows through gemm, which gives a row the same bytes at
     every row count (on OpenBLAS 0.3.31, test_rows_are_batch_invariant),
     and a one-row product through gemv, which rounds apart, so one row is
     projected beside a copy of itself."""
-    stats = rasters if np.ndim(rasters) == 2 else patch_stats(rasters, cfg.patch_grid)
     n = len(stats)
     if n == 1:
         stats = np.repeat(stats, 2, axis=0)

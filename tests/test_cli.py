@@ -737,3 +737,44 @@ def test_warn_reads_only_the_model_directory(run_dir, tmp_path):
                      "--out", str(outs[name])]) == 0
     assert (outs["real"] / "warnings.json").read_bytes() == \
         (outs["empty"] / "warnings.json").read_bytes()
+
+
+@pytest.mark.parametrize("config", ["cfgdir", "missing.json"])
+def test_unreadable_config_exits_two_naming_it(tmp_path, capsys, config):
+    (tmp_path / "cfgdir").mkdir()
+    out = tmp_path / "out"
+    code = main(["gen-data", "--config", str(tmp_path / config), "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("config error: ") \
+        and str(tmp_path / config) in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["nonexistent", "gen.json"])
+def test_report_refuses_an_input_that_is_not_a_directory(run_dir, tmp_path, capsys,
+                                                         missing):
+    out = tmp_path / "rep"
+    code = main(["report", str(run_dir / "model"), str(run_dir / missing),
+                 "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and str(run_dir / missing) in err[0], err
+    assert not out.exists()
+
+
+def test_report_refuses_a_piece_found_in_two_inputs(run_dir, tmp_path, capsys):
+    evaluate = tmp_path / "ev"
+    assert main(["evaluate", "--cohort", str(run_dir / "cohort"),
+                 "--model", str(run_dir / "model"), "--out", str(evaluate)]) == 0
+    again = tmp_path / "ev-copy"
+    shutil.copytree(evaluate, again)
+    capsys.readouterr()
+    for inputs in ((evaluate, evaluate), (evaluate, run_dir / "model", again)):
+        out = tmp_path / "rep"
+        code = main(["report", *map(str, inputs), "--out", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and "metrics.json" in err[0] \
+            and f"{inputs[0]} and {inputs[-1]}" in err[0], err
+        assert not out.exists()

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -236,7 +237,7 @@ def reference_image(severity, seed, size=64):
 U64_SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
 
-# batch sizes around the 32-raster noise block
+# batch sizes around one RASTER_READ block
 @given(st.sampled_from([1, 31, 32, 33, 65]).flatmap(lambda n: st.tuples(
     st.lists(st.floats(-1.0, 3.0), min_size=n, max_size=n),
     st.lists(U64_SEEDS, min_size=n, max_size=n))))
@@ -247,6 +248,12 @@ def test_generate_images_matches_per_raster_loop(case):
     assert batch.shape == (len(seeds), 64, 64)
     for row, severity, seed in zip(batch, severities, seeds):
         assert np.array_equal(row, reference_image(severity, seed))
+
+
+def test_generate_images_of_no_rows_draws_no_stream(monkeypatch):
+    counts = spy_on_streams(monkeypatch)
+    assert generate_images([], []).shape == (0, 64, 64)
+    assert counts == {"rng": 0, "sponge": []}
 
 
 def test_raster_stack_reads_every_source(tmp_path):
@@ -816,3 +823,47 @@ def test_slope_targets_take_one_ols_pass_per_visit_count(monkeypatch):
 def test_spec_refuses_non_finite_and_negative_numbers_by_name(override, name):
     with pytest.raises(ConfigError, match=f"'{name}'"):
         generate_cohort(default_cohort_spec(n_patients=5, **override))
+
+
+def test_no_call_makes_or_reduces_more_than_raster_read_rasters(tmp_path,
+                                                                 monkeypatch):
+    """Training, gating, scoring and the warn stage, on tables of more than
+    2 x RASTER_READ visits, never hand generate_images or patch_stats more
+    than RASTER_READ rasters, whichever module calls them."""
+    import oculogate.cli as cli
+    import oculogate.model as model
+    import oculogate.pipeline as pipeline
+    from oculogate.gate import GateConfig, run_gate
+    from oculogate.train import TrainConfig
+
+    rows = {}
+    for fn in (generate_images, model.patch_stats):
+        def recording(first, *args, fn=fn):
+            rows[fn.__name__].append(len(first))
+            return fn(first, *args)
+
+        rows[fn.__name__] = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("oculogate."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, recording)
+
+    cohort = generate_cohort(default_cohort_spec(n_patients=40, seed=8))
+    tp = pipeline.run_training_pipeline(cohort, TrainConfig(max_epochs=1, seed=3))
+    assert len(tp.split.train) > 2 * data_module.RASTER_READ
+    run_gate(tp.model, cohort, tp.stats, GateConfig(n_passes=3, tau_unc=0.01), 7,
+             tp.fusion)
+    pipeline.deterministic_scores(tp, cohort)
+    write_cohort(cohort, tmp_path / "cohort")
+    (tmp_path / "train.json").write_text('{"max_epochs": 1}')
+    (tmp_path / "warn.json").write_text('{"n_triples": 3}')   # 72 visits
+    assert cli.main(["train", "--config", str(tmp_path / "train.json"),
+                     "--cohort", str(tmp_path / "cohort"),
+                     "--out", str(tmp_path / "model")]) == 0
+    assert cli.main(["warn", "--config", str(tmp_path / "warn.json"),
+                     "--cohort", str(tmp_path / "cohort"),
+                     "--model", str(tmp_path / "model"),
+                     "--out", str(tmp_path / "warn")]) == 0
+    for name, sizes in rows.items():
+        assert max(sizes) == data_module.RASTER_READ, (name, sizes)

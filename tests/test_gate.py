@@ -155,7 +155,7 @@ class TestTTAStats:
     @pytest.mark.parametrize("n, sizes", [(1, [5]), (6, [30]), (7, [32, 3]),
                                           (32, [32] * 5)])
     def test_patch_stats_reads_one_buffer_at_a_time(self, monkeypatch, n, sizes):
-        import oculogate.model as model
+        import oculogate.gate as gate
 
         seen = []
 
@@ -163,7 +163,7 @@ class TestTTAStats:
             seen.append(len(rasters))
             return patch_stats(rasters, grid)
 
-        monkeypatch.setattr(model, "patch_stats", recording)
+        monkeypatch.setattr(gate, "patch_stats", recording)
         _tta_stats(self.NAMES, Rng(72, "tta-stats").uniform((n, 8, 8)), 2)
         assert seen == sizes
 
@@ -263,7 +263,8 @@ def per_pass_reference(model, fusion, x_clin, rasters, sample_ids, cfg, seed):
     md_passes = np.empty((n, cfg.n_passes))
     for i in range(cfg.n_passes):
         aug = cfg.tta_set[i % len(cfg.tta_set)]
-        v = visual_features_batch(model.visual, TTA_REFERENCE[aug](rasters))
+        v = visual_features_batch(model.visual, patch_stats(TTA_REFERENCE[aug](rasters),
+                                                            model.visual.patch_grid))
         masks = None
         if cfg.dropout_p > 0.0:
             # the float rule on each stream's uniforms, not the word compare

@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oculogate.errors import DataError
@@ -270,6 +270,11 @@ class TestDynamicWarning:
         w = dynamic_warning([0, 1, 2, 3], [0.10, 0.15, 0.21, 0.26])
         assert w.fired and w.first_warning_index == 2
 
+    def test_rise_equal_to_the_threshold_up_to_rounding_fires(self):
+        # 0.35 - 0.25 rounds to 0.09999999999999998
+        w = dynamic_warning([0, 1, 2, 3], [0.25, 0.25, 0.25, 0.35])
+        assert w.fired and w.first_warning_index == 3
+
     def test_no_fire(self):
         w = dynamic_warning([0, 1, 2, 3], [0.2, 0.25, 0.22, 0.28])
         assert not w.fired
@@ -291,6 +296,7 @@ class TestDynamicWarning:
     @given(st.lists(st.floats(0.0, 0.45), min_size=4, max_size=10),
            st.floats(0.01, 0.5))
     @settings(max_examples=60, deadline=None)
+    @example(risks=[0.0, 0.0, 0.0, 0.1], bump=0.25)
     def test_monotone_raising_risks_never_unfires(self, risks, bump):
         times = list(range(len(risks)))
         base = dynamic_warning(times, risks)

@@ -25,7 +25,7 @@ from helpers import (ConcatTrunkModel, blas_pool_threads, float_rule_masks,
 
 def features_of_one(cfg, raster):
     """Features of one raster: the batched extractor on a batch of one."""
-    return visual_features_batch(cfg, raster[None, :, :])[0]
+    return visual_features_batch(cfg, patch_stats(raster[None, :, :], cfg.patch_grid))[0]
 
 
 def small_model(input_dim=5, k=4, proj_dim=6, seed=3, dropout_p=0.0):

@@ -156,8 +156,8 @@ def test_warning_report_draws_its_trajectories_column_wise(small_pipeline,
     report = pipeline.warning_report(small_pipeline, seeds, n_visits)
     assert counts["rng"] == 0
     rasters = len(trajs) * n_visits
-    blocks = [min(data._RASTER_BLOCK, rasters - start)
-              for start in range(0, rasters, data._RASTER_BLOCK)]
+    blocks = [min(data.RASTER_READ, rasters - start)
+              for start in range(0, rasters, data.RASTER_READ)]
     assert counts["sponge"] == [(len(seeds), 2)] * len(kinds) + [(b, 1) for b in blocks]
     for k, kind in enumerate(kinds):
         for j, row in enumerate(report["per_kind"][kind]):

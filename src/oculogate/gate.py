@@ -12,11 +12,18 @@ _tta_stats writes them into one reused buffer of data.RASTER_READ rasters,
 in the order of the statistics rows, and reduces each full buffer to patch
 statistics, all of which are projected together. The streams of all rows
 are derived together and drawn in one Streams.fill_u64 of the diagnostic
-sites' width, the prefix of each stream's full-width fill. The draw stays in raw uint64
-words, which masks_from_uniform turns into keep bits by comparing them
-against the dropout rate, with no conversion to uniforms; no word outlives
-that call. model.dropout, the rule training uses too, scales the features
-of the distinct transforms once and writes each pass's block of the stack
+sites' width, the prefix of each stream's full-width fill. The draw shares
+no data with the featurisation, so a batch of two or more visits fills its
+words on the module's one worker thread while the calling thread
+featurises; the streams are counter-based, so which thread fills them
+changes no bit. The calling thread derives the streams and allocates the
+words, the worker runs only the fill (nothing perfbench's tracer wraps),
+a lone visit fills on the calling thread, and no draw outlives its call.
+The draw stays in raw uint64 words, which masks_from_uniform turns into
+keep bits on the calling thread by comparing them against the dropout
+rate, with no conversion to uniforms; no word outlives that call.
+model.dropout, the rule training uses too, scales the features of the
+distinct transforms once and writes each pass's block of the stack
 as one multiply of its transform's features by its keep bits, so the
 visual site never gets a float mask and no feature row is gathered. The
 regression head is not run; MTS comes from predict's deterministic md_hat.
@@ -29,6 +36,7 @@ a decision holds only its kind, and mu and u stay in the run's arrays.
 from __future__ import annotations
 
 import math
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,6 +160,11 @@ def _tta_stats(names, rasters: np.ndarray, grid: int) -> np.ndarray:
     return stats
 
 
+# the one worker thread that fills a batch's dropout words while the
+# calling thread featurises; it starts on first use
+_DRAW_POOL = futures.ThreadPoolExecutor(max_workers=1)
+
+
 def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
                     x_clin: np.ndarray, rasters: np.ndarray, sample_ids,
                     cfg: GateConfig, seed: int) -> np.ndarray:
@@ -161,17 +174,34 @@ def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
     n = x_clin.shape[0]
     names = [cfg.tta_set[i % len(cfg.tta_set)] for i in range(cfg.n_passes)]
     distinct = list(dict.fromkeys(names))
-    # block k of the features is transform k of every raster
-    v = visual_features_batch(model.visual,
-                              _tta_stats(distinct, rasters, model.visual.patch_grid))
-    transform_of = [distinct.index(name) for name in names]
+    draw = None
     if cfg.dropout_p > 0.0:
         labels = [f"mc/{sid}/{i}" for i in range(cfg.n_passes) for sid in sample_ids]
         # the diagnostic sites lead mask_segments, so their columns are a
         # prefix of each label's full-width stream
         width = sum(w for _, w in model.diagnostic_segments())
-        keep, masks = model.masks_from_uniform(Streams(seed, labels).fill_u64(width),
-                                               cfg.dropout_p)
+        streams = Streams(seed, labels)
+        # allocated here: the worker's allocations land in another malloc
+        # arena, which keeps them resident
+        words = np.empty((streams.size, width), dtype=np.uint64)
+        if n > 1:
+            draw = _DRAW_POOL.submit(streams.fill_u64, width, words)
+        else:   # a lone visit's fill costs less than the handoff
+            streams.fill_u64(width, words)
+    try:
+        # block k of the features is transform k of every raster
+        v = visual_features_batch(model.visual,
+                                  _tta_stats(distinct, rasters, model.visual.patch_grid))
+    except BaseException:
+        if draw is not None:
+            futures.wait((draw,))   # no draw outlives its call
+        raise
+    transform_of = [distinct.index(name) for name in names]
+    if cfg.dropout_p > 0.0:
+        if draw is not None:
+            draw.result()   # re-raises the worker's error with its own type
+        keep, masks = model.masks_from_uniform(words, cfg.dropout_p)
+        del draw, words     # the words, 8 MiB per 32-visit batch, end here
         # block i of the pass-major stack, rows i*n .. i*n + n - 1, is pass i
         v = dropout(v, keep, cfg.dropout_p, transform_of)
         n_blocks, cols = cfg.n_passes, list(range(cfg.n_passes))

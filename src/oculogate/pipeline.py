@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import (CohortTable, PreprocessStats, apply_preprocess_table,
                    fit_preprocess, generate_trajectories)
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .fairness import fnr_gap, group_fnr, group_metrics
 from .gate import GateConfig, GateRun, ensemble_over_table, run_gate
 from .metrics import (coverage_accuracy_curve, dynamic_warning,
@@ -124,6 +124,10 @@ def calibrate_gate(tp: TrainedPipeline, gate_cfg: GateConfig, gamma: float,
     val_run = ensemble_over_table(tp.model, tp.split.val, tp.stats, gate_cfg,
                                   seed, fusion)
     u, mu, _, labels = val_run.gated(tp.split.val.label)
+    if u.size == 0 and len(tp.split.val):
+        raise ConfigError(
+            f"tau_blur {gate_cfg.tau_blur!r} rejects all {len(tp.split.val)} "
+            f"validation visits as blurred, so none is left to calibrate tau_unc on")
     result = grid_search_tau_unc(u, mu, labels, gamma)
     return replace(gate_cfg, tau_unc=result.tau_unc), result, val_run
 

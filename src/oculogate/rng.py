@@ -174,13 +174,20 @@ class Streams:
         self._state = [s0, s1, s2, _rotl(s3, 45)]
         return result
 
-    def fill_u64(self, n: int) -> np.ndarray:
-        """(m, n) uint64s, one starstar output per splitmix-seeded lane; a
-        fill of 0 values leaves the streams as they are. Any fill of n >= 1
-        advances each stream once, and lane j depends only on the sub-seed
-        drawn and on j, so the first k lanes of a fill are a fill of k on
-        the same streams."""
-        out = np.empty((self.size, n), dtype=np.uint64)
+    def fill_u64(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """(m, n) uint64s, one starstar output per splitmix-seeded lane,
+        written into out (an (m, n) uint64 array) when it is given, and
+        returned; a fill of 0 values leaves the streams as they are. Any
+        fill of n >= 1 advances each stream once, and lane j depends only on
+        the sub-seed drawn and on j, so the first k lanes of a fill are a
+        fill of k on the same streams. Given out, a fill allocates only its
+        block-sized temporaries: the gate's worker thread fills words its
+        calling thread allocated."""
+        if out is None:
+            out = np.empty((self.size, n), dtype=np.uint64)
+        elif out.shape != (self.size, n) or out.dtype != np.uint64:
+            raise ValueError(f"fill_u64 needs a ({self.size}, {n}) uint64 out, "
+                             f"got {out.dtype} {out.shape}")
         if n == 0:
             return out
         sub = self.next_u64()[:, None]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -673,6 +674,21 @@ def test_coverage_with_every_visit_blurred_exits_one(run_dir, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 1
     assert len(err) == 1 and "at least one sample" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_gate_with_every_validation_visit_blurred_exits_two(run_dir, tmp_path,
+                                                           capsys):
+    """A firewall that rejects every validation visit leaves no U to
+    calibrate tau_unc on: one line that names tau_blur and counts the
+    rejected visits, exit 2, and no output directory."""
+    code = _run_with_config(run_dir, tmp_path, "gate",
+                            {"n_passes": 3, "tau_blur": 1e300})
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and "tau_blur" in err[0], err
+    rejected = re.search(r"rejects all (\d+) validation visits", err[0])
+    assert rejected and int(rejected.group(1)) > 0, err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,14 +1,19 @@
 import hashlib
 import json
+import sys
+import threading
+import time
+from concurrent import futures
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oculogate import gate as gate_module
 from oculogate.data import (apply_preprocess_table, generate_image, generate_images,
                             inject_blur)
-from oculogate.errors import ConfigError
+from oculogate.errors import ConfigError, DataError, NumericError
 from oculogate.gate import (TTA_DEFAULT, GateConfig, GateDecision, GateRun,
                             _tta_stats, apply_tta, ensemble_over_table,
                             ensemble_passes, gate_decide, laplacian_variance,
@@ -362,9 +367,9 @@ class TestEnsembleReadsOnlyDiagnostics:
         widths = []
 
         class Recording(Streams):
-            def fill_u64(self, n):
+            def fill_u64(self, n, out=None):
                 widths.append(n)
-                return super().fill_u64(n)
+                return super().fill_u64(n, out)
 
         monkeypatch.setattr(gate, "Streams", Recording)
         tp = small_pipeline
@@ -380,6 +385,150 @@ def _same_run(got, want):
     for name in ("lap_var", "mu", "u"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.decisions == want.decisions
+
+
+def _sharp_table(tp, n):
+    """The first n test visits that pass the default blur firewall."""
+    lap = laplacian_variance(tp.split.test.raster_stack(range(len(tp.split.test))))
+    rows = np.flatnonzero(lap >= GateConfig().tau_blur)[:n]
+    assert rows.size == n
+    return tp.split.test.subset(rows)
+
+
+class _InlinePool:
+    """An executor that runs each submitted call at once on the calling
+    thread, counting the calls."""
+
+    def __init__(self):
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        future = futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class _RefusingPool:
+    def submit(self, fn, *args):
+        raise AssertionError("a lone visit handed its draw to the worker")
+
+
+class TestDrawWorker:
+    """A batch of two or more visits fills its dropout words on the gate's
+    worker thread while the calling thread featurises; a lone visit draws
+    on the calling thread. Which thread fills the counter-based streams
+    changes no bit, and no draw outlives its ensemble_passes call."""
+
+    @staticmethod
+    def _passes(tp, table):
+        rasters = table.raster_stack(range(len(table)))
+        return ensemble_passes(tp.model, tp.fusion,
+                               apply_preprocess_table(tp.stats, table), rasters,
+                               table.sample_ids(), GateConfig(n_passes=4), 13)
+
+    def test_lone_visit_never_submits(self, small_pipeline, monkeypatch):
+        tp = small_pipeline
+        monkeypatch.setattr(gate_module, "_DRAW_POOL", _RefusingPool())
+        run = run_gate(tp.model, _sharp_table(tp, 1), tp.stats,
+                       GateConfig(tau_unc=0.5), 19, tp.fusion)
+        assert np.isfinite(run.u).all() and len(run.decisions) == 1
+
+    def test_one_submit_per_multi_visit_batch(self, small_pipeline, monkeypatch):
+        tp = small_pipeline
+        pool = _InlinePool()
+        monkeypatch.setattr(gate_module, "_DRAW_POOL", pool)
+        # batches of 32, 32 and a lone visit
+        ensemble_over_table(tp.model, _sharp_table(tp, 2 * 32 + 1), tp.stats,
+                            GateConfig(n_passes=2), 19, tp.fusion)
+        assert pool.submits == 2
+
+    @pytest.mark.parametrize("n", [2, 31, 32, 33, 65])
+    def test_worker_run_equals_the_inline_run(self, small_pipeline, monkeypatch, n):
+        tp = small_pipeline
+        args = (tp.model, _sharp_table(tp, n), tp.stats, GateConfig(), 19, tp.fusion)
+        threaded = ensemble_over_table(*args)
+        monkeypatch.setattr(gate_module, "_DRAW_POOL", _InlinePool())
+        _same_run(threaded, ensemble_over_table(*args))
+
+    def test_batch_fills_on_the_worker_thread(self, small_pipeline, monkeypatch):
+        threads = []
+
+        class Recording(Streams):
+            def fill_u64(self, n, out=None):
+                threads.append(threading.get_ident())
+                return super().fill_u64(n, out)
+
+        monkeypatch.setattr(gate_module, "Streams", Recording)
+        tp = small_pipeline
+        self._passes(tp, _sharp_table(tp, 2))
+        self._passes(tp, _sharp_table(tp, 1))
+        assert threads[0] != threading.get_ident() and \
+            threads[1] == threading.get_ident()
+
+    def test_concurrent_callers_share_the_worker(self, small_pipeline):
+        """Four calling threads on two cores, switching every 10 us, each
+        hand their batches to the one worker; every call gets the bytes of
+        a serial call."""
+        tp = small_pipeline
+        tables = [_sharp_table(tp, n) for n in (2, 33)]
+        want = [self._passes(tp, t).tobytes() for t in tables]
+        got = [[] for _ in range(4)]
+
+        def caller(out):
+            for _ in range(3):
+                out.extend(self._passes(tp, t).tobytes() for t in tables)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(out,)) for out in got]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want * 3] * 4
+
+    def test_worker_error_keeps_its_type(self, small_pipeline, monkeypatch):
+        class Failing(Streams):
+            def fill_u64(self, n, out=None):
+                raise NumericError("fill failed")
+
+        monkeypatch.setattr(gate_module, "Streams", Failing)
+        tp = small_pipeline
+        with pytest.raises(NumericError, match="fill failed"):
+            self._passes(tp, _sharp_table(tp, 2))
+
+    def test_featurisation_error_waits_for_the_draw(self, small_pipeline,
+                                                    monkeypatch):
+        tp = small_pipeline
+        table = _sharp_table(tp, 3)
+        want = self._passes(tp, table)
+        filled = []
+
+        class Slow(Streams):
+            def fill_u64(self, n, out=None):
+                time.sleep(0.05)
+                out = super().fill_u64(n, out)
+                filled.append(n)
+                return out
+
+        def failing_stats(rasters, grid):
+            raise DataError("stats failed")
+
+        monkeypatch.setattr(gate_module, "Streams", Slow)
+        monkeypatch.setattr(gate_module, "patch_stats", failing_stats)
+        with pytest.raises(DataError, match="stats failed"):
+            self._passes(tp, table)
+        assert len(filled) == 1   # the draw ended before the error surfaced
+        monkeypatch.undo()
+        assert self._passes(tp, table).tobytes() == want.tobytes()
 
 
 class TestBlockedTableRead:

@@ -200,6 +200,27 @@ def test_fill_prefix_is_a_shorter_fill(seed, labels, n, k):
         Streams(seed, labels).fill_u64(k).tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 7, 480])
+@pytest.mark.parametrize("n", [0, 1, 2176])
+def test_fill_into_out_is_a_fresh_fill(m, n):
+    """fill_u64(n, out) returns out itself, holding the bytes of a fresh
+    fill whatever out held before, and leaves the streams where that fill
+    leaves them."""
+    labels = [f"mc/P{r:05d}#0/{r % 15}" for r in range(m)]
+    streams, fresh = Streams(7, labels), Streams(7, labels)
+    out = np.full((m, n), 0xA5A5A5A5A5A5A5A5, dtype=np.uint64)
+    assert streams.fill_u64(n, out=out) is out
+    assert out.tobytes() == fresh.fill_u64(n).tobytes()
+    assert streams.next_u64().tobytes() == fresh.next_u64().tobytes()
+
+
+@pytest.mark.parametrize("shape, dtype", [((3, 4), np.uint64), ((2, 5), np.uint64),
+                                          ((2, 4), np.int64)])
+def test_fill_into_a_wrong_out_is_refused(shape, dtype):
+    with pytest.raises(ValueError, match="uint64 out"):
+        Streams(7, ["a", "b"]).fill_u64(4, out=np.empty(shape, dtype=dtype))
+
+
 ANY_SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1, -1, -7, 2**70 + 3]),
                       st.integers(-2**70, 2**70))
 LABELS = st.one_of(st.sampled_from(EDGE_LABELS), st.text(max_size=20))

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -63,6 +64,47 @@ def test_gate_derives_substreams_at_once_and_featurises_each_transform_once(
     assert m["rng.substreams_per_visit"] == 0
     assert m["model.tta_distinct_per_visit"] == 7
     assert m["model.featurisations_per_visit"] == m["model.tta_distinct_per_visit"]
+
+
+def test_spans_nest_while_the_gate_draws_on_its_worker(small_pipeline):
+    """The tracer keeps one span stack for every thread. A wrapped function
+    called from the gate's draw worker would open its span under whatever
+    the calling thread was in, beside or past the spans open there, which
+    misattributes perfbench's per-layer self times. Gating a 65-visit table
+    runs multi-visit batches on the worker, and still every span opens on
+    the calling thread, lies within its parent's [start, end] and overlaps
+    none of its siblings."""
+    tracing = _load_tracing()
+    from oculogate import gate
+
+    openers = set()
+
+    class RecordingStack(list):
+        def append(self, index):
+            openers.add(threading.get_ident())
+            super().append(index)
+
+    tp = small_pipeline
+    tracer = tracing.Tracer()
+    tracer._stack = RecordingStack()
+    try:
+        tracer.install()
+        with tracer.op():
+            gate.run_gate(tp.model, tp.split.test.subset(range(65)), tp.stats,
+                          gate.GateConfig(tau_unc=0.5), 3, tp.fusion)
+    finally:
+        tracer.uninstall()
+    spans, names = tracer.spans, tracer.names
+    ensemble = names.index("gate.ensemble_passes")
+    assert max(s[4][0] for s in spans if s[0] == ensemble) > 1
+    assert openers == {threading.get_ident()}
+    last_end = {}   # parent index -> end of its latest child
+    for i, (name_id, start, end, parent, _) in enumerate(spans):
+        if parent >= 0:
+            _, p_start, p_end, _, _ = spans[parent]
+            assert p_start <= start <= end <= p_end, (names[name_id], i)
+            assert start >= last_end.get(parent, p_start), (names[name_id], i)
+            last_end[parent] = end
 
 
 def test_adamw_span_counts_every_parameter():

@@ -28,7 +28,8 @@ as one multiply of its transform's features by its keep bits, so the
 visual site never gets a float mask and no feature row is gathered. The
 regression head is not run; MTS comes from predict's deterministic md_hat.
 Without dropout, passes that share a transform are one pass, computed once
-and copied, so they are bitwise equal.
+and copied to save work. A row of the stack has the same bytes in any
+batch, so a visit's mu and u do not depend on the visits gated with it.
 A run's decisions come from its lap_var and u arrays at once (gate_decide);
 a decision holds only its kind, and mu and u stay in the run's arrays.
 """
@@ -206,9 +207,8 @@ def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
         v = dropout(v, keep, cfg.dropout_p, transform_of)
         n_blocks, cols = cfg.n_passes, list(range(cfg.n_passes))
     else:
-        # without dropout, passes that share a transform are the same pass:
-        # run it once and copy it, so those passes stay bitwise equal (a row's
-        # rounding in the one-column heads depends on its place in the stack)
+        # without dropout, passes that share a transform are the same pass,
+        # so it is run once and copied
         n_blocks, cols = len(distinct), transform_of
         masks = None
     out, _ = model.diagnose(np.tile(x_clin, (n_blocks, 1)), v, masks)
@@ -245,11 +245,6 @@ def gate_decide(lap_var: np.ndarray, u: np.ndarray, cfg: GateConfig) -> list[Gat
 # table-level gating
 # ---------------------------------------------------------------------------
 
-# sharp samples per ensemble_passes call: it fixes output bytes, not memory,
-# as a row's head logits depend on the rows that share its batch
-_ENSEMBLE_BATCH = 32
-
-
 @dataclass
 class GateRun:
     sample_ids: list[str]
@@ -285,8 +280,9 @@ def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
     """Firewall plus ensemble statistics for every sample of a table,
     without the accept/reject call (tau_unc may still be unset, and
     decisions stay empty). Blur rejects never reach the model; their mu
-    and u stay NaN. The table is read RASTER_READ rasters at a time, so
-    at most one read block plus one ensemble batch of rasters is held."""
+    and u stay NaN. The table is read RASTER_READ rasters at a time, and
+    each read's sharp rows are one ensemble_passes call: a visit's bytes do
+    not depend on the visits that share its batch."""
     cfg.validate()
     n = len(table)
     sample_ids = table.sample_ids()
@@ -295,28 +291,15 @@ def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
     mu = np.full(n, np.nan)
     u = np.full(n, np.nan)
 
-    def ensemble(idx, rasters):
-        mu[idx], u[idx] = summarize_passes(ensemble_passes(
-            model, fusion, x_all[idx], rasters, [sample_ids[i] for i in idx],
-            cfg, seed))
-
-    # a row's bytes depend on the rows that share its batch, so sharp rows
-    # wait here until they fill one: the batches are those of the table's
-    # sharp rows in order, whatever the read blocks
-    idx = np.empty(0, dtype=np.int64)
-    sharp = None
     for start, rasters in table.raster_blocks():
         block = slice(start, start + len(rasters))
         lap[block] = laplacian_variance(rasters)
         passed = np.flatnonzero(lap[block] >= cfg.tau_blur)
-        idx = np.concatenate([idx, start + passed])
-        sharp = rasters[passed] if sharp is None \
-            else np.concatenate([sharp, rasters[passed]])
-        while idx.size >= _ENSEMBLE_BATCH:
-            ensemble(idx[:_ENSEMBLE_BATCH], sharp[:_ENSEMBLE_BATCH])
-            idx, sharp = idx[_ENSEMBLE_BATCH:], sharp[_ENSEMBLE_BATCH:]
-    if idx.size:
-        ensemble(idx, sharp)
+        if passed.size:
+            idx = start + passed
+            mu[idx], u[idx] = summarize_passes(ensemble_passes(
+                model, fusion, x_all[idx], rasters[passed],
+                [sample_ids[i] for i in idx], cfg, seed))
     return GateRun(sample_ids=sample_ids, groups=list(table.race), lap_var=lap,
                    mu=mu, u=u)
 

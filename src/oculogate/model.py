@@ -199,48 +199,59 @@ def patch_stats(rasters: np.ndarray, grid: int) -> np.ndarray:
     return out.reshape(n, -1)
 
 
+# ---------------------------------------------------------------------------
+# products: every row of every output is the same bytes at any row count and
+# at one or two BLAS threads (OpenBLAS 0.3.31, test_outputs_are_row_invariant)
+# ---------------------------------------------------------------------------
+
+# the deepest product computed as one gemm: reg.W0's depth of 2,182 gave
+# other bytes at one and two BLAS threads, products of depth 256 did not
+_DEPTH = 256
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a b of many columns. numpy sends a product of two or more
+    rows through gemm, which gives a row the same bytes at every row count,
+    and a one-row product through gemv, which rounds apart, so a lone row
+    is multiplied beside a copy of itself."""
+    if len(a) == 1:
+        return (np.repeat(a, 2, axis=0) @ b)[:1]
+    return a @ b
+
+
+def _narrow(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w for a w of one or two columns, by np.einsum, which calls no
+    BLAS: each row is its own dot product, where gemv rounds some rows
+    apart by row count and by thread count."""
+    return np.einsum("ij,jk->ik", a, w)
+
+
+def _fixed_order_product(blocks, w: np.ndarray) -> np.ndarray:
+    """The product of blocks, concatenated column-wise, with w, without the
+    concatenation: the sum, in block and column order, of _gemm products of
+    at most _DEPTH columns each."""
+    out, row = None, 0
+    for a in blocks:
+        for lo in range(0, a.shape[1], _DEPTH):
+            hi = min(lo + _DEPTH, a.shape[1])
+            part = _gemm(a[:, lo:hi], w[row + lo : row + hi])
+            out = part if out is None else np.add(out, part, out=out)
+        row += a.shape[1]
+    return out
+
+
 def visual_features_batch(cfg: VisualFeatConfig, stats: np.ndarray) -> np.ndarray:
     """(n, proj_dim) features tanh(stats @ projection) for the (n, 2·grid²)
     patch_stats rows of n rasters, so a caller reads rasters in smaller
-    blocks than it projects.
-    A row's features are the same bytes in any batch: numpy sends a product
-    of two or more rows through gemm, which gives a row the same bytes at
-    every row count (on OpenBLAS 0.3.31, test_rows_are_batch_invariant),
-    and a one-row product through gemv, which rounds apart, so one row is
-    projected beside a copy of itself."""
-    n = len(stats)
-    if n == 1:
-        stats = np.repeat(stats, 2, axis=0)
-    out = stats @ projection_matrix(cfg)
-    return np.tanh(out, out=out)[:n]
+    blocks than it projects. A row's features are the same bytes in any
+    batch (_gemm)."""
+    out = _gemm(stats, projection_matrix(cfg))
+    return np.tanh(out, out=out)
 
 
 # ---------------------------------------------------------------------------
 # trainable network
 # ---------------------------------------------------------------------------
-
-_TRUNK_LEAD = 512        # visual rows of reg.W0 kept ahead of the trunk's rows
-_TRUNK_ALIGN = 64        # the narrowed product starts on a multiple of this
-_NARROW_MIN_ROWS = 8     # smaller batches keep the full product
-
-
-def trunk_columns(dpre0: np.ndarray, w0: np.ndarray, proj_dim: int) -> np.ndarray:
-    """The trunk's columns of dpre0 @ w0.T, (n, rows of w0 past proj_dim),
-    bit for bit as the full product gives them. From 8 rows on, the product
-    starts at least 512 visual rows before the trunk's, on a row index that
-    is a multiple of 64, so gemm reaches the trunk's columns at the same
-    place in its unrolled kernels as the full product does; a product of
-    the trunk's rows alone, or one starting off that grid, rounds apart.
-    Smaller batches keep the full product: one row takes another BLAS
-    kernel, and with two threads some kernels round 2 or 3 rows apart. The
-    equality is a property of the BLAS build: it was checked on OpenBLAS
-    0.3.31 (the SkylakeX, Haswell, Sandybridge and Nehalem kernels, one and
-    two threads) for batches up to 256 rows and proj_dim from 1 to 3,000."""
-    if len(dpre0) < _NARROW_MIN_ROWS:
-        return (dpre0 @ w0.T)[:, proj_dim:]
-    lo = max(proj_dim - _TRUNK_LEAD, 0) // _TRUNK_ALIGN * _TRUNK_ALIGN
-    return (dpre0 @ w0[lo:].T)[:, proj_dim - lo:]
-
 
 class DualStreamModel:
     """Owns the ParamStore; forward is pure given parameters and masks.
@@ -333,7 +344,8 @@ class DualStreamModel:
         (n, proj_dim), read as given: under dropout the caller has already
         applied dropout() to them. masks (masks_from_uniform's second value)
         need only the diagnostic hidden sites. Each dense layer appends its
-        growth_k columns to one embedding buffer."""
+        growth_k columns to one embedding buffer. A row's outputs are the
+        same bytes in any batch, as are forward's."""
         if x_clin.shape[1] != self.dcce.input_dim:
             raise SchemaError(
                 f"clinical width {x_clin.shape[1]} != input_dim {self.dcce.input_dim}")
@@ -344,14 +356,14 @@ class DualStreamModel:
         pres: dict[tuple[int, int], np.ndarray] = {}
         for b, l in self.dense_layers():
             d = self._in_dim(b, l)
-            pres[(b, l)] = pre = emb[:, :d] @ p[f"dcce.b{b}.l{l}.W"].value \
+            pres[(b, l)] = pre = _gemm(emb[:, :d], p[f"dcce.b{b}.l{l}.W"].value) \
                 + p[f"dcce.b{b}.l{l}.b"].value
             h = np.maximum(pre, 0.0, out=emb[:, d : d + k])
             if masks is not None:
                 h *= masks[f"dcce.b{b}.l{l}"]
 
-        logit_vis = (v_feats @ p["vis_head.W"].value + p["vis_head.b"].value)[:, 0]
-        logit_clin = (emb @ p["clin_head.W"].value + p["clin_head.b"].value)[:, 0]
+        logit_vis = (_narrow(v_feats, p["vis_head.W"].value) + p["vis_head.b"].value)[:, 0]
+        logit_clin = (_narrow(emb, p["clin_head.W"].value) + p["clin_head.b"].value)[:, 0]
 
         outputs = {"logit_vis": logit_vis, "logit_clin": logit_clin, "embedding": emb}
         cache = {"x": x_clin, "v": v_feats, "emb": emb, "masks": masks,
@@ -364,19 +376,19 @@ class DualStreamModel:
         and slope_hat."""
         outputs, cache = self.diagnose(x_clin, v_feats, masks)
         p = self.params
-        r_in = np.concatenate([cache["v"], cache["emb"]], axis=1)
-        pre0 = r_in @ p["reg.W0"].value + p["reg.b0"].value
+        pre0 = _fixed_order_product((cache["v"], cache["emb"]), p["reg.W0"].value)
+        pre0 += p["reg.b0"].value
         h0 = relu(pre0)
         if masks is not None:
             h0 = h0 * masks["reg.h0"]
-        pre1 = h0 @ p["reg.W1"].value + p["reg.b1"].value
+        pre1 = _gemm(h0, p["reg.W1"].value) + p["reg.b1"].value
         h1 = relu(pre1)
         if masks is not None:
             h1 = h1 * masks["reg.h1"]
-        out2 = h1 @ p["reg.W2"].value + p["reg.b2"].value
+        out2 = _narrow(h1, p["reg.W2"].value) + p["reg.b2"].value
 
         outputs.update(md_hat=out2[:, 0], slope_hat=out2[:, 1])
-        cache.update(r_in=r_in, pre0=pre0, h0=h0, pre1=pre1, h1=h1)
+        cache.update(pre0=pre0, h0=h0, pre1=pre1, h1=h1)
         return outputs, cache
 
     def backward(self, cache: dict, d_logit_vis=None, d_logit_clin=None,
@@ -425,10 +437,13 @@ class DualStreamModel:
             if masks is not None:
                 dh0 = dh0 * masks["reg.h0"]
             dpre0 = dh0 * (cache["pre0"] > 0)
-            np.matmul(cache["r_in"].T, dpre0, out=p["reg.W0"].grad)
+            # reg.W0's rows read the visual features, then the embedding
+            vis = self.visual.proj_dim
+            np.matmul(cache["v"].T, dpre0, out=p["reg.W0"].grad[:vis])
+            np.matmul(cache["emb"].T, dpre0, out=p["reg.W0"].grad[vis:])
             np.sum(dpre0, axis=0, out=p["reg.b0"].grad)
             reached.append("reg.")
-            d_reg = trunk_columns(dpre0, p["reg.W0"].value, self.visual.proj_dim)
+            d_reg = dpre0 @ p["reg.W0"].value[vis:].T
             d_emb = d_reg if d_emb is None else np.add(d_emb, d_reg, out=d_emb)
 
         if d_emb is None:

@@ -1,12 +1,11 @@
 import os
 import sys
 
-# The pinned digests (training, gate audit) were recorded at two BLAS
-# threads, and some products round apart at one: the regression head's
-# (n, 2,182) @ (2,182, 256) does with OpenBLAS 0.3.31. The pool's size is
-# read once, when numpy loads, so it is fixed here, before the first import:
-# at OCULOGATE_TEST_BLAS_THREADS, 2 unless a test that runs the suite in a
-# fresh interpreter asks for another count.
+# The pinned digests (training, gate audit) hold at one and at two BLAS
+# threads, and test_blas_guards_hold_at_one_and_two_threads checks both.
+# The pool's size is read once, when numpy loads, so it is fixed here,
+# before the first import: at OCULOGATE_TEST_BLAS_THREADS, 2 unless a test
+# that runs the suite in a fresh interpreter asks for another count.
 if "numpy" in sys.modules:
     raise RuntimeError("numpy was imported before tests/conftest.py could fix "
                        "the BLAS thread count")

@@ -17,7 +17,7 @@ from oculogate.data import (_LABEL_AMBIGUITY_STD, _MD_OBS_STD, _MD_PER_SEVERITY,
                             apply_preprocess_table)
 from oculogate.gate import GateRun, ensemble_passes, laplacian_variance, summarize_passes
 from oculogate.metrics import eligibility_filter, ols_slope
-from oculogate.model import DualStreamModel, patch_stats, projection_matrix, trunk_columns
+from oculogate.model import DualStreamModel, _gemm, _narrow, patch_stats, projection_matrix
 from oculogate.numerics import affine_backward, relu
 import oculogate.rng as rng_module
 from oculogate.rng import Rng
@@ -232,7 +232,9 @@ class ConcatTrunkModel(DualStreamModel):
     """The dense trunk as concatenations: each layer reads a fresh
     np.concatenate of the block input and the block's earlier outputs, and
     the backward splits each block's output gradient into per-segment
-    copies. The regression head and every other method are the model's."""
+    copies. Its products follow the model's rule (_gemm, _narrow), its
+    regression head and every other method are the model's, and its
+    backward writes reg.W0's gradient as the model's does."""
 
     def diagnose(self, x_clin, v_feats, masks=None):
         p = self.params
@@ -242,7 +244,7 @@ class ConcatTrunkModel(DualStreamModel):
             feats = [block_in]
             for l in range(self.dcce.layers_per_block):
                 z_in = np.concatenate(feats, axis=1)
-                pre = z_in @ p[f"dcce.b{b}.l{l}.W"].value + p[f"dcce.b{b}.l{l}.b"].value
+                pre = _gemm(z_in, p[f"dcce.b{b}.l{l}.W"].value) + p[f"dcce.b{b}.l{l}.b"].value
                 h = relu(pre)
                 if masks is not None:
                     h = h * masks[f"dcce.b{b}.l{l}"]
@@ -251,8 +253,8 @@ class ConcatTrunkModel(DualStreamModel):
                 feats.append(h)
             block_in = np.concatenate(feats, axis=1)
         emb = block_in
-        logit_vis = (v_feats @ p["vis_head.W"].value + p["vis_head.b"].value)[:, 0]
-        logit_clin = (emb @ p["clin_head.W"].value + p["clin_head.b"].value)[:, 0]
+        logit_vis = (_narrow(v_feats, p["vis_head.W"].value) + p["vis_head.b"].value)[:, 0]
+        logit_clin = (_narrow(emb, p["clin_head.W"].value) + p["clin_head.b"].value)[:, 0]
         outputs = {"logit_vis": logit_vis, "logit_clin": logit_clin, "embedding": emb}
         cache = {"x": x_clin, "v": v_feats, "emb": emb, "masks": masks,
                  "z_ins": z_ins, "pres": pres}
@@ -294,10 +296,12 @@ class ConcatTrunkModel(DualStreamModel):
             if masks is not None:
                 dh0 = dh0 * masks["reg.h0"]
             dpre0 = dh0 * (cache["pre0"] > 0)
-            np.matmul(cache["r_in"].T, dpre0, out=p["reg.W0"].grad)
+            vis = self.visual.proj_dim
+            np.matmul(cache["v"].T, dpre0, out=p["reg.W0"].grad[:vis])
+            np.matmul(cache["emb"].T, dpre0, out=p["reg.W0"].grad[vis:])
             np.sum(dpre0, axis=0, out=p["reg.b0"].grad)
             reached.append("reg.")
-            d_reg = trunk_columns(dpre0, p["reg.W0"].value, self.visual.proj_dim)
+            d_reg = dpre0 @ p["reg.W0"].value[vis:].T
             if d_emb is None:
                 d_emb = d_reg
             else:

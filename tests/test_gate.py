@@ -242,10 +242,8 @@ class TestEnsemble:
         for i in range(6):
             one = ensemble_over_table(tp.model, table.subset([i]), tp.stats, cfg,
                                       seed=11, fusion=tp.fusion)
-            # batched BLAS rounds differently from single-row products, so
-            # the agreement bound is tight but not bitwise
-            assert run.mu[i] == pytest.approx(one.mu[0], abs=1e-12)
-            assert run.u[i] == pytest.approx(one.u[0], abs=1e-12)
+            assert run.mu[i : i + 1].tobytes() == one.mu.tobytes()
+            assert run.u[i : i + 1].tobytes() == one.u.tobytes()
 
     def test_passes_bounded_and_u_bounded(self, small_pipeline):
         tp = small_pipeline
@@ -317,22 +315,36 @@ class TestEnsembleOracle:
         assert len(diagnose_calls) == 1
         p_ref, _ = per_pass_reference(*args)
         assert p.shape == (n, n_passes)
-        assert np.abs(p - p_ref).max() <= 1e-12
+        assert p.tobytes() == p_ref.tobytes()
         if dropout_p == 0.0:
             for i in range(n_passes):
                 j = i % len(tta_set)   # first pass with the same transform
                 assert p[:, i].tobytes() == p[:, j].tobytes()
 
-    def test_one_forward_per_batch(self, small_pipeline, diagnose_calls,
-                                   monkeypatch):
-        monkeypatch.setattr("oculogate.gate._ENSEMBLE_BATCH", 3)
+    def test_one_forward_per_batch(self, small_pipeline, diagnose_calls):
+        """Each read block's sharp visits are one ensemble batch, blurred
+        visits in the middle of a block included, and every visit gets the
+        bytes it has when gated alone."""
+        from oculogate.data import RASTER_READ
+
         tp = small_pipeline
-        table = tp.split.test.subset(range(7))
-        run = ensemble_over_table(tp.model, table, tp.stats, GateConfig(), seed=4,
+        n = 2 * RASTER_READ + 5
+        table = tp.split.test.subset(range(n))
+        table.rasters = [table.raster(i) for i in range(n)]
+        blurred = [10, 11, 12, 40, RASTER_READ + 20]
+        for i in blurred:
+            table.rasters[i] = inject_blur(table.rasters[i], 4)
+        cfg = GateConfig(n_passes=4)
+        run = ensemble_over_table(tp.model, table, tp.stats, cfg, seed=4,
                                   fusion=tp.fusion)
-        sharp = int((run.lap_var >= GateConfig().tau_blur).sum())
-        assert sharp > 3
-        assert len(diagnose_calls) == -(-sharp // 3)
+        sharp = run.lap_var >= cfg.tau_blur
+        assert sorted(np.flatnonzero(~sharp)) == blurred
+        assert len(diagnose_calls) == 3
+        for i in range(n):
+            one = ensemble_over_table(tp.model, table.subset([i]), tp.stats, cfg,
+                                      seed=4, fusion=tp.fusion)
+            assert run.mu[i : i + 1].tobytes() == one.mu.tobytes(), i
+            assert run.u[i : i + 1].tobytes() == one.u.tobytes(), i
 
 
 class TestEnsembleReadsOnlyDiagnostics:
@@ -532,8 +544,9 @@ class TestDrawWorker:
 
 
 class TestBlockedTableRead:
-    """ensemble_over_table reads RASTER_READ rasters at a time and carries
-    sharp rows across reads, so its run is the one-read run bit for bit."""
+    """ensemble_over_table reads RASTER_READ rasters at a time and ensembles
+    each read's sharp rows at once; its run is bit for bit the run from one
+    read of every raster, batched 32 sharp rows at a time."""
 
     @pytest.mark.parametrize("n, blurred", [
         *((n, b) for n in (0, 1, 31, 32, 33, 95) for b in ("none", "boundaries")),
@@ -598,8 +611,8 @@ class TestBlockedTableRead:
 
 
 @pytest.mark.parametrize("dropout_p, digest", [
-    (0.3, "4712f211dfdc5c48a5a739501d35444bd9a750d4f187205913597e83cb562e29"),
-    (0.0, "ebf14ffcae6cb5ac4630681e42aa323f7f4b2c6432aa8ac12c90119e4ba3bc02"),
+    (0.3, "c0da33a171df000ce6525924876df9721093d1d77dec07291d40ec3917c2bf25"),
+    (0.0, "7f7d13438055bbc69014f39c2a9bddb3fff40bcf36c91ca2e30bf96a7842cb4e"),
 ], ids=["mc", "no-mc"])
 def test_gate_audit_bytes_are_pinned(small_pipeline, dropout_p, digest):
     """The audit records of 40 test visits, one of them blurred, as gate.jsonl
@@ -628,17 +641,17 @@ _EDGE_CASES = {
 
 @pytest.mark.parametrize("case, dropout_p, digest", [
     ("tta", 0.3,
-     "cbf7ee5217ce2c5739f1f6a917a2139844faaab6175f31049040ad161be93114"),
+     "6dd23d3eb5ee31921dbe94eb55dcc63a292f0577bf9f6de0e6c76df6f229e6e9"),
     ("tta", 0.0,
-     "494e2f72e76f280210113ef04433ad91b5f1cd80cdf7d0a666bace510a936ecf"),
+     "e8db2ea13256e35771956ad2d63d031096a07dcf338431ad74e6caf55e29e0e1"),
     ("repeated-name", 0.3,
-     "b08888b4eef7772bb3c4863b1344b1e04de5e747442c323824910e9f09160b1a"),
+     "0a3a3d7cd96f5bc34859aa9524bb4ef8f0e0ddfb3cf8325923200f14c9640e44"),
     ("repeated-name", 0.0,
-     "7239b72532ed03fa5789ac080cb272339bbe6901d3dd5246914217e8632dec97"),
+     "8ffabb0e96b84f581dae10d9276bd00c23cca2bf25ce86e2fafe6a080a35a7b0"),
     ("fewer-passes", 0.3,
-     "95061325f7d2d932479f193d8d31e83fc3251f175acd9f9232caf2b4b6e3e595"),
+     "a768196ecbefeb2df658b05f86c44d946c2187201f319c692910d502e0182c1f"),
     ("fewer-passes", 0.0,
-     "1a250e626c5440afb4611a0d1cb97b025ebf7c945350e4984f362ed6d1bac39d"),
+     "4192d475b09fa25d41ebef3ea40ca3e8f397537c54c13c257db35fc3c345013c"),
 ], ids=["tta-mc", "tta-no-mc", "repeated-name-mc", "repeated-name-no-mc",
         "fewer-passes-mc", "fewer-passes-no-mc"])
 def test_ensemble_bytes_at_the_buffer_edges_are_pinned(small_pipeline, case,

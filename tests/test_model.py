@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oculogate.data import apply_preprocess_table
 from oculogate.errors import ConfigError, SchemaError
+from oculogate.gate import GateConfig, ensemble_passes
 from oculogate.model import (DCCEConfig, DualStreamModel, FusionConfig,
                              VisualFeatConfig, dropout, fuse, keep_bits,
                              load_checkpoint, patch_stats, predict_arrays,
-                             projection_matrix, save_checkpoint, trunk_columns,
+                             projection_matrix, save_checkpoint,
                              visual_features_batch)
 from oculogate.numerics import adamw_step, sigmoid
+from oculogate.pipeline import feature_matrices
 from oculogate.rng import Rng, _unit
 from oculogate.train import TrainConfig, multitask_loss
 
@@ -278,8 +281,6 @@ class TestDropoutRule:
 class TestFeatureMatrices:
     @pytest.mark.parametrize("n", [1, 31, 33, 511, 512, 513, 1025])
     def test_equals_reads_of_512_rasters(self, small_pipeline, small_cohort, n):
-        from oculogate.pipeline import feature_matrices
-
         tp = small_pipeline
         table = small_cohort.subset(range(n))
         x, v = feature_matrices(table, tp.stats, tp.model)
@@ -292,8 +293,6 @@ class TestFeatureMatrices:
         """Reads of 32 rasters and the table's patch statistics, 1 KB per
         visit: a few MB beyond the two output matrices, where one read of
         512 rasters alone is 16 MB."""
-        from oculogate.pipeline import feature_matrices
-
         tp = small_pipeline
         table = small_cohort.subset(range(1025))
         x, v = feature_matrices(table, tp.stats, tp.model)
@@ -472,33 +471,6 @@ class TestGradients:
         assert m.params["vis_head.W"].grad.any()
 
 
-    @pytest.mark.parametrize("proj_dim,sizes", [
-        (2048, [*range(1, 65), 96, 128, 192, 255, 256]),
-        (1000, range(1, 65)),
-        (600, range(1, 65)),
-        (577, range(1, 65)),
-        (513, range(1, 65)),
-        (100, range(1, 17)),
-        (0, range(1, 17)),
-    ])
-    def test_trunk_columns_equal_the_full_product_bitwise(self, proj_dim, sizes):
-        """backward reads the trunk's columns of dpre0 @ reg.W0.T from a
-        narrowed product; on a production-shape W0 (proj_dim visual rows and
-        a 134-wide trunk) they equal the full product's columns bit for bit
-        at every batch size. This rests on the BLAS build, which picks the
-        kernels, their blocking and the thread split."""
-        vis = VisualFeatConfig(proj_dim=proj_dim)
-        m = DualStreamModel(DCCEConfig(input_dim=6), vis, init_rng=Rng(14, "w0"))
-        w0 = m.params["reg.W0"].value
-        assert w0.shape == (proj_dim + 134, 256)
-        rng = Rng(15, "dpre0")
-        for n in sizes:
-            # relu-gated like dh0 * (pre0 > 0): about half the entries zero
-            dpre0 = rng.normal((n, 256)) * (rng.uniform((n, 256)) < 0.5)
-            got = trunk_columns(dpre0, w0, proj_dim)
-            assert got.shape == (n, 134)
-            assert got.tobytes() == (dpre0 @ w0.T)[:, proj_dim:].tobytes(), n
-
     @pytest.mark.parametrize("case", ["both-terms", "lambda-0", "no-slope-label"])
     def test_diagnostic_backwards_leave_the_step_unchanged(self, case):
         """The every-8th-batch diagnostic of train_multitask runs a plain
@@ -577,11 +549,56 @@ def test_one_buffer_trunk_equals_concatenation(n_blocks, layers, k, input_dim, r
         assert model.params[name].grad.tobytes() == param.grad.tobytes(), name
 
 
+_ENSEMBLE_CASES = {
+    "ensemble-mc": GateConfig(),
+    "ensemble-no-mc": GateConfig(dropout_p=0.0),
+    "ensemble-identity": GateConfig(dropout_p=0.0, tta_set=("identity",)),
+}
+
+
+@pytest.mark.parametrize("case", ["predict", "predict-no-regression", *_ENSEMBLE_CASES])
+def test_outputs_are_row_invariant(small_pipeline, case):
+    """Every row of the model's outputs has the whole table's bytes in a
+    shuffled gather of each row count from 1 to 65: predict_arrays with and
+    without the regression head, and the gate's ensemble_passes with and
+    without MC dropout. With one transform and no dropout a lone visit is
+    one diagnose row. test_blas_guards_hold_at_one_and_two_threads reruns
+    it at one and two BLAS threads."""
+    tp = small_pipeline
+    table = tp.split.test.subset(range(65))
+    if case.startswith("predict"):
+        x, v = feature_matrices(table, tp.stats, tp.model)
+
+        def outputs(rows):
+            return predict_arrays(tp.model, tp.fusion, x[rows], v[rows],
+                                  regression=case == "predict")
+    else:
+        x = apply_preprocess_table(tp.stats, table)
+        rasters, ids = table.raster_stack(range(65)), table.sample_ids()
+
+        def outputs(rows):
+            return {"p_passes": ensemble_passes(tp.model, tp.fusion, x[rows], rasters[rows],
+                                                [ids[i] for i in rows], _ENSEMBLE_CASES[case], 17)}
+    whole = outputs(np.arange(65))
+    rng = Rng(41, "row-invariance")
+    for n in range(1, 66):
+        rows = rng.permutation(65)[:n]
+        got = outputs(rows)
+        for key, value in whole.items():
+            assert got[key].tobytes() == value[rows].tobytes(), (n, key)
+
+
+# the bitwise checks that hold at one and at two BLAS threads
 _BLAS_GUARDS = [
     "tests/test_model.py::test_blas_pool_has_the_requested_threads",
     "tests/test_model.py::TestFeatureMatrices::test_rows_are_batch_invariant",
     "tests/test_model.py::TestFeatureMatrices::test_projection_rows_equal_the_block_product_bitwise",
-    "tests/test_model.py::TestGradients::test_trunk_columns_equal_the_full_product_bitwise",
+    "tests/test_model.py::test_outputs_are_row_invariant",
+    "tests/test_gate.py::test_gate_audit_bytes_are_pinned",
+    "tests/test_gate.py::test_ensemble_bytes_at_the_buffer_edges_are_pinned",
+    "tests/test_train.py::test_training_bytes_are_pinned",
+    "tests/test_train.py::test_training_bytes_without_a_term_are_pinned",
+    "tests/test_train.py::test_training_bytes_at_a_lone_row_are_pinned",
 ]
 
 
@@ -628,7 +645,7 @@ class TestPredict:
             assert set(one) == set(batch)
             for key, value in one.items():
                 assert value.shape == (1,)
-                assert abs(value[0] - batch[key][i]) <= 1e-12
+                assert value.tobytes() == batch[key][i : i + 1].tobytes(), key
             want = (tp.fusion.alpha_vis * one["p_vis"][0]
                     + tp.fusion.alpha_clin * one["p_clin"][0])
             assert abs(one["p_final"][0] - want) <= 1e-12

@@ -240,20 +240,20 @@ def test_training_bytes_are_pinned():
                                                    batch_size=16, seed=5))
     assert tp.model.dcce.dropout_p > 0
     assert hashlib.sha256(tp.model.params.value.tobytes()).hexdigest() == \
-        "0c408c98b7dfd063f9098b04bcfbb0e031efcbbc94ca71dd8ea546e7190dbe50"
+        "0a982f6de0d2b2c66dda8bd0f81924a3967d50d5b16af5846b7c721cfdcf7b74"
     assert hashlib.sha256(tp.history.to_jsonl().encode()).hexdigest() == \
-        "48cb32648e964428c4cd56c86c98cc5906e16ec95592e93f9a0c81d24039bd48"
+        "1d72ab442cf34f15e2982bf3ec5650f52f5bfe5d5501e8785174fa327141fec2"
 
 
 @pytest.mark.parametrize("train_cfg, dcce_cfg, digests", [
     (TrainConfig(max_epochs=2, patience=2, batch_size=16, seed=5, lambda_weight=0.0),
      None,
-     ("03cf1a57bb5badc8ea99839c63e877335e72e71509e0b33d0809695c36a22410",
+     ("8142dbe35f242a926526e6e2a8342ec6d5c3883e209db0108045e7b1d434c917",
       "e5faa740b8142f82f751cf2cc8987d083d5ec9161da0b9ffa0a7d1f5f4a85200")),
     (TrainConfig(max_epochs=2, patience=2, batch_size=16, seed=5),
      DCCEConfig(input_dim=1, dropout_p=0.0),
-     ("a9b0b82250d8b2d3e515c68747a7dbe47a68b65ddb2fc945222aca782f8521bb",
-      "45f0bf11869fa5b3b0e84ec97bfd52889705d3af280bfe8d1f17a11959492a97")),
+     ("f840e4fabfac8a0d96236b47310b59e900b47058b4edf2fbcffdf08ca88048df",
+      "b0304ca5e200c84f6cfd3f2f61d6fc799a49cb6d607553e311d889238f924713")),
 ], ids=["lambda-0", "no-dropout"])
 def test_training_bytes_without_a_term_are_pinned(train_cfg, dcce_cfg, digests):
     """The cohort and schedule of test_training_bytes_are_pinned with one
@@ -269,10 +269,10 @@ def test_training_bytes_without_a_term_are_pinned(train_cfg, dcce_cfg, digests):
 
 
 @pytest.fixture(scope="module", params=[
-    (41, 3, 32, "48f0b60408af34cf867186163fff3c4fd6fe920a1859a3864069f7fc9f7e7e33",
-     "19712c53ffa5ce3166432fbb3bafc458911db60073645a92eacc6f7769876f20"),
-    (132, 1, 512, "1efa2bce62cb424b7521b075a5cda06cd18d6beaee330ccc4bab2c485e57dc4c",
-     "077296a1ffd43d544112c113d8808fe96f36182546eefcbe3f768dd326186306"),
+    (41, 3, 32, "7e922c2130953bd470188c3b83bf2121413bdf7685cd25f09e55079368a1d9bf",
+     "e5d6b40d5de05e471efb8c7a1721849a5179fe7d758415c9cc3b5ead5b7175f7"),
+    (132, 1, 512, "2796c0651f3641f628379765a052166d0879876dbfb76fcb95e76e34ad8e52c1",
+     "3474916379a1a21e42cce03bff7293d51d173f04e89eb74724ba135e310f25b0"),
 ], ids=["one-row-batch", "one-row-block"])
 def lone_row_run(request):
     """Two epochs on a cohort whose training split has n ≡ 1 rows modulo

@@ -313,14 +313,12 @@ def cmd_calibrate(cfg, args):
 
 def cmd_evaluate(cfg, args):
     tp, table = _load(args, cfg["split"])
-    flags, fusion, gate_cfg = _gate_setup(cfg, tp)
+    flags, fusion, _ = _gate_setup(cfg, tp)
     report = screening_report(replace(tp, fusion=fusion), table,
                               threshold=cfg["threshold"])
     if cfg["ablation_table"] or any(vars(flags).values()):
-        # ablation_report applies the flags itself; applying them twice
-        # gives the same configs
         report["ablation"] = ablation_report(
-            tp, gate_cfg, cfg["gamma"], cfg["seed"], flags,
+            tp, _build(GateConfig, cfg), cfg["gamma"], cfg["seed"], flags,
             top_fraction=cfg["top_fraction"])
     return ({"metrics.json": dump_json(report)},
             f"AUC {report['auc']:.4f} accuracy {report['accuracy']:.4f} "

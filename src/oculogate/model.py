@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import read_json_object, write_atomic
 from .errors import ConfigError, SchemaError
-from .numerics import ParamStore, affine_backward, relu, sigmoid
+from .numerics import Param, ParamStore, relu, sigmoid
 from .rng import Rng
 
 REG_HIDDEN = (256, 128)
@@ -200,13 +200,16 @@ def patch_stats(rasters: np.ndarray, grid: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# products: every row of every output is the same bytes at any row count and
-# at one or two BLAS threads (OpenBLAS 0.3.31, test_outputs_are_row_invariant)
+# products: every output row and every gradient is the same bytes at one or
+# two BLAS threads, and every output row at any row count (OpenBLAS 0.3.31)
 # ---------------------------------------------------------------------------
 
 # the deepest product computed as one gemm: reg.W0's depth of 2,182 gave
 # other bytes at one and two BLAS threads, products of depth 256 did not
 _DEPTH = 256
+# the most rows of one input-gradient product: backward's (n, 256) @
+# (256, 134) gave other bytes at one and two BLAS threads from 33 rows on
+_ROWS = 32
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -237,6 +240,30 @@ def _fixed_order_product(blocks, w: np.ndarray) -> np.ndarray:
             part = _gemm(a[:, lo:hi], w[row + lo : row + hi])
             out = part if out is None else np.add(out, part, out=out)
         row += a.shape[1]
+    return out
+
+
+def _affine_grads(g: np.ndarray, x: np.ndarray, weight: Param,
+                  bias: Param | None = None, dx: bool = True):
+    """Backward's product rule for a layer y = x @ weight + bias under
+    upstream g (n, h): writes x.T @ g into weight.grad and g's column sums
+    into bias.grad (if given), and returns g @ weight.value.T if dx. x.T @ g
+    sums _DEPTH-row products in row order and g @ weight.value.T is one
+    product per _ROWS-row block, so both are the plain products up to _ROWS
+    rows and the same bytes at one and two BLAS threads at any row count."""
+    # x is read as a contiguous copy: the trunk's strided embedding prefix
+    # rounded some small batches apart on some OpenBLAS kernels
+    x = np.ascontiguousarray(x)
+    np.matmul(x[:_DEPTH].T, g[:_DEPTH], out=weight.grad)
+    for lo in range(_DEPTH, len(g), _DEPTH):
+        np.add(weight.grad, x[lo : lo + _DEPTH].T @ g[lo : lo + _DEPTH], out=weight.grad)
+    if bias is not None:
+        np.sum(g, axis=0, out=bias.grad)
+    if not dx:
+        return None
+    out = np.empty((len(g), len(weight.value)))
+    for lo in range(0, len(g), _ROWS):
+        np.matmul(g[lo : lo + _ROWS], weight.value.T, out=out[lo : lo + _ROWS])
     return out
 
 
@@ -396,11 +423,11 @@ class DualStreamModel:
         """Write the gradients of a scalar loss, given upstream derivatives
         (each (n,) or None), into the store's grad vector, and return the
         name prefixes of the branches written. Each gradient it reaches gets
-        exactly one contribution, written in place (matmul's or sum's out=);
-        a branch the upstream does not reach is skipped and keeps what it
-        held, so a training step calls it through set_grads. The trunk's
-        layers run in reverse over one embedding gradient, each adding its
-        input gradient into the prefix it read."""
+        exactly one contribution, written in place by _affine_grads, the one
+        rule of every layer; a branch the upstream does not reach is skipped
+        and keeps what it held, so a training step calls it through
+        set_grads. The trunk's layers run in reverse over one embedding
+        gradient, each adding its input gradient into the prefix it read."""
         p = self.params
         masks = cache["masks"]
         n = cache["x"].shape[0]
@@ -408,16 +435,13 @@ class DualStreamModel:
         d_emb = None
 
         if d_logit_vis is not None:
-            g = np.asarray(d_logit_vis).reshape(n, 1)
-            np.matmul(cache["v"].T, g, out=p["vis_head.W"].grad)
-            np.sum(g, axis=0, out=p["vis_head.b"].grad)
+            _affine_grads(np.asarray(d_logit_vis).reshape(n, 1), cache["v"],
+                          p["vis_head.W"], p["vis_head.b"], dx=False)
             reached.append("vis_head.")
         if d_logit_clin is not None:
-            g = np.asarray(d_logit_clin).reshape(n, 1)
-            np.matmul(cache["emb"].T, g, out=p["clin_head.W"].grad)
-            np.sum(g, axis=0, out=p["clin_head.b"].grad)
+            d_emb = _affine_grads(np.asarray(d_logit_clin).reshape(n, 1), cache["emb"],
+                                  p["clin_head.W"], p["clin_head.b"])
             reached.append("clin_head.")
-            d_emb = g @ p["clin_head.W"].value.T
 
         if d_md is not None or d_slope is not None:
             g2 = np.zeros((n, 2))
@@ -425,25 +449,20 @@ class DualStreamModel:
                 g2[:, 0] = d_md
             if d_slope is not None:
                 g2[:, 1] = d_slope
-            dh1 = g2 @ p["reg.W2"].value.T
-            np.matmul(cache["h1"].T, g2, out=p["reg.W2"].grad)
-            np.sum(g2, axis=0, out=p["reg.b2"].grad)
+            dh1 = _affine_grads(g2, cache["h1"], p["reg.W2"], p["reg.b2"])
             if masks is not None:
                 dh1 = dh1 * masks["reg.h1"]
             dpre1 = dh1 * (cache["pre1"] > 0)
-            dh0 = dpre1 @ p["reg.W1"].value.T
-            np.matmul(cache["h0"].T, dpre1, out=p["reg.W1"].grad)
-            np.sum(dpre1, axis=0, out=p["reg.b1"].grad)
+            dh0 = _affine_grads(dpre1, cache["h0"], p["reg.W1"], p["reg.b1"])
             if masks is not None:
                 dh0 = dh0 * masks["reg.h0"]
             dpre0 = dh0 * (cache["pre0"] > 0)
             # reg.W0's rows read the visual features, then the embedding
-            vis = self.visual.proj_dim
-            np.matmul(cache["v"].T, dpre0, out=p["reg.W0"].grad[:vis])
-            np.matmul(cache["emb"].T, dpre0, out=p["reg.W0"].grad[vis:])
-            np.sum(dpre0, axis=0, out=p["reg.b0"].grad)
+            vis, w0 = self.visual.proj_dim, p["reg.W0"]
+            _affine_grads(dpre0, cache["v"], Param(w0.value[:vis], w0.grad[:vis]), dx=False)
+            d_reg = _affine_grads(dpre0, cache["emb"], Param(w0.value[vis:], w0.grad[vis:]),
+                                  p["reg.b0"])
             reached.append("reg.")
-            d_reg = dpre0 @ p["reg.W0"].value[vis:].T
             d_emb = d_reg if d_emb is None else np.add(d_emb, d_reg, out=d_emb)
 
         if d_emb is None:
@@ -455,12 +474,8 @@ class DualStreamModel:
             if masks is not None:
                 g_h = g_h * masks[f"dcce.b{b}.l{l}"]
             g_pre = g_h * (cache["pres"][(b, l)] > 0)
-            # the weight gradient reads a contiguous copy of the prefix: with
-            # the strided view some OpenBLAS kernels round small batches apart
-            d_emb[:, :d] += affine_backward(g_pre, np.ascontiguousarray(cache["emb"][:, :d]),
-                                            p[f"dcce.b{b}.l{l}.W"].value,
-                                            p[f"dcce.b{b}.l{l}.W"].grad,
-                                            p[f"dcce.b{b}.l{l}.b"].grad)
+            d_emb[:, :d] += _affine_grads(g_pre, cache["emb"][:, :d],
+                                          p[f"dcce.b{b}.l{l}.W"], p[f"dcce.b{b}.l{l}.b"])
         reached.append("dcce.")
         return tuple(reached)
 

@@ -1,12 +1,11 @@
-"""Dense linear algebra, losses, and optimizer state.
+"""Activations, losses, and optimizer state.
 
 Everything is float64 and pure: functions return new arrays, and the only
 mutable object is the ParamStore that the optimizer updates in place
-(single writer) and whose gradient views affine_backward writes. The store
-keeps every parameter, gradient and AdamW moment in four flat vectors in
-layout order, so an optimizer step is one blocked pass over them and a
-snapshot or a checkpoint one whole-vector operation.
-Matrices are plain 2-D numpy arrays, row-major.
+(single writer) and whose gradient views DualStreamModel.backward writes.
+The store keeps every parameter, gradient and AdamW moment in four flat
+vectors in layout order, so an optimizer step is one blocked pass over them
+and a snapshot or a checkpoint one whole-vector operation.
 """
 
 from __future__ import annotations
@@ -20,17 +19,8 @@ from .errors import NumericError
 
 
 # ---------------------------------------------------------------------------
-# forward / backward primitives
+# activations
 # ---------------------------------------------------------------------------
-
-def affine_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray,
-                    dw: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """Gradients of y = x @ w + b for upstream g (n, h): writes the weight
-    and bias gradients into dw and db and returns dx."""
-    np.matmul(x.T, g, out=dw)
-    np.sum(g, axis=0, out=db)
-    return g @ w.T
-
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)

@@ -211,24 +211,21 @@ def ablation_report(tp: TrainedPipeline, gate_cfg: GateConfig, gamma: float,
 
 def warning_report(tp: TrainedPipeline, seeds, n_visits: int = 8) -> dict:
     """Apply the dynamic warning rule to the deterministic risk of the three
-    simulated follow-up scenarios per seed, all scored as one table whose
-    rows run seed-major, kind-minor."""
+    simulated follow-up scenarios per seed, all scored as one table in drawn
+    order, kind-major (a row's scores do not depend on the rows beside it)."""
     kinds = ("stable", "slow", "rapid")
     seeds = [int(seed) for seed in seeds]
     drawn = [generate_trajectories(kind, n_visits, seeds) for kind in kinds]
-    # trajectory (kind k, seed j) is block k * len(seeds) + j of the concat
-    order = np.arange(len(kinds) * len(seeds) * n_visits) \
-        .reshape(len(kinds), len(seeds), n_visits).transpose(1, 0, 2).reshape(-1)
-    table = CohortTable.concat([t for t, _ in drawn]).subset(order)
-    shape = (len(seeds), len(kinds), n_visits)
+    table = CohortTable.concat([t for t, _ in drawn])
+    shape = (len(kinds), len(seeds), n_visits)
     risks = deterministic_scores(tp, table, regression=False)["p_final"].reshape(shape)
     times = table.visit_time.reshape(shape)
     per_kind = {k: [] for k in kinds}
-    for j, seed in enumerate(seeds):
-        for k, (kind, (_, onsets)) in enumerate(zip(kinds, drawn)):
-            w = dynamic_warning(times[j, k], risks[j, k], onsets[j])
+    for k, (kind, (_, onsets)) in enumerate(zip(kinds, drawn)):
+        for j, seed in enumerate(seeds):
+            w = dynamic_warning(times[k, j], risks[k, j], onsets[j])
             per_kind[kind].append(
-                {"seed": seed, **asdict(w), "mean_risk": float(np.mean(risks[j, k]))})
+                {"seed": seed, **asdict(w), "mean_risk": float(np.mean(risks[k, j]))})
     summary = {}
     for kind in kinds:
         rows = per_kind[kind]

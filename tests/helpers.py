@@ -17,8 +17,9 @@ from oculogate.data import (_LABEL_AMBIGUITY_STD, _MD_OBS_STD, _MD_PER_SEVERITY,
                             apply_preprocess_table)
 from oculogate.gate import GateRun, ensemble_passes, laplacian_variance, summarize_passes
 from oculogate.metrics import eligibility_filter, ols_slope
-from oculogate.model import DualStreamModel, _gemm, _narrow, patch_stats, projection_matrix
-from oculogate.numerics import affine_backward, relu
+from oculogate.model import (DualStreamModel, _affine_grads, _gemm, _narrow, patch_stats,
+                             projection_matrix)
+from oculogate.numerics import Param, relu
 import oculogate.rng as rng_module
 from oculogate.rng import Rng
 
@@ -232,9 +233,9 @@ class ConcatTrunkModel(DualStreamModel):
     """The dense trunk as concatenations: each layer reads a fresh
     np.concatenate of the block input and the block's earlier outputs, and
     the backward splits each block's output gradient into per-segment
-    copies. Its products follow the model's rule (_gemm, _narrow), its
-    regression head and every other method are the model's, and its
-    backward writes reg.W0's gradient as the model's does."""
+    copies. Its products follow the model's rules (_gemm, _narrow forward,
+    _affine_grads backward), and its regression head and every other
+    method are the model's."""
 
     def diagnose(self, x_clin, v_feats, masks=None):
         p = self.params
@@ -268,40 +269,32 @@ class ConcatTrunkModel(DualStreamModel):
         reached = []
         d_emb = None
         if d_logit_vis is not None:
-            g = np.asarray(d_logit_vis).reshape(n, 1)
-            np.matmul(cache["v"].T, g, out=p["vis_head.W"].grad)
-            np.sum(g, axis=0, out=p["vis_head.b"].grad)
+            _affine_grads(np.asarray(d_logit_vis).reshape(n, 1), cache["v"],
+                          p["vis_head.W"], p["vis_head.b"], dx=False)
             reached.append("vis_head.")
         if d_logit_clin is not None:
-            g = np.asarray(d_logit_clin).reshape(n, 1)
-            np.matmul(cache["emb"].T, g, out=p["clin_head.W"].grad)
-            np.sum(g, axis=0, out=p["clin_head.b"].grad)
+            d_emb = _affine_grads(np.asarray(d_logit_clin).reshape(n, 1), cache["emb"],
+                                  p["clin_head.W"], p["clin_head.b"])
             reached.append("clin_head.")
-            d_emb = g @ p["clin_head.W"].value.T
         if d_md is not None or d_slope is not None:
             g2 = np.zeros((n, 2))
             if d_md is not None:
                 g2[:, 0] = d_md
             if d_slope is not None:
                 g2[:, 1] = d_slope
-            dh1 = g2 @ p["reg.W2"].value.T
-            np.matmul(cache["h1"].T, g2, out=p["reg.W2"].grad)
-            np.sum(g2, axis=0, out=p["reg.b2"].grad)
+            dh1 = _affine_grads(g2, cache["h1"], p["reg.W2"], p["reg.b2"])
             if masks is not None:
                 dh1 = dh1 * masks["reg.h1"]
             dpre1 = dh1 * (cache["pre1"] > 0)
-            dh0 = dpre1 @ p["reg.W1"].value.T
-            np.matmul(cache["h0"].T, dpre1, out=p["reg.W1"].grad)
-            np.sum(dpre1, axis=0, out=p["reg.b1"].grad)
+            dh0 = _affine_grads(dpre1, cache["h0"], p["reg.W1"], p["reg.b1"])
             if masks is not None:
                 dh0 = dh0 * masks["reg.h0"]
             dpre0 = dh0 * (cache["pre0"] > 0)
-            vis = self.visual.proj_dim
-            np.matmul(cache["v"].T, dpre0, out=p["reg.W0"].grad[:vis])
-            np.matmul(cache["emb"].T, dpre0, out=p["reg.W0"].grad[vis:])
-            np.sum(dpre0, axis=0, out=p["reg.b0"].grad)
+            vis, w0 = self.visual.proj_dim, p["reg.W0"]
+            _affine_grads(dpre0, cache["v"], Param(w0.value[:vis], w0.grad[:vis]), dx=False)
+            d_reg = _affine_grads(dpre0, cache["emb"], Param(w0.value[vis:], w0.grad[vis:]),
+                                  p["reg.b0"])
             reached.append("reg.")
-            d_reg = dpre0 @ p["reg.W0"].value[vis:].T
             if d_emb is None:
                 d_emb = d_reg
             else:
@@ -322,10 +315,8 @@ class ConcatTrunkModel(DualStreamModel):
                 if masks is not None:
                     g_h = g_h * masks[f"dcce.b{b}.l{l}"]
                 g_pre = g_h * (cache["pres"][(b, l)] > 0)
-                g_z = affine_backward(g_pre, cache["z_ins"][(b, l)],
-                                      p[f"dcce.b{b}.l{l}.W"].value,
-                                      p[f"dcce.b{b}.l{l}.W"].grad,
-                                      p[f"dcce.b{b}.l{l}.b"].grad)
+                g_z = _affine_grads(g_pre, cache["z_ins"][(b, l)],
+                                    p[f"dcce.b{b}.l{l}.W"], p[f"dcce.b{b}.l{l}.b"])
                 acc[0] += g_z[:, :d_block_in]
                 for j in range(l):
                     acc[j + 1] += g_z[:, d_block_in + j * k : d_block_in + (j + 1) * k]

@@ -599,6 +599,7 @@ _BLAS_GUARDS = [
     "tests/test_train.py::test_training_bytes_are_pinned",
     "tests/test_train.py::test_training_bytes_without_a_term_are_pinned",
     "tests/test_train.py::test_training_bytes_at_a_lone_row_are_pinned",
+    "tests/test_train.py::test_training_bytes_above_32_rows_are_pinned",
 ]
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oculogate.errors import NumericError
-from oculogate.numerics import (ADAMW_BLOCK, ParamStore, adamw_step, affine_backward,
+from oculogate.model import _affine_grads
+from oculogate.numerics import (ADAMW_BLOCK, Param, ParamStore, adamw_step,
                                 binary_cross_entropy, binary_cross_entropy_grad,
                                 sigmoid, smooth_l1, smooth_l1_grad)
 from oculogate.rng import Rng
@@ -36,14 +37,15 @@ def naive_affine_backward(g, x, w):
 
 
 def affine_grads(g, x, w):
-    """(dx, dw, db) from affine_backward, with fresh dw and db buffers."""
-    dw, db = np.empty((x.shape[1], g.shape[1])), np.empty(g.shape[1])
-    return affine_backward(g, x, w, dw, db), dw, db
+    """(dx, dw, db) from the model's backward rule, with fresh dw and db
+    buffers."""
+    weight, bias = Param(w, np.empty(w.shape)), Param(None, np.empty(g.shape[1]))
+    return _affine_grads(g, x, weight, bias), weight.grad, bias.grad
 
 
 class TestAffine:
-    """The affine layer's backward half; the forward is the plain
-    `x @ w + b` inside DualStreamModel.forward."""
+    """The affine layer's backward (model._affine_grads); the forward is
+    the model's product rule inside DualStreamModel.forward."""
 
     def test_identity(self):
         eye = np.eye(2)
@@ -74,6 +76,29 @@ class TestAffine:
                                  naive_affine_backward(g, x, w)):
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 257, 600])
+    def test_triple_loop_oracle_across_row_blocks(self, n, strided):
+        """Row counts on both sides of the 32-row input-gradient blocks and
+        the 256-row weight-gradient blocks, with x contiguous or a strided
+        column prefix as the trunk reads it."""
+        rng = Rng(n, "row-blocks")
+        g, w = rng.normal((n, 4)), rng.normal((5, 4))
+        x = rng.normal((n, 9))[:, :5] if strided else rng.normal((n, 5))
+        for got, want in zip(affine_grads(g, x, w), naive_affine_backward(g, x, w)):
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 31, 32])
+    def test_plain_products_up_to_32_rows(self, n):
+        """Up to 32 rows the rule is the plain products, bit for bit."""
+        rng = Rng(n, "plain")
+        g, x, w = rng.normal((n, 256)), rng.normal((n, 134)), rng.normal((134, 256))
+        dx, dw, db = affine_grads(g, x, w)
+        assert dx.tobytes() == (g @ w.T).tobytes()
+        assert dw.tobytes() == np.matmul(x.T, g).tobytes()
+        assert db.tobytes() == g.sum(axis=0).tobytes()
 
 
 class TestSmoothL1:

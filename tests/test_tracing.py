@@ -182,8 +182,8 @@ def test_warning_report_draws_its_trajectories_column_wise(small_pipeline,
                                                             monkeypatch):
     """No per-trajectory Rng: one sponge pass per trajectory kind (every
     label "traj/<kind>" is 2 words long), then one per raster block; the
-    risks are those of the per-trajectory tables, scored seed-major and
-    kind-minor as one table."""
+    risks are those of the per-trajectory tables scored seed-major and
+    kind-minor as one table, where the report scores them kind-major."""
     from oculogate import data, pipeline
     from oculogate.metrics import dynamic_warning
 

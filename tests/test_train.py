@@ -268,6 +268,33 @@ def test_training_bytes_without_a_term_are_pinned(train_cfg, dcce_cfg, digests):
             hashlib.sha256(tp.history.to_jsonl().encode()).hexdigest()) == digests
 
 
+def test_training_bytes_above_32_rows_are_pinned():
+    """One epoch at batch sizes past backward's 32-row input-gradient
+    blocks and, at 300 rows and at one batch of the whole training split,
+    past its 256-row weight-gradient blocks: the final parameters and the
+    history keep their bytes, at one and at two BLAS threads
+    (test_blas_guards_hold_at_one_and_two_threads). Without the
+    weight-gradient blocks the whole-split batch differs between the two."""
+    cohort = generate_cohort(default_cohort_spec(n_patients=150, seed=77))
+    digests = {}
+    for batch_size in (33, 64, 300, 1000):
+        tp = run_training_pipeline(cohort, TrainConfig(max_epochs=1, patience=1,
+                                                       batch_size=batch_size, seed=5))
+        digests[batch_size] = (hashlib.sha256(tp.model.params.value.tobytes()).hexdigest(),
+                               hashlib.sha256(tp.history.to_jsonl().encode()).hexdigest())
+    assert 512 < len(tp.split.train) < 1000
+    assert digests == {
+        33: ("453d00eb006cf3c7c16c08c49925ef5c1a200f43283092efcc09efb3c98232c3",
+             "6800666de2b1591e0c141fa00fe34730a3450a0d46440327040d18055eb0ffbd"),
+        64: ("dde35f8ee6a186bf05ed721adb1c5ecfc203b139c69e668b8dfac2d001ac2fe6",
+             "c6ab23182527d1677fe1e84d0ccc99d1526e48929a234afcdff120f1ec982513"),
+        300: ("99b8a657024df13563e35166af31d4e8a120b48b9ad3668b61352f55e1bb5ffb",
+              "1bc0275f2980b24e93b21f48c36918f7fd108394142e2e1cbce9d705e2e407b9"),
+        1000: ("a3b3b7eab62a6f8c57c363f9867557565bca754dd4a05a82488a8a027429b69c",
+               "cdc81b40f036db1dbd3ecb1b573bc48254206bf171dd223b8b76072d1a99dde2"),
+    }
+
+
 @pytest.fixture(scope="module", params=[
     (41, 3, 32, "7e922c2130953bd470188c3b83bf2121413bdf7685cd25f09e55079368a1d9bf",
      "e5d6b40d5de05e471efb8c7a1721849a5179fe7d758415c9cc3b5ead5b7175f7"),

@@ -41,7 +41,7 @@ from .model import (CONFIG_BOUNDS, DCCEConfig, FusionConfig, VisualFeatConfig,
 from .pipeline import (AblationFlags, TrainedPipeline, ablation_report,
                        calibrate_gate, coverage_report, deterministic_scores,
                        run_training_pipeline, screening_report, warning_report)
-from .train import SPLITS, SplitResult, TrainConfig, TrainHistory
+from .train import SPLITS, TRAIN_BOUNDS, SplitResult, TrainConfig, TrainHistory
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +114,7 @@ _BOUNDS = {
     "top_fraction": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "n_triples": (lambda v: v >= 1, "be >= 1"),
     **CONFIG_BOUNDS,
+    **TRAIN_BOUNDS,
 }
 
 
@@ -221,11 +222,13 @@ def cmd_gen_data(cfg, args):
 
 
 def cmd_train(cfg, args):
-    table = load_cohort_csv(os.path.join(args.cohort, "cohort.csv"))
+    train_cfg = _build(TrainConfig, cfg, split=tuple(cfg[k] for k in _SPLIT_KEYS))
+    train_cfg.validate()
     fusion = _build(FusionConfig, cfg)
     fusion.validate()
+    table = load_cohort_csv(os.path.join(args.cohort, "cohort.csv"))
     tp = run_training_pipeline(
-        table, _build(TrainConfig, cfg, split=tuple(cfg[k] for k in _SPLIT_KEYS)),
+        table, train_cfg,
         dcce_cfg=_build(DCCEConfig, cfg, input_dim=0),
         visual_cfg=_build(VisualFeatConfig, cfg), fusion=fusion,
         search_alpha=cfg["search_alpha"],

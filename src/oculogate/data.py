@@ -34,6 +34,7 @@ from scipy.special import ndtri
 
 from .errors import ConfigError, DataError, SchemaError
 from .metrics import eligibility_filter, ols_slope
+from .numerics import in_halves
 from .rng import Streams
 
 GROUPS = ("Asian", "Black", "White")
@@ -354,7 +355,9 @@ def generate_images(severities, seeds) -> np.ndarray:
     """(n, IMAGE_SIZE, IMAGE_SIZE) disc/cup rasters in [0, 1]; row i is the
     raster of (severities[i], seeds[i]), seeds in [0, 2**64). The cup radius
     encodes severity, and the texture, from the substream (seed, "image"),
-    keeps the Laplacian variance comfortably above 100."""
+    keeps the Laplacian variance comfortably above 100. Rows are
+    independent, so numerics.in_halves writes the two halves of the output
+    on two threads, each half through its own Streams."""
     severities = np.asarray(severities, dtype=np.float64)
     seeds = np.asarray(seeds, dtype=np.uint64)
     disc_r, r2, base = _disc_geometry()
@@ -364,11 +367,19 @@ def generate_images(severities, seeds) -> np.ndarray:
     # Python's float power (libm pow), as one raster at a time computed it;
     # numpy's x*x rounds about 1 in 1,000 radii differently
     cup_r2 = np.array([(disc_r * c) ** 2 for c in cdr.tolist()])
-    img = np.where(r2 <= cup_r2[:, None, None], 0.95, base)
-    noise = Streams(seeds, "image").normal(base.size)
-    noise *= 0.02
-    img += noise.reshape(img.shape)
-    return np.clip(img, 0.0, 1.0, out=img)
+    out = np.empty((severities.size, *base.shape))
+
+    def rows(lo: int, hi: int) -> None:
+        img = out[lo:hi]
+        np.copyto(img, base)
+        np.copyto(img, 0.95, where=r2 <= cup_r2[lo:hi, None, None])
+        noise = Streams(seeds[lo:hi], "image").normal(base.size)
+        noise *= 0.02
+        img += noise.reshape(img.shape)
+        np.clip(img, 0.0, 1.0, out=img)
+
+    in_halves(rows, severities.size)
+    return out
 
 
 def generate_image(severity: float, seed: int) -> np.ndarray:

@@ -14,11 +14,12 @@ statistics, all of which are projected together. The streams of all rows
 are derived together and drawn in one Streams.fill_u64 of the diagnostic
 sites' width, the prefix of each stream's full-width fill. The draw shares
 no data with the featurisation, so a batch of two or more visits fills its
-words on the module's one worker thread while the calling thread
-featurises; the streams are counter-based, so which thread fills them
-changes no bit. The calling thread derives the streams and allocates the
-words, the worker runs only the fill (nothing perfbench's tracer wraps),
-a lone visit fills on the calling thread, and no draw outlives its call.
+words on numerics.WORKER, the process's one worker thread, while the
+calling thread featurises; the streams are counter-based, so which thread
+fills them changes no bit. The calling thread derives the streams and
+allocates the words, the worker runs only the fill (nothing perfbench's
+tracer wraps), a lone visit fills on the calling thread, and no draw
+outlives its call.
 The draw stays in raw uint64 words, which masks_from_uniform turns into
 keep bits on the calling thread by comparing them against the dropout
 rate, with no conversion to uniforms; no word outlives that call.
@@ -42,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import numerics
 from .data import RASTER_READ, apply_preprocess_table
 from .errors import ConfigError
 from .model import (DualStreamModel, FusionConfig, check_dropout, dropout,
@@ -161,11 +163,6 @@ def _tta_stats(names, rasters: np.ndarray, grid: int) -> np.ndarray:
     return stats
 
 
-# the one worker thread that fills a batch's dropout words while the
-# calling thread featurises; it starts on first use
-_DRAW_POOL = futures.ThreadPoolExecutor(max_workers=1)
-
-
 def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
                     x_clin: np.ndarray, rasters: np.ndarray, sample_ids,
                     cfg: GateConfig, seed: int) -> np.ndarray:
@@ -186,7 +183,7 @@ def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
         # arena, which keeps them resident
         words = np.empty((streams.size, width), dtype=np.uint64)
         if n > 1:
-            draw = _DRAW_POOL.submit(streams.fill_u64, width, words)
+            draw = numerics.WORKER.submit(streams.fill_u64, width, words)
         else:   # a lone visit's fill costs less than the handoff
             streams.fill_u64(width, words)
     try:

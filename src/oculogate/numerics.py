@@ -1,21 +1,62 @@
 """Activations, losses, and optimizer state.
 
 Everything is float64 and pure: functions return new arrays, and the only
-mutable object is the ParamStore that the optimizer updates in place
-(single writer) and whose gradient views DualStreamModel.backward writes.
-The store keeps every parameter, gradient and AdamW moment in four flat
-vectors in layout order, so an optimizer step is one blocked pass over them
-and a snapshot or a checkpoint one whole-vector operation.
+mutable object is the ParamStore that the optimizer updates in place and
+whose gradient views DualStreamModel.backward writes. The store keeps every
+parameter, gradient and AdamW moment in four flat vectors in layout order,
+so an optimizer step is one blocked pass over them and a snapshot or a
+checkpoint one whole-vector operation. The step has two writers on disjoint
+halves of those vectors: the calling thread and WORKER, the process's one
+worker thread, which in_halves lends to the optimizer, the raster generator
+and the gate's dropout draw.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+import threading
+from concurrent import futures
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import NumericError
+
+
+# ---------------------------------------------------------------------------
+# the worker thread
+# ---------------------------------------------------------------------------
+
+_ON_WORKER = threading.local()
+
+
+def _mark_worker() -> None:
+    _ON_WORKER.active = True
+
+
+# the process's one worker thread; it starts on first use
+WORKER = futures.ThreadPoolExecutor(max_workers=1, initializer=_mark_worker)
+
+
+def in_halves(fn: Callable[[int, int], None], n: int, grain: int = 1) -> None:
+    """fn(lo, hi) over [0, n) in two halves: the calling thread runs
+    [0, mid) while WORKER runs [mid, n), with mid the multiple of grain
+    nearest n/2 (a tie gives the calling thread more). Up to one grain, and
+    any call made on WORKER itself, runs inline as fn(0, n), so the worker
+    never waits on itself. The caller allocates what the halves write, and
+    no half outlives the call: if the calling thread's half raises, the
+    call still waits for the worker's, and an error of the worker's half
+    reaches the caller with its own type."""
+    if n <= grain or getattr(_ON_WORKER, "active", False):
+        fn(0, n)
+        return
+    mid = (n + grain) // (2 * grain) * grain
+    half = WORKER.submit(fn, mid, n)
+    try:
+        fn(0, mid)
+    finally:
+        futures.wait((half,))
+    half.result()
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +167,10 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 def adamw_step(store: ParamStore, lr: float, wd: float) -> ParamStore:
     """Decoupled weight decay (applied before the Adam update), then
     bias-corrected Adam with the ADAM_* decay rates and epsilon, over the
-    flat vectors one cache-sized block at a time. Leaves the store untouched
-    if any grad is non-finite.
+    flat vectors one cache-sized block at a time, the blocks split in
+    halves between the calling thread and WORKER. Leaves the store
+    untouched if any grad is non-finite: the whole gradient is checked
+    before either half starts.
     """
     if not np.isfinite(store.grad).all():
         name = next(k for k, p in store.entries.items()
@@ -136,32 +179,39 @@ def adamw_step(store: ParamStore, lr: float, wd: float) -> ParamStore:
     store.step_count += 1
     t = store.step_count
     bc1, bc2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
-    tmp_block = np.empty(min(ADAMW_BLOCK, store.value.size))
-    denom_block = np.empty_like(tmp_block)
+    # one (tmp, denom) pair of block temporaries per half; the half that
+    # starts at 0 takes the first
+    scratch = np.empty((2, 2, min(ADAMW_BLOCK, store.value.size)))
+
     # in place with two temporaries: value *= 1 - lr*wd;
     # m1 = beta1*m1 + (1-beta1)*g; m2 = beta2*m2 + (1-beta2)*g*g;
     # value -= lr * (m1/bc1) / (sqrt(m2/bc2) + eps). A scalar product
     # commutes exactly, so every element rounds as in that formula, and
-    # each element's ops do not depend on the block it falls in.
-    for start in range(0, store.value.size, ADAMW_BLOCK):
-        window = slice(start, start + ADAMW_BLOCK)
-        value, g = store.value[window], store.grad[window]
-        m1, m2 = store.m1[window], store.m2[window]
-        tmp, denom = tmp_block[: g.size], denom_block[: g.size]
-        value *= 1.0 - lr * wd
-        np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
-        m1 *= ADAM_BETA1
-        m1 += tmp
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - ADAM_BETA2
-        m2 *= ADAM_BETA2
-        m2 += tmp
-        np.divide(m2, bc2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        np.divide(m1, bc1, out=tmp)
-        tmp *= lr
-        tmp /= denom
-        value -= tmp
+    # each element's ops do not depend on the block or half it falls in.
+    def update(lo: int, hi: int) -> None:
+        tmp_block, denom_block = scratch[int(lo > 0)]
+        for start in range(lo, hi, ADAMW_BLOCK):
+            window = slice(start, min(start + ADAMW_BLOCK, hi))
+            value, g = store.value[window], store.grad[window]
+            m1, m2 = store.m1[window], store.m2[window]
+            tmp, denom = tmp_block[: g.size], denom_block[: g.size]
+            value *= 1.0 - lr * wd
+            np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+            m1 *= ADAM_BETA1
+            m1 += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - ADAM_BETA2
+            m2 *= ADAM_BETA2
+            m2 += tmp
+            np.divide(m2, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            np.divide(m1, bc1, out=tmp)
+            tmp *= lr
+            tmp /= denom
+            value -= tmp
+
+    # split at a block edge, so each half's blocks are the serial step's
+    in_halves(update, store.value.size, ADAMW_BLOCK)
     return store
 

@@ -181,8 +181,8 @@ class Streams:
         fill of n >= 1 advances each stream once, and lane j depends only on
         the sub-seed drawn and on j, so the first k lanes of a fill are a
         fill of k on the same streams. Given out, a fill allocates only its
-        block-sized temporaries: the gate's worker thread fills words its
-        calling thread allocated."""
+        block-sized temporaries: numerics.WORKER fills words that the
+        gate's calling thread allocated."""
         if out is None:
             out = np.empty((self.size, n), dtype=np.uint64)
         elif out.shape != (self.size, n) or out.dtype != np.uint64:

@@ -24,6 +24,13 @@ from .numerics import (adamw_step, binary_cross_entropy, binary_cross_entropy_gr
 from .rng import Rng
 
 
+# key -> (whether a value is allowed, what the key must be)
+TRAIN_BOUNDS = {
+    "lr": (lambda v: v > 0.0, "be > 0"),
+    "wd": (lambda v: v >= 0.0, "be >= 0"),
+}
+
+
 @dataclass
 class TrainConfig:
     lambda_weight: float = 5.0
@@ -37,6 +44,12 @@ class TrainConfig:
     include_md_in_regression: bool = True
 
     def validate(self) -> None:
+        for key, (allowed, rule) in TRAIN_BOUNDS.items():
+            if not allowed(getattr(self, key)):
+                raise ConfigError(f"'{key}' must {rule}, got {getattr(self, key)}")
+        if not self.lr * self.wd < 1.0:
+            # weight decay scales every weight by 1 - lr*wd each step
+            raise ConfigError(f"'lr' * 'wd' must be < 1, got {self.lr} * {self.wd}")
         if self.lambda_weight < 0:
             raise ConfigError("lambda_weight must be >= 0")
         if abs(sum(self.split) - 1.0) > 1e-9 or any(f <= 0 for f in self.split):

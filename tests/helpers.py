@@ -8,6 +8,7 @@ import math
 import os
 import tracemalloc
 from collections import defaultdict
+from concurrent import futures
 
 import numpy as np
 from scipy.special import ndtri
@@ -37,6 +38,30 @@ def blas_pool_threads() -> int | None:
             if hasattr(lib, name):
                 return getattr(lib, name)()
     return None
+
+
+class _InlinePool:
+    """An executor that runs each submitted call at once on the calling
+    thread, counting the calls; it stands in for numerics.WORKER."""
+
+    def __init__(self):
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        future = futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class _RefusingPool:
+    """A stand-in for numerics.WORKER where no work may be handed over."""
+
+    def submit(self, fn, *args):
+        raise AssertionError("work that runs inline was handed to the worker")
 
 
 def risk_by_age_band(risks, ages, bands=AGE_BANDS) -> dict[str, float | None]:

@@ -616,6 +616,10 @@ def _run_with_config(run_dir, tmp_path, command, cfg):
     ("train", {"growth_k": -1}),
     ("train", {"dropout_p": 1.0}),
     ("train", {"dropout_p": -0.5}),
+    ("train", {"lr": 0.0}),
+    ("train", {"lr": -0.5, "wd": 4.0}),
+    ("train", {"wd": -1e-4}),
+    ("train", {"lr": 0.5, "wd": 2.0}),
     ("gate", {"dropout_p": float("nan")}),
     ("evaluate", {"top_fraction": float("nan"), "ablation_table": True}),
     ("evaluate", {"top_fraction": 0.0, "ablation_table": True}),
@@ -635,6 +639,8 @@ def _run_with_config(run_dir, tmp_path, command, cfg):
         "train-patch-grid-zero", "train-proj-dim-negative",
         "train-n-blocks-negative", "train-layers-per-block-negative",
         "train-growth-k-negative", "train-dropout-one", "train-dropout-negative",
+        "train-lr-zero", "train-lr-negative", "train-wd-negative",
+        "train-decay-factor-zero",
         "gate-dropout-nan", "top-fraction-nan", "top-fraction-zero",
         "top-fraction-above-one", "alpha-vis-nan", "lr-infinity",
         "threshold-infinity", "tau-blur-nan", "negative-infinity-in-dict"])

@@ -237,8 +237,9 @@ def reference_image(severity, seed, size=64):
 U64_SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
 
-# batch sizes around one RASTER_READ block
-@given(st.sampled_from([1, 31, 32, 33, 65]).flatmap(lambda n: st.tuples(
+# batch sizes around one RASTER_READ block, and the smallest two that split
+# in halves between the calling thread and the worker
+@given(st.sampled_from([1, 2, 3, 31, 32, 33, 65]).flatmap(lambda n: st.tuples(
     st.lists(st.floats(-1.0, 3.0), min_size=n, max_size=n),
     st.lists(U64_SEEDS, min_size=n, max_size=n))))
 @settings(max_examples=20, deadline=None)

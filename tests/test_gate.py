@@ -3,7 +3,6 @@ import json
 import sys
 import threading
 import time
-from concurrent import futures
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oculogate import gate as gate_module
+from oculogate import numerics
 from oculogate.data import (apply_preprocess_table, generate_image, generate_images,
                             inject_blur)
 from oculogate.errors import ConfigError, DataError, NumericError
@@ -22,8 +22,8 @@ from oculogate.model import DualStreamModel, fuse, patch_stats, visual_features_
 from oculogate.numerics import ParamStore
 from oculogate.rng import Rng, Streams
 
-from helpers import (TTA_REFERENCE, float_rule_masks, reference_ensemble_over_table,
-                     traced_peak, y_hat)
+from helpers import (TTA_REFERENCE, _InlinePool, _RefusingPool, float_rule_masks,
+                     reference_ensemble_over_table, traced_peak, y_hat)
 
 
 def naive_laplacian_variance(raster):
@@ -407,31 +407,9 @@ def _sharp_table(tp, n):
     return tp.split.test.subset(rows)
 
 
-class _InlinePool:
-    """An executor that runs each submitted call at once on the calling
-    thread, counting the calls."""
-
-    def __init__(self):
-        self.submits = 0
-
-    def submit(self, fn, *args):
-        self.submits += 1
-        future = futures.Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
-class _RefusingPool:
-    def submit(self, fn, *args):
-        raise AssertionError("a lone visit handed its draw to the worker")
-
-
 class TestDrawWorker:
-    """A batch of two or more visits fills its dropout words on the gate's
-    worker thread while the calling thread featurises; a lone visit draws
+    """A batch of two or more visits fills its dropout words on
+    numerics.WORKER while the calling thread featurises; a lone visit draws
     on the calling thread. Which thread fills the counter-based streams
     changes no bit, and no draw outlives its ensemble_passes call."""
 
@@ -444,18 +422,22 @@ class TestDrawWorker:
 
     def test_lone_visit_never_submits(self, small_pipeline, monkeypatch):
         tp = small_pipeline
-        monkeypatch.setattr(gate_module, "_DRAW_POOL", _RefusingPool())
-        run = run_gate(tp.model, _sharp_table(tp, 1), tp.stats,
-                       GateConfig(tau_unc=0.5), 19, tp.fusion)
+        table = _sharp_table(tp, 1)
+        monkeypatch.setattr(numerics, "WORKER", _RefusingPool())
+        run = run_gate(tp.model, table, tp.stats, GateConfig(tau_unc=0.5), 19,
+                       tp.fusion)
         assert np.isfinite(run.u).all() and len(run.decisions) == 1
 
     def test_one_submit_per_multi_visit_batch(self, small_pipeline, monkeypatch):
         tp = small_pipeline
+        table = _sharp_table(tp, 2 * 32 + 1)
+        # attached rasters, so that only the draws reach the worker
+        table.rasters = list(table.raster_stack(range(len(table))))
         pool = _InlinePool()
-        monkeypatch.setattr(gate_module, "_DRAW_POOL", pool)
+        monkeypatch.setattr(numerics, "WORKER", pool)
         # batches of 32, 32 and a lone visit
-        ensemble_over_table(tp.model, _sharp_table(tp, 2 * 32 + 1), tp.stats,
-                            GateConfig(n_passes=2), 19, tp.fusion)
+        ensemble_over_table(tp.model, table, tp.stats, GateConfig(n_passes=2), 19,
+                            tp.fusion)
         assert pool.submits == 2
 
     @pytest.mark.parametrize("n", [2, 31, 32, 33, 65])
@@ -463,7 +445,7 @@ class TestDrawWorker:
         tp = small_pipeline
         args = (tp.model, _sharp_table(tp, n), tp.stats, GateConfig(), 19, tp.fusion)
         threaded = ensemble_over_table(*args)
-        monkeypatch.setattr(gate_module, "_DRAW_POOL", _InlinePool())
+        monkeypatch.setattr(numerics, "WORKER", _InlinePool())
         _same_run(threaded, ensemble_over_table(*args))
 
     def test_batch_fills_on_the_worker_thread(self, small_pipeline, monkeypatch):

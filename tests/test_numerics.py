@@ -1,18 +1,23 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oculogate.errors import NumericError
-from oculogate.model import _affine_grads
+from oculogate import numerics
+from oculogate.data import generate_images
+from oculogate.errors import DataError, NumericError
+from oculogate.model import DCCEConfig, DualStreamModel, VisualFeatConfig, _affine_grads
 from oculogate.numerics import (ADAMW_BLOCK, Param, ParamStore, adamw_step,
                                 binary_cross_entropy, binary_cross_entropy_grad,
-                                sigmoid, smooth_l1, smooth_l1_grad)
+                                in_halves, sigmoid, smooth_l1, smooth_l1_grad)
 from oculogate.rng import Rng
 
-from helpers import grad_check
+from helpers import _RefusingPool, grad_check
 
 
 def naive_matmul(x, w, b):
@@ -268,6 +273,26 @@ def straddling_store(seed=5):
     return store
 
 
+def sized_store(size, seed=5):
+    """size values over three entries of about size/3 each, so that a step
+    of two or more blocks splits inside an entry or at its edge."""
+    third = size // 3
+    layout = {"lead": (third,), "mid.W": (third, 1), "tail": (size - 2 * third,)}
+    store = ParamStore(layout)
+    store.value[...] = Rng(seed, "sized").normal(size)
+    return store
+
+
+def default_model_store(seed=5):
+    """A store of the default model's layout (14 clinical inputs)."""
+    model = DualStreamModel(DCCEConfig(input_dim=14), VisualFeatConfig(),
+                            init_rng=Rng(seed, "model-init"))
+    layout = {name: p.value.shape for name, p in model.params.entries.items()}
+    store = ParamStore(layout)
+    store.value[...] = model.params.value
+    return store
+
+
 def assert_matches_per_entry_oracle(store):
     """Five steps of the flat store against per_entry_adamw, bit for bit."""
     ref = {name: {"value": p.value.copy(), "grad": None, "t": 0,
@@ -322,6 +347,35 @@ class TestFlatStore:
             assert np.array_equal(kept, now)
         assert store.step_count == 1
 
+    def test_one_block_runs_inline_bitwise(self, monkeypatch):
+        monkeypatch.setattr(numerics, "WORKER", _RefusingPool())
+        assert_matches_per_entry_oracle(sized_store(ADAMW_BLOCK))
+
+    @pytest.mark.parametrize("size", [
+        2 * ADAMW_BLOCK - 1, 2 * ADAMW_BLOCK, 2 * ADAMW_BLOCK + 1,
+        3 * ADAMW_BLOCK - 1, 3 * ADAMW_BLOCK, 3 * ADAMW_BLOCK + 1])
+    def test_halves_match_per_entry_oracle_bitwise(self, size):
+        assert_matches_per_entry_oracle(sized_store(size))
+
+    def test_default_model_layout_matches_per_entry_oracle_bitwise(self):
+        store = default_model_store()
+        assert store.value.size == 604_306
+        assert_matches_per_entry_oracle(store)
+
+    def test_nonfinite_grad_in_the_worker_half_leaves_all_state(self):
+        store = sized_store(2 * ADAMW_BLOCK + 1)
+        store.grad[...] = 0.5
+        adamw_step(store, lr=1e-2, wd=1e-4)
+        before = [store.value.copy(), store.m1.copy(), store.m2.copy()]
+        # the split falls at ADAMW_BLOCK, inside mid.W; the tail is the
+        # worker's alone
+        store["tail"].grad[-1] = np.nan
+        with pytest.raises(NumericError, match="'tail'"):
+            adamw_step(store, lr=1e-2, wd=1e-4)
+        for kept, now in zip(before, (store.value, store.m1, store.m2)):
+            assert np.array_equal(kept, now)
+        assert store.step_count == 1
+
     def test_entries_are_views_of_the_flat_vectors(self):
         store = mixed_store()
         for name, p in store.entries.items():
@@ -332,6 +386,104 @@ class TestFlatStore:
         store["a.b"].grad[1] = 3.0
         assert store.grad[12 + 1] == 3.0
         assert store.value.size == 12 + 3 + 7 + 8
+
+
+class TestInHalves:
+    """in_halves runs [0, mid) on the calling thread and [mid, n) on
+    numerics.WORKER, mid a multiple of the grain; small work and calls on
+    the worker run inline, and no half outlives the call."""
+
+    @staticmethod
+    def _recorder():
+        calls = []
+
+        def fn(lo, hi):
+            calls.append((lo, hi, threading.get_ident()))
+
+        return calls, fn
+
+    @pytest.mark.parametrize("n, grain, mid", [
+        (2, 1, 1), (3, 1, 2), (32, 1, 16),
+        (ADAMW_BLOCK + 1, ADAMW_BLOCK, ADAMW_BLOCK),
+        (2 * ADAMW_BLOCK + 1, ADAMW_BLOCK, ADAMW_BLOCK),
+        (3 * ADAMW_BLOCK, ADAMW_BLOCK, 2 * ADAMW_BLOCK),
+        (604_306, ADAMW_BLOCK, 9 * ADAMW_BLOCK)])
+    def test_splits_at_the_grain_multiple_nearest_the_middle(self, n, grain, mid):
+        calls, fn = self._recorder()
+        in_halves(fn, n, grain)
+        thread_of = {(lo, hi): thread for lo, hi, thread in calls}
+        assert len(calls) == 2 and set(thread_of) == {(0, mid), (mid, n)}
+        assert thread_of[0, mid] == threading.get_ident() != thread_of[mid, n]
+
+    @pytest.mark.parametrize("n, grain", [(0, 1), (1, 1), (ADAMW_BLOCK, ADAMW_BLOCK)])
+    def test_one_block_or_a_lone_row_never_submits(self, monkeypatch, n, grain):
+        monkeypatch.setattr(numerics, "WORKER", _RefusingPool())
+        calls, fn = self._recorder()
+        in_halves(fn, n, grain)
+        assert calls == [(0, n, threading.get_ident())]
+        assert generate_images([0.5], [7]).shape == (1, 64, 64)
+
+    def test_a_call_on_the_worker_runs_inline(self):
+        calls, fn = self._recorder()
+        worker = numerics.WORKER.submit(threading.get_ident).result(timeout=60)
+        numerics.WORKER.submit(in_halves, fn, 10).result(timeout=60)
+        assert calls == [(0, 10, worker)]
+
+    def test_worker_error_keeps_its_type(self):
+        ran = []
+
+        def fn(lo, hi):
+            ran.append(lo)
+            if lo > 0:
+                raise NumericError("worker half failed")
+
+        with pytest.raises(NumericError, match="worker half failed"):
+            in_halves(fn, 4)
+        assert sorted(ran) == [0, 2]
+
+    def test_a_failing_caller_half_waits_for_the_worker_half(self):
+        finished = []
+
+        def fn(lo, hi):
+            if lo == 0:
+                raise DataError("caller half failed")
+            time.sleep(0.05)
+            finished.append((lo, hi))
+
+        with pytest.raises(DataError, match="caller half failed"):
+            in_halves(fn, 4)
+        assert finished == [(2, 4)]   # the worker's half ended before the error surfaced
+
+
+    def test_concurrent_callers_share_the_worker(self):
+        """Four calling threads on two cores, switching every 10 us, each
+        step their own store and draw rasters through the one worker; every
+        call gets the bytes of a serial call."""
+        severities, seeds = np.linspace(-1.0, 3.0, 33), np.arange(33, dtype=np.uint64)
+
+        def work(out):
+            store = sized_store(2 * ADAMW_BLOCK + 1)
+            for step in range(3):
+                store.grad[...] = store.value * 0.1 + step
+                adamw_step(store, lr=1e-2, wd=0.1)
+                out.append(generate_images(severities, seeds).tobytes())
+            out.append(store.value.tobytes())
+
+        want = []
+        work(want)
+        got = [[] for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in got]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 4
 
 
 class TestGradCheck:

@@ -181,7 +181,8 @@ def test_training_counters_follow_the_step_and_the_diagnostic():
 def test_warning_report_draws_its_trajectories_column_wise(small_pipeline,
                                                             monkeypatch):
     """No per-trajectory Rng: one sponge pass per trajectory kind (every
-    label "traj/<kind>" is 2 words long), then one per raster block; the
+    label "traj/<kind>" is 2 words long), then one per half of each raster
+    block, as generate_images draws each half's rows on its own; the
     risks are those of the per-trajectory tables scored seed-major and
     kind-minor as one table, where the report scores them kind-major."""
     from oculogate import data, pipeline
@@ -200,7 +201,9 @@ def test_warning_report_draws_its_trajectories_column_wise(small_pipeline,
     rasters = len(trajs) * n_visits
     blocks = [min(data.RASTER_READ, rasters - start)
               for start in range(0, rasters, data.RASTER_READ)]
-    assert counts["sponge"] == [(len(seeds), 2)] * len(kinds) + [(b, 1) for b in blocks]
+    assert blocks == [32, 32, 8]   # even, so the halves' passes are alike
+    assert counts["sponge"] == [(len(seeds), 2)] * len(kinds) + \
+        [(b // 2, 1) for b in blocks for _ in range(2)]
     for k, kind in enumerate(kinds):
         for j, row in enumerate(report["per_kind"][kind]):
             traj = trajs[j * len(kinds) + k]

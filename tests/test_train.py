@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from oculogate import numerics
 from oculogate.data import default_cohort_spec, generate_cohort
 from oculogate.errors import ConfigError
 from oculogate.metrics import roc_auc
@@ -13,7 +14,7 @@ import oculogate.train as train_module
 from oculogate.train import (TrainConfig, grid_search_alpha,
                              grid_search_tau_unc, split_dataset)
 
-from helpers import reference_feature_matrices, traced_peak
+from helpers import _InlinePool, reference_feature_matrices, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,19 @@ class TestSplit:
         tiny = generate_cohort(spec)
         with pytest.raises(ConfigError, match="stratum"):
             split_dataset(tiny, TrainConfig(seed=1))
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"lr": 0.0}, "'lr'"), ({"lr": -0.5, "wd": 4.0}, "'lr'"),
+    ({"lr": float("nan")}, "'lr'"), ({"wd": -1e-4}, "'wd'"),
+    ({"lr": 0.5, "wd": 2.0}, "'lr' \\* 'wd'"), ({"lr": 0.5, "wd": 4.0}, "'lr' \\* 'wd'"),
+], ids=["lr-zero", "lr-negative", "lr-nan", "wd-negative", "decay-one", "decay-past-one"])
+def test_validate_refuses_an_optimizer_that_cannot_descend(overrides, key):
+    """A non-positive lr climbs the loss, and a decay factor 1 - lr*wd at or
+    below 0 zeroes or flips every weight each step."""
+    with pytest.raises(ConfigError, match=key):
+        TrainConfig(**overrides).validate()
+    TrainConfig(lr=0.5, wd=1.999).validate()
 
 
 class TestTrainingLoop:
@@ -225,13 +239,7 @@ class TestAlphaSearchIntegration:
         assert abs(tp.fusion.alpha_vis + tp.fusion.alpha_clin - 1.0) <= 1e-9
 
 
-def test_training_bytes_are_pinned():
-    """Two epochs with dropout on and slope labels on most rows, batches of
-    16 so the every-8th-batch trunk-norm diagnostic runs twice per epoch:
-    the final parameters and the history keep their bytes through any
-    rewrite of backward, the optimizer step or the raster generator. On
-    this cohort grad_ratio also changes if the trunk norms are summed in
-    layout order or in plain reversed layout order."""
+def _assert_pinned_training_bytes():
     cohort = generate_cohort(default_cohort_spec(n_patients=60, seed=12,
                                                  visits_per_patient=(2, 6)))
     labeled = ~np.isnan(cohort.slope_target)
@@ -243,6 +251,25 @@ def test_training_bytes_are_pinned():
         "0a982f6de0d2b2c66dda8bd0f81924a3967d50d5b16af5846b7c721cfdcf7b74"
     assert hashlib.sha256(tp.history.to_jsonl().encode()).hexdigest() == \
         "1d72ab442cf34f15e2982bf3ec5650f52f5bfe5d5501e8785174fa327141fec2"
+
+
+def test_training_bytes_are_pinned():
+    """Two epochs with dropout on and slope labels on most rows, batches of
+    16 so the every-8th-batch trunk-norm diagnostic runs twice per epoch:
+    the final parameters and the history keep their bytes through any
+    rewrite of backward, the optimizer step or the raster generator. On
+    this cohort grad_ratio also changes if the trunk norms are summed in
+    layout order or in plain reversed layout order."""
+    _assert_pinned_training_bytes()
+
+
+def test_training_bytes_are_pinned_with_the_worker_inline(monkeypatch):
+    """The same bytes when the optimizer's and the raster generator's
+    second halves run on the calling thread."""
+    pool = _InlinePool()
+    monkeypatch.setattr(numerics, "WORKER", pool)
+    _assert_pinned_training_bytes()
+    assert pool.submits > 0
 
 
 @pytest.mark.parametrize("train_cfg, dcce_cfg, digests", [

@@ -3,13 +3,16 @@
 Each stage is a function `cmd_<stage>(cfg, args)` from its resolved config
 and inputs to `({path under --out: payload}, summary line)`; one runner,
 `_run`, does the rest. It resolves the flat JSON config and the flags that
-name a config key of the stage (an unknown key, a value of another JSON type
-than its default's or out of its bounds is refused), refuses an --out
-that already holds the stage's output before any work, runs the stage, and
-only then creates --out, writes the resolved config (`<stage>-config.json`)
-and every artifact atomically (temp file + rename), and prints the summary.
-A failed or refused stage writes nothing (gen-data streams its PGMs before
-committing cohort.csv), and nothing is overwritten: run dirs are append-only.
+name a config key of the stage, and refuses an unknown key, a value of
+another JSON type than its default's, and one out of its key's bound (an
+entry of model.CONFIG_BOUNDS, train.TRAIN_BOUNDS, gate.GATE_BOUNDS,
+data.DATA_BOUNDS or, for the stages' own keys, _BOUNDS), all before any
+file is read. It refuses an --out that already holds the stage's output,
+runs the stage, and only then creates --out, writes the resolved config
+(`<stage>-config.json`) and every artifact atomically (temp file + rename),
+and prints the summary. A failed or refused stage writes nothing (gen-data
+streams its PGMs before committing cohort.csv), and nothing is overwritten:
+run dirs are append-only.
 
 `predict` takes the split `train`, `val`, `test` or `all`; `gate`,
 `calibrate`, `evaluate` and `coverage` take `train`, `val` or `test`. The
@@ -22,26 +25,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
-from .data import (CohortSpec, CohortTable, PreprocessStats, default_cohort_spec,
-                   generate_cohort, load_cohort_csv, read_json_object,
-                   refuse_existing, write_atomic, write_cohort)
-from .errors import ConfigError, DataError, NumericError, SchemaError
+from .data import (DATA_BOUNDS, VISIT_KEYS, CohortSpec, CohortTable, PreprocessStats,
+                   default_cohort_spec, generate_cohort, load_cohort_csv,
+                   read_json_object, refuse_existing, write_atomic, write_cohort)
+from .errors import ConfigError, DataError, NumericError, SchemaError, refusal
 from .fairness import DEFAULT_ACC_TOLERANCE, calibrate_groups, fairness_report
-from .gate import GateConfig, ensemble_over_table, run_gate
+from .gate import GATE_BOUNDS, GateConfig, ensemble_over_table, run_gate
 from .metrics import grade_md, moderate_severe_fraction
 from .model import (CONFIG_BOUNDS, DCCEConfig, FusionConfig, VisualFeatConfig,
                     checkpoint_files, load_checkpoint)
 from .pipeline import (AblationFlags, TrainedPipeline, ablation_report,
                        calibrate_gate, coverage_report, deterministic_scores,
                        run_training_pipeline, screening_report, warning_report)
-from .train import SPLITS, TRAIN_BOUNDS, SplitResult, TrainConfig, TrainHistory
+from .train import (SPLIT_KEYS, SPLITS, TRAIN_BOUNDS, SplitResult, TrainConfig,
+                    TrainHistory)
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +65,6 @@ def _build(cls, cfg: dict, **fixed):
     return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}, **fixed)
 
 
-_SPLIT_KEYS = ("split_train", "split_val", "split_test")
-_VISIT_KEYS = ("visits_min", "visits_max")
 # the defaults every gated stage (gate, evaluate, coverage) shares
 _GATED = {"seed": 23, "split": "test", **_field_defaults(GateConfig()),
           **_field_defaults(AblationFlags())}
@@ -71,12 +72,12 @@ _DEFAULTS = {
     "gen-data": {
         **_field_defaults(default_cohort_spec()),
         "n_patients": 300,   # a desk-sized cohort, not CohortSpec's 2,000
-        **dict(zip(_VISIT_KEYS, CohortSpec().visits_per_patient)),
+        **dict(zip(VISIT_KEYS, CohortSpec().visits_per_patient)),
         "with_images": True,
     },
     "train": {
         **_field_defaults(TrainConfig()),
-        **dict(zip(_SPLIT_KEYS, TrainConfig().split)),
+        **dict(zip(SPLIT_KEYS, TrainConfig().split)),
         **_field_defaults(DCCEConfig(input_dim=0)),
         **_field_defaults(VisualFeatConfig()), **_field_defaults(FusionConfig()),
         "search_alpha": False,
@@ -107,35 +108,21 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
-# key -> (whether a value is allowed, what the key must be)
+# key -> (whether a value is allowed, what the key must be), for every stage
 _BOUNDS = {
     "coverage_min": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "coverage_step": (lambda v: v > 0.0, "be > 0"),
     "top_fraction": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "n_triples": (lambda v: v >= 1, "be >= 1"),
-    **CONFIG_BOUNDS,
-    **TRAIN_BOUNDS,
+    **CONFIG_BOUNDS, **TRAIN_BOUNDS, **GATE_BOUNDS, **DATA_BOUNDS,
 }
-
-
-def _has_type_of(value, default) -> bool:
-    """Whether value has the JSON type of default: an int stands for a
-    float, a bool never for a number, and a dict's values are checked
-    against the default's."""
-    if isinstance(default, dict):
-        sample = next(iter(default.values()))
-        return isinstance(value, dict) and \
-            all(_has_type_of(v, sample) for v in value.values())
-    if isinstance(default, float) and type(value) is int:
-        return True
-    return type(value) is type(default)
 
 
 def resolve_config(command: str, args) -> dict:
     """The stage's defaults, overridden by the --config file and then by
-    flags; a value of the wrong JSON type, a non-finite number (JSON's NaN
-    and Infinity literals, also as a dict's value) or a value out of bounds
-    is refused."""
+    flags; a value of another JSON type than its default's, a non-finite
+    number (JSON's NaN and Infinity literals, also as a dict's value) or a
+    value out of its key's bounds is refused."""
     defaults = _DEFAULTS[command]
     cfg = json.loads(json.dumps(defaults))  # deep copy
     config_path = getattr(args, "config", None)
@@ -153,18 +140,8 @@ def resolve_config(command: str, args) -> dict:
     for key, value in vars(args).items():
         if key in cfg and value is not None:
             cfg[key] = value
-    for key, value in cfg.items():
-        if not _has_type_of(value, defaults[key]):
-            raise ConfigError(f"config key '{key}' for {command} must have the "
-                              f"JSON type of its default {json.dumps(defaults[key])}, "
-                              f"got {json.dumps(value)}")
-        numbers = value.values() if isinstance(value, dict) else [value]
-        if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
-            raise ConfigError(f"config key '{key}' for {command} must be finite, "
-                              f"got {json.dumps(value)}")
-        if key in _BOUNDS and not _BOUNDS[key][0](value):
-            raise ConfigError(f"config key '{key}' for {command} must "
-                              f"{_BOUNDS[key][1]}, got {json.dumps(value)}")
+    if reason := refusal(cfg, _BOUNDS, like=defaults):
+        raise ConfigError(f"config key {reason} ({command})")
     return cfg
 
 
@@ -185,12 +162,17 @@ def _load_model(args) -> TrainedPipeline:
 def _load(args, split: str, allowed=SPLITS) -> tuple[TrainedPipeline, CohortTable]:
     """The trained pipeline of --model over the cohort of --cohort, and the
     named split of that cohort (`all` is the whole cohort). A split name
-    outside `allowed` is refused before anything is read."""
+    outside `allowed` is refused before anything is read, and a splits.json
+    value other than a name in SPLITS once it is."""
     if split not in allowed:
         raise ConfigError(f"unknown split '{split}' for {args.command}: "
                           f"expected one of {', '.join(allowed)}")
     tp = _load_model(args)
     assignment = read_json_object(os.path.join(args.model, "splits.json"))
+    for pid, name in assignment.items():
+        if name not in SPLITS:
+            raise SchemaError(f"splits.json: patient '{pid}' has split "
+                              f"{json.dumps(name)}, expected one of {', '.join(SPLITS)}")
     table = load_cohort_csv(os.path.join(args.cohort, "cohort.csv"))
     tp.split = SplitResult.of(table, assignment)
     if split == "all":
@@ -214,7 +196,7 @@ def _gate_setup(cfg: dict, tp: TrainedPipeline
 
 def cmd_gen_data(cfg, args):
     table = generate_cohort(_build(
-        CohortSpec, cfg, visits_per_patient=tuple(cfg[k] for k in _VISIT_KEYS)))
+        CohortSpec, cfg, visits_per_patient=tuple(cfg[k] for k in VISIT_KEYS)))
     # PGMs stream to disk; write_cohort commits cohort.csv last, atomically
     write_cohort(table, args.out, with_images=cfg["with_images"])
     return {}, (f"wrote {len(table)} visits for {cfg['n_patients']} "
@@ -222,7 +204,7 @@ def cmd_gen_data(cfg, args):
 
 
 def cmd_train(cfg, args):
-    train_cfg = _build(TrainConfig, cfg, split=tuple(cfg[k] for k in _SPLIT_KEYS))
+    train_cfg = _build(TrainConfig, cfg, split=tuple(cfg[k] for k in SPLIT_KEYS))
     train_cfg.validate()
     fusion = _build(FusionConfig, cfg)
     fusion.validate()

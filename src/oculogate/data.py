@@ -25,14 +25,14 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.ndimage import uniform_filter
 from scipy.special import ndtri
 
-from .errors import ConfigError, DataError, SchemaError
+from .errors import ConfigError, DataError, SchemaError, refusal
 from .metrics import eligibility_filter, ols_slope
 from .numerics import in_halves
 from .rng import Streams
@@ -105,6 +105,19 @@ _MD_OBS_STD = 0.35
 _STRUCTURE_STD = (2.5, 1.5, 0.02)   # rnflt, iop, cdr
 
 
+# key -> (whether a value is allowed, what the key must be), for CohortSpec,
+# its visit range as VISIT_KEYS and each group_mix value, and the trajectories
+VISIT_KEYS = ("visits_min", "visits_max")
+DATA_BOUNDS = {
+    "n_patients": (lambda v: v >= 1, "be >= 1"),
+    **dict.fromkeys(VISIT_KEYS, (lambda v: v >= 1, "be >= 1")),
+    "group_mix": (lambda v: v >= 0.0, "be >= 0"),
+    "prevalence": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "label_noise": (lambda v: 0.0 <= v < 0.5, "lie in [0, 0.5)"),
+    "n_visits": (lambda v: v >= 4, "be >= 4"),
+}
+
+
 @dataclass
 class CohortSpec:
     n_patients: int = 2000
@@ -121,28 +134,16 @@ class CohortSpec:
     seed: int = 20240601
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            for key, x in value.items() if isinstance(value, dict) else [(None, value)]:
-                if isinstance(x, float) and not math.isfinite(x):
-                    entry = "" if key is None else f" entry '{key}'"
-                    raise ConfigError(f"'{f.name}'{entry} must be finite, got {x}")
-        if any(x < 0.0 for x in self.group_mix.values()):
-            raise ConfigError("'group_mix' fractions must be >= 0")
-        if self.n_patients < 1:
-            raise ConfigError("n_patients must be >= 1")
         lo, hi = self.visits_per_patient
-        if lo < 1 or hi < lo:
-            raise ConfigError("visits_per_patient range is invalid")
+        if reason := refusal({**vars(self), "visits_min": lo, "visits_max": hi},
+                             DATA_BOUNDS):
+            raise ConfigError(reason)
+        if hi < lo:
+            raise ConfigError(f"'visits_max' must be >= 'visits_min', got {hi} < {lo}")
         if abs(sum(self.group_mix.values()) - 1.0) > 1e-9:
-            raise ConfigError("group_mix fractions must sum to 1")
-        if not 0.0 < self.prevalence < 1.0:
-            raise ConfigError("prevalence must lie in (0, 1)")
-        if not 0.0 <= self.label_noise < 0.5:
-            raise ConfigError("label_noise must lie in [0, 0.5)")
-        for g in self.group_shift:
-            if g not in self.group_mix:
-                raise ConfigError(f"group_shift names unknown group '{g}'")
+            raise ConfigError("'group_mix' fractions must sum to 1")
+        if unknown := sorted(self.group_shift.keys() - self.group_mix.keys()):
+            raise ConfigError(f"'group_shift' names groups {unknown} not in 'group_mix'")
 
 
 def default_cohort_spec(**overrides) -> CohortSpec:
@@ -418,8 +419,8 @@ def generate_trajectories(kind: str, n_visits: int, seeds
     (seed, "traj/<kind>"): one table of n_visits rows per seed, in the
     order of seeds, and each series' onset time. A repeated seed is the
     same patient twice."""
-    if n_visits < 4:
-        raise ConfigError("trajectories need at least 4 visits")
+    if reason := refusal({"n_visits": n_visits}, DATA_BOUNDS):
+        raise ConfigError(reason)
     if kind not in ("stable", "slow", "rapid"):
         raise ConfigError(f"unknown trajectory kind '{kind}'")
     seeds = list(seeds)
@@ -475,6 +476,12 @@ def generate_trajectory(kind: str, n_visits: int, seed: int) -> Trajectory:
 # preprocessing
 # ---------------------------------------------------------------------------
 
+# a continuous feature's statistics in preprocess.json, each with a value of
+# its JSON type, and their bounds (fit_preprocess drops a constant feature)
+_STATS_LIKE = {"global_mean": 0.0, "global_std": 1.0, "group_means": {"": 0.0}}
+_STATS_BOUNDS = {"global_std": (lambda v: v > 0.0, "be > 0")}
+
+
 @dataclass
 class PreprocessStats:
     # each field in its preprocess.json form
@@ -501,16 +508,9 @@ class PreprocessStats:
             continuous = {}
             for name, st in _json_object(d["continuous"], "continuous").items():
                 st = _json_object(st, f"continuous.{name}")
-                std = _finite_number(st["global_std"], f"{name}.global_std")
-                if std <= 0:   # fit_preprocess drops a constant feature
-                    raise SchemaError(f"preprocess stats: {name}.global_std must be "
-                                      f"> 0, got {json.dumps(std)}")
-                continuous[name] = {
-                    "global_mean": _finite_number(st["global_mean"], f"{name}.global_mean"),
-                    "global_std": std,
-                    "group_means": {
-                        g: _finite_number(m, f"{name}.group_means.{g}") for g, m in
-                        _json_object(st["group_means"], f"{name}.group_means").items()}}
+                continuous[name] = {key: st[key] for key in _STATS_LIKE}
+                if reason := refusal(continuous[name], _STATS_BOUNDS, like=_STATS_LIKE):
+                    raise SchemaError(f"preprocess stats: continuous.{name}: {reason}")
             return cls(continuous=continuous,
                        dropped=_strings(d["dropped"], "dropped"),
                        categorical={k: _strings(v, f"categorical.{k}") for k, v in
@@ -523,13 +523,6 @@ def _json_object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(f"preprocess stats: {where} must be an object, got "
                           f"{type(value).__name__}")
-    return value
-
-
-def _finite_number(value, where: str):
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise SchemaError(f"preprocess stats: {where} must be a finite number, "
-                          f"got {json.dumps(value)}")
     return value
 
 

@@ -45,9 +45,9 @@ import numpy as np
 
 from . import numerics
 from .data import RASTER_READ, apply_preprocess_table
-from .errors import ConfigError
-from .model import (DualStreamModel, FusionConfig, check_dropout, dropout,
-                    fuse, patch_stats, visual_features_batch)
+from .errors import ConfigError, refusal
+from .model import (CONFIG_BOUNDS, DualStreamModel, FusionConfig, dropout, fuse,
+                    patch_stats, visual_features_batch)
 from .rng import Streams
 
 TTA_DEFAULT = (
@@ -55,6 +55,14 @@ TTA_DEFAULT = (
     "brightness+0.2", "brightness-0.2",
     "contrast+0.2", "contrast-0.2",
 )
+
+
+# key -> (whether a value is allowed, what the key must be), for GateConfig
+GATE_BOUNDS = {
+    "tau_blur": (lambda v: v > 0.0, "be > 0"),
+    "n_passes": (lambda v: v >= 2, "be >= 2"),
+    "dropout_p": CONFIG_BOUNDS["dropout_p"],   # the entry DCCEConfig's dropout has
+}
 
 
 @dataclass
@@ -66,16 +74,11 @@ class GateConfig:
     tta_set: tuple[str, ...] = TTA_DEFAULT
 
     def validate(self) -> None:
-        if self.n_passes < 2:
-            raise ConfigError("n_passes must be >= 2")
-        check_dropout(self.dropout_p)
-        if not self.tta_set:
-            raise ConfigError("tta_set must name at least one TTA transform")
-        if self.tau_blur <= 0:
-            raise ConfigError("tau_blur must be positive")
-        for name in self.tta_set:
-            if name not in TTA_TRANSFORMS:
-                raise ConfigError(f"unknown TTA transform '{name}'")
+        if reason := refusal(vars(self), GATE_BOUNDS):
+            raise ConfigError(reason)
+        if not self.tta_set or not set(self.tta_set) <= TTA_TRANSFORMS.keys():
+            raise ConfigError(f"'tta_set' must name one or more of "
+                              f"{', '.join(TTA_TRANSFORMS)}, got {list(self.tta_set)}")
 
 
 @dataclass

@@ -15,21 +15,20 @@ import functools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import read_json_object, write_atomic
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, SchemaError, refusal
 from .numerics import Param, ParamStore, relu, sigmoid
 from .rng import Rng
 
 REG_HIDDEN = (256, 128)
 
-# key -> (whether a value is allowed, what the key must be), for the fields
-# of the model's configs; the CLI checks a stage's config against them,
-# load_checkpoint a manifest's config blocks, and DCCEConfig and GateConfig
-# their dropout_p (inverted dropout scales each kept unit by 1/(1 - p))
+# key -> (whether a value is allowed, what the key must be), for the model's
+# configs, which load_checkpoint checks each manifest block against (inverted
+# dropout scales each kept unit by 1/(1 - p))
 CONFIG_BOUNDS = {
     "input_dim": (lambda v: v >= 1, "be >= 1"),
     "patch_grid": (lambda v: v >= 1, "be >= 1"),
@@ -38,13 +37,9 @@ CONFIG_BOUNDS = {
     "layers_per_block": (lambda v: v >= 0, "be >= 0"),
     "growth_k": (lambda v: v >= 0, "be >= 0"),
     "dropout_p": (lambda p: 0.0 <= p < 1.0, "lie in [0, 1)"),
+    "alpha_vis": (lambda v: v >= 0.0, "be >= 0"),
+    "alpha_clin": (lambda v: v >= 0.0, "be >= 0"),
 }
-
-
-def check_dropout(p: float) -> None:
-    allowed, rule = CONFIG_BOUNDS["dropout_p"]
-    if not allowed(p):
-        raise ConfigError(f"dropout_p must {rule}, got {p}")
 
 
 def keep_bits(words: np.ndarray, p: float) -> np.ndarray:
@@ -89,7 +84,9 @@ class DCCEConfig:
     dropout_p: float = 0.3
 
     def __post_init__(self):
-        check_dropout(self.dropout_p)
+        # input_dim is 0 until the pipeline knows the clinical width
+        if reason := refusal({"dropout_p": self.dropout_p}, CONFIG_BOUNDS):
+            raise ConfigError(reason)
 
     @property
     def output_dim(self) -> int:
@@ -109,12 +106,11 @@ class FusionConfig:
     alpha_clin: float = 0.4
 
     def validate(self) -> None:
-        if not (math.isfinite(self.alpha_vis) and math.isfinite(self.alpha_clin)):
-            raise ConfigError("fusion weights must be finite")
-        if self.alpha_vis < 0 or self.alpha_clin < 0:
-            raise ConfigError("fusion weights must be non-negative")
+        if reason := refusal(vars(self), CONFIG_BOUNDS):
+            raise ConfigError(reason)
         if abs(self.alpha_vis + self.alpha_clin - 1.0) > 1e-9:
-            raise ConfigError("fusion weights must sum to 1")
+            raise ConfigError(f"'alpha_vis' + 'alpha_clin' must sum to 1, "
+                              f"got {self.alpha_vis} + {self.alpha_clin}")
 
 
 def fuse(cfg: FusionConfig, logit_vis, logit_clin):
@@ -540,46 +536,30 @@ def save_checkpoint(model: DualStreamModel, fusion: FusionConfig, out_dir,
         write_atomic(os.path.join(out_dir, name), payload)
 
 
-def _is_json_number(value, type_name: str) -> bool:
-    """Whether value is a JSON number of a field annotated type_name: an int
-    stands for a float, a bool is never a number, and a float is finite."""
-    if type(value) is int:
-        return True
-    return type_name == "float" and type(value) is float and math.isfinite(value)
-
-
-def _config_block(cls, manifest: dict, block: str):
-    """cls from the manifest block save_checkpoint wrote, which names every
-    field exactly once, with a number of the field's type within the
-    field's CONFIG_BOUNDS."""
+def _config_block(template, manifest: dict, block: str):
+    """template's class from the manifest block save_checkpoint wrote, which
+    names each of template's fields exactly once, with a value of the JSON
+    type of the template's within the field's CONFIG_BOUNDS."""
     entries = manifest.get(block, {})
-    want = {f.name for f in fields(cls)}
-    unknown, missing = sorted(set(entries) - want), sorted(want - set(entries))
+    want = vars(template)
+    unknown, missing = sorted(set(entries) - set(want)), sorted(set(want) - set(entries))
     if unknown or missing:
         raise SchemaError(f"manifest block '{block}': unknown keys {unknown}, "
                           f"missing keys {missing}")
-    for f in fields(cls):
-        value = entries[f.name]
-        if not _is_json_number(value, f.type):
-            raise SchemaError(f"manifest block '{block}': key '{f.name}' must be "
-                              f"a finite {'number' if f.type == 'float' else 'integer'},"
-                              f" got {json.dumps(value)}")
-        if f.name in CONFIG_BOUNDS and not CONFIG_BOUNDS[f.name][0](value):
-            raise SchemaError(f"manifest block '{block}': key '{f.name}' must "
-                              f"{CONFIG_BOUNDS[f.name][1]}, got {json.dumps(value)}")
-    return cls(**entries)
+    if reason := refusal(entries, CONFIG_BOUNDS, like=want):
+        raise SchemaError(f"manifest block '{block}': {reason}")
+    return type(template)(**entries)
 
 
 def load_checkpoint(in_dir) -> tuple[DualStreamModel, FusionConfig, dict]:
     manifest = read_json_object(os.path.join(in_dir, "manifest.json"))
-    dcce = _config_block(DCCEConfig, manifest, "dcce")
-    visual = _config_block(VisualFeatConfig, manifest, "visual")
-    fusion = _config_block(FusionConfig, manifest, "fusion")
+    dcce = _config_block(DCCEConfig(input_dim=1), manifest, "dcce")
+    visual = _config_block(VisualFeatConfig(), manifest, "visual")
+    fusion = _config_block(FusionConfig(), manifest, "fusion")
     try:
         fusion.validate()
     except ConfigError as exc:
-        raise SchemaError(f"manifest block 'fusion': {exc}, got "
-                          f"{json.dumps(asdict(fusion))}") from None
+        raise SchemaError(f"manifest block 'fusion': {exc}") from None
     model = DualStreamModel(dcce, visual)  # zero parameters, no init draws
     layout = model.param_layout()
     entries = manifest.get("params")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CohortTable
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, refusal
 from .metrics import mean_absolute_error, roc_auc
 from .model import (DualStreamModel, FusionConfig, dropout, predict_arrays,
                     visual_features_batch)
@@ -24,10 +24,16 @@ from .numerics import (adamw_step, binary_cross_entropy, binary_cross_entropy_gr
 from .rng import Rng
 
 
-# key -> (whether a value is allowed, what the key must be)
+# key -> (whether a value is allowed, what the key must be), for TrainConfig
+SPLIT_KEYS = ("split_train", "split_val", "split_test")
 TRAIN_BOUNDS = {
+    "lambda_weight": (lambda v: v >= 0.0, "be >= 0"),
     "lr": (lambda v: v > 0.0, "be > 0"),
     "wd": (lambda v: v >= 0.0, "be >= 0"),
+    "batch_size": (lambda v: v >= 1, "be >= 1"),
+    "max_epochs": (lambda v: v >= 1, "be >= 1"),
+    "patience": (lambda v: v >= 1, "be >= 1"),
+    **dict.fromkeys(SPLIT_KEYS, (lambda v: v > 0.0, "be > 0")),
 }
 
 
@@ -44,18 +50,14 @@ class TrainConfig:
     include_md_in_regression: bool = True
 
     def validate(self) -> None:
-        for key, (allowed, rule) in TRAIN_BOUNDS.items():
-            if not allowed(getattr(self, key)):
-                raise ConfigError(f"'{key}' must {rule}, got {getattr(self, key)}")
+        if reason := refusal({**vars(self), **dict(zip(SPLIT_KEYS, self.split))},
+                             TRAIN_BOUNDS):
+            raise ConfigError(reason)
         if not self.lr * self.wd < 1.0:
             # weight decay scales every weight by 1 - lr*wd each step
             raise ConfigError(f"'lr' * 'wd' must be < 1, got {self.lr} * {self.wd}")
-        if self.lambda_weight < 0:
-            raise ConfigError("lambda_weight must be >= 0")
-        if abs(sum(self.split) - 1.0) > 1e-9 or any(f <= 0 for f in self.split):
-            raise ConfigError("split fractions must be positive and sum to 1")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ConfigError("batch_size, max_epochs, patience must be >= 1")
+        if abs(sum(self.split) - 1.0) > 1e-9:
+            raise ConfigError(f"'split' fractions must sum to 1, got {self.split}")
 
 
 SPLITS = ("train", "val", "test")

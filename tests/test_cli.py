@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from oculogate.cli import build_parser, dump_json, main, resolve_config
+from oculogate.cli import (_BOUNDS, _DEFAULTS, build_parser, dump_json, main,
+                           resolve_config)
 
 GEN_CFG = {"n_patients": 90, "visits_min": 3, "visits_max": 5, "seed": 11}
 TRAIN_CFG = {"max_epochs": 4, "seed": 5}
@@ -457,6 +458,56 @@ def test_preprocess_value_of_the_wrong_type_exits_one(run_dir, tmp_path, capsys,
     assert len(err) == 1 and path[-1] in err[0] and json.dumps(value) in err[0], err
 
 
+@pytest.mark.parametrize("value", [3, "Test", None, ["test"]],
+                         ids=["int", "capitalised", "null", "list"])
+def test_splits_value_outside_the_split_names_exits_one(run_dir, tmp_path, capsys,
+                                                        value):
+    """A splits.json value other than "train", "val" or "test" is refused by
+    patient id and value; it used to drop the patient from every split, so
+    predict wrote fewer rows and exited 0."""
+    def set_split(model):
+        file = model / "splits.json"
+        assignment = json.loads(file.read_text())
+        for pid in [p for p, name in sorted(assignment.items()) if name == "test"][:4]:
+            assignment[pid] = value
+        file.write_text(json.dumps(assignment))
+
+    code, err = _predict_with_broken_model(run_dir, tmp_path, capsys, set_split)
+    assignment = json.loads((tmp_path / "model" / "splits.json").read_text())
+    pid = next(p for p, name in assignment.items() if name == value)
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: ") and f"'{pid}'" in err[0] \
+        and json.dumps(value) in err[0], err
+    assert not (tmp_path / "pred").exists()
+
+
+def test_splits_without_a_patient_leaves_it_out_of_every_split(run_dir, tmp_path,
+                                                              capsys):
+    """A patient splits.json does not name belongs to no split, so predict
+    scores the test split without that patient's visits."""
+    from oculogate.data import load_cohort_csv
+    from oculogate.train import SplitResult
+
+    full = (run_dir / "model" / "splits.json").read_text()
+    dropped = [p for p, name in sorted(json.loads(full).items()) if name == "test"][:4]
+
+    def drop_patients(model):
+        assignment = json.loads(full)
+        for pid in dropped:
+            del assignment[pid]
+        (model / "splits.json").write_text(json.dumps(assignment))
+
+    code, err = _predict_with_broken_model(run_dir, tmp_path, capsys, drop_patients)
+    assert code == 0 and err == []
+    rows = (tmp_path / "pred" / "predictions.csv").read_text().splitlines()[1:]
+    test = SplitResult.of(load_cohort_csv(run_dir / "cohort" / "cohort.csv"),
+                          json.loads(full)).test
+    kept = [sid for sid, pid in zip(test.sample_ids(), test.patient_id)
+            if pid not in dropped]
+    assert len(kept) < len(test)
+    assert [row.split(",")[0] for row in rows] == kept
+
+
 @pytest.mark.parametrize("split", ["bogus", "assignment"])
 @pytest.mark.parametrize("command", ["predict", "gate", "calibrate", "evaluate",
                                      "coverage"])
@@ -630,6 +681,21 @@ def _run_with_config(run_dir, tmp_path, command, cfg):
     ("calibrate", {"threshold": float("inf")}),
     ("gate", {"tau_blur": float("nan")}),
     ("gen-data", {"group_shift": {"Asian": float("-inf")}}),
+    # a bound of GateConfig's, TrainConfig's or the cohort's table, also on
+    # the stages that used to check it only after reading the model
+    ("gate", {"n_passes": 1}),
+    ("gate", {"tau_blur": 0}),
+    ("evaluate", {"n_passes": 1}),
+    ("evaluate", {"tau_blur": 0}),
+    ("coverage", {"n_passes": 1}),
+    ("coverage", {"tau_blur": 0}),
+    ("warn", {"n_visits": 3}),
+    ("train", {"batch_size": 0}),
+    ("train", {"patience": 0}),
+    ("train", {"lambda_weight": -1}),
+    ("gen-data", {"n_patients": 0}),
+    ("gen-data", {"prevalence": 1.5}),
+    ("gen-data", {"label_noise": 0.5}),
 ], ids=["str-for-int", "float-for-int", "null-for-float", "int-for-bool",
         "bool-for-float", "bool-for-int", "str-in-dict", "list-for-dict",
         "str-seed", "coverage-step-zero", "coverage-step-negative",
@@ -643,7 +709,12 @@ def _run_with_config(run_dir, tmp_path, command, cfg):
         "train-decay-factor-zero",
         "gate-dropout-nan", "top-fraction-nan", "top-fraction-zero",
         "top-fraction-above-one", "alpha-vis-nan", "lr-infinity",
-        "threshold-infinity", "tau-blur-nan", "negative-infinity-in-dict"])
+        "threshold-infinity", "tau-blur-nan", "negative-infinity-in-dict",
+        "gate-one-pass", "gate-tau-blur-zero", "evaluate-one-pass",
+        "evaluate-tau-blur-zero", "coverage-one-pass", "coverage-tau-blur-zero",
+        "warn-three-visits", "train-batch-size-zero", "train-patience-zero",
+        "train-lambda-negative", "gen-data-no-patients", "gen-data-prevalence-above-one",
+        "gen-data-label-noise-half"])
 def test_refused_config_value_exits_two_before_any_read(
         run_dir, tmp_path, capsys, monkeypatch, command, cfg):
     _refuse_reads(monkeypatch)
@@ -651,6 +722,45 @@ def test_refused_config_value_exits_two_before_any_read(
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert len(err) == 1 and f"'{next(iter(cfg))}'" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+# number-valued config keys that take any finite value: seeds, the cohort's
+# risk-logit effects, the gate's referral cost, the decision threshold and
+# calibrate's accuracy tolerance (a negative one leaves no feasible solution)
+_UNBOUNDED = ("seed", "proj_seed", "age_effect", "group_shift", "gamma",
+              "threshold", "acc_tolerance")
+
+
+def test_every_number_valued_key_is_bounded_or_named_unbounded():
+    """A new number-valued key lands in a config's bounds table or, on
+    purpose, in _UNBOUNDED: never unbounded by accident."""
+    for stage, defaults in _DEFAULTS.items():
+        for key, value in defaults.items():
+            values = value.values() if isinstance(value, dict) else [value]
+            if all(type(v) in (int, float) for v in values):
+                assert (key in _BOUNDS) != (key in _UNBOUNDED), (stage, key)
+
+
+@pytest.mark.parametrize("stage,key", [(stage, key) for stage in _DEFAULTS
+                                       for key in _DEFAULTS[stage] if key in _BOUNDS])
+def test_every_bounded_key_is_refused_before_any_read(tmp_path, capsys, monkeypatch,
+                                                      stage, key):
+    """-1, or -1 for each value of a dict, lies outside every key's bound:
+    exit 2 and one line quoting the key, before any file is read."""
+    assert not _BOUNDS[key][0](-1)
+    _refuse_reads(monkeypatch)
+    default = _DEFAULTS[stage][key]
+    value = dict.fromkeys(default, -1.0) if isinstance(default, dict) else \
+        type(default)(-1)
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    inputs = {"gen-data": [], "train": ["--cohort", str(tmp_path / "cohort")]}.get(
+        stage, ["--cohort", str(tmp_path / "cohort"), "--model", str(tmp_path / "model")])
+    code = main([stage, "--config", str(tmp_path / "cfg.json"), *inputs,
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and f"'{key}'" in err[0], err
     assert not (tmp_path / "out").exists()
 
 

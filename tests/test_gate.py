@@ -831,3 +831,13 @@ class TestConfigValidation:
             GateConfig(dropout_p=1.0).validate()
         with pytest.raises(ConfigError):
             GateConfig(tau_blur=0.0).validate()
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"tau_blur": float("nan")}, "tau_blur"),
+        ({"tau_blur": float("inf")}, "tau_blur"),
+        ({"n_passes": 1}, "n_passes"), ({"dropout_p": float("nan")}, "dropout_p"),
+    ], ids=["tau-blur-nan", "tau-blur-inf", "one-pass", "dropout-nan"])
+    def test_each_refusal_names_its_key(self, overrides, key):
+        """A NaN tau_blur used to pass, as every comparison with NaN is false."""
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            GateConfig(**overrides).validate()

@@ -81,6 +81,19 @@ def test_validate_refuses_an_optimizer_that_cannot_descend(overrides, key):
     TrainConfig(lr=0.5, wd=1.999).validate()
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"lambda_weight": float("nan")}, "'lambda_weight'"),
+    ({"lambda_weight": -1.0}, "'lambda_weight'"), ({"batch_size": 0}, "'batch_size'"),
+    ({"max_epochs": 0}, "'max_epochs'"), ({"patience": 0}, "'patience'"),
+    ({"split": (0.7, 0.3, 0.0)}, "'split_test'"), ({"split": (0.7, 0.2, 0.2)}, "'split'"),
+], ids=["lambda-nan", "lambda-negative", "batch-size-zero", "max-epochs-zero",
+        "patience-zero", "split-test-zero", "split-sum"])
+def test_validate_refuses_each_value_by_its_key(overrides, key):
+    """A NaN lambda_weight used to pass, as every comparison with NaN is false."""
+    with pytest.raises(ConfigError, match=key):
+        TrainConfig(**overrides).validate()
+
+
 class TestTrainingLoop:
     def test_loss_decreases_on_separable_cohort(self):
         cohort = generate_cohort(default_cohort_spec(

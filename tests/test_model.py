@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -594,6 +595,7 @@ _BLAS_GUARDS = [
     "tests/test_model.py::TestFeatureMatrices::test_rows_are_batch_invariant",
     "tests/test_model.py::TestFeatureMatrices::test_projection_rows_equal_the_block_product_bitwise",
     "tests/test_model.py::test_outputs_are_row_invariant",
+    "tests/test_model.py::TestPredict::test_scoring_bytes_are_pinned",
     "tests/test_gate.py::test_gate_audit_bytes_are_pinned",
     "tests/test_gate.py::test_ensemble_bytes_at_the_buffer_edges_are_pinned",
     "tests/test_train.py::test_training_bytes_are_pinned",
@@ -694,6 +696,33 @@ class TestPredict:
                 for key in ("delta_risk", "peak_risk"):
                     assert record[key] == getattr(w, key), (kind, seed, key)
                 assert record["mean_risk"] == float(np.mean(risk))
+
+    # sha256 of each array deterministic_scores returns on small_pipeline's
+    # 274-visit test split; without regression it returns the p_* arrays
+    _SCORING_DIGESTS = {
+        "p_vis": "2963a289a710819e8137b82a41cc5d91876b1ae78f96000ca351030dee626381",
+        "p_clin": "af4e52270d77507fbd4c7d26501224f375cf0fac2a2828e176aa44648cceab8b",
+        "p_final": "423047d709313ed410fc13ecd3d3f3361ded4b35514e01fd9e9f811ac762ec02",
+        "md_hat": "31addf10bb94d1e063a85f1e00d40d3e0d7906744c045161a97b240eac361905",
+        "slope_hat": "29ea7610558de3858878be502a75892ff548898666c94afbcda7ffc2530117e8",
+    }
+    # sha256 of warning_report(tp, range(5)) as sorted-key JSON
+    _WARNING_DIGEST = "aec48b7986cf6b7159209ca7a5510b6c6ad083053645f44f5b8be4a7b5b8526e"
+
+    def test_scoring_bytes_are_pinned(self, small_pipeline):
+        """Scoring a table and the warning report keep their recorded bytes,
+        at one and two BLAS threads."""
+        from oculogate.pipeline import deterministic_scores, warning_report
+
+        tp = small_pipeline
+        for regression in (True, False):
+            arrs = deterministic_scores(tp, tp.split.test, regression)
+            want = {key: digest for key, digest in self._SCORING_DIGESTS.items()
+                    if regression or key.startswith("p_")}
+            assert {key: hashlib.sha256(value.tobytes()).hexdigest()
+                    for key, value in arrs.items()} == want, regression
+        report = json.dumps(warning_report(tp, range(5)), sort_keys=True)
+        assert hashlib.sha256(report.encode()).hexdigest() == self._WARNING_DIGEST
 
 
 class TestInit:

@@ -27,8 +27,8 @@ from .rng import Rng
 REG_HIDDEN = (256, 128)
 
 # key -> (whether a value is allowed, what the key must be), for the model's
-# configs, which load_checkpoint checks each manifest block against (inverted
-# dropout scales each kept unit by 1/(1 - p))
+# configs, which DualStreamModel and load_checkpoint check them against
+# (inverted dropout scales each kept unit by 1/(1 - p))
 CONFIG_BOUNDS = {
     "input_dim": (lambda v: v >= 1, "be >= 1"),
     "patch_grid": (lambda v: v >= 1, "be >= 1"),
@@ -291,6 +291,8 @@ class DualStreamModel:
 
     def __init__(self, dcce: DCCEConfig, visual: VisualFeatConfig,
                  init_rng: Rng | None = None):
+        if reason := refusal({**vars(dcce), **vars(visual)}, CONFIG_BOUNDS):
+            raise ConfigError(reason)
         self.dcce = dcce
         self.visual = visual
         self.params = ParamStore(self.param_layout())
@@ -491,20 +493,28 @@ class DualStreamModel:
 # inference
 # ---------------------------------------------------------------------------
 
+# rows per predict_arrays block; each block packs reg.W0's 2,182 x 256 operand
+# again, so over 540 rows blocks of 32 took 40 % longer than one block, 128 10 %
+_PREDICT_ROWS = 128
+
+
 def predict_arrays(model: DualStreamModel, fusion: FusionConfig,
-                   x_clin: np.ndarray, v_feats: np.ndarray,
+                   x_clin: np.ndarray, stats: np.ndarray,
                    regression: bool = True) -> dict[str, np.ndarray]:
-    """Deterministic pass (dropout off, identity augmentation) over a batch:
-    the probabilities, and with regression md_hat and slope_hat too. The
-    probabilities are the same bytes either way."""
-    out, _ = (model.forward if regression else model.diagnose)(x_clin, v_feats)
-    arrs = {
-        "p_vis": sigmoid(out["logit_vis"]),
-        "p_clin": sigmoid(out["logit_clin"]),
-        "p_final": fuse(fusion, out["logit_vis"], out["logit_clin"]),
-    }
-    if regression:
-        arrs.update(md_hat=out["md_hat"], slope_hat=out["slope_hat"])
+    """Deterministic pass (dropout off, identity augmentation) over x_clin
+    and its (n, 2·grid²) patch statistics, _PREDICT_ROWS rows at a time (zero
+    rows: one empty block): the probabilities, and with regression md_hat and
+    slope_hat too, each row's the same bytes in any block and either way."""
+    run = model.forward if regression else model.diagnose
+    keys = ("p_vis", "p_clin", "p_final") + (("md_hat", "slope_hat") if regression else ())
+    arrs = {key: np.empty(len(x_clin)) for key in keys}
+    for lo in range(0, max(len(x_clin), 1), _PREDICT_ROWS):
+        rows = slice(lo, lo + _PREDICT_ROWS)
+        out, _ = run(x_clin[rows], visual_features_batch(model.visual, stats[rows]))
+        out.update(p_vis=sigmoid(out["logit_vis"]), p_clin=sigmoid(out["logit_clin"]),
+                   p_final=fuse(fusion, out["logit_vis"], out["logit_clin"]))
+        for key, value in arrs.items():
+            value[rows] = out[key]
     return arrs
 
 
@@ -541,6 +551,9 @@ def _config_block(template, manifest: dict, block: str):
     names each of template's fields exactly once, with a value of the JSON
     type of the template's within the field's CONFIG_BOUNDS."""
     entries = manifest.get(block, {})
+    if not isinstance(entries, dict):
+        raise SchemaError(f"manifest block '{block}' must be an object, got "
+                          f"{type(entries).__name__}")
     want = vars(template)
     unknown, missing = sorted(set(entries) - set(want)), sorted(set(want) - set(entries))
     if unknown or missing:

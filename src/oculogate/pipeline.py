@@ -16,7 +16,7 @@ from .metrics import (coverage_accuracy_curve, dynamic_warning,
                       mean_absolute_error, metrics_at_threshold, retained,
                       roc_auc)
 from .model import (DCCEConfig, DualStreamModel, FusionConfig, VisualFeatConfig,
-                    patch_stats, predict_arrays, visual_features_batch)
+                    patch_stats, predict_arrays)
 from .rng import Rng
 from .train import (SplitResult, TauSearchResult, TrainConfig, TrainHistory,
                     grid_search_alpha, grid_search_tau_unc, split_dataset,
@@ -40,25 +40,17 @@ class AblationFlags:
         return fusion, gate_cfg
 
 
-def patch_stat_matrices(table: CohortTable, stats: PreprocessStats,
-                        model: DualStreamModel) -> tuple[np.ndarray, np.ndarray]:
+def feature_matrices(table: CohortTable, stats: PreprocessStats,
+                     model: DualStreamModel) -> tuple[np.ndarray, np.ndarray]:
     """Clinical matrix and (n, 2·grid²) patch-statistics matrix for a table,
     the rasters read RASTER_READ at a time: 1 KB per visit at the default
-    8x8 grid, where its features take 16 KB."""
+    8x8 grid, where its features take 16 KB: training and predict_arrays
+    project them a batch or a block at a time."""
     grid = model.visual.patch_grid
     s = np.empty((len(table), 2 * grid * grid))
     for start, rasters in table.raster_blocks():
         s[start : start + len(rasters)] = patch_stats(rasters, grid)
     return apply_preprocess_table(stats, table), s
-
-
-def feature_matrices(table: CohortTable, stats: PreprocessStats,
-                     model: DualStreamModel) -> tuple[np.ndarray, np.ndarray]:
-    """Clinical matrix and visual feature matrix for a table: the patch
-    statistics of patch_stat_matrices, every raster read before the
-    features are allocated, projected in one product."""
-    x, s = patch_stat_matrices(table, stats, model)
-    return x, visual_features_batch(model.visual, s)
 
 
 @dataclass
@@ -94,14 +86,12 @@ def run_training_pipeline(
                             init_rng=Rng(train_cfg.seed, "model-init"))
     fusion = fusion or FusionConfig()
 
-    # training projects each batch from the statistics; the per-epoch
-    # validation forward and the alpha search read the features
-    x_tr, s_tr = patch_stat_matrices(split.train, stats, model)
-    x_va, v_va = feature_matrices(split.val, stats, model)
+    x_tr, s_tr = feature_matrices(split.train, stats, model)
+    x_va, s_va = feature_matrices(split.val, stats, model)
     history = train_multitask(model, train_cfg, x_tr, s_tr, split.train,
-                              x_va, v_va, split.val, fusion)
+                              x_va, s_va, split.val, fusion)
     if search_alpha:
-        arrs = predict_arrays(model, FusionConfig(0.5, 0.5), x_va, v_va,
+        arrs = predict_arrays(model, FusionConfig(0.5, 0.5), x_va, s_va,
                               regression=False)
         fusion = grid_search_alpha(arrs["p_vis"], arrs["p_clin"], split.val.label)
     return TrainedPipeline(model=model, stats=stats, fusion=fusion, split=split,
@@ -112,8 +102,8 @@ def deterministic_scores(tp: TrainedPipeline, table: CohortTable,
                          regression: bool = True) -> dict[str, np.ndarray]:
     """Single-pass predictions (dropout off, identity augmentation); without
     regression, only the probabilities."""
-    x, v = feature_matrices(table, tp.stats, tp.model)
-    return predict_arrays(tp.model, tp.fusion, x, v, regression)
+    x, s = feature_matrices(table, tp.stats, tp.model)
+    return predict_arrays(tp.model, tp.fusion, x, s, regression)
 
 
 def calibrate_gate(tp: TrainedPipeline, gate_cfg: GateConfig, gamma: float,

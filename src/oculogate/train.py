@@ -3,8 +3,8 @@
 The total loss is mean screening cross-entropy (averaged over the two
 stream logits) plus lambda times the mean progression term over
 slope-labeled samples; the progression term averages the Smooth-L1 of the
-current-MD and slope outputs. The two terms are backpropagated separately
-so their gradient norms on the shared clinical trunk can be logged.
+current-MD and slope outputs. Each step backpropagates their sum; every 8th
+batch also backpropagates each term alone to log its trunk gradient norm.
 """
 
 from __future__ import annotations
@@ -187,18 +187,17 @@ def train_multitask(
     model: DualStreamModel,
     cfg: TrainConfig,
     x_train: np.ndarray, s_train: np.ndarray, train_table: CohortTable,
-    x_val: np.ndarray, v_val: np.ndarray, val_table: CohortTable,
+    x_val: np.ndarray, s_val: np.ndarray, val_table: CohortTable,
     fusion: FusionConfig,
 ) -> TrainHistory:
     """AdamW on the multi-task loss with early stopping on validation AUC.
 
-    The caller precomputes the clinical matrices (preprocessing must be
-    fitted on the training split only), the validation features and the
-    training split's patch statistics, s_train, which take 1 KB per visit
-    where features take 16 KB. Each batch's features are projected from its
-    rows of s_train, with the bytes pipeline.feature_matrices gives those
-    rows. Returns the history; the model is left holding the
-    best-validation-AUC parameters.
+    The caller precomputes each split's clinical matrix (preprocessing must
+    be fitted on the training split only) and patch statistics, s_train and
+    s_val, as pipeline.feature_matrices reads them. Each batch's features
+    are projected from its rows of s_train, and each epoch's validation
+    pass projects s_val through predict_arrays. Returns the history; the
+    model is left holding the best-validation-AUC parameters.
     """
     cfg.validate()
     rng = Rng(cfg.seed, "train")
@@ -208,8 +207,6 @@ def train_multitask(
     m_t = train_table.slope_target
     has_slope = ~np.isnan(m_t)
 
-    y_val = val_table.label
-    md_val = val_table.md
     total_mask_width = sum(w for _, w in model.mask_segments())
     p_drop = model.dcce.dropout_p
 
@@ -260,9 +257,9 @@ def train_multitask(
                             **{key: lam * d for key, d in d_prog.items()})
             adamw_step(model.params, lr=cfg.lr, wd=cfg.wd)
 
-        val = predict_arrays(model, fusion, x_val, v_val)
-        val_auc = roc_auc(val["p_final"], y_val)
-        val_mae = mean_absolute_error(val["md_hat"], md_val)
+        val = predict_arrays(model, fusion, x_val, s_val)
+        val_auc = roc_auc(val["p_final"], val_table.label)
+        val_mae = mean_absolute_error(val["md_hat"], val_table.md)
         grad_ratio = (float(np.sqrt(norm_scr) / np.sqrt(norm_prog))
                       if norm_prog > 0 else None)
         history.records.append({

@@ -171,15 +171,13 @@ def projected_rows(cfg, stats):
 
 
 def reference_feature_matrices(table, stats, model):
-    """Clinical and visual feature matrices from reads of 512 rasters, each
-    row featurised by the per-row oracle projected_rows."""
+    """Clinical and patch-statistics matrices from reads of 512 rasters."""
     n = len(table)
-    v = np.empty((n, model.visual.proj_dim))
+    s = np.empty((n, 2 * model.visual.patch_grid ** 2))
     for start in range(0, n, 512):
         rasters = table.raster_stack(range(start, min(start + 512, n)))
-        v[start : start + len(rasters)] = projected_rows(
-            model.visual, patch_stats(rasters, model.visual.patch_grid))
-    return apply_preprocess_table(stats, table), v
+        s[start : start + len(rasters)] = patch_stats(rasters, model.visual.patch_grid)
+    return apply_preprocess_table(stats, table), s
 
 
 def grad_check(model_fn, store, h: float = 1e-5,

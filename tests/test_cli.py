@@ -405,6 +405,24 @@ def test_manifest_config_block_keys_exit_one(run_dir, tmp_path, capsys, block,
     assert len(err) == 1 and block in err[0] and next(iter(edit)) in err[0]
 
 
+@pytest.mark.parametrize("block,value,kind", [("dcce", 5, "int"), ("visual", [1], "list"),
+                                              ("fusion", "x", "str")],
+                         ids=["dcce-number", "visual-array", "fusion-string"])
+def test_manifest_config_block_not_an_object_exits_one(run_dir, tmp_path, capsys,
+                                                       block, value, kind):
+    """A manifest config block that is not an object is refused by name and
+    JSON type, where it ended in a raw TypeError or a list of "unknown keys"."""
+    def replace_block(model):
+        file = model / "checkpoint" / "manifest.json"
+        manifest = json.loads(file.read_text())
+        manifest[block] = value
+        file.write_text(json.dumps(manifest))
+
+    code, err = _predict_with_broken_model(run_dir, tmp_path, capsys, replace_block)
+    assert code == 1
+    assert err == [f"error: manifest block '{block}' must be an object, got {kind}"], err
+
+
 @pytest.mark.parametrize("block,key,value", [
     ("dcce", "growth_k", -3), ("visual", "patch_grid", 0), ("fusion", "alpha_vis", "a"),
     ("dcce", "dropout_p", 1.0), ("dcce", "n_blocks", 2.0), ("visual", "proj_seed", True),

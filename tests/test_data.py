@@ -830,24 +830,28 @@ def test_no_call_makes_or_reduces_more_than_raster_read_rasters(tmp_path,
                                                                  monkeypatch):
     """Training, gating, scoring and the warn stage, on tables of more than
     2 x RASTER_READ visits, never hand generate_images or patch_stats more
-    than RASTER_READ rasters, whichever module calls them."""
+    than RASTER_READ rasters, whichever module calls them. Scoring, the warn
+    stage and training's validation project features through predict_arrays
+    (model) at most a predict block at a time; only training batches (train)
+    and the gate's batches (gate) project elsewhere."""
     import oculogate.cli as cli
     import oculogate.model as model
     import oculogate.pipeline as pipeline
     from oculogate.gate import GateConfig, run_gate
     from oculogate.train import TrainConfig
 
-    rows = {}
-    for fn in (generate_images, model.patch_stats):
-        def recording(first, *args, fn=fn):
-            rows[fn.__name__].append(len(first))
-            return fn(first, *args)
-
-        rows[fn.__name__] = []
+    rows = {}   # (function, module it was called through) -> rows per call
+    # each function with the position of the argument that holds its rows
+    for fn, arg in ((generate_images, 0), (model.patch_stats, 0),
+                    (model.visual_features_batch, 1)):
         for name, module in list(sys.modules.items()):
             if name.startswith("oculogate."):
                 for attr, value in list(vars(module).items()):
                     if value is fn:
+                        def recording(*args, fn=fn, arg=arg, caller=name):
+                            rows.setdefault((fn.__name__, caller), []).append(len(args[arg]))
+                            return fn(*args)
+
                         monkeypatch.setattr(module, attr, recording)
 
     cohort = generate_cohort(default_cohort_spec(n_patients=40, seed=8))
@@ -866,5 +870,9 @@ def test_no_call_makes_or_reduces_more_than_raster_read_rasters(tmp_path,
                      "--cohort", str(tmp_path / "cohort"),
                      "--model", str(tmp_path / "model"),
                      "--out", str(tmp_path / "warn")]) == 0
-    for name, sizes in rows.items():
-        assert max(sizes) == data_module.RASTER_READ, (name, sizes)
+    for fn in ("generate_images", "patch_stats"):
+        sizes = [n for (name, _), calls in rows.items() if name == fn for n in calls]
+        assert max(sizes) == data_module.RASTER_READ, (fn, sizes)
+    projecting = {caller for name, caller in rows if name == "visual_features_batch"}
+    assert projecting == {"oculogate.model", "oculogate.train", "oculogate.gate"}
+    assert max(rows["visual_features_batch", "oculogate.model"]) == model._PREDICT_ROWS

@@ -81,6 +81,18 @@ class TestDCCE:
         with pytest.raises(ConfigError, match="dropout_p"):
             DCCEConfig(input_dim=5, dropout_p=p)
 
+    @pytest.mark.parametrize("dcce,visual", [
+        ({"n_blocks": -1}, {}), ({"layers_per_block": -1}, {}), ({"growth_k": -2}, {}),
+        ({"input_dim": 0}, {}), ({}, {"patch_grid": 0}), ({}, {"proj_dim": -1}),
+    ], ids=["n_blocks", "layers_per_block", "growth_k", "input_dim", "patch_grid",
+            "proj_dim"])
+    def test_model_refuses_configs_outside_their_bounds(self, dcce, visual):
+        """A model is not built from a config CONFIG_BOUNDS refuses, where
+        it used to die in forward or in a numpy constructor, or not at all."""
+        key = next(iter({**dcce, **visual}))
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            DualStreamModel(DCCEConfig(**{"input_dim": 5, **dcce}), VisualFeatConfig(**visual))
+
 
 class TestVisualFeatures:
     def test_deterministic(self):
@@ -284,21 +296,26 @@ class TestFeatureMatrices:
     def test_equals_reads_of_512_rasters(self, small_pipeline, small_cohort, n):
         tp = small_pipeline
         table = small_cohort.subset(range(n))
-        x, v = feature_matrices(table, tp.stats, tp.model)
-        x_ref, v_ref = reference_feature_matrices(table, tp.stats, tp.model)
+        x, s = feature_matrices(table, tp.stats, tp.model)
+        x_ref, s_ref = reference_feature_matrices(table, tp.stats, tp.model)
         assert x.tobytes() == x_ref.tobytes()
-        assert v.tobytes() == v_ref.tobytes()
+        assert s.tobytes() == s_ref.tobytes()
 
     def test_peak_memory_beyond_the_output_is_bounded(self, small_pipeline,
                                                       small_cohort):
-        """Reads of 32 rasters and the table's patch statistics, 1 KB per
-        visit: a few MB beyond the two output matrices, where one read of
-        512 rasters alone is 16 MB."""
+        """Scoring holds reads of 32 rasters, the table's patch statistics
+        (1 KB per visit) and one predict block's features: a few MB beyond
+        the clinical and statistics matrices and the outputs, where the
+        table's features alone are 16 MB and one read of 512 rasters too."""
+        from oculogate.pipeline import deterministic_scores
+
         tp = small_pipeline
         table = small_cohort.subset(range(1025))
-        x, v = feature_matrices(table, tp.stats, tp.model)
-        peak = traced_peak(feature_matrices, table, tp.stats, tp.model)
-        assert peak - x.nbytes - v.nbytes < 8 * 2**20, peak
+        x, s = feature_matrices(table, tp.stats, tp.model)
+        out = deterministic_scores(tp, table)
+        peak = traced_peak(deterministic_scores, tp, table)
+        held = x.nbytes + s.nbytes + sum(a.nbytes for a in out.values())
+        assert peak - held < 8 * 2**20, peak
 
 
     def test_rows_are_batch_invariant(self):
@@ -382,7 +399,7 @@ class TestHeads:
         assert np.all(out["logit_clin"] == 0.0)
         assert np.all(out["md_hat"] == 0.0)
         assert np.all(out["slope_hat"] == 0.0)
-        arrs = predict_arrays(m, FusionConfig(), x, v)
+        arrs = predict_arrays(m, FusionConfig(), x, Rng(7, "s").uniform((3, 8)))
         assert np.all(arrs["p_final"] == 0.5)
 
     def test_regression_hidden_dims(self):
@@ -568,10 +585,10 @@ def test_outputs_are_row_invariant(small_pipeline, case):
     tp = small_pipeline
     table = tp.split.test.subset(range(65))
     if case.startswith("predict"):
-        x, v = feature_matrices(table, tp.stats, tp.model)
+        x, s = feature_matrices(table, tp.stats, tp.model)
 
         def outputs(rows):
-            return predict_arrays(tp.model, tp.fusion, x[rows], v[rows],
+            return predict_arrays(tp.model, tp.fusion, x[rows], s[rows],
                                   regression=case == "predict")
     else:
         x = apply_preprocess_table(tp.stats, table)
@@ -674,6 +691,15 @@ class TestPredict:
         assert set(probs) == {"p_vis", "p_clin", "p_final"}
         for key, value in probs.items():
             assert value.tobytes() == full[key].tobytes(), key
+
+    def test_zero_rows_give_an_empty_array_per_key(self, small_pipeline):
+        from oculogate.pipeline import deterministic_scores
+
+        empty = small_pipeline.split.test.subset([])
+        for regression, n_keys in ((True, 5), (False, 3)):
+            arrs = deterministic_scores(small_pipeline, empty, regression)
+            assert len(arrs) == n_keys, regression
+            assert all(value.shape == (0,) for value in arrs.values()), regression
 
     def test_warning_report_scores_as_per_trajectory_calls(self, small_pipeline):
         """The trajectories scored as one table give each trajectory's

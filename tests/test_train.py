@@ -8,13 +8,14 @@ from oculogate.data import default_cohort_spec, generate_cohort
 from oculogate.errors import ConfigError
 from oculogate.metrics import roc_auc
 from oculogate.model import DCCEConfig, FusionConfig
-from oculogate.pipeline import patch_stat_matrices, run_training_pipeline
+from oculogate.pipeline import feature_matrices, run_training_pipeline
 from oculogate.rng import Rng
 import oculogate.train as train_module
 from oculogate.train import (TrainConfig, grid_search_alpha,
                              grid_search_tau_unc, split_dataset)
 
-from helpers import _InlinePool, reference_feature_matrices, traced_peak
+from helpers import (_InlinePool, projected_rows, reference_feature_matrices,
+                     traced_peak)
 
 
 @pytest.fixture(scope="module")
@@ -380,8 +381,9 @@ def test_every_training_batch_has_the_feature_matrix_rows(lone_row_run):
     feature matrix bit for bit, one-row batches and the last row of a
     513-row split included. A batch row is found by its patch statistics."""
     tp, batches, _ = lone_row_run
-    _, s = patch_stat_matrices(tp.split.train, tp.stats, tp.model)
-    _, v_ref = reference_feature_matrices(tp.split.train, tp.stats, tp.model)
+    _, s = feature_matrices(tp.split.train, tp.stats, tp.model)
+    v_ref = projected_rows(tp.model.visual,
+                           reference_feature_matrices(tp.split.train, tp.stats, tp.model)[1])
     row_of = {row.tobytes(): i for i, row in enumerate(s)}
     assert len(row_of) == len(s)
     assert sum(len(stats) for stats, _ in batches) == 2 * len(s)
@@ -392,10 +394,10 @@ def test_every_training_batch_has_the_feature_matrix_rows(lone_row_run):
 
 
 def test_training_peak_grows_by_a_few_kb_per_training_visit():
-    """run_training_pipeline holds the training split's patch statistics
-    (1 KB per visit), not its features (16 KB per visit); the rest of the
-    growth is the validation split's features and its per-epoch forward.
-    Holding the training features measured 24 KB per training visit."""
+    """run_training_pipeline holds each split's patch statistics (1 KB per
+    visit), not its features (16 KB per visit), and projects the validation
+    split a predict block at a time. Holding the training features measured
+    24 KB per training visit."""
     cfg = TrainConfig(max_epochs=1, patience=1, seed=5)
     sizes, peaks = [], []
     for n_patients in (150, 450):

@@ -78,7 +78,7 @@ _DEFAULTS = {
     "train": {
         **_field_defaults(TrainConfig()),
         **dict(zip(SPLIT_KEYS, TrainConfig().split)),
-        **_field_defaults(DCCEConfig(input_dim=0)),
+        **_field_defaults(DCCEConfig(input_dim=1)),
         **_field_defaults(VisualFeatConfig()), **_field_defaults(FusionConfig()),
         "search_alpha": False,
     },
@@ -205,13 +205,11 @@ def cmd_gen_data(cfg, args):
 
 def cmd_train(cfg, args):
     train_cfg = _build(TrainConfig, cfg, split=tuple(cfg[k] for k in SPLIT_KEYS))
-    train_cfg.validate()
     fusion = _build(FusionConfig, cfg)
-    fusion.validate()
     table = load_cohort_csv(os.path.join(args.cohort, "cohort.csv"))
     tp = run_training_pipeline(
         table, train_cfg,
-        dcce_cfg=_build(DCCEConfig, cfg, input_dim=0),
+        dcce_cfg=_build(DCCEConfig, cfg, input_dim=1),
         visual_cfg=_build(VisualFeatConfig, cfg), fusion=fusion,
         search_alpha=cfg["search_alpha"],
     )

@@ -25,7 +25,7 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -118,7 +118,7 @@ DATA_BOUNDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class CohortSpec:
     n_patients: int = 2000
     visits_per_patient: tuple[int, int] = (4, 8)
@@ -133,7 +133,7 @@ class CohortSpec:
     label_noise: float = 0.05
     seed: int = 20240601
 
-    def validate(self) -> None:
+    def __post_init__(self):
         lo, hi = self.visits_per_patient
         if reason := refusal({**vars(self), "visits_min": lo, "visits_max": hi},
                              DATA_BOUNDS):
@@ -150,14 +150,11 @@ def default_cohort_spec(**overrides) -> CohortSpec:
     """Cohort with one subgroup pushed toward the decision boundary (Black),
     one pushed away (Asian); drives both the selective-prediction and
     fairness experiments."""
-    spec = CohortSpec(
-        group_shift={"Asian": 0.5, "Black": -0.5, "White": 0.0},
-    )
-    for k, v in overrides.items():
-        if not hasattr(spec, k):
-            raise ConfigError(f"unknown CohortSpec field '{k}'")
-        setattr(spec, k, v)
-    return spec
+    names = {f.name for f in fields(CohortSpec)}
+    if unknown := [k for k in overrides if k not in names]:
+        raise ConfigError(f"unknown CohortSpec field '{unknown[0]}'")
+    return CohortSpec(**{"group_shift": {"Asian": 0.5, "Black": -0.5, "White": 0.0},
+                         **overrides})
 
 
 RASTER_READ = 32   # rasters per table read and per call: 1 MB of 64x64 float64
@@ -273,7 +270,6 @@ _PATIENT_BLOCK = 4096   # patients drawn at a time
 
 def generate_cohort(spec: CohortSpec) -> CohortTable:
     """Synthetic multi-visit cohort, reproducible from spec.seed."""
-    spec.validate()
     groups = sorted(spec.group_mix)
     mean_shift = float(sum(spec.group_mix[g] * spec.group_shift.get(g, 0.0)
                            for g in groups))

@@ -65,7 +65,7 @@ GATE_BOUNDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateConfig:
     tau_blur: float = 100.0
     tau_unc: float | None = None    # calibrated on validation, never a constant
@@ -73,7 +73,7 @@ class GateConfig:
     dropout_p: float = 0.3
     tta_set: tuple[str, ...] = TTA_DEFAULT
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if reason := refusal(vars(self), GATE_BOUNDS):
             raise ConfigError(reason)
         if not self.tta_set or not set(self.tta_set) <= TTA_TRANSFORMS.keys():
@@ -171,7 +171,6 @@ def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
                     cfg: GateConfig, seed: int) -> np.ndarray:
     """Fused probabilities p_passes (n_samples, n_passes) from one pass of
     the trunk and the diagnostic heads; the regression head never runs."""
-    cfg.validate()
     n = x_clin.shape[0]
     names = [cfg.tta_set[i % len(cfg.tta_set)] for i in range(cfg.n_passes)]
     distinct = list(dict.fromkeys(names))
@@ -261,7 +260,15 @@ class GateRun:
         return (self.u[keep], self.mu[keep], [self.sample_ids[i] for i in keep],
                 *(np.asarray(c)[keep] for c in columns))
 
+    def _decided(self) -> list[GateDecision]:
+        """The decisions, refused on a run from ensemble_over_table."""
+        if len(self.decisions) != len(self.sample_ids):
+            raise ConfigError("this gate run holds no accept/reject decisions; "
+                              "gate the table with run_gate")
+        return self.decisions
+
     def audit_records(self) -> list[dict]:
+        decisions = self._decided()
         recs = []
         for i, sid in enumerate(self.sample_ids):
             recs.append({
@@ -269,7 +276,7 @@ class GateRun:
                 "lap_var": float(self.lap_var[i]),
                 "mu": None if math.isnan(self.mu[i]) else float(self.mu[i]),
                 "u": None if math.isnan(self.u[i]) else float(self.u[i]),
-                "decision": self.decisions[i].kind,
+                "decision": decisions[i].kind,
                 "group": self.groups[i],
             })
         return recs
@@ -283,7 +290,6 @@ def ensemble_over_table(model: DualStreamModel, table, stats, cfg: GateConfig,
     and u stay NaN. The table is read RASTER_READ rasters at a time, and
     each read's sharp rows are one ensemble_passes call: a visit's bytes do
     not depend on the visits that share its batch."""
-    cfg.validate()
     n = len(table)
     sample_ids = table.sample_ids()
     x_all = apply_preprocess_table(stats, table)
@@ -323,12 +329,13 @@ def triage_queue(run: GateRun, priority_groups) -> list[int]:
     uncertainty rejects within a group; patient id, then visit index, break
     the remaining ties, so the order is total."""
     rank = {g: i for i, g in enumerate(priority_groups)}
+    decisions = run._decided()
 
     def key(i):
-        u_eff = run.u[i] if run.decisions[i].kind == "reject_uncertain" else -math.inf
+        u_eff = run.u[i] if decisions[i].kind == "reject_uncertain" else -math.inf
         patient, _, visit = run.sample_ids[i].rpartition("#")
         return (rank.get(run.groups[i], len(priority_groups)), -u_eff,
                 patient, int(visit))
 
-    rejects = [i for i, d in enumerate(run.decisions) if d.kind != "accept"]
+    rejects = [i for i, d in enumerate(decisions) if d.kind != "accept"]
     return sorted(rejects, key=key)

@@ -75,8 +75,11 @@ def retained(uncertainties, sample_ids, coverage: float) -> np.ndarray:
     at least one and at most n kept. Ties in U break by sample id, so the
     retained sets are a deterministic, nested family as coverage grows."""
     u = np.asarray(uncertainties, dtype=np.float64)
-    k = min(max(int(np.ceil(coverage * u.size)), 1), u.size)
-    return np.lexsort((np.asarray(sample_ids), u))[:k]
+    return np.lexsort((np.asarray(sample_ids), u))[:_kept(coverage, u.size)]
+
+
+def _kept(coverage: float, n: int) -> int:
+    return min(max(int(np.ceil(coverage * n)), 1), n)
 
 
 def coverage_accuracy_curve(
@@ -88,7 +91,7 @@ def coverage_accuracy_curve(
     threshold: float = 0.5,
 ) -> list[tuple[float, float]]:
     """(coverage, accuracy) points over the samples `retained` at each
-    coverage (Geifman & El-Yaniv, NeurIPS 2017)."""
+    coverage (Geifman & El-Yaniv, NeurIPS 2017), read off one sort."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise DataError("coverage_accuracy_curve needs at least one sample")
@@ -97,11 +100,9 @@ def coverage_accuracy_curve(
     if coverages is None:
         coverages = [round(0.50 + 0.05 * i, 2) for i in range(11)]
     correct = (scores >= threshold).astype(int) == np.asarray(labels)
-    points = []
-    for c in coverages:
-        keep = retained(uncertainties, sample_ids, c)
-        points.append((float(c), float(correct[keep].sum() / keep.size)))
-    return points
+    hits = np.cumsum(correct[retained(uncertainties, sample_ids, 1.0)])
+    ks = [_kept(c, hits.size) for c in coverages]
+    return [(float(c), float(hits[k - 1] / k)) for c, k in zip(coverages, ks)]
 
 
 def ols_slope(times, values):

@@ -27,7 +27,7 @@ from .rng import Rng
 REG_HIDDEN = (256, 128)
 
 # key -> (whether a value is allowed, what the key must be), for the model's
-# configs, which DualStreamModel and load_checkpoint check them against
+# configs, which each checks when built, as load_checkpoint does its manifest
 # (inverted dropout scales each kept unit by 1/(1 - p))
 CONFIG_BOUNDS = {
     "input_dim": (lambda v: v >= 1, "be >= 1"),
@@ -75,18 +75,21 @@ def dropout(x: np.ndarray, keep: np.ndarray, p: float, blocks=None) -> np.ndarra
     return out
 
 
-@dataclass
-class DCCEConfig:
+class _Bounded:
+    """Refuses, when built, the first field value out of its CONFIG_BOUNDS entry."""
+
+    def __post_init__(self):
+        if reason := refusal(vars(self), CONFIG_BOUNDS):
+            raise ConfigError(reason)
+
+
+@dataclass(frozen=True)
+class DCCEConfig(_Bounded):
     input_dim: int
     n_blocks: int = 2
     layers_per_block: int = 2
     growth_k: int = 32
     dropout_p: float = 0.3
-
-    def __post_init__(self):
-        # input_dim is 0 until the pipeline knows the clinical width
-        if reason := refusal({"dropout_p": self.dropout_p}, CONFIG_BOUNDS):
-            raise ConfigError(reason)
 
     @property
     def output_dim(self) -> int:
@@ -94,20 +97,19 @@ class DCCEConfig:
 
 
 @dataclass(frozen=True)
-class VisualFeatConfig:
+class VisualFeatConfig(_Bounded):
     patch_grid: int = 8
     proj_dim: int = 2048
     proj_seed: int = 7_040_125
 
 
-@dataclass
-class FusionConfig:
+@dataclass(frozen=True)
+class FusionConfig(_Bounded):
     alpha_vis: float = 0.6
     alpha_clin: float = 0.4
 
-    def validate(self) -> None:
-        if reason := refusal(vars(self), CONFIG_BOUNDS):
-            raise ConfigError(reason)
+    def __post_init__(self):
+        super().__post_init__()
         if abs(self.alpha_vis + self.alpha_clin - 1.0) > 1e-9:
             raise ConfigError(f"'alpha_vis' + 'alpha_clin' must sum to 1, "
                               f"got {self.alpha_vis} + {self.alpha_clin}")
@@ -115,7 +117,6 @@ class FusionConfig:
 
 def fuse(cfg: FusionConfig, logit_vis, logit_clin):
     """Probability-level weighted fusion of the two stream logits."""
-    cfg.validate()
     return cfg.alpha_vis * sigmoid(logit_vis) + cfg.alpha_clin * sigmoid(logit_clin)
 
 
@@ -291,8 +292,6 @@ class DualStreamModel:
 
     def __init__(self, dcce: DCCEConfig, visual: VisualFeatConfig,
                  init_rng: Rng | None = None):
-        if reason := refusal({**vars(dcce), **vars(visual)}, CONFIG_BOUNDS):
-            raise ConfigError(reason)
         self.dcce = dcce
         self.visual = visual
         self.params = ParamStore(self.param_layout())
@@ -561,7 +560,10 @@ def _config_block(template, manifest: dict, block: str):
                           f"missing keys {missing}")
     if reason := refusal(entries, CONFIG_BOUNDS, like=want):
         raise SchemaError(f"manifest block '{block}': {reason}")
-    return type(template)(**entries)
+    try:
+        return type(template)(**entries)
+    except ConfigError as exc:   # a rule across keys, such as fusion's sum
+        raise SchemaError(f"manifest block '{block}': {exc}") from None
 
 
 def load_checkpoint(in_dir) -> tuple[DualStreamModel, FusionConfig, dict]:
@@ -569,10 +571,6 @@ def load_checkpoint(in_dir) -> tuple[DualStreamModel, FusionConfig, dict]:
     dcce = _config_block(DCCEConfig(input_dim=1), manifest, "dcce")
     visual = _config_block(VisualFeatConfig(), manifest, "visual")
     fusion = _config_block(FusionConfig(), manifest, "fusion")
-    try:
-        fusion.validate()
-    except ConfigError as exc:
-        raise SchemaError(f"manifest block 'fusion': {exc}") from None
     model = DualStreamModel(dcce, visual)  # zero parameters, no init draws
     layout = model.param_layout()
     entries = manifest.get("params")

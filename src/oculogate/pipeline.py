@@ -72,16 +72,15 @@ def run_training_pipeline(
 ) -> TrainedPipeline:
     """Split, fit preprocessing on train only, train, and (optionally) grid
     search the fusion weights on validation. A provided dcce_cfg acts as a
-    template: its input_dim is always replaced by the fitted feature count.
+    template, checked when built like every config: its input_dim (the CLI
+    passes 1) is always replaced by the fitted feature count.
     """
     train_cfg = train_cfg or TrainConfig()
     split = split_dataset(cohort, train_cfg)
     stats = fit_preprocess(split.train)
     visual_cfg = visual_cfg or VisualFeatConfig()
-    if dcce_cfg is None:
-        dcce_cfg = DCCEConfig(input_dim=len(stats.feature_names))
-    else:
-        dcce_cfg = replace(dcce_cfg, input_dim=len(stats.feature_names))
+    dcce_cfg = replace(dcce_cfg or DCCEConfig(input_dim=1),
+                       input_dim=len(stats.feature_names))
     model = DualStreamModel(dcce_cfg, visual_cfg,
                             init_rng=Rng(train_cfg.seed, "model-init"))
     fusion = fusion or FusionConfig()

@@ -37,7 +37,7 @@ TRAIN_BOUNDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lambda_weight: float = 5.0
     lr: float = 1e-4
@@ -49,7 +49,7 @@ class TrainConfig:
     seed: int = 7
     include_md_in_regression: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if reason := refusal({**vars(self), **dict(zip(SPLIT_KEYS, self.split))},
                              TRAIN_BOUNDS):
             raise ConfigError(reason)
@@ -100,7 +100,6 @@ def split_dataset(cohort: CohortTable, cfg: TrainConfig) -> SplitResult:
     No patient spans splits. A stratum with fewer than 3 patients cannot
     appear in every split and raises a config error naming it.
     """
-    cfg.validate()
     if len(cohort) == 0:
         raise ConfigError("split_dataset: empty cohort")
     per_patient: dict[str, dict] = {}
@@ -199,7 +198,6 @@ def train_multitask(
     pass projects s_val through predict_arrays. Returns the history; the
     model is left holding the best-validation-AUC parameters.
     """
-    cfg.validate()
     rng = Rng(cfg.seed, "train")
     n = len(train_table)
     y = train_table.label.astype(np.float64)

@@ -139,7 +139,6 @@ def reference_ensemble_over_table(model, table, stats, cfg, seed, fusion):
     """The gate's table pass from one read of every raster: the blur
     firewall over the whole stack, then the sharp rows in ensemble batches
     of 32, in table order."""
-    cfg.validate()
     n = len(table)
     sample_ids = table.sample_ids()
     rasters = table.raster_stack(range(n))
@@ -422,7 +421,6 @@ def reference_slope_targets(table) -> None:
 def reference_cohort(spec):
     """Synthetic multi-visit cohort, one Rng per patient and per visit, with
     the slope targets of reference_slope_targets."""
-    spec.validate()
     groups = sorted(spec.group_mix)
     mix = np.array([spec.group_mix[g] for g in groups])
     mean_shift = float(sum(spec.group_mix[g] * spec.group_shift.get(g, 0.0)

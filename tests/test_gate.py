@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from oculogate import gate as gate_module
 from oculogate import numerics
-from oculogate.data import (apply_preprocess_table, generate_image, generate_images,
-                            inject_blur)
+from oculogate.data import (apply_preprocess_table, default_cohort_spec, generate_cohort,
+                            generate_image, generate_images, inject_blur)
 from oculogate.errors import ConfigError, DataError, NumericError
 from oculogate.gate import (TTA_DEFAULT, GateConfig, GateDecision, GateRun,
                             _tta_stats, apply_tta, ensemble_over_table,
@@ -20,7 +20,9 @@ from oculogate.gate import (TTA_DEFAULT, GateConfig, GateDecision, GateRun,
                             run_gate, summarize_passes, triage_queue)
 from oculogate.model import DualStreamModel, fuse, patch_stats, visual_features_batch
 from oculogate.numerics import ParamStore
+from oculogate.pipeline import calibrate_gate, run_training_pipeline
 from oculogate.rng import Rng, Streams
+from oculogate.train import TrainConfig
 
 from helpers import (TTA_REFERENCE, _InlinePool, _RefusingPool, float_rule_masks,
                      reference_ensemble_over_table, traced_peak, y_hat)
@@ -136,11 +138,11 @@ class TestTTA:
 
     def test_unknown_transform_rejected(self):
         with pytest.raises(ConfigError):
-            GateConfig(tta_set=("identity", "rot90")).validate()
+            GateConfig(tta_set=("identity", "rot90"))
 
     def test_empty_set_rejected_by_name(self):
         with pytest.raises(ConfigError, match="tta_set"):
-            GateConfig(tta_set=()).validate()
+            GateConfig(tta_set=())
 
 
 class TestTTAStats:
@@ -823,14 +825,28 @@ class TestTriage:
         assert run.groups[out[0]] == "White"
 
 
+def test_readers_refuse_a_run_without_decisions():
+    """calibrate_gate's validation run, like any ensemble_over_table run,
+    holds no decisions: triage_queue used to return [] on it and
+    audit_records to raise a raw IndexError."""
+    cohort = generate_cohort(default_cohort_spec(n_patients=80, seed=5))
+    tp = run_training_pipeline(cohort, TrainConfig(max_epochs=1, seed=5))
+    _, _, val_run = calibrate_gate(tp, GateConfig(), gamma=0.15, seed=3)
+    assert val_run.sample_ids and not val_run.decisions
+    with pytest.raises(ConfigError, match="run_gate"):
+        val_run.audit_records()
+    with pytest.raises(ConfigError, match="run_gate"):
+        triage_queue(val_run, ["Black", "Asian", "White"])
+
+
 class TestConfigValidation:
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
-            GateConfig(n_passes=1).validate()
+            GateConfig(n_passes=1)
         with pytest.raises(ConfigError):
-            GateConfig(dropout_p=1.0).validate()
+            GateConfig(dropout_p=1.0)
         with pytest.raises(ConfigError):
-            GateConfig(tau_blur=0.0).validate()
+            GateConfig(tau_blur=0.0)
 
     @pytest.mark.parametrize("overrides, key", [
         ({"tau_blur": float("nan")}, "tau_blur"),
@@ -840,4 +856,4 @@ class TestConfigValidation:
     def test_each_refusal_names_its_key(self, overrides, key):
         """A NaN tau_blur used to pass, as every comparison with NaN is false."""
         with pytest.raises(ConfigError, match=f"'{key}'"):
-            GateConfig(**overrides).validate()
+            GateConfig(**overrides)

@@ -136,6 +136,23 @@ class TestCoverageCurve:
         assert sorted(retained(u, ids, 2.0)) == list(range(len(u)))
         assert retained([], [], 0.5).size == 0
 
+    def test_one_sort_matches_the_per_point_retained_rule(self):
+        """Tied U, coverages that cut at the same count, coverage 1.0 and
+        coverages below 1/n read the same points as a retained call each."""
+        n = 37
+        rng = Rng(8, "cov-ties")
+        u = np.round(rng.uniform(n) * 4.0) / 4.0     # five distinct values
+        scores, labels = rng.uniform(n), (rng.uniform(n) < 0.5).astype(int)
+        ids = [f"s{i:03d}" for i in rng.permutation(n)]
+        coverages = [0.0, 0.01, 0.5 / n, 1.0 / n, 0.3, 11 / n, 10.5 / n,
+                     0.5, 0.51, 0.999, 1.0, *np.linspace(0.0, 1.0, 101)]
+        correct = (scores >= 0.5).astype(int) == labels
+        want = []
+        for c in coverages:
+            keep = retained(u, ids, c)
+            want.append((float(c), float(correct[keep].sum() / keep.size)))
+        assert coverage_accuracy_curve(u, scores, labels, ids, coverages) == want
+
     def test_no_samples_refused(self):
         with pytest.raises(DataError, match="at least one sample"):
             coverage_accuracy_curve([], [], [], [])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oculogate.data import apply_preprocess_table
+from oculogate.data import (DATA_BOUNDS, VISIT_KEYS, CohortSpec, apply_preprocess_table,
+                            default_cohort_spec)
 from oculogate.errors import ConfigError, SchemaError
-from oculogate.gate import GateConfig, ensemble_passes
-from oculogate.model import (DCCEConfig, DualStreamModel, FusionConfig,
+from oculogate.gate import GATE_BOUNDS, GateConfig, ensemble_passes, gate_decide
+from oculogate.model import (CONFIG_BOUNDS, DCCEConfig, DualStreamModel, FusionConfig,
                              VisualFeatConfig, dropout, fuse, keep_bits,
                              load_checkpoint, patch_stats, predict_arrays,
                              projection_matrix, save_checkpoint,
@@ -20,7 +22,7 @@ from oculogate.model import (DCCEConfig, DualStreamModel, FusionConfig,
 from oculogate.numerics import adamw_step, sigmoid
 from oculogate.pipeline import feature_matrices
 from oculogate.rng import Rng, _unit
-from oculogate.train import TrainConfig, multitask_loss
+from oculogate.train import SPLIT_KEYS, TRAIN_BOUNDS, TrainConfig, multitask_loss
 
 from helpers import (ConcatTrunkModel, blas_pool_threads, float_rule_masks,
                      grad_check, projected_rows, reference_feature_matrices,
@@ -92,6 +94,73 @@ class TestDCCE:
         key = next(iter({**dcce, **visual}))
         with pytest.raises(ConfigError, match=f"'{key}'"):
             DualStreamModel(DCCEConfig(**{"input_dim": 5, **dcce}), VisualFeatConfig(**visual))
+
+
+# config class -> (its bounds table, the fields every instance needs)
+_CONFIG_TABLES = {
+    DCCEConfig: (CONFIG_BOUNDS, {"input_dim": 5}), VisualFeatConfig: (CONFIG_BOUNDS, {}),
+    FusionConfig: (CONFIG_BOUNDS, {}), GateConfig: (GATE_BOUNDS, {}),
+    TrainConfig: (TRAIN_BOUNDS, {}), CohortSpec: (DATA_BOUNDS, {}),
+}
+# key -> a value of its field that the key's bound refuses; a key spelled out
+# as one element of a tuple field, or a dict's entry, gets the whole field
+_OUT_OF_BOUND = {
+    "input_dim": 0, "patch_grid": 0, "proj_dim": -1, "n_blocks": -1,
+    "layers_per_block": -1, "growth_k": -2, "dropout_p": 1.0,
+    "alpha_vis": -0.5, "alpha_clin": -0.5, "tau_blur": 0.0, "n_passes": 1,
+    "lambda_weight": -1.0, "lr": 0.0, "wd": -1e-4, "batch_size": 0,
+    "max_epochs": 0, "patience": 0, "split_train": (0.0, 0.5, 0.5),
+    "split_val": (0.5, 0.0, 0.5), "split_test": (0.5, 0.5, 0.0),
+    "n_patients": 0, "visits_min": (0, 8), "visits_max": (4, 0),
+    "group_mix": {"Asian": -0.5, "Black": 0.75, "White": 0.75},
+    "prevalence": 2.0, "label_noise": 0.5,
+}
+_FIELD_OF = {**dict.fromkeys(SPLIT_KEYS, "split"),
+             **dict.fromkeys(VISIT_KEYS, "visits_per_patient")}
+
+
+def _bounded_key_rows():
+    """One row per config class and key of its bounds table that names one
+    of its fields; every key of every table is some class's, but the
+    trajectories' n_visits."""
+    rows, seen = [], set()
+    for cls, (table, needed) in _CONFIG_TABLES.items():
+        names = {f.name for f in dataclasses.fields(cls)}
+        for key in table:
+            field = _FIELD_OF.get(key, key)
+            if field in names:
+                seen.add(key)
+                rows.append(pytest.param(cls, needed, field, _OUT_OF_BOUND[key], key,
+                                         id=f"{cls.__name__}-{key}"))
+    assert seen == {*CONFIG_BOUNDS, *GATE_BOUNDS, *TRAIN_BOUNDS, *DATA_BOUNDS} - {"n_visits"}
+    return rows
+
+
+@pytest.mark.parametrize("cls, needed, field, value, key", _bounded_key_rows())
+def test_every_config_refuses_each_bounded_key_when_built(cls, needed, field, value, key):
+    """A config is checked once, when it is built, and cannot change after."""
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        cls(**{**needed, field: value})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cls(**needed), field, value)
+
+
+@pytest.mark.parametrize("use, key", [
+    (lambda: projection_matrix(VisualFeatConfig(proj_dim=-1)), "proj_dim"),
+    (lambda: visual_features_batch(VisualFeatConfig(patch_grid=0), np.zeros((1, 2))),
+     "patch_grid"),
+    (lambda: DCCEConfig(input_dim=5, n_blocks=-1), "n_blocks"),
+    (lambda: default_cohort_spec(prevalence=2.0), "prevalence"),
+    (lambda: gate_decide(np.array([200.0]), np.array([0.01]),
+                         GateConfig(tau_unc=float("nan"))), "tau_unc"),
+], ids=["projection-negative-dim", "features-zero-grid", "negative-blocks",
+        "default-spec-prevalence", "gate-nan-tau-unc"])
+def test_library_paths_refuse_unchecked_configs(use, key):
+    """Paths that take a config without building a model used to run on
+    values nobody checked: a raw numpy error, a built config or spec, or a
+    NaN tau_unc that refers every sharp visit."""
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        use()
 
 
 class TestVisualFeatures:
@@ -383,7 +452,7 @@ class TestFusion:
     def test_non_finite_weights_rejected(self, weights):
         """NaN compares false against every bound, so it needs its own check."""
         with pytest.raises(ConfigError, match="finite"):
-            FusionConfig(*weights).validate()
+            FusionConfig(*weights)
 
 
 class TestHeads:

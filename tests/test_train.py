@@ -78,8 +78,8 @@ def test_validate_refuses_an_optimizer_that_cannot_descend(overrides, key):
     """A non-positive lr climbs the loss, and a decay factor 1 - lr*wd at or
     below 0 zeroes or flips every weight each step."""
     with pytest.raises(ConfigError, match=key):
-        TrainConfig(**overrides).validate()
-    TrainConfig(lr=0.5, wd=1.999).validate()
+        TrainConfig(**overrides)
+    TrainConfig(lr=0.5, wd=1.999)
 
 
 @pytest.mark.parametrize("overrides, key", [
@@ -92,7 +92,7 @@ def test_validate_refuses_an_optimizer_that_cannot_descend(overrides, key):
 def test_validate_refuses_each_value_by_its_key(overrides, key):
     """A NaN lambda_weight used to pass, as every comparison with NaN is false."""
     with pytest.raises(ConfigError, match=key):
-        TrainConfig(**overrides).validate()
+        TrainConfig(**overrides)
 
 
 class TestTrainingLoop:

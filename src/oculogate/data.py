@@ -58,7 +58,11 @@ def _parse_ints(cells) -> list[int]:
 
 
 def _parse_floats(cells) -> list[float]:
-    return [float(c) if c else math.nan for c in cells]
+    """Finite floats; an empty cell is missing (NaN)."""
+    out = [float(c) if c else math.nan for c in cells]
+    if not all(math.isfinite(v) for v, c in zip(out, cells) if c):
+        raise ValueError("values are finite")
+    return out
 
 
 def _parse_labels(cells) -> list[int]:

@@ -14,12 +14,12 @@ statistics, all of which are projected together. The streams of all rows
 are derived together and drawn in one Streams.fill_u64 of the diagnostic
 sites' width, the prefix of each stream's full-width fill. The draw shares
 no data with the featurisation, so a batch of two or more visits fills its
-words on numerics.WORKER, the process's one worker thread, while the
-calling thread featurises; the streams are counter-based, so which thread
-fills them changes no bit. The calling thread derives the streams and
-allocates the words, the worker runs only the fill (nothing perfbench's
-tracer wraps), a lone visit fills on the calling thread, and no draw
-outlives its call.
+words on numerics.WORKER, the process's one worker thread, through
+numerics.beside while the calling thread featurises; the streams are
+counter-based, so which thread fills them changes no bit. The calling
+thread derives the streams and allocates the words, the worker runs only
+the fill (nothing perfbench's tracer wraps), a lone visit fills on the
+calling thread, and no draw outlives its call.
 The draw stays in raw uint64 words, which masks_from_uniform turns into
 keep bits on the calling thread by comparing them against the dropout
 rate, with no conversion to uniforms; no word outlives that call.
@@ -28,9 +28,10 @@ distinct transforms once and writes each pass's block of the stack
 as one multiply of its transform's features by its keep bits, so the
 visual site never gets a float mask and no feature row is gathered. The
 regression head is not run; MTS comes from predict's deterministic md_hat.
-Without dropout, passes that share a transform are one pass, computed once
-and copied to save work. A row of the stack has the same bytes in any
-batch, so a visit's mu and u do not depend on the visits gated with it.
+Every rate takes this one path: at dropout_p 0 every keep bit is true and
+the scale is 1, so each pass has the bytes of its transform's pass. A row
+of the stack has the same bytes in any batch, so a visit's mu and u do not
+depend on the visits gated with it.
 A run's decisions come from its lap_var and u arrays at once (gate_decide);
 a decision holds only its kind, and mu and u stay in the run's arrays.
 """
@@ -38,7 +39,6 @@ a decision holds only its kind, and mu and u stay in the run's arrays.
 from __future__ import annotations
 
 import math
-from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,45 +174,33 @@ def ensemble_passes(model: DualStreamModel, fusion: FusionConfig,
     n = x_clin.shape[0]
     names = [cfg.tta_set[i % len(cfg.tta_set)] for i in range(cfg.n_passes)]
     distinct = list(dict.fromkeys(names))
-    draw = None
-    if cfg.dropout_p > 0.0:
-        labels = [f"mc/{sid}/{i}" for i in range(cfg.n_passes) for sid in sample_ids]
-        # the diagnostic sites lead mask_segments, so their columns are a
-        # prefix of each label's full-width stream
-        width = sum(w for _, w in model.diagnostic_segments())
-        streams = Streams(seed, labels)
-        # allocated here: the worker's allocations land in another malloc
-        # arena, which keeps them resident
-        words = np.empty((streams.size, width), dtype=np.uint64)
-        if n > 1:
-            draw = numerics.WORKER.submit(streams.fill_u64, width, words)
-        else:   # a lone visit's fill costs less than the handoff
-            streams.fill_u64(width, words)
-    try:
-        # block k of the features is transform k of every raster
-        v = visual_features_batch(model.visual,
-                                  _tta_stats(distinct, rasters, model.visual.patch_grid))
-    except BaseException:
-        if draw is not None:
-            futures.wait((draw,))   # no draw outlives its call
-        raise
-    transform_of = [distinct.index(name) for name in names]
-    if cfg.dropout_p > 0.0:
-        if draw is not None:
-            draw.result()   # re-raises the worker's error with its own type
-        keep, masks = model.masks_from_uniform(words, cfg.dropout_p)
-        del draw, words     # the words, 8 MiB per 32-visit batch, end here
-        # block i of the pass-major stack, rows i*n .. i*n + n - 1, is pass i
-        v = dropout(v, keep, cfg.dropout_p, transform_of)
-        n_blocks, cols = cfg.n_passes, list(range(cfg.n_passes))
-    else:
-        # without dropout, passes that share a transform are the same pass,
-        # so it is run once and copied
-        n_blocks, cols = len(distinct), transform_of
-        masks = None
-    out, _ = model.diagnose(np.tile(x_clin, (n_blocks, 1)), v, masks)
-    p = fuse(fusion, out["logit_vis"], out["logit_clin"]).reshape(-1, n).T
-    return p[:, cols]
+    labels = [f"mc/{sid}/{i}" for i in range(cfg.n_passes) for sid in sample_ids]
+    # the diagnostic sites lead mask_segments, so their columns are a prefix
+    # of each label's full-width stream
+    width = sum(w for _, w in model.diagnostic_segments())
+    streams = Streams(seed, labels)
+    # allocated here: the worker's allocations land in another malloc arena,
+    # which keeps them resident
+    words = np.empty((streams.size, width), dtype=np.uint64)
+
+    def fill():
+        streams.fill_u64(width, words)
+
+    def featurise():   # block k of the features is transform k of every raster
+        return visual_features_batch(
+            model.visual, _tta_stats(distinct, rasters, model.visual.patch_grid))
+
+    if n > 1:
+        v = numerics.beside(fill, featurise)
+    else:   # a lone visit's fill costs less than the handoff
+        fill()
+        v = featurise()
+    keep, masks = model.masks_from_uniform(words, cfg.dropout_p)
+    del words   # the words, 8 MiB per 32-visit batch, end here
+    # block i of the pass-major stack, rows i*n .. i*n + n - 1, is pass i
+    v = dropout(v, keep, cfg.dropout_p, [distinct.index(name) for name in names])
+    out, _ = model.diagnose(np.tile(x_clin, (cfg.n_passes, 1)), v, masks)
+    return fuse(fusion, out["logit_vis"], out["logit_clin"]).reshape(-1, n).T
 
 
 def summarize_passes(p_passes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -345,7 +345,7 @@ class DualStreamModel:
                                              ("reg.h1", REG_HIDDEN[1])]
 
     def masks_from_uniform(self, words: np.ndarray, p: float) -> tuple[np.ndarray, dict]:
-        """Dropout at rate p > 0 from one (n, width) draw of raw uint64 words
+        """Dropout at rate p from one (n, width) draw of raw uint64 words
         (as fill_u64 returns them), whose columns fill the sites of
         mask_segments in order: the visual site's keep bits, for the
         caller's dropout() of the features, and the inverted-dropout masks
@@ -521,6 +521,11 @@ def predict_arrays(model: DualStreamModel, fusion: FusionConfig,
 # checkpoints: JSON manifest + flat binary of float64 LE in manifest order
 # ---------------------------------------------------------------------------
 
+def _param_entries(model: DualStreamModel) -> list[dict]:
+    """The manifest's params list: each parameter's name and shape, in order."""
+    return [{"name": n, "shape": list(shape)} for n, shape in model.param_layout().items()]
+
+
 def checkpoint_files(model: DualStreamModel, fusion: FusionConfig,
                      extra: dict | None = None) -> dict[str, str | bytes]:
     """manifest.json and params.bin, by file name."""
@@ -528,8 +533,7 @@ def checkpoint_files(model: DualStreamModel, fusion: FusionConfig,
         "dcce": asdict(model.dcce),
         "visual": asdict(model.visual),
         "fusion": asdict(fusion),
-        "params": [{"name": n, "shape": list(shape)}
-                   for n, shape in model.param_layout().items()],
+        "params": _param_entries(model),
         "extra": extra or {},
     }
     return {
@@ -572,23 +576,15 @@ def load_checkpoint(in_dir) -> tuple[DualStreamModel, FusionConfig, dict]:
     visual = _config_block(VisualFeatConfig(), manifest, "visual")
     fusion = _config_block(FusionConfig(), manifest, "fusion")
     model = DualStreamModel(dcce, visual)  # zero parameters, no init draws
-    layout = model.param_layout()
-    entries = manifest.get("params")
-    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
-        raise SchemaError(f"manifest.json in {in_dir}: 'params' is missing or "
-                          f"not a list of objects")
-    try:
-        listed = [(e["name"], e["shape"]) for e in entries]
-    except KeyError as exc:
-        raise SchemaError(f"manifest.json in {in_dir} lacks key {exc}") from None
-    if [name for name, _ in listed] != list(layout):
-        raise SchemaError("manifest parameters do not match the model's")
-    for name, shape in listed:
-        if not isinstance(shape, list):
-            raise SchemaError(f"manifest shape of '{name}' is not a list")
-        if tuple(shape) != layout[name]:
-            raise SchemaError(f"manifest shape {shape} of '{name}' does not "
-                              f"match the model's {list(layout[name])}")
+    want, listed = _param_entries(model), manifest.get("params")
+    if not isinstance(listed, list):
+        raise SchemaError(f"manifest.json in {in_dir}: 'params' is missing or not a list")
+    if listed != want:   # named by the first entry that differs
+        i = next((i for i, (a, b) in enumerate(zip(listed, want)) if a != b),
+                 min(len(listed), len(want)))
+        got, exp = (json.dumps(e[i]) if i < len(e) else "none" for e in (listed, want))
+        raise SchemaError(f"manifest.json in {in_dir}: 'params' entry {i} is {got}, "
+                          f"the model's {exp}")
     with open(os.path.join(in_dir, "params.bin"), "rb") as f:
         raw = f.read()
     if len(raw) != 8 * model.params.value.size:

@@ -7,8 +7,9 @@ parameter, gradient and AdamW moment in four flat vectors in layout order,
 so an optimizer step is one blocked pass over them and a snapshot or a
 checkpoint one whole-vector operation. The step has two writers on disjoint
 halves of those vectors: the calling thread and WORKER, the process's one
-worker thread, which in_halves lends to the optimizer, the raster generator
-and the gate's dropout draw.
+worker thread. beside is the only handoff to it: in_halves lends it to the
+optimizer and the raster generator, and the gate fills its dropout draw
+there.
 """
 
 from __future__ import annotations
@@ -38,25 +39,35 @@ def _mark_worker() -> None:
 WORKER = futures.ThreadPoolExecutor(max_workers=1, initializer=_mark_worker)
 
 
+def beside(work: Callable[[], object], own: Callable[[], object]):
+    """own() on the calling thread while WORKER runs work(); own's result
+    once both have ended. A call made on WORKER itself runs work(), then
+    own(), inline, so the worker never waits on itself. The caller
+    allocates what work writes, and work never outlives the call: if own
+    raises, the call still waits for work, then re-raises own's error, and
+    an error of work reaches the caller with its own type."""
+    if getattr(_ON_WORKER, "active", False):
+        work()
+        return own()
+    done = WORKER.submit(work)
+    try:
+        result = own()
+    finally:
+        futures.wait((done,))
+    done.result()
+    return result
+
+
 def in_halves(fn: Callable[[int, int], None], n: int, grain: int = 1) -> None:
-    """fn(lo, hi) over [0, n) in two halves: the calling thread runs
-    [0, mid) while WORKER runs [mid, n), with mid the multiple of grain
-    nearest n/2 (a tie gives the calling thread more). Up to one grain, and
-    any call made on WORKER itself, runs inline as fn(0, n), so the worker
-    never waits on itself. The caller allocates what the halves write, and
-    no half outlives the call: if the calling thread's half raises, the
-    call still waits for the worker's, and an error of the worker's half
-    reaches the caller with its own type."""
+    """fn(lo, hi) over [0, n) in two halves, beside one another: the calling
+    thread runs [0, mid) while WORKER runs [mid, n), with mid the multiple
+    of grain nearest n/2 (a tie gives the calling thread more). Up to one
+    grain, and any call made on WORKER itself, runs inline as fn(0, n)."""
     if n <= grain or getattr(_ON_WORKER, "active", False):
         fn(0, n)
         return
     mid = (n + grain) // (2 * grain) * grain
-    half = WORKER.submit(fn, mid, n)
-    try:
-        fn(0, mid)
-    finally:
-        futures.wait((half,))
-    half.result()
+    beside(lambda: fn(mid, n), lambda: fn(0, mid))
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,27 @@ def test_evaluate_on_blank_md_cells(run_dir, tmp_path):
     assert np.isfinite(metrics["md_mae"])
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+@pytest.mark.parametrize("header", ["visit_time_years", "age", "rnflt_um",
+                                    "iop_mmhg", "cdr", "md_db"])
+def test_train_on_a_non_finite_cell_exits_one(run_dir, tmp_path, capsys, header,
+                                              cell):
+    """A non-finite number in any float column of cohort.csv is refused by
+    line and column before training: exit 1, one line, no output."""
+    lines = (run_dir / "cohort" / "cohort.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[lines[0].split(",").index(header)] = cell
+    lines[5] = ",".join(cells)
+    (tmp_path / "cohort").mkdir()
+    (tmp_path / "cohort" / "cohort.csv").write_text("\n".join(lines) + "\n")
+    code = main(["train", "--cohort", str(tmp_path / "cohort"),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and f"line 6: bad value for {header}: {cell!r}" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
 def test_manifest_shape_mismatch_exits_one(run_dir, tmp_path, capsys):
     def reshape_bias(model):
         path = model / "checkpoint" / "manifest.json"

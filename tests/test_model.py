@@ -884,6 +884,27 @@ class TestCheckpoint:
         with pytest.raises(SchemaError, match="'clin_head.W'"):
             load_checkpoint(tmp_path / "ck")
 
+    @pytest.mark.parametrize("edit,named", [
+        (lambda params: params.append({"name": "extra.b", "shape": [1]}),
+         'entry 18 is {"name": "extra.b", "shape": [1]}, the model\'s none'),
+        (lambda params: params.pop(),
+         'entry 17 is none, the model\'s {"name": "reg.b2", "shape": [2]}'),
+        (lambda params: params[3].update(dtype="<f8"), "entry 3 is"),
+    ], ids=["extra-entry", "missing-entry", "extra-key"])
+    def test_params_list_is_refused_at_its_first_difference(self, tmp_path, edit,
+                                                             named):
+        """The manifest's params list must equal the one checkpoint_files
+        writes; a SchemaError names the first entry that differs."""
+        save_checkpoint(small_model(seed=26), FusionConfig(), tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert len(manifest["params"]) == 18
+        edit(manifest["params"])
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError) as info:
+            load_checkpoint(tmp_path / "ck")
+        assert named in str(info.value)
+
     def test_second_save_is_refused_and_changes_nothing(self, tmp_path):
         out = tmp_path / "ck"
         save_checkpoint(small_model(seed=23), FusionConfig(), out)

@@ -1,7 +1,9 @@
 import math
+import re
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from oculogate.data import generate_images
 from oculogate.errors import DataError, NumericError
 from oculogate.model import DCCEConfig, DualStreamModel, VisualFeatConfig, _affine_grads
 from oculogate.numerics import (ADAMW_BLOCK, Param, ParamStore, adamw_step,
-                                binary_cross_entropy, binary_cross_entropy_grad,
-                                in_halves, sigmoid, smooth_l1, smooth_l1_grad)
+                                beside, binary_cross_entropy,
+                                binary_cross_entropy_grad, in_halves, sigmoid, smooth_l1, smooth_l1_grad)
 from oculogate.rng import Rng
 
 from helpers import _RefusingPool, grad_check
@@ -386,6 +388,82 @@ class TestFlatStore:
         store["a.b"].grad[1] = 3.0
         assert store.grad[12 + 1] == 3.0
         assert store.value.size == 12 + 3 + 7 + 8
+
+
+class TestBeside:
+    """beside runs own on the calling thread while numerics.WORKER runs
+    work, and returns own's result once both have ended."""
+
+    def test_returns_owns_result_with_work_on_the_worker(self):
+        threads = {}
+
+        def work():
+            threads["work"] = threading.get_ident()
+
+        def own():
+            threads["own"] = threading.get_ident()
+            return 7
+
+        assert beside(work, own) == 7
+        assert threads["work"] != threading.get_ident() == threads["own"]
+
+    def test_a_failing_own_waits_for_work(self):
+        finished = []
+
+        def work():
+            time.sleep(0.05)
+            finished.append("work")
+
+        def own():
+            raise DataError("own failed")
+
+        with pytest.raises(DataError, match="own failed"):
+            beside(work, own)
+        assert finished == ["work"]   # work ended before the error surfaced
+
+    def test_work_error_keeps_its_type(self):
+        def work():
+            raise NumericError("work failed")
+
+        with pytest.raises(NumericError, match="work failed"):
+            beside(work, lambda: 1)
+
+    def test_when_both_fail_owns_error_surfaces(self):
+        def work():
+            raise NumericError("work failed")
+
+        def own():
+            raise DataError("own failed")
+
+        with pytest.raises(DataError, match="own failed"):
+            beside(work, own)
+
+    def test_a_call_on_the_worker_runs_both_inline(self):
+        threads = []
+
+        def record(value):
+            return lambda: (threads.append(threading.get_ident()), value)[1]
+
+        worker = numerics.WORKER.submit(threading.get_ident).result(timeout=60)
+        got = numerics.WORKER.submit(beside, record("work"), record("own"))
+        assert got.result(timeout=60) == "own"
+        assert threads == [worker, worker]
+
+
+def test_only_numerics_hands_work_to_the_worker():
+    """beside is the one handoff: WORKER.submit appears once in src, in
+    numerics, and no other module imports concurrent.futures, so a second
+    hand-coded submit, wait and re-raise cannot creep back in."""
+    src = Path(numerics.__file__).parent
+    submits, imports = {}, set()
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        if count := text.count("WORKER.submit"):
+            submits[path.name] = count
+        if re.search(r"\bconcurrent\b", text):
+            imports.add(path.name)
+    assert submits == {"numerics.py": 1}
+    assert imports == {"numerics.py"}
 
 
 class TestInHalves:
